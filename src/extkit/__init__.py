@@ -33,8 +33,7 @@ from .extension import (
 )
 from .jets import (
     EvaluationError,
-    Jet1,
-    Jet2,
+    Jet,
     NonFiniteError,
     ScalarField,
     SingularPointError,
@@ -76,8 +75,7 @@ __all__ = [
     "ExtensionParams",
     "ExtensionSeed",
     "HamiltonianSystem",
-    "Jet1",
-    "Jet2",
+    "Jet",
     "NonFiniteError",
     "PoissonStructure",
     "PoleError",

@@ -5,7 +5,7 @@ is known in closed form, one or more seed functions G solving
 X_L^2 G = -2 (c L + c0) G for a specific constant pair.  Entries
 without a closed-form seed (the predator-prey system and the free
 rigid body) are served for their base dynamics and invariants; the
-rigid body additionally exposes a quadrature-backed local seed valid on
+rigid body additionally exposes an elliptic-integral local seed valid on
 bounded level sets.
 
 Parameter values are validated against per-entry constraints and
@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .extension import ExtensionSeed
-from .jets import ScalarField, SingularPointError, cos, exp, log, sin, sqrt
+from .jets import Jet, ScalarField, SingularPointError, cos, exp, log, sin, sqrt
 from .poisson import HamiltonianSystem, apply_xl2, canonical_structure, custom_structure
 
 __all__ = [
@@ -537,14 +536,18 @@ def _build_euler_top(p: dict) -> BuiltSystem:
 
 def euler_local_seed_field(i1: float, i2: float, i3: float, c: float, c0: float,
                            branch: int = 1, prefactor: float = 1.0) -> ScalarField:
-    """Quadrature-backed local seed for the free rigid body.
+    """Elliptic-integral local seed for the free rigid body.
 
     Real-valued on level sets where both I1 I2 (M - 2 I3 L) and
     I1 I3 (2 I2 L - M) are positive and c L + c0 < 0, which requires
-    the ordering I1 > I2 > I3.  The exponent integrates
-    1/sqrt((1 - t^2)(1 + kap t^2)) from 0 to a normalized m1, with a
-    signed shape modulus kap.  Value queries only (no jet rule); points
-    off the valid region raise a singular-point error.
+    the ordering I1 > I2 > I3.  The exponent is the incomplete elliptic
+    integral of the first kind
+
+        int_0^x dt / sqrt((1 - t^2)(1 + kap t^2)) = x R_F(1 - x^2, 1 + kap x^2, 1)
+
+    at a normalized m1 = x, with a signed shape modulus kap.  It runs on
+    jets like every other field; points off the valid region raise a
+    singular-point error.
     """
     if branch not in (1, -1):
         raise CatalogError("branch must be +1 or -1")
@@ -552,29 +555,59 @@ def euler_local_seed_field(i1: float, i2: float, i3: float, c: float, c0: float,
     def value(co):
         m1, m2, m3 = co
         lval = 0.5 * (m1 * m1 / i1 + m2 * m2 / i2 + m3 * m3 / i3)
-        mval = m1 * m1 + m2 * m2 + m3 * m3
-        x1 = i1 * i2 * (mval - 2 * i3 * lval)
-        x2 = i1 * i3 * (2 * i2 * lval - mval)
-        if x1 <= 0 or x2 <= 0:
+        # I1 I2 (M - 2 I3 L) and I1 I3 (2 I2 L - M), expanded: their m3^2 and
+        # m2^2 terms cancel exactly, and leaving them out keeps x2 accurate
+        # near the separatrix x2 = 0
+        x1 = i2 * (i1 - i3) * (m1 * m1) + i1 * (i2 - i3) * (m2 * m2)
+        x2 = i3 * (i2 - i1) * (m1 * m1) + i1 * (i2 - i3) * (m3 * m3)
+        if _val(x1) <= 0 or _val(x2) <= 0:
             raise SingularPointError("level-set factors are not both positive here")
         amp2 = i2 * (i1 - i3) / x1
-        if amp2 <= 0:
+        if _val(amp2) <= 0:
             raise SingularPointError("needs the moment ordering I1 > I2 > I3")
         rad = -2.0 * (c * lval + c0) / x2
-        if rad <= 0:
+        if _val(rad) <= 0:
             raise SingularPointError("needs c L + c0 < 0 on this level set")
-        xval = m1 * math.sqrt(amp2)
+        xval = m1 * sqrt(amp2)
         kap = i3 * (i1 - i2) * x1 / (i2 * (i1 - i3) * x2)
-        if abs(xval) >= 1 or (kap < 0 and 1 + kap * xval * xval <= 0):
-            raise SingularPointError("quadrature endpoint leaves the valid interval")
-        fj, _ = _quad(
-            lambda t: 1.0 / math.sqrt((1 - t * t) * (1 + kap * t * t)),
-            0.0, xval, epsabs=1e-13, epsrel=1e-13, limit=200,
-        )
+        xx = xval * xval
+        y = 1 + kap * xx
+        if abs(_val(xval)) >= 1 or _val(y) <= 0:
+            raise SingularPointError("elliptic argument leaves the valid interval")
+        fj = xval * _carlson_rf(1 - xx, y, 1.0)
         pref = i1 * i2 * i3 / math.sqrt(i2 * (i1 - i3))
-        return prefactor * math.exp(branch * pref * math.sqrt(rad) * fj)
+        return prefactor * exp(branch * pref * sqrt(rad) * fj)
 
-    return ScalarField(value, 3, label="euler_top.localG", jet_capable=False)
+    return ScalarField(value, 3, label="euler_top.localG")
+
+
+def _val(a):
+    return a.value if isinstance(a, Jet) else a
+
+
+def _carlson_rf(x, y, z):
+    """Carlson's symmetric elliptic integral R_F(x, y, z) by duplication.
+
+    Arguments are nonnegative with at most one zero, plain numbers or
+    jets.  The loop stops once the argument values lie within 1e-3 of
+    their mean, relative to it, and the fifth-order series then leaves
+    a relative truncation error near 1e-19 (B. C. Carlson, Numer.
+    Algorithms 10 (1995); DLMF 19.36.1).
+    """
+    while True:
+        mu = (x + y + z) / 3.0
+        m = _val(mu)
+        if max(abs(_val(x) - m), abs(_val(y) - m), abs(_val(z) - m)) <= 1e-3 * m:
+            break
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25
+    ex = 1.0 - x / mu
+    ey = 1.0 - y / mu
+    ez = -(ex + ey)
+    e2 = ex * ey - ez * ez
+    e3 = ex * ey * ez
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(mu)
 
 
 # ------------------------------------------------------------------ registry
@@ -754,7 +787,7 @@ _register(CatalogEntry(
     },
     builder=_build_euler_top,
     default_box=((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)),
-    notes="no global seed; the quadrature-backed local one needs I1 > I2 > I3",
+    notes="no global seed; the elliptic-integral local one needs I1 > I2 > I3",
 ))
 
 

@@ -387,7 +387,7 @@ def _cmd_check_kn(args) -> int:
     built = catalog.instantiate(system_id, params)
     builder = built.meta.get("local_seed_builder")
     if builder is None:
-        raise ConfigError(f"entry '{system_id}' serves no quadrature-backed local seed; "
+        raise ConfigError(f"entry '{system_id}' serves no elliptic-integral local seed; "
                           "this check applies to euler_top")
     c = float(args.c)
     c0 = float(args.c0)
@@ -475,7 +475,7 @@ def _cmd_extend(args) -> int:
     states = verify.sample_points(spec, pred)
     struct = ext.structure()
     obs = ext.conserved_quantities()
-    kname = "K" if "K" in obs else "K_re"
+    kname = _integral_name(obs)
     worst = 0.0
     worst_state = None
     skipped = 0
@@ -505,6 +505,11 @@ def _cmd_extend(args) -> int:
         "skipped_points": skipped,
     }
     return _finish(report, args.report)
+
+
+def _integral_name(obs: dict) -> str:
+    # Complex integrals are split into K_re and K_im; K_re stands for K.
+    return "K" if "K" in obs else "K_re"
 
 
 def _params_echo(p: ExtensionParams) -> dict:
@@ -580,7 +585,8 @@ def _cmd_rank(args) -> int:
         fields[name] = (lambda idx: lambda vec: float(vec[2 + idx]))(i)
     fields["u"] = lambda vec: float(vec[0])
     fields["p_u"] = lambda vec: float(vec[1])
-    wanted = [w.strip() for w in args.fields.split(",") if w.strip()]
+    spec_fields = args.fields or f"H,L,{_integral_name(obs)}"
+    wanted = [w.strip() for w in spec_fields.split(",") if w.strip()]
     missing = [w for w in wanted if w not in fields]
     if missing:
         raise ConfigError(f"unknown field name(s) {missing}; "
@@ -800,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check_pde)
 
     p = sub.add_parser("check-kn", help="first-order factorization residual "
-                                        "(quadrature-backed local seed)")
+                                        "(elliptic-integral local seed)")
     _add_common(p, 60)
     _add_system(p)
     p.add_argument("--c", type=float, default=0.0)
@@ -854,8 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system(p)
     _add_extension_flags(p)
     _add_state_ranges(p)
-    p.add_argument("--fields", default="H,L,K",
-                   help="comma-separated field names (observables, coordinates, u, p_u)")
+    p.add_argument("--fields",
+                   help="comma-separated field names (observables, coordinates, u, p_u; "
+                        "default H,L and the integral, K or K_re)")
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--expect", type=int, help="required rank (default: field count)")

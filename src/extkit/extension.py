@@ -80,11 +80,11 @@ class ExtensionParams:
             raise ValueError("extension constants c and c0 must not both vanish")
         for name in ("c", "c0", "C", "omega", "offset"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValueError(f"extension parameter {name} must be a finite real number")
         for name in ("m", "n"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"index {name} must be a positive integer")
         if self.c == 0.0 and self.C == 0.0 and self.omega != 0.0:
             raise ValueError("omega != 0 needs a profile that is not identically zero")

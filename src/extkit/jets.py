@@ -13,8 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -22,11 +22,8 @@ __all__ = [
     "EvaluationError",
     "SingularPointError",
     "NonFiniteError",
-    "Jet1",
-    "Jet2",
+    "Jet",
     "ScalarField",
-    "phase_point",
-    "eval_jet2",
     "exp",
     "log",
     "sqrt",
@@ -51,21 +48,14 @@ class NonFiniteError(EvaluationError):
     """Evaluation produced a non-finite value."""
 
 
-def phase_point(coords: Sequence[float]) -> np.ndarray:
-    """Validate a coordinate tuple and return it as a float array."""
-    x = np.asarray(coords, dtype=float)
-    if x.ndim != 1:
-        raise EvaluationError("phase point must be a flat coordinate sequence")
-    if not np.all(np.isfinite(x)):
-        raise EvaluationError("phase point has non-finite entries")
-    return x
-
-
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
-def _scalar_exp(v):
-    return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
+def _either(mfn, cfn):
+    def scalar(v):
+        return cfn(v) if isinstance(v, complex) else mfn(v)
+
+    return scalar
 
 
 def _scalar_log(v):
@@ -86,145 +76,75 @@ def _scalar_sqrt(v):
     return cmath.sqrt(complex(v))
 
 
-class Jet1:
-    """Value plus gradient; first-order truncated Taylor arithmetic."""
+class Jet:
+    """Value, gradient and optional Hessian; truncated Taylor arithmetic.
 
-    __slots__ = ("value", "grad")
-    __array_ufunc__ = None
-
-    def __init__(self, value, grad):
-        self.value = value
-        self.grad = grad
-
-    def __repr__(self):
-        return f"Jet1({self.value!r}, {self.grad!r})"
-
-    def __neg__(self):
-        return Jet1(-self.value, -self.grad)
-
-    def __add__(self, o):
-        if isinstance(o, Jet1):
-            return Jet1(self.value + o.value, self.grad + o.grad)
-        if isinstance(o, _SCALARS):
-            return Jet1(self.value + o, self.grad)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Jet1):
-            return Jet1(self.value - o.value, self.grad - o.grad)
-        if isinstance(o, _SCALARS):
-            return Jet1(self.value - o, self.grad)
-        return NotImplemented
-
-    def __rsub__(self, o):
-        if isinstance(o, _SCALARS):
-            return Jet1(o - self.value, -self.grad)
-        return NotImplemented
-
-    def __mul__(self, o):
-        if isinstance(o, Jet1):
-            return Jet1(self.value * o.value, self.value * o.grad + o.value * self.grad)
-        if isinstance(o, _SCALARS):
-            return Jet1(self.value * o, self.grad * o)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _inv(self):
-        w = 1.0 / self.value
-        return Jet1(w, (-w * w) * self.grad)
-
-    def __truediv__(self, o):
-        if isinstance(o, Jet1):
-            return self * o._inv()
-        if isinstance(o, _SCALARS):
-            return self * (1.0 / o)
-        return NotImplemented
-
-    def __rtruediv__(self, o):
-        if isinstance(o, _SCALARS):
-            return self._inv() * o
-        return NotImplemented
-
-    def __pow__(self, e):
-        if isinstance(e, Jet1):
-            return exp(e * log(self))
-        v = self.value
-        if isinstance(e, numbers.Integral):
-            n = int(e)
-            if n == 0:
-                return Jet1(1.0, np.zeros_like(self.grad))
-            return Jet1(v**n, (n * v ** (n - 1)) * self.grad)
-        if isinstance(v, complex) or v <= 0.0:
-            return exp(e * log(self))
-        return Jet1(v**e, (e * v ** (e - 1)) * self.grad)
-
-    def __rpow__(self, base):
-        if isinstance(base, _SCALARS):
-            return exp(self * _scalar_log(base))
-        return NotImplemented
-
-
-class Jet2:
-    """Value, gradient and symmetric Hessian; second-order jet arithmetic."""
+    ``hess is None`` marks a first-order jet, which skips all Hessian
+    work.  Both operands of a binary operation carry the same order.
+    """
 
     __slots__ = ("value", "grad", "hess")
     __array_ufunc__ = None
 
-    def __init__(self, value, grad, hess):
+    def __init__(self, value, grad, hess=None):
         self.value = value
         self.grad = grad
         self.hess = hess
 
     def __repr__(self):
-        return f"Jet2({self.value!r}, {self.grad!r}, {self.hess!r})"
+        return f"Jet({self.value!r}, {self.grad!r}, {self.hess!r})"
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        h = self.hess
+        return Jet(-self.value, -self.grad, None if h is None else -h)
 
     def __add__(self, o):
-        if isinstance(o, Jet2):
-            return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        if isinstance(o, Jet):
+            h = self.hess
+            return Jet(self.value + o.value, self.grad + o.grad,
+                       None if h is None else h + o.hess)
         if isinstance(o, _SCALARS):
-            return Jet2(self.value + o, self.grad, self.hess)
+            return Jet(self.value + o, self.grad, self.hess)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        if isinstance(o, Jet2):
-            return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        if isinstance(o, Jet):
+            h = self.hess
+            return Jet(self.value - o.value, self.grad - o.grad,
+                       None if h is None else h - o.hess)
         if isinstance(o, _SCALARS):
-            return Jet2(self.value - o, self.grad, self.hess)
+            return Jet(self.value - o, self.grad, self.hess)
         return NotImplemented
 
     def __rsub__(self, o):
         if isinstance(o, _SCALARS):
-            return Jet2(o - self.value, -self.grad, -self.hess)
+            h = self.hess
+            return Jet(o - self.value, -self.grad, None if h is None else -h)
         return NotImplemented
 
     def __mul__(self, o):
-        if isinstance(o, Jet2):
+        if isinstance(o, Jet):
+            a, b = self.value, o.value
+            grad = a * o.grad + b * self.grad
+            if self.hess is None:
+                return Jet(a * b, grad)
             cross = np.outer(self.grad, o.grad)
-            return Jet2(
-                self.value * o.value,
-                self.value * o.grad + o.value * self.grad,
-                self.value * o.hess + o.value * self.hess + cross + cross.T,
-            )
+            return Jet(a * b, grad, a * o.hess + b * self.hess + cross + cross.T)
         if isinstance(o, _SCALARS):
-            return Jet2(self.value * o, self.grad * o, self.hess * o)
+            h = self.hess
+            return Jet(self.value * o, self.grad * o, None if h is None else h * o)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def _inv(self):
         w = 1.0 / self.value
-        return _chain2(self, w, -w * w, 2.0 * w * w * w)
+        return _chain(self, w, -w * w, 2.0 * w * w * w)
 
     def __truediv__(self, o):
-        if isinstance(o, Jet2):
+        if isinstance(o, Jet):
             return self * o._inv()
         if isinstance(o, _SCALARS):
             return self * (1.0 / o)
@@ -236,18 +156,20 @@ class Jet2:
         return NotImplemented
 
     def __pow__(self, e):
-        if isinstance(e, Jet2):
+        if isinstance(e, Jet):
             return exp(e * log(self))
         v = self.value
         if isinstance(e, numbers.Integral):
             n = int(e)
             if n == 0:
-                return Jet2(1.0, np.zeros_like(self.grad), np.zeros_like(self.hess))
-            f2 = 0.0 if n == 1 else n * (n - 1) * v ** (n - 2)
-            return _chain2(self, v**n, n * v ** (n - 1), f2)
+                return Jet(1.0, np.zeros_like(self.grad),
+                           None if self.hess is None else np.zeros_like(self.hess))
+            f2 = 0.0 if self.hess is None or n == 1 else n * (n - 1) * v ** (n - 2)
+            return _chain(self, v**n, n * v ** (n - 1), f2)
         if isinstance(v, complex) or v <= 0.0:
             return exp(e * log(self))
-        return _chain2(self, v**e, e * v ** (e - 1), e * (e - 1) * v ** (e - 2))
+        f2 = None if self.hess is None else e * (e - 1) * v ** (e - 2)
+        return _chain(self, v**e, e * v ** (e - 1), f2)
 
     def __rpow__(self, base):
         if isinstance(base, _SCALARS):
@@ -255,122 +177,48 @@ class Jet2:
         return NotImplemented
 
 
-def _chain2(j: Jet2, f0, f1, f2) -> Jet2:
+def _chain(j: Jet, f0, f1, f2) -> Jet:
+    """f(j) from the value f0 and the derivatives f1, f2 of f at j.value.
+
+    ``f2`` is only read, and only needs computing, when ``j`` carries a
+    Hessian.
+    """
     g = j.grad
-    return Jet2(f0, f1 * g, f1 * j.hess + f2 * np.outer(g, g))
+    if j.hess is None:
+        return Jet(f0, f1 * g)
+    return Jet(f0, f1 * g, f1 * j.hess + f2 * np.outer(g, g))
 
 
-def _dispatch(x, scalar_fn, jet1_rule, jet2_rule):
-    if isinstance(x, Jet2):
-        return jet2_rule(x)
-    if isinstance(x, Jet1):
-        return jet1_rule(x)
-    return scalar_fn(x)
+def _elementary(scalar, d1, d2):
+    """Lift ``scalar`` to jets; ``d1(v, f0)`` and ``d2(v, f0)`` are its
+    first and second derivatives at ``v``, where ``f0 = scalar(v)``."""
 
-
-def exp(x):
-    def j1(j):
-        f0 = _scalar_exp(j.value)
-        return Jet1(f0, f0 * j.grad)
-
-    def j2(j):
-        f0 = _scalar_exp(j.value)
-        return _chain2(j, f0, f0, f0)
-
-    return _dispatch(x, _scalar_exp, j1, j2)
-
-
-def log(x):
-    def j1(j):
-        return Jet1(_scalar_log(j.value), j.grad / j.value)
-
-    def j2(j):
-        w = 1.0 / j.value
-        return _chain2(j, _scalar_log(j.value), w, -w * w)
-
-    return _dispatch(x, _scalar_log, j1, j2)
-
-
-def sqrt(x):
-    def j1(j):
-        f0 = _scalar_sqrt(j.value)
-        return Jet1(f0, (0.5 / f0) * j.grad)
-
-    def j2(j):
-        f0 = _scalar_sqrt(j.value)
-        return _chain2(j, f0, 0.5 / f0, -0.25 * f0 / j.value**2)
-
-    return _dispatch(x, _scalar_sqrt, j1, j2)
-
-
-def _make_trig(mfn, cfn, d1, d2):
     def fn(x):
-        def scalar(v):
-            return cfn(v) if isinstance(v, complex) else mfn(v)
-
-        def j1(j):
-            return Jet1(scalar(j.value), d1(scalar, j.value) * j.grad)
-
-        def j2(j):
-            return _chain2(j, scalar(j.value), d1(scalar, j.value), d2(scalar, j.value))
-
-        return _dispatch(x, scalar, j1, j2)
+        if not isinstance(x, Jet):
+            return scalar(x)
+        v = x.value
+        f0 = scalar(v)
+        return _chain(x, f0, d1(v, f0), None if x.hess is None else d2(v, f0))
 
     return fn
 
 
-def _cos_of(v):
-    return cmath.cos(v) if isinstance(v, complex) else math.cos(v)
+_sin_of = _either(math.sin, cmath.sin)
+_cos_of = _either(math.cos, cmath.cos)
+_sinh_of = _either(math.sinh, cmath.sinh)
+_cosh_of = _either(math.cosh, cmath.cosh)
 
-
-def _sin_of(v):
-    return cmath.sin(v) if isinstance(v, complex) else math.sin(v)
-
-
-def _cosh_of(v):
-    return cmath.cosh(v) if isinstance(v, complex) else math.cosh(v)
-
-
-def _sinh_of(v):
-    return cmath.sinh(v) if isinstance(v, complex) else math.sinh(v)
-
-
-sin = _make_trig(math.sin, cmath.sin, lambda s, v: _cos_of(v), lambda s, v: -_sin_of(v))
-cos = _make_trig(math.cos, cmath.cos, lambda s, v: -_sin_of(v), lambda s, v: -_cos_of(v))
-sinh = _make_trig(math.sinh, cmath.sinh, lambda s, v: _cosh_of(v), lambda s, v: _sinh_of(v))
-cosh = _make_trig(math.cosh, cmath.cosh, lambda s, v: _sinh_of(v), lambda s, v: _cosh_of(v))
-
-
-def tan(x):
-    def scalar(v):
-        return cmath.tan(v) if isinstance(v, complex) else math.tan(v)
-
-    def j1(j):
-        t = scalar(j.value)
-        return Jet1(t, (1.0 + t * t) * j.grad)
-
-    def j2(j):
-        t = scalar(j.value)
-        s = 1.0 + t * t
-        return _chain2(j, t, s, 2.0 * t * s)
-
-    return _dispatch(x, scalar, j1, j2)
-
-
-def tanh(x):
-    def scalar(v):
-        return cmath.tanh(v) if isinstance(v, complex) else math.tanh(v)
-
-    def j1(j):
-        t = scalar(j.value)
-        return Jet1(t, (1.0 - t * t) * j.grad)
-
-    def j2(j):
-        t = scalar(j.value)
-        s = 1.0 - t * t
-        return _chain2(j, t, s, -2.0 * t * s)
-
-    return _dispatch(x, scalar, j1, j2)
+exp = _elementary(_either(math.exp, cmath.exp), lambda v, f: f, lambda v, f: f)
+log = _elementary(_scalar_log, lambda v, f: 1.0 / v, lambda v, f: -(1.0 / v) * (1.0 / v))
+sqrt = _elementary(_scalar_sqrt, lambda v, f: 0.5 / f, lambda v, f: -0.25 * f / v**2)
+sin = _elementary(_sin_of, lambda v, f: _cos_of(v), lambda v, f: -f)
+cos = _elementary(_cos_of, lambda v, f: -_sin_of(v), lambda v, f: -f)
+sinh = _elementary(_sinh_of, lambda v, f: _cosh_of(v), lambda v, f: f)
+cosh = _elementary(_cosh_of, lambda v, f: _sinh_of(v), lambda v, f: f)
+tan = _elementary(_either(math.tan, cmath.tan),
+                  lambda v, t: 1.0 + t * t, lambda v, t: 2.0 * t * (1.0 + t * t))
+tanh = _elementary(_either(math.tanh, cmath.tanh),
+                   lambda v, t: 1.0 - t * t, lambda v, t: -2.0 * t * (1.0 - t * t))
 
 
 def _finite(v):
@@ -391,9 +239,7 @@ class ScalarField:
     jets, interchangeably) and combines them with ordinary arithmetic
     and the math functions exported by this module.  ``singular`` is an
     optional predicate ``(point, margin) -> bool`` declaring where the
-    field must not be evaluated.  Fields whose rule is not closed-form
-    (quadrature-backed, say) set ``jet_capable=False`` and only answer
-    value queries.
+    field must not be evaluated.
     """
 
     fn: Callable[[list], Any]
@@ -401,7 +247,6 @@ class ScalarField:
     codomain: str = "real"
     singular: Callable[[np.ndarray, float], bool] | None = None
     label: str = ""
-    jet_capable: bool = True
 
     def __post_init__(self):
         if self.codomain not in ("real", "complex"):
@@ -421,52 +266,37 @@ class ScalarField:
             raise SingularPointError(f"{name} evaluated on its singular set at {x.tolist()}")
         return x
 
-    def value(self, x):
-        x = self._pre(x)
+    def _run(self, x: np.ndarray, args: list):
         try:
-            out = self.fn(x.tolist())
+            return self.fn(args)
         except ZeroDivisionError:
             raise NonFiniteError(f"{self.label or 'field'} divides by zero "
                                  f"at {x.tolist()}") from None
-        return _finite(out)
+        except OverflowError:
+            raise NonFiniteError(f"{self.label or 'field'} overflows "
+                                 f"at {x.tolist()}") from None
+
+    def value(self, x):
+        x = self._pre(x)
+        return _finite(self._run(x, x.tolist()))
 
     __call__ = value
 
-    def jet1(self, x) -> Jet1:
+    def jet1(self, x) -> Jet:
+        """Value and gradient at ``x``."""
+        return self._jet(x, second_order=False)
+
+    def jet2(self, x) -> Jet:
+        """Value, gradient and Hessian at ``x``."""
+        return self._jet(x, second_order=True)
+
+    def _jet(self, x, second_order: bool) -> Jet:
         x = self._pre(x)
-        self._need_jets()
-        eye = np.eye(self.dim)
-        try:
-            out = self.fn([Jet1(v, eye[i]) for i, v in enumerate(x.tolist())])
-        except ZeroDivisionError:
-            raise NonFiniteError(f"{self.label or 'field'} divides by zero "
-                                 f"at {x.tolist()}") from None
-        if not isinstance(out, Jet1):
-            out = Jet1(out, np.zeros(self.dim))
+        d = self.dim
+        eye = np.eye(d)
+        zero = np.zeros((d, d)) if second_order else None
+        out = self._run(x, [Jet(v, eye[i], zero) for i, v in enumerate(x.tolist())])
+        if not isinstance(out, Jet):
+            out = Jet(out, np.zeros(d), np.zeros((d, d)) if second_order else None)
         _finite(out.value)
         return out
-
-    def jet2(self, x) -> Jet2:
-        x = self._pre(x)
-        self._need_jets()
-        eye = np.eye(self.dim)
-        zero = np.zeros((self.dim, self.dim))
-        try:
-            out = self.fn([Jet2(v, eye[i], zero) for i, v in enumerate(x.tolist())])
-        except ZeroDivisionError:
-            raise NonFiniteError(f"{self.label or 'field'} divides by zero "
-                                 f"at {x.tolist()}") from None
-        if not isinstance(out, Jet2):
-            out = Jet2(out, np.zeros(self.dim), np.zeros((self.dim, self.dim)))
-        _finite(out.value)
-        return out
-
-    def _need_jets(self):
-        if not self.jet_capable:
-            name = self.label or "field"
-            raise EvaluationError(f"{name} only supports value queries (no jet rule)")
-
-
-def eval_jet2(field: ScalarField, x) -> Jet2:
-    """Second-order jet of ``field`` at ``x``."""
-    return field.jet2(x)

@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .jets import EvaluationError, Jet1, ScalarField
+from .jets import Jet, ScalarField
 
 __all__ = [
     "PoissonStructure",
@@ -99,7 +99,7 @@ class PoissonStructure:
         for i in range(self.dim):
             for j in range(self.dim):
                 e = vals[i][j]
-                m[i, j] = e.value if isinstance(e, Jet1) else e
+                m[i, j] = e.value if isinstance(e, Jet) else e
         self._check_antisym(m)
         return m
 
@@ -112,14 +112,14 @@ class PoissonStructure:
             return self.const, np.zeros((self.dim, self.dim, self.dim))
         x = np.asarray(x, dtype=float)
         eye = np.eye(self.dim)
-        seeds = [Jet1(v, eye[i]) for i, v in enumerate(x.tolist())]
+        seeds = [Jet(v, eye[i]) for i, v in enumerate(x.tolist())]
         vals = self.entries(seeds)
         m = np.empty((self.dim, self.dim))
         dm = np.zeros((self.dim, self.dim, self.dim))
         for i in range(self.dim):
             for j in range(self.dim):
                 e = vals[i][j]
-                if isinstance(e, Jet1):
+                if isinstance(e, Jet):
                     m[i, j] = e.value
                     dm[:, i, j] = e.grad
                 else:

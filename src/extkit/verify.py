@@ -8,6 +8,7 @@ deterministic given a sample seed.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -162,8 +163,8 @@ def first_order_residual(system: HamiltonianSystem, field_g: ScalarField,
     """Residual of X_L G = sign * sqrt(-2 (c L + c0)) G at sampled points.
 
     The derivative along the flow is taken by a central difference over
-    one tight Runge-Kutta step each way, so value-only fields
-    (quadrature-backed ones included) are admissible.  Points where the
+    one tight Runge-Kutta step each way, so the check uses field values
+    only and stays independent of the jet arithmetic.  Points where the
     radicand is negative for a real field, or where evaluation fails,
     are skipped and counted.
     """
@@ -183,7 +184,7 @@ def first_order_residual(system: HamiltonianSystem, field_g: ScalarField,
             if rad < 0 and field_g.codomain == "real":
                 skipped += 1
                 continue
-            root = cmath_sqrt(rad) if rad < 0 else math.sqrt(rad)
+            root = cmath.sqrt(rad) if rad < 0 else math.sqrt(rad)
             target = sign * root * g0
         except EvaluationError:
             skipped += 1
@@ -193,10 +194,6 @@ def first_order_residual(system: HamiltonianSystem, field_g: ScalarField,
         rel_vals.append(a / (abs(deriv) + abs(target) + _TINY))
         kept.append(x)
     return FirstOrderReport(np.array(abs_vals), np.array(rel_vals), np.array(kept), skipped)
-
-
-def cmath_sqrt(v: float) -> complex:
-    return complex(0.0, math.sqrt(-v)) if v < 0 else complex(math.sqrt(v))
 
 
 @dataclass
@@ -397,10 +394,12 @@ def independence_rank(fns: Sequence[Callable], states: Sequence[np.ndarray],
                       h: float = 1e-5, threshold: float = 1e-6) -> int:
     """Minimum over states of the numerical rank of the gradient stack.
 
-    Gradients come from central differences; singular values below
-    ``threshold`` times the largest are treated as zero.  A complex
-    observable whose imaginary gradient is negligible contributes its
-    real part only; otherwise real and imaginary parts each get a row.
+    Gradients come from central differences, and each gradient row is
+    scaled to unit length, so a constant factor on a field leaves the
+    rank unchanged.  Singular values below ``threshold`` times the
+    largest are treated as zero.  A complex observable whose imaginary
+    gradient is negligible contributes its real part only; otherwise
+    real and imaginary parts each get a row.
     """
     best = None
     for x in states:
@@ -414,7 +413,9 @@ def independence_rank(fns: Sequence[Callable], states: Sequence[np.ndarray],
                     rows.append(gr.imag)
             else:
                 rows.append(gr)
-        sv = np.linalg.svd(np.array(rows), compute_uv=False)
+        rows = np.array(rows)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        sv = np.linalg.svd(rows / np.where(norms > 0, norms, 1.0), compute_uv=False)
         rank = int(np.sum(sv > threshold * sv[0])) if sv[0] > 0 else 0
         best = rank if best is None else min(best, rank)
     if best is None:

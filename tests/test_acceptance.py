@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import extkit as ek
-from extkit.poisson import apply_xl, base_flow, jacobi_residual
+from extkit.poisson import apply_xl, apply_xl2, base_flow, jacobi_residual
 
 import oracles
 
@@ -29,6 +29,8 @@ TOL_EXPONENT_DRIFT = 1e-8
 TOL_INTEGER_FLAG = 1e-9
 TOL_K_ON_LEVEL = 1e-6
 TOL_LOCAL_SEED = 1e-5
+TOL_LOCAL_SEED_JET = 1e-12
+TOL_LOCAL_SEED_CONTROL = 1e-2
 TOL_INVARIANT = 1e-12
 TOL_LV_DRIFT = 1e-8
 TOL_JACOBI = 1e-9
@@ -271,7 +273,7 @@ def test_criterion_9_systems_without_global_seed():
     bet = ek.instantiate("euler_top")
     ok = blv.seeds == [] and bet.seeds == []
 
-    # quadrature-backed local seed checked through flow differentiation
+    # elliptic-integral local seed checked through flow differentiation
     field = bet.meta["local_seed_builder"](0.0, -0.5, branch=1)
     spec = ek.SampleSpec(intervals=((-0.8, 0.8), (0.3, 1.2), (0.3, 1.2)),
                          count=40, seed=9, margin=0.0)
@@ -306,6 +308,65 @@ def test_criterion_9_systems_without_global_seed():
     report(9, ok, f"no seeds served; local-seed residual {rep.max_rel:.1e} "
            f"(tol {TOL_LOCAL_SEED:g}); invariants {winv:.1e}; "
            f"prey-predator drift {lrep.drifts['L']:.1e}; jacobi {wj:.1e}")
+
+
+def _local_seed_residuals(system, field, c, c0, sign, points):
+    """Exact-jet residuals of X_L G = sign sqrt(-2 (c L + c0)) G and of
+    X_L^2 G = -2 (c L + c0) G, with the shape modulus kappa, per point."""
+    i1, i2, i3 = 3.0, 2.0, 1.0
+    rows = []
+    for x in points:
+        try:
+            g = field.value(x)
+            xg = apply_xl(system, field, x)
+            xxg = apply_xl2(system, field, x)
+        except ek.EvaluationError:
+            continue
+        lam = c * system.hamiltonian.value(x) + c0
+        first = sign * math.sqrt(-2.0 * lam) * g
+        second = -2.0 * lam * g
+        m1, m2, m3 = x
+        x1 = i2 * (i1 - i3) * m1 * m1 + i1 * (i2 - i3) * m2 * m2
+        x2 = i3 * (i2 - i1) * m1 * m1 + i1 * (i2 - i3) * m3 * m3
+        rows.append((abs(xg - first) / (abs(xg) + abs(first) + 1e-12),
+                     abs(xxg - second) / (abs(xxg) + abs(second) + 1e-12),
+                     i3 * (i1 - i2) * x1 / (i2 * (i1 - i3) * x2)))
+    return np.array(rows)
+
+
+def test_criterion_9b_local_seed_exact_jets():
+    # The seed runs on jets, so both flow identities are checked exactly,
+    # next to the finite-difference gate of criterion 9.
+    bet = ek.instantiate("euler_top")
+    build = bet.meta["local_seed_builder"]
+    spec = ek.SampleSpec(intervals=((-0.8, 0.8), (0.3, 1.2), (0.3, 1.2)),
+                         count=400, seed=9, margin=0.0)
+    points = ek.sample_points(spec)
+    res = _local_seed_residuals(bet.system, build(0.0, -0.5), 0.0, -0.5, 1, points)
+    first = float(res[:, 0].max())
+    ok = len(res) >= 350 and first <= TOL_LOCAL_SEED_JET
+
+    # X_L^2 contracts the Hessian with the flow twice, and the derivatives
+    # across the level sets blow up at the separatrix 2 I2 L = M.  Their
+    # rounding, about 1e-14 relative against mpmath, cancels only partly:
+    # over 10 x 400 points the residual grew roughly like 1e-16 kappa^2
+    # (1.6e-12 at kappa = 77, 1.7e-10 at kappa = 1.1e3).  The tight gate is
+    # taken where kappa <= 10, 98 percent of the box.
+    near = res[:, 2] <= 10.0
+    second = float(res[near, 1].max())
+    ok = ok and near.sum() >= 350 and second <= TOL_LOCAL_SEED_JET
+
+    # negative controls: a seed for another c0, and the other sign
+    wrong_c0 = _local_seed_residuals(bet.system, build(0.0, -0.55), 0.0, -0.5, 1, points)
+    wrong_sign = _local_seed_residuals(bet.system, build(0.0, -0.5), 0.0, -0.5, -1, points)
+    c0_ctrl = float(wrong_c0[:, 0].max())
+    sign_ctrl = float(wrong_sign[:, 0].min())
+    ok = ok and c0_ctrl >= TOL_LOCAL_SEED_CONTROL and sign_ctrl >= 0.99
+    report("9b", ok, f"local seed on jets over {len(res)} points: first order "
+           f"{first:.1e}, second order {second:.1e} for kappa <= 10 "
+           f"({float(res[:, 1].max()):.1e} at kappa <= {float(res[:, 2].max()):.0f}), "
+           f"tol {TOL_LOCAL_SEED_JET:g}; controls: c0 x 1.1 reads {c0_ctrl:.1e}, "
+           f"sign -1 reads {sign_ctrl:.3f}")
 
 
 def test_criterion_10_reports_are_reproducible(tmp_path):

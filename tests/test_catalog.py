@@ -142,6 +142,62 @@ def test_euler_local_seed_domain_guard():
         field.value(np.array([0.5, 0.0, 0.0]))
     v = field.value(np.array([0.2, 0.8, 0.6]))
     assert np.isfinite(v) and v != 0.0
+    # the guards read jet values, so the jet path refuses the same points
+    with pytest.raises(ek.SingularPointError):
+        field.jet2(np.array([0.5, 0.0, 0.0]))
+    assert field.jet2(np.array([0.2, 0.8, 0.6])).value == pytest.approx(v, rel=1e-14)
+
+
+def test_carlson_rf_closed_forms():
+    # x R_F(1 - x^2, 1, 1) = asin x and x R_F(1 - x^2, 1 - x^2, 1) = atanh x
+    for x in np.linspace(-0.99, 0.99, 40):
+        x = float(x)
+        asin = x * cat._carlson_rf(1 - x * x, 1.0, 1.0)
+        atanh = x * cat._carlson_rf(1 - x * x, 1 - x * x, 1.0)
+        assert abs(asin - math.asin(x)) <= 2e-15 * abs(math.asin(x))
+        assert abs(atanh - math.atanh(x)) <= 2e-15 * abs(math.atanh(x))
+
+
+def test_carlson_rf_matches_mpmath_ellipf():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for i in range(400):
+        # shape modulus over (-1, 0) and over [1e-3, 1e6], as the seed meets it
+        kap = -rng.uniform(0.0, 0.99) if i % 4 == 0 else 10 ** rng.uniform(-3.0, 6.0)
+        x = rng.uniform(-0.999, 0.999)
+        got = x * cat._carlson_rf(1 - x * x, 1 + kap * x * x, 1.0)
+        with mpmath.workdps(30):
+            want = float(mpmath.ellipf(mpmath.asin(x), -kap))
+        worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-14
+
+
+CHECK_KN_BOX = ((-0.8, 0.8), (0.3, 1.2), (0.3, 1.2))
+
+
+def test_jet1_and_jet2_agree_bitwise_on_every_catalog_field(built):
+    # one chain rule per function: first-order jets round like the value
+    # and gradient parts of second-order ones
+    for key, b in built.items():
+        fields = [b.system.hamiltonian, *b.system.observables.values(),
+                  *(s.field for s in b.seeds)]
+        box = ek.get_entry(key).default_box
+        if key == "euler_top":
+            fields.append(b.meta["local_seed_builder"](0.0, -0.5))
+            box = CHECK_KN_BOX
+        pts = ek.sample_points(ek.SampleSpec(box, 30, seed=5, margin=0.1), b.singular)
+        for f in fields:
+            kept = 0
+            for x in pts:
+                try:
+                    j1, j2 = f.jet1(x), f.jet2(x)
+                except ek.EvaluationError:
+                    continue
+                kept += 1
+                assert j1.value == j2.value, f.label
+                assert np.array_equal(j1.grad, j2.grad), f.label
+            assert kept >= 20, f.label
 
 
 def test_function_registry_poly_ascending():

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, report schema, CSV shape, determinism."""
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +196,27 @@ def test_rank_expectation_gate(capsys):
     assert code == 1
 
 
+def test_rank_reads_full_rank_where_gradient_sizes_differ(capsys):
+    # at (m, n) = (3, 2) |grad K| reaches 1e5 times |grad L|
+    code, out, _ = run(["rank", "--system", "quartic1", "--c", "1", "--c0", "1",
+                        "--C", "1", "--m", "3", "--n", "2", "--samples", "200"], capsys)
+    assert code == 0
+    assert json.loads(out)["metrics"]["rank"] == 3
+
+
+@pytest.mark.parametrize("system, kname", [("quartic1", "K"), ("vortex_equal", "K_re"),
+                                           ("vortex_opposite", "K_re")])
+def test_rank_default_fields_name_the_integral(system, kname, capsys):
+    c = "1" if system == "quartic1" else "0"
+    c0 = "1" if system == "quartic1" else "0.5"
+    code, out, _ = run(["rank", "--system", system, "--c", c, "--c0", c0, "--C", "1",
+                        "--m", "1", "--n", "1", "--samples", "6"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config_echo"]["fields"] == ["H", "L", kname]
+    assert doc["metrics"]["rank"] == 3
+
+
 def test_rank_unknown_field_rejected(capsys):
     code, _, err = run(["rank", "--system", "quartic1", "--c", "1",
                         "--c0", "1", "--C", "1", "--m", "1", "--n", "1",
@@ -217,3 +240,23 @@ def test_invalid_extension_numbers_are_config_errors(capsys):
                         "--state", STATE_Q1], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_integrate_overflow_truncates_with_a_reason(capsys):
+    # past the pole of quartic2b the flow blows up until q**7 overflows
+    code, out, _ = run(["integrate", "--system", "quartic2b", "--c", "1", "--c0", "1",
+                        "--C", "1", "--m", "1", "--n", "1",
+                        "--state", "0.6,0.4,1.0,0.5", "--t-final", "5"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["metrics"]["truncated"] is True
+    assert "overflows" in doc["metrics"]["truncation_reason"]
+    failed = [g["name"] for g in doc["gates"] if not g["pass"]]
+    assert "trajectory_completed" in failed
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, extkit.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

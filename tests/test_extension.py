@@ -52,6 +52,15 @@ def test_params_validation():
     with pytest.raises(ValueError):
         # flat profile cannot carry a centrifugal term
         ek.ExtensionParams(c=0.0, c0=1.0, C=0.0, m=1, n=1, omega=0.5)
+    # bool is an int subclass, but never a meaningful index or constant
+    with pytest.raises(ValueError):
+        ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=True, n=1)
+    with pytest.raises(ValueError):
+        ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=1, n=True)
+    with pytest.raises(ValueError):
+        ek.ExtensionParams(c=1.0, c0=1.0, C=True, m=1, n=1)
+    with pytest.raises(ValueError):
+        ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=1, n=1, omega=False)
 
 
 def test_index_ratio():

@@ -140,3 +140,49 @@ def test_gradient_matches_fd_property(a, b):
         xm = x.copy(); xm[i] -= h
         num = (raw(xp) - raw(xm)) / (2 * h)
         assert abs(j.grad[i] - num) < 1e-7 * max(1.0, abs(num))
+
+
+def test_one_jet_type_for_both_orders():
+    f = ek.ScalarField(lambda x: jets.exp(x[0]) * x[1], dim=2)
+    x = np.array([0.3, 2.0])
+    j1, j2 = f.jet1(x), f.jet2(x)
+    assert type(j1) is type(j2) is ek.Jet
+    assert j1.hess is None
+    assert j2.hess.shape == (2, 2)
+
+
+# (function, first derivative, second derivative) at a real point
+ELEMENTARY = [
+    (jets.exp, math.exp, math.exp),
+    (jets.log, lambda v: 1 / v, lambda v: -1 / v**2),
+    (jets.sqrt, lambda v: 0.5 / math.sqrt(v), lambda v: -0.25 * v**-1.5),
+    (jets.sin, math.cos, lambda v: -math.sin(v)),
+    (jets.cos, lambda v: -math.sin(v), lambda v: -math.cos(v)),
+    (jets.tan, lambda v: 1 / math.cos(v) ** 2, lambda v: 2 * math.tan(v) / math.cos(v) ** 2),
+    (jets.sinh, math.cosh, math.sinh),
+    (jets.cosh, math.sinh, math.cosh),
+    (jets.tanh, lambda v: 1 / math.cosh(v) ** 2,
+     lambda v: -2 * math.tanh(v) / math.cosh(v) ** 2),
+    (lambda t: 1.0 / t, lambda v: -1 / v**2, lambda v: 2 / v**3),
+    (lambda t: t**2.5, lambda v: 2.5 * v**1.5, lambda v: 3.75 * v**0.5),
+    (lambda t: t**3, lambda v: 3 * v**2, lambda v: 6 * v),
+]
+
+
+@pytest.mark.parametrize("fn, d1, d2", ELEMENTARY)
+def test_elementary_chain_rule(fn, d1, d2):
+    # the argument 2 t - 1 has a nonzero gradient and a zero Hessian
+    v = 0.7
+    f = ek.ScalarField(lambda x: fn(2.0 * x[0] - 1.0), dim=1)
+    x = np.array([(v + 1.0) / 2.0])
+    j1, j2 = f.jet1(x), f.jet2(x)
+    assert j1.value == j2.value and np.array_equal(j1.grad, j2.grad)
+    assert abs(j2.grad[0] - 2.0 * d1(v)) <= 1e-14 * abs(2.0 * d1(v))
+    assert abs(j2.hess[0, 0] - 4.0 * d2(v)) <= 1e-14 * abs(4.0 * d2(v))
+
+
+@pytest.mark.parametrize("query", ["value", "jet1", "jet2"])
+def test_overflow_is_a_typed_error(query):
+    f = ek.ScalarField(lambda x: x[0] ** 7, dim=1, label="p7")
+    with pytest.raises(ek.NonFiniteError, match="p7 overflows"):
+        getattr(f, query)(np.array([1e60]))

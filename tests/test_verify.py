@@ -126,6 +126,18 @@ def test_independence_rank_complex_gradients():
     assert ek.independence_rank([f1, f2], states) == 2
 
 
+def test_independence_rank_is_scale_free():
+    b = ek.instantiate("quartic1")
+    p = ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=1, n=1)
+    obs = ek.build_extension(b.system, b.seed, p).conserved_quantities()
+    spec = ek.SampleSpec(((0.3, 1.2), (-1.0, 1.0), (-2.0, 2.0), (-2.0, 2.0)), 20, seed=8)
+    states = ek.sample_points(spec)
+    fns = [obs["H"], obs["L"], obs["K"]]
+    scaled = [obs["H"], obs["L"], lambda v: 1e6 * obs["K"](v)]
+    assert ek.independence_rank(fns, states) == 3
+    assert ek.independence_rank(scaled, states) == 3
+
+
 def test_recursion_sweep_shape():
     res = ek.recursion_closed_sweep(4, 20, 5, 123)
     assert set(res["per_n"]) == {1, 2, 3, 4}
