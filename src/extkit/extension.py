@@ -88,6 +88,10 @@ class ExtensionParams:
                 raise ValueError(f"index {name} must be a positive integer")
         if self.c == 0.0 and self.C == 0.0 and self.omega != 0.0:
             raise ValueError("omega != 0 needs a profile that is not identically zero")
+        # The profile's Riccati constants, validated here once rather than on
+        # every profile evaluation; None stands for the zero profile.
+        object.__setattr__(self, "_riccati", None if self.c == 0.0 and self.C == 0.0
+                           else RiccatiParams(self.c, self.C, self.offset))
 
     @property
     def k(self) -> float:
@@ -100,9 +104,9 @@ def profile_at(params: ExtensionParams, u: float) -> tuple[float, float, float]:
     The degenerate pair (c, C) = (0, 0) has the identically-zero
     profile; otherwise this is the closed-form Riccati solution.
     """
-    if params.c == 0.0 and params.C == 0.0:
+    if params._riccati is None:
         return 0.0, 0.0, 0.0
-    return riccati_eval(RiccatiParams(params.c, params.C, params.offset), u)
+    return riccati_eval(params._riccati, u)
 
 
 @dataclass

@@ -6,14 +6,22 @@ fields are evaluated by seeding one jet per coordinate and running the
 field's defining expression through overloaded arithmetic, so the
 reported derivatives are exact to rounding and Hessians are symmetric
 by construction.  Values may turn complex mid-expression (principal
-branches throughout); gradients follow through numpy dtype promotion.
+branches throughout).
+
+Inside jet arithmetic a gradient is a tuple of plain Python numbers,
+real or complex entry by entry, so first-order propagation allocates no
+numpy arrays; Hessians are ndarrays.  At the :class:`ScalarField`
+boundary ``jet1``/``jet2`` hand the gradient back as an ndarray of shape
+``(dim,)``, complex when any entry turned complex, and reject non-finite
+values, gradients and Hessians with :class:`NonFiniteError`.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import numbers
 from dataclasses import dataclass
+from operator import add as _add, sub as _sub
 from typing import Any, Callable
 
 import numpy as np
@@ -79,8 +87,11 @@ def _scalar_sqrt(v):
 class Jet:
     """Value, gradient and optional Hessian; truncated Taylor arithmetic.
 
-    ``hess is None`` marks a first-order jet, which skips all Hessian
-    work.  Both operands of a binary operation carry the same order.
+    Inside arithmetic the gradient is a tuple of plain numbers, so
+    first-order work allocates no arrays; the Hessian, when carried, is
+    an ndarray.  ``hess is None`` marks a first-order jet, which skips
+    all Hessian work.  Both operands of a binary operation carry the
+    same order.  :class:`ScalarField` hands gradients out as ndarrays.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -96,12 +107,12 @@ class Jet:
 
     def __neg__(self):
         h = self.hess
-        return Jet(-self.value, -self.grad, None if h is None else -h)
+        return Jet(-self.value, tuple([-g for g in self.grad]), None if h is None else -h)
 
     def __add__(self, o):
         if isinstance(o, Jet):
             h = self.hess
-            return Jet(self.value + o.value, self.grad + o.grad,
+            return Jet(self.value + o.value, tuple(map(_add, self.grad, o.grad)),
                        None if h is None else h + o.hess)
         if isinstance(o, _SCALARS):
             return Jet(self.value + o, self.grad, self.hess)
@@ -112,7 +123,7 @@ class Jet:
     def __sub__(self, o):
         if isinstance(o, Jet):
             h = self.hess
-            return Jet(self.value - o.value, self.grad - o.grad,
+            return Jet(self.value - o.value, tuple(map(_sub, self.grad, o.grad)),
                        None if h is None else h - o.hess)
         if isinstance(o, _SCALARS):
             return Jet(self.value - o, self.grad, self.hess)
@@ -121,48 +132,58 @@ class Jet:
     def __rsub__(self, o):
         if isinstance(o, _SCALARS):
             h = self.hess
-            return Jet(o - self.value, -self.grad, None if h is None else -h)
+            return Jet(o - self.value, tuple([-g for g in self.grad]),
+                       None if h is None else -h)
         return NotImplemented
 
     def __mul__(self, o):
         if isinstance(o, Jet):
             a, b = self.value, o.value
-            grad = a * o.grad + b * self.grad
+            grad = tuple([a * y + b * x for x, y in zip(self.grad, o.grad)])
             if self.hess is None:
                 return Jet(a * b, grad)
             cross = np.outer(self.grad, o.grad)
             return Jet(a * b, grad, a * o.hess + b * self.hess + cross + cross.T)
         if isinstance(o, _SCALARS):
             h = self.hess
-            return Jet(self.value * o, self.grad * o, None if h is None else h * o)
+            return Jet(self.value * o, tuple([g * o for g in self.grad]),
+                       None if h is None else h * o)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def _inv(self):
-        w = 1.0 / self.value
-        return _chain(self, w, -w * w, 2.0 * w * w * w)
-
     def __truediv__(self, o):
         if isinstance(o, Jet):
-            return self * o._inv()
+            # q = a / b: b grad q = grad a - q grad b, and the Hessian
+            # follows from differentiating a = q b twice
+            b = o.value
+            q = self.value / b
+            grad = tuple([(x - q * y) / b for x, y in zip(self.grad, o.grad)])
+            if self.hess is None:
+                return Jet(q, grad)
+            cross = np.outer(grad, o.grad)
+            return Jet(q, grad, (self.hess - q * o.hess - cross - cross.T) / b)
         if isinstance(o, _SCALARS):
-            return self * (1.0 / o)
+            h = self.hess
+            return Jet(self.value / o, tuple([g / o for g in self.grad]),
+                       None if h is None else h / o)
         return NotImplemented
 
     def __rtruediv__(self, o):
         if isinstance(o, _SCALARS):
-            return self._inv() * o
+            v = self.value
+            w = o / v
+            return _chain(self, w, -w / v, None if self.hess is None else 2.0 * w / (v * v))
         return NotImplemented
 
     def __pow__(self, e):
         if isinstance(e, Jet):
             return exp(e * log(self))
         v = self.value
-        if isinstance(e, numbers.Integral):
+        if isinstance(e, (int, np.integer)):
             n = int(e)
             if n == 0:
-                return Jet(1.0, np.zeros_like(self.grad),
+                return Jet(1.0, (0.0,) * len(self.grad),
                            None if self.hess is None else np.zeros_like(self.hess))
             f2 = 0.0 if self.hess is None or n == 1 else n * (n - 1) * v ** (n - 2)
             return _chain(self, v**n, n * v ** (n - 1), f2)
@@ -184,9 +205,22 @@ def _chain(j: Jet, f0, f1, f2) -> Jet:
     Hessian.
     """
     g = j.grad
+    grad = tuple([f1 * x for x in g])
     if j.hess is None:
-        return Jet(f0, f1 * g)
-    return Jet(f0, f1 * g, f1 * j.hess + f2 * np.outer(g, g))
+        return Jet(f0, grad)
+    return Jet(f0, grad, f1 * j.hess + f2 * np.outer(g, g))
+
+
+@functools.cache
+def _unit_rows(d: int) -> tuple:
+    return tuple(tuple(1.0 if i == k else 0.0 for k in range(d)) for i in range(d))
+
+
+def _seeds(xs: list, second_order: bool = False) -> list:
+    """One jet per coordinate value, seeded with the unit gradient rows."""
+    d = len(xs)
+    zero = np.zeros((d, d)) if second_order else None
+    return [Jet(v, row, zero) for v, row in zip(xs, _unit_rows(d))]
 
 
 def _elementary(scalar, d1, d2):
@@ -219,16 +253,6 @@ tan = _elementary(_either(math.tan, cmath.tan),
                   lambda v, t: 1.0 + t * t, lambda v, t: 2.0 * t * (1.0 + t * t))
 tanh = _elementary(_either(math.tanh, cmath.tanh),
                    lambda v, t: 1.0 - t * t, lambda v, t: -2.0 * t * (1.0 - t * t))
-
-
-def _finite(v):
-    try:
-        ok = math.isfinite(abs(v))
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise NonFiniteError("field evaluation produced a non-finite value")
-    return v
 
 
 @dataclass
@@ -276,9 +300,21 @@ class ScalarField:
             raise NonFiniteError(f"{self.label or 'field'} overflows "
                                  f"at {x.tolist()}") from None
 
+    def _finite(self, x: np.ndarray, v):
+        """``v`` itself if it is a finite number, else :class:`NonFiniteError`."""
+        try:
+            if cmath.isfinite(v):
+                return v
+            how = "overflows" if cmath.isinf(v) else "is not a number"
+        except OverflowError:
+            how = "overflows"
+        except TypeError:
+            how = "is not a number"
+        raise NonFiniteError(f"{self.label or 'field'} {how} at {x.tolist()}")
+
     def value(self, x):
         x = self._pre(x)
-        return _finite(self._run(x, x.tolist()))
+        return self._finite(x, self._run(x, x.tolist()))
 
     __call__ = value
 
@@ -293,10 +329,15 @@ class ScalarField:
     def _jet(self, x, second_order: bool) -> Jet:
         x = self._pre(x)
         d = self.dim
-        eye = np.eye(d)
-        zero = np.zeros((d, d)) if second_order else None
-        out = self._run(x, [Jet(v, eye[i], zero) for i, v in enumerate(x.tolist())])
+        out = self._run(x, _seeds(x.tolist(), second_order))
         if not isinstance(out, Jet):
-            out = Jet(out, np.zeros(d), np.zeros((d, d)) if second_order else None)
-        _finite(out.value)
-        return out
+            return Jet(self._finite(x, out), np.zeros(d),
+                       np.zeros((d, d)) if second_order else None)
+        self._finite(x, out.value)
+        if not all(map(cmath.isfinite, out.grad)):
+            raise NonFiniteError(f"{self.label or 'field'} has a non-finite gradient "
+                                 f"at {x.tolist()}")
+        if second_order and not np.isfinite(out.hess).all():
+            raise NonFiniteError(f"{self.label or 'field'} has a non-finite Hessian "
+                                 f"at {x.tolist()}")
+        return Jet(out.value, np.array(out.grad), out.hess)

@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet, ScalarField
+from .jets import Jet, ScalarField, _seeds
 
 __all__ = [
     "PoissonStructure",
@@ -84,48 +84,40 @@ class PoissonStructure:
         return self.const is not None
 
     def _check_antisym(self, m: np.ndarray):
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m + m.T)) > _ANTISYM_TOL * scale:
+        # max |m + m^T| against the tolerance scaled by max(1, max |m|);
+        # builtin max over lists beats numpy reductions at these sizes
+        scale = max(1.0, max(map(abs, m.ravel().tolist())))
+        if max(map(abs, (m + m.T).ravel().tolist())) > _ANTISYM_TOL * scale:
             raise ValueError(
                 f"bivector {self.label or ''} is not antisymmetric within {_ANTISYM_TOL:g}"
             )
+
+    def _assemble(self, values) -> np.ndarray:
+        """Entry values, nested by row, as a float matrix checked for antisymmetry."""
+        m = np.array(values, dtype=float)
+        self._check_antisym(m)
+        return m
 
     def matrix(self, x) -> np.ndarray:
         """The bivector evaluated at ``x``."""
         if self.const is not None:
             return self.const
-        vals = self.entries(list(np.asarray(x, dtype=float)))
-        m = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                e = vals[i][j]
-                m[i, j] = e.value if isinstance(e, Jet) else e
-        self._check_antisym(m)
-        return m
+        return self._assemble(self.entries(np.asarray(x, dtype=float).tolist()))
 
     def matrix_with_grads(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Bivector and its entry derivatives.
 
         Returns ``(pi, dpi)`` with ``dpi[k, i, j] = d pi_ij / d x_k``.
         """
+        d = self.dim
         if self.const is not None:
-            return self.const, np.zeros((self.dim, self.dim, self.dim))
-        x = np.asarray(x, dtype=float)
-        eye = np.eye(self.dim)
-        seeds = [Jet(v, eye[i]) for i, v in enumerate(x.tolist())]
-        vals = self.entries(seeds)
-        m = np.empty((self.dim, self.dim))
-        dm = np.zeros((self.dim, self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                e = vals[i][j]
-                if isinstance(e, Jet):
-                    m[i, j] = e.value
-                    dm[:, i, j] = e.grad
-                else:
-                    m[i, j] = e
-        self._check_antisym(m)
-        return m, dm
+            return self.const, np.zeros((d, d, d))
+        zero = (0.0,) * d
+        rows = [[e if isinstance(e, Jet) else Jet(e, zero) for e in row]
+                for row in self.entries(_seeds(np.asarray(x, dtype=float).tolist()))]
+        m = self._assemble([[e.value for e in row] for row in rows])
+        dm = np.array([[e.grad for e in row] for row in rows], dtype=float)
+        return m, np.ascontiguousarray(dm.transpose(2, 0, 1))
 
 
 def canonical_structure(dim: int, label: str = "") -> PoissonStructure:

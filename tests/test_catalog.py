@@ -200,6 +200,63 @@ def test_jet1_and_jet2_agree_bitwise_on_every_catalog_field(built):
             assert kept >= 20, f.label
 
 
+def _catalog_fields(built, count, seed):
+    """(field, sample points) for every catalog field, the local seed included."""
+    out = []
+    for key, b in built.items():
+        fields = [b.system.hamiltonian, *b.system.observables.values(),
+                  *(s.field for s in b.seeds)]
+        box = ek.get_entry(key).default_box
+        if key == "euler_top":
+            fields.append(b.meta["local_seed_builder"](0.0, -0.5))
+            box = CHECK_KN_BOX
+        pts = ek.sample_points(ek.SampleSpec(box, count, seed=seed, margin=0.1), b.singular)
+        out += [(f, pts) for f in fields]
+    return out
+
+
+# vortex_equal.G raises a base to a jet exponent, w ** e, which jets evaluate
+# as exp(e log w); plain numbers take Python's complex pow
+VALUE_PATH_DIFFERS = {"vortex_equal.G"}
+
+
+def test_value_and_jet_value_agree_bitwise_on_every_catalog_field(built):
+    # true division on jets: the value and jet paths run the same float
+    # operations in the same order
+    for f, pts in _catalog_fields(built, 100, seed=11):
+        if f.label in VALUE_PATH_DIFFERS:
+            continue
+        kept = 0
+        for x in pts:
+            try:
+                v, j = f.value(x), f.jet1(x)
+            except ek.EvaluationError:
+                continue
+            kept += 1
+            assert v == j.value, (f.label, x.tolist())
+        assert kept >= 80, f.label
+
+
+def test_gradient_contract_at_the_field_boundary(built):
+    # consumers do pi @ grad, einsum on it and dm[:, i, j] = grad
+    for f, pts in _catalog_fields(built, 30, seed=5):
+        kept = 0
+        for x in pts:
+            try:
+                j1, j2 = f.jet1(x), f.jet2(x)
+            except ek.EvaluationError:
+                continue
+            kept += 1
+            dtype = np.complex128 if isinstance(j1.value, complex) else np.float64
+            for g in (j1.grad, j2.grad):
+                assert type(g) is np.ndarray and g.shape == (f.dim,), f.label
+                assert g.dtype == dtype, f.label
+            assert type(j2.hess) is np.ndarray and j2.hess.shape == (f.dim, f.dim), f.label
+        assert kept >= 20, f.label
+        if f.codomain == "real":
+            assert dtype == np.float64, f.label
+
+
 def test_function_registry_poly_ascending():
     f = cat.build_function({"kind": "poly", "coeffs": [2.0, -1.0, 0.5]})
     assert f(0.0) == 2.0

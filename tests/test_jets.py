@@ -186,3 +186,82 @@ def test_overflow_is_a_typed_error(query):
     f = ek.ScalarField(lambda x: x[0] ** 7, dim=1, label="p7")
     with pytest.raises(ek.NonFiniteError, match="p7 overflows"):
         getattr(f, query)(np.array([1e60]))
+
+
+# (field, value at X_DIV by plain float arithmetic, gradient, Hessian); each
+# quotient rounds differently when computed as a product with a reciprocal
+X_DIV = [0.3, 0.7]
+DIVISIONS = [
+    (lambda x: x[0] / 7.0, 0.3 / 7.0, [1 / 7.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
+    (lambda x: 1.3 / x[1], 1.3 / 0.7, [0.0, -1.3 / 0.49], [[0.0, 0.0], [0.0, 2.6 / 0.343]]),
+    (lambda x: x[0] / x[1], 0.3 / 0.7, [1 / 0.7, -0.3 / 0.49],
+     [[0.0, -1 / 0.49], [-1 / 0.49, 0.6 / 0.343]]),
+]
+
+
+@pytest.mark.parametrize("fn, value, grad, hess", DIVISIONS)
+def test_division_is_a_true_division(fn, value, grad, hess):
+    assert 0.3 / 7.0 != 0.3 * (1 / 7.0)
+    assert 1.3 / 0.7 != 1.3 * (1 / 0.7) and 0.3 / 0.7 != 0.3 * (1 / 0.7)
+    f = ek.ScalarField(fn, dim=2)
+    j1, j2 = f.jet1(X_DIV), f.jet2(X_DIV)
+    assert f.value(X_DIV) == j1.value == j2.value == value
+    assert np.array_equal(j1.grad, j2.grad)
+    np.testing.assert_allclose(j2.grad, grad, rtol=1e-15, atol=1e-300)
+    np.testing.assert_allclose(j2.hess, hess, rtol=1e-14, atol=1e-300)
+    np.testing.assert_array_equal(j2.hess, j2.hess.T)
+
+
+def test_division_by_zero_is_a_typed_error():
+    for fn in (lambda x: x[0] / 0.0, lambda x: 1.0 / (x[0] - 0.3),
+               lambda x: x[1] / (x[0] - 0.3)):
+        f = ek.ScalarField(fn, dim=2, label="quot")
+        for query in ("value", "jet1", "jet2"):
+            with pytest.raises(ek.NonFiniteError, match="quot divides by zero"):
+                getattr(f, query)(X_DIV)
+
+
+@pytest.mark.parametrize("query", ["jet1", "jet2"])
+def test_non_finite_gradient_is_a_typed_error(query):
+    # log at the smallest subnormal: the value is -744.44, but 1/x overflows
+    f = ek.ScalarField(lambda x: jets.log(x[0]), dim=1, label="lg")
+    assert f.value([5e-324]) == math.log(5e-324)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ek.NonFiniteError, match=r"lg has a non-finite gradient at \[5e-324\]"):
+        getattr(f, query)([5e-324])
+
+
+def test_non_finite_hessian_is_a_typed_error():
+    # at 1e-200 the value and the gradient 1e200 are finite, but -1/x^2 is not
+    f = ek.ScalarField(lambda x: jets.log(x[0]), dim=1, label="lg")
+    assert f.jet1([1e-200]).grad[0] == 1e200
+    with pytest.raises(ek.NonFiniteError, match=r"lg has a non-finite Hessian at \[1e-200\]"):
+        f.jet2([1e-200])
+
+
+def test_non_finite_value_names_the_field_and_the_point():
+    # float products overflow to inf without raising; inf * 0 is nan
+    f = ek.ScalarField(lambda x: x[0] * x[0], dim=1, label="sq")
+    g = ek.ScalarField(lambda x: (x[0] * x[0]) * 0.0, dim=1, label="zi")
+    for query in ("value", "jet1", "jet2"):
+        with pytest.raises(ek.NonFiniteError, match=r"sq overflows at \[1e\+200\]"):
+            getattr(f, query)([1e200])
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ek.NonFiniteError, match=r"zi is not a number at \[1e\+200\]"):
+            getattr(g, query)([1e200])
+
+
+def test_gradients_are_tuples_inside_arithmetic():
+    seen = []
+
+    def fn(x):
+        out = x[0] * x[1] + jets.sin(x[0]) / x[1]
+        seen.append(out)
+        return out
+
+    for query in ("jet1", "jet2"):
+        j = getattr(ek.ScalarField(fn, dim=2), query)([0.4, 1.3])
+        assert type(seen[-1].grad) is tuple
+        assert all(type(g) is float for g in seen[-1].grad)
+        assert isinstance(j.grad, np.ndarray) and j.grad.shape == (2,)
+    assert isinstance(j.hess, np.ndarray) and j.hess.shape == (2, 2)

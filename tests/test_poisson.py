@@ -93,6 +93,38 @@ def test_nonconstant_structure_gradients():
     np.testing.assert_allclose(dm[1][0, 1], 1.5)
 
 
+@pytest.mark.parametrize("skew", [-1.0, 1.0 + 1e-13])
+def test_antisymmetry_enforced_for_entry_rules(skew):
+    # pi_21 = skew * x1 x2 against pi_12 = -x1 x2: symmetric, or off by 1e-13
+    def entries(co):
+        a = co[0] * co[1]
+        return [[0.0, -a], [skew * a, 0.0]]
+
+    st = ek.custom_structure(2, entries=entries, label="skewed")
+    x = np.array([1.5, -2.0])
+    with pytest.raises(ValueError, match="bivector skewed is not antisymmetric within 1e-14"):
+        st.matrix(x)
+    with pytest.raises(ValueError, match="bivector skewed is not antisymmetric within 1e-14"):
+        st.matrix_with_grads(x)
+    # control: the antisymmetric rule passes both
+    fine = ek.custom_structure(2, entries=lambda co: [[0.0, -co[0] * co[1]], [co[0] * co[1], 0.0]])
+    fine.matrix(x), fine.matrix_with_grads(x)
+
+
+def test_entry_rule_assembly_matches_closed_form():
+    # the rigid body: pi_ij = -eps_ijk m_k, so d_k pi_ij = -eps_ijk
+    st = ek.instantiate("euler_top").system.structure
+    x = np.array([0.5, -0.9, 0.7])
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
+    m, dm = st.matrix_with_grads(x)
+    np.testing.assert_array_equal(st.matrix(x), m)
+    np.testing.assert_array_equal(m, -np.einsum("ijk,k->ij", eps, x))
+    np.testing.assert_array_equal(dm, -eps.transpose(2, 0, 1))
+    assert m.dtype == dm.dtype == np.float64 and dm.flags.c_contiguous
+
+
 def test_jacobi_residual_zero_in_dim_two():
     st = ek.custom_structure(2, entries=plane_entries)
     assert jacobi_residual(st, np.array([0.4, 1.1])) <= 1e-9
