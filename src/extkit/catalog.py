@@ -394,7 +394,10 @@ def _build_vortex_equal(p: dict) -> BuiltSystem:
         q1 = 4 * k * k * x1 * x1 + y1 * y1
         e = ecoef * q1
         w = (y1 + (2j * k) * x1) / sqrt(q1)
-        return f1 * w**e + f2 * w ** (-e)
+        # w ** e as exp(e log w) on numbers too, so the value and jet paths
+        # run one formula
+        lw = log(w)
+        return f1 * exp(e * lw) + f2 * exp(-e * lw)
 
     def radius(x):
         return math.hypot(2 * k * x[0], x[2])

@@ -342,11 +342,17 @@ def char_first_integral(system: HamiltonianSystem, seed: ExtensionSeed,
     is used, with (s, r) = (m/2, n) for even m and (m, 2n) for odd m.
     """
     pair, lval = seed_pair(system, seed.field, state.base)
+    return _integral_from_pair(params, pair, lval, state.u, state.p_u)
+
+
+def _integral_from_pair(params: ExtensionParams, pair: DerivPair, lval, u: float, p_u: float):
+    """K from the seed pair (G, X_L G) and the value of L at the base
+    point, and from (u, p_u); see :func:`char_first_integral`."""
     lam = params.c * lval + params.c0
-    gam, _, _ = profile_at(params, state.u)
+    gam, _, _ = profile_at(params, u)
     if params.omega == 0.0:
         chain = recursion_term_closed(params.n, pair, lam)
-        p_c, d_c = power_coeffs(params.m, params.n, params.m, state.p_u, gam, lam)
+        p_c, d_c = power_coeffs(params.m, params.n, params.m, p_u, gam, lam)
         return p_c * chain.value + d_c * chain.xl
     if abs(gam) <= _POLE_TOL:
         raise PoleError("first integral with omega != 0 evaluated where y = 0")
@@ -358,24 +364,51 @@ def char_first_integral(system: HamiltonianSystem, seed: ExtensionSeed,
     w = 2.0 * params.omega / gam**2
     total = 0.0
     for j in range(s + 1):
-        p_c, d_c = power_coeffs(2 * s, r, 2 * (s - j), state.p_u, gam, lam)
+        p_c, d_c = power_coeffs(2 * s, r, 2 * (s - j), p_u, gam, lam)
         total = total + comb(s, j) * w**j * (p_c * chain.value + d_c * chain.xl)
     return total
 
 
-@dataclass
+# At least 2d + 1 = 9, the distinct base points of one finite-difference
+# stencil on the largest catalog base (d = 4), and far below the hundreds
+# of base points one sampled gate visits.
+SEED_PAIR_MEMO_SIZE = 32
+
+
+@dataclass(frozen=True)
 class Extension:
-    """A built extension: system, seed and constants, ready to evaluate."""
+    """A built extension: system, seed and constants, ready to evaluate.
+
+    K depends on the base point only through :func:`seed_pair`'s
+    (G, X_L G) and the value of L.  :meth:`integral` keeps these for the
+    last :data:`SEED_PAIR_MEMO_SIZE` distinct base points it was asked
+    about, keyed by the exact bytes of the base coordinates, and drops
+    the oldest first.  The bound covers the repeats within one
+    finite-difference stencil (u and p_u steps keep the base point, and
+    the real and imaginary parts of a complex K ask twice) but not a
+    repeated pass over a point cloud.  An evaluation error is not kept.
+    The instance is frozen, so the kept pairs cannot outlive the system
+    and seed they came from.
+    """
 
     system: HamiltonianSystem
     seed: ExtensionSeed
     params: ExtensionParams
+    _seed_pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hamiltonian(self, state: ExtendedState) -> float:
         return extended_hamiltonian(self.system, self.params, state)
 
     def integral(self, state: ExtendedState):
-        return char_first_integral(self.system, self.seed, self.params, state)
+        memo = self._seed_pairs
+        key = state.base.tobytes()
+        hit = memo.get(key)
+        if hit is None:
+            hit = seed_pair(self.system, self.seed.field, state.base)
+            if len(memo) >= SEED_PAIR_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = hit
+        return _integral_from_pair(self.params, *hit, state.u, state.p_u)
 
     def flow(self) -> Callable[[np.ndarray], np.ndarray]:
         return extended_flow(self.system, self.params)

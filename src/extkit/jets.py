@@ -9,11 +9,15 @@ by construction.  Values may turn complex mid-expression (principal
 branches throughout).
 
 Inside jet arithmetic a gradient is a tuple of plain Python numbers,
-real or complex entry by entry, so first-order propagation allocates no
-numpy arrays; Hessians are ndarrays.  At the :class:`ScalarField`
-boundary ``jet1``/``jet2`` hand the gradient back as an ndarray of shape
-``(dim,)``, complex when any entry turned complex, and reject non-finite
-values, gradients and Hessians with :class:`NonFiniteError`.
+real or complex entry by entry, and a Hessian is a flat row-major tuple
+of the same kind, so propagation at either order allocates no numpy
+arrays.  Each Hessian entry is formed with the association numpy would
+use on the full matrices (``f2 * (g[i] * g[k])`` for the outer-product
+term), so real results match an array implementation bit for bit.  At
+the :class:`ScalarField` boundary ``jet1``/``jet2`` hand the gradient
+back as an ndarray of shape ``(dim,)`` and the Hessian as one of shape
+``(dim, dim)``, complex when any entry turned complex, and reject
+non-finite values, gradients and Hessians with :class:`NonFiniteError`.
 """
 from __future__ import annotations
 
@@ -87,11 +91,12 @@ def _scalar_sqrt(v):
 class Jet:
     """Value, gradient and optional Hessian; truncated Taylor arithmetic.
 
-    Inside arithmetic the gradient is a tuple of plain numbers, so
-    first-order work allocates no arrays; the Hessian, when carried, is
-    an ndarray.  ``hess is None`` marks a first-order jet, which skips
-    all Hessian work.  Both operands of a binary operation carry the
-    same order.  :class:`ScalarField` hands gradients out as ndarrays.
+    Inside arithmetic the gradient is a tuple of plain numbers and the
+    Hessian, when carried, a flat row-major tuple of d*d plain numbers,
+    so no arithmetic allocates arrays.  ``hess is None`` marks a
+    first-order jet, which skips all Hessian work.  Both operands of a
+    binary operation carry the same order.  :class:`ScalarField` hands
+    gradients and Hessians out as ndarrays.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -107,13 +112,13 @@ class Jet:
 
     def __neg__(self):
         h = self.hess
-        return Jet(-self.value, tuple([-g for g in self.grad]), None if h is None else -h)
+        return Jet(-self.value, _neg(self.grad), None if h is None else _neg(h))
 
     def __add__(self, o):
         if isinstance(o, Jet):
             h = self.hess
             return Jet(self.value + o.value, tuple(map(_add, self.grad, o.grad)),
-                       None if h is None else h + o.hess)
+                       None if h is None else tuple(map(_add, h, o.hess)))
         if isinstance(o, _SCALARS):
             return Jet(self.value + o, self.grad, self.hess)
         return NotImplemented
@@ -124,7 +129,7 @@ class Jet:
         if isinstance(o, Jet):
             h = self.hess
             return Jet(self.value - o.value, tuple(map(_sub, self.grad, o.grad)),
-                       None if h is None else h - o.hess)
+                       None if h is None else tuple(map(_sub, h, o.hess)))
         if isinstance(o, _SCALARS):
             return Jet(self.value - o, self.grad, self.hess)
         return NotImplemented
@@ -132,8 +137,7 @@ class Jet:
     def __rsub__(self, o):
         if isinstance(o, _SCALARS):
             h = self.hess
-            return Jet(o - self.value, tuple([-g for g in self.grad]),
-                       None if h is None else -h)
+            return Jet(o - self.value, _neg(self.grad), None if h is None else _neg(h))
         return NotImplemented
 
     def __mul__(self, o):
@@ -142,12 +146,15 @@ class Jet:
             grad = tuple([a * y + b * x for x, y in zip(self.grad, o.grad)])
             if self.hess is None:
                 return Jet(a * b, grad)
-            cross = np.outer(self.grad, o.grad)
-            return Jet(a * b, grad, a * o.hess + b * self.hess + cross + cross.T)
+            # a H_o + b H_self + (g_self g_o^T) + (g_self g_o^T)^T
+            cross = [x * y for x in self.grad for y in o.grad]
+            return Jet(a * b, grad, tuple([
+                a * y + b * x + c + cross[t]
+                for x, y, c, t in zip(self.hess, o.hess, cross, _transposed(len(grad)))]))
         if isinstance(o, _SCALARS):
             h = self.hess
             return Jet(self.value * o, tuple([g * o for g in self.grad]),
-                       None if h is None else h * o)
+                       None if h is None else tuple([x * o for x in h]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -161,12 +168,14 @@ class Jet:
             grad = tuple([(x - q * y) / b for x, y in zip(self.grad, o.grad)])
             if self.hess is None:
                 return Jet(q, grad)
-            cross = np.outer(grad, o.grad)
-            return Jet(q, grad, (self.hess - q * o.hess - cross - cross.T) / b)
+            cross = [x * y for x in grad for y in o.grad]
+            return Jet(q, grad, tuple([
+                (x - q * y - c - cross[t]) / b
+                for x, y, c, t in zip(self.hess, o.hess, cross, _transposed(len(grad)))]))
         if isinstance(o, _SCALARS):
             h = self.hess
             return Jet(self.value / o, tuple([g / o for g in self.grad]),
-                       None if h is None else h / o)
+                       None if h is None else tuple([x / o for x in h]))
         return NotImplemented
 
     def __rtruediv__(self, o):
@@ -183,8 +192,8 @@ class Jet:
         if isinstance(e, (int, np.integer)):
             n = int(e)
             if n == 0:
-                return Jet(1.0, (0.0,) * len(self.grad),
-                           None if self.hess is None else np.zeros_like(self.hess))
+                h = self.hess
+                return Jet(1.0, (0.0,) * len(self.grad), None if h is None else (0.0,) * len(h))
             f2 = 0.0 if self.hess is None or n == 1 else n * (n - 1) * v ** (n - 2)
             return _chain(self, v**n, n * v ** (n - 1), f2)
         if isinstance(v, complex) or v <= 0.0:
@@ -198,6 +207,16 @@ class Jet:
         return NotImplemented
 
 
+def _neg(t: tuple) -> tuple:
+    return tuple([-x for x in t])
+
+
+@functools.cache
+def _transposed(d: int) -> tuple:
+    """Position in a flat row-major d x d matrix of each entry's transpose."""
+    return tuple(k * d + i for i in range(d) for k in range(d))
+
+
 def _chain(j: Jet, f0, f1, f2) -> Jet:
     """f(j) from the value f0 and the derivatives f1, f2 of f at j.value.
 
@@ -208,7 +227,9 @@ def _chain(j: Jet, f0, f1, f2) -> Jet:
     grad = tuple([f1 * x for x in g])
     if j.hess is None:
         return Jet(f0, grad)
-    return Jet(f0, grad, f1 * j.hess + f2 * np.outer(g, g))
+    # f1 H + f2 (g g^T)
+    outer = [x * y for x in g for y in g]
+    return Jet(f0, grad, tuple([f1 * h + f2 * c for h, c in zip(j.hess, outer)]))
 
 
 @functools.cache
@@ -219,7 +240,7 @@ def _unit_rows(d: int) -> tuple:
 def _seeds(xs: list, second_order: bool = False) -> list:
     """One jet per coordinate value, seeded with the unit gradient rows."""
     d = len(xs)
-    zero = np.zeros((d, d)) if second_order else None
+    zero = (0.0,) * (d * d) if second_order else None
     return [Jet(v, row, zero) for v, row in zip(xs, _unit_rows(d))]
 
 
@@ -337,7 +358,9 @@ class ScalarField:
         if not all(map(cmath.isfinite, out.grad)):
             raise NonFiniteError(f"{self.label or 'field'} has a non-finite gradient "
                                  f"at {x.tolist()}")
-        if second_order and not np.isfinite(out.hess).all():
+        if not second_order:
+            return Jet(out.value, np.array(out.grad))
+        if not all(map(cmath.isfinite, out.hess)):
             raise NonFiniteError(f"{self.label or 'field'} has a non-finite Hessian "
                                  f"at {x.tolist()}")
-        return Jet(out.value, np.array(out.grad), out.hess)
+        return Jet(out.value, np.array(out.grad), np.array(out.hess).reshape(d, d))

@@ -233,8 +233,11 @@ def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0, t_final: float,
 
     ``rk4`` takes fixed steps of size ``dt`` (the last step is shortened
     to land exactly on ``t_final``); ``rkf45`` is an embedded adaptive
-    pair controlled by ``tol``.  A flow evaluation error or a non-finite
-    state truncates the trajectory and records the reason.
+    pair controlled by ``tol``; its ``stats`` count accepted and rejected
+    steps, and as ``n_forced`` the accepted steps whose error exceeded
+    the tolerance once the step size had reached ``dt_min``.  A flow
+    evaluation error or a non-finite state truncates the trajectory and
+    records the reason.
     """
     y0 = np.asarray(y0, dtype=float)
     if t_final <= 0:
@@ -283,6 +286,7 @@ def _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max) -> Trajectory:
     h = min(dt, t_final)
     accepted = 0
     rejected = 0
+    forced = 0
     truncated = False
     reason = ""
     while t < t_final - 1e-14 * t_final:
@@ -307,6 +311,8 @@ def _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max) -> Trajectory:
             truncated, reason = True, f"step error became non-finite at t = {t:.6g}"
             break
         if err <= scale or h <= dt_min * (1 + 1e-12):
+            if err > scale:
+                forced += 1
             t += h
             y = y5
             times.append(t)
@@ -321,7 +327,7 @@ def _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max) -> Trajectory:
         h = min(max(h * min(max(factor, 0.2), 5.0), dt_min), dt_max)
     return Trajectory(
         np.array(times), np.array(states), "rkf45", truncated, reason,
-        stats={"n_accepted": accepted, "n_rejected": rejected},
+        stats={"n_accepted": accepted, "n_rejected": rejected, "n_forced": forced},
     )
 
 

@@ -1,4 +1,6 @@
 """Extended Hamiltonian, chain elements, cofactors, first integrals."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,3 +263,83 @@ def test_cofactor_split_reassembles_shift_power(m, n):
                         p_u * cur.xl + coef * gam * (-2 * n * n * lam) * cur.value)
     assembled = P * g + D * w
     assert abs(assembled - cur.value) <= 1e-10 * max(1.0, abs(cur.value))
+
+
+# the bracket cases of the benchmark's gates workload: (entry, constants, (m, n))
+BRACKET_CASES = [
+    ("quartic1", dict(c=1.0, c0=1.0, C=1.0), (1, 1)),
+    ("quartic1", dict(c=1.0, c0=1.0, C=1.0), (3, 2)),
+    ("quartic1", dict(c=1.0, c0=1.0, C=1.0, omega=0.3), (2, 1)),
+    ("quartic2a", dict(c=1.0, c0=1.0, C=-1.0), (2, 1)),
+    ("square_polar", dict(c=1.0, c0=0.0, C=1.0), (1, 1)),
+    ("vortex_opposite", dict(c=0.0, c0=0.5, C=1.0), (1, 1)),
+    ("vortex_opposite", dict(c=0.0, c0=0.5, C=1.0, omega=0.2), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("key, consts, mn", BRACKET_CASES)
+def test_kept_seed_pairs_change_no_bit_of_k(key, consts, mn, monkeypatch):
+    # every K the bracket stencil asks for, K_re and K_im included, equals
+    # the unmemoised char_first_integral at the same state bit for bit
+    built = ek.instantiate(key)
+    params = ek.ExtensionParams(m=mn[0], n=mn[1], **consts)
+    ext = ek.build_extension(built.system, built.seed, params)
+    seen = []
+    integral = ek.Extension.integral
+
+    def recorded(self, state):
+        out = integral(self, state)
+        seen.append((state, out))
+        return out
+
+    monkeypatch.setattr(ek.Extension, "integral", recorded)
+    obs = ext.conserved_quantities()
+    ks = [obs[name] for name in obs if name.startswith("K")]
+    structure = ext.structure()
+    spec = ek.SampleSpec(((0.3, 1.2), (-1.0, 1.0)) + ek.get_entry(key).default_box,
+                         count=4, seed=17, margin=0.1)
+    sing = built.singular
+    pred = None if sing is None else (lambda vec, margin: sing(vec[2:], margin))
+    for vec in ek.sample_points(spec, pred):
+        for k in ks:
+            ek.fd_bracket_normalized(structure, obs["H"], k, vec)
+    assert len(seen) == 4 * len(ks) * (1 + 2 * len(vec))
+    assert len({state.base.tobytes() for state, _ in seen}) < len(seen)
+    for state, got in seen:
+        want = ek.char_first_integral(built.system, built.seed, params, state)
+        assert type(got) is type(want) and got == want, (key, state.vector().tolist())
+
+
+def test_failed_seed_pair_is_not_kept():
+    built = ek.instantiate("vortex_opposite")
+    ext = ek.build_extension(built.system, built.seed,
+                             ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1))
+    # y2 = 0 lies on the singular set of L and G
+    state = ek.ExtendedState(0.7, 0.3, np.array([0.8, -0.4, 0.5, 0.0]))
+    for _ in range(3):
+        with pytest.raises(ek.SingularPointError):
+            ext.integral(state)
+    assert ext._seed_pairs == {}
+
+
+def test_kept_seed_pairs_stay_within_the_bound():
+    built = ek.instantiate("quartic1")
+    ext = ek.build_extension(built.system, built.seed,
+                             ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=1, n=1))
+    bound = ek.extension.SEED_PAIR_MEMO_SIZE
+    assert 9 <= bound <= 100
+    states = [ek.ExtendedState(0.6, 0.4, np.array([0.1 + 0.01 * i, -0.7]))
+              for i in range(3 * bound)]
+    for i, state in enumerate(states):
+        ext.integral(state)
+        assert len(ext._seed_pairs) == min(i + 1, bound)
+    # the newest base points are the ones kept
+    assert list(ext._seed_pairs) == [s.base.tobytes() for s in states[-bound:]]
+
+
+def test_extension_is_frozen():
+    built = ek.instantiate("quartic1")
+    ext = ek.build_extension(built.system, built.seed,
+                             ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=1, n=1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ext.seed = built.seed

@@ -1,7 +1,9 @@
-"""Structural guards on the flow hot path: what one right-hand side call runs.
+"""Structural guards on the hot paths: what one right-hand side call and
+one finite-difference bracket state run.
 
 These count calls rather than time them, so a change that brings per-call
-set-up back into the extended flow fails here, on any host.
+set-up back into the extended flow, or recomputes K's base-point part
+within one bracket stencil, fails here, on any host.
 """
 import numpy as np
 import pytest
@@ -108,3 +110,25 @@ def test_entry_rule_bivector_calls_its_rule_once(key, state, calls):
     ek.base_flow(system)(x)
     assert len(seen) == 3
     assert calls["jet1"] == [system.hamiltonian.label] and calls["jet2"] == []
+
+
+@pytest.mark.parametrize("key, consts, state, per_field", [
+    # 2 d + 1 distinct base points in a stencil over (u, p_u, x), d = dim x
+    ("vortex_opposite", dict(c=0.0, c0=0.5, C=1.0, m=1, n=1),
+     [0.7, 0.3, 0.8, -0.4, 0.5, 0.9], 9),
+    ("quartic1", dict(c=1.0, c0=1.0, C=1.0, m=1, n=1), [0.6, 0.4, 0.9, -0.7], 5),
+])
+def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_field, calls):
+    # the u and p_u steps keep the base point, and K_im asks where K_re did
+    built = ek.instantiate(key)
+    ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
+    obs = ext.conserved_quantities()
+    structure = ext.structure()
+    for name in ("jet1", "jet2", "value"):
+        calls[name].clear()
+    for name in obs:
+        if name.startswith("K"):
+            ek.fd_bracket_normalized(structure, obs["H"], obs[name], np.array(state))
+    ham, seed = built.system.hamiltonian.label, built.seed.field.label
+    assert calls["jet1"].count(ham) == calls["jet1"].count(seed) == per_field
+    assert len(calls["jet1"]) == 2 * per_field and calls["jet2"] == []

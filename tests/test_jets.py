@@ -264,4 +264,8 @@ def test_gradients_are_tuples_inside_arithmetic():
         assert type(seen[-1].grad) is tuple
         assert all(type(g) is float for g in seen[-1].grad)
         assert isinstance(j.grad, np.ndarray) and j.grad.shape == (2,)
+    # the Hessian is flat and row-major inside arithmetic
+    assert type(seen[-1].hess) is tuple and len(seen[-1].hess) == 4
+    assert all(type(h) is float for h in seen[-1].hess)
     assert isinstance(j.hess, np.ndarray) and j.hess.shape == (2, 2)
+    assert j.hess.tolist() == [list(seen[-1].hess[:2]), list(seen[-1].hess[2:])]

@@ -60,6 +60,18 @@ def test_rkf45_adapts_and_meets_tolerance():
     assert steps.max() / steps.min() > 1.0 + 1e-9  # dt actually adapted
 
 
+def test_rkf45_counts_steps_forced_at_dt_min():
+    # at h = dt_min = 0.1 the local error is about 1e-7, far above tol, so
+    # every step is accepted only because h cannot shrink further
+    traj = ek.integrate(harmonic_rhs, np.array([1.0, 0.0]), 1.0, method="rkf45",
+                        dt=0.5, tol=1e-14, dt_min=0.1, dt_max=0.5)
+    assert traj.stats["n_forced"] > 0
+    assert traj.stats["n_forced"] == traj.stats["n_accepted"] == 10
+    assert traj.stats["n_rejected"] == 1
+    default = ek.integrate(harmonic_rhs, np.array([1.0, 0.0]), 6.0, method="rkf45")
+    assert default.stats["n_accepted"] > 0 and default.stats["n_forced"] == 0
+
+
 def test_trajectory_truncates_on_singularity():
     def rhs(y):
         if y[0] >= 0.5:
