@@ -10,6 +10,7 @@ input or configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -19,12 +20,9 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__, catalog, verify
-from .extension import (
-    ExtendedState,
-    ExtensionParams,
-    build_extension,
-)
+from .extension import Extension, ExtensionBuildError, ExtensionParams, build_extension
 from .jets import EvaluationError
+from .poisson import base_flow
 from .verify import RejectionError, SampleSpec
 
 EXIT_OK = 0
@@ -73,24 +71,30 @@ def _fmt_json(obj, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_report(report: dict, path: str | None):
+def _write_csv(path: str, header: list[str], rows: list[list[float]]):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+
+
+def _gate(name: str, value: float, tol: float, ok: bool | None = None) -> dict:
+    passed = (value <= tol) if ok is None else ok
+    return {"name": name, "value": value, "tol": tol, "pass": bool(passed)}
+
+
+def _finish(command: str, echo: dict, metrics: dict, gates: list[dict], skipped: int,
+            path: str | None) -> int:
+    """Write the report to ``path`` (stdout if unset); exit 1 if a gate failed."""
+    report = {"command": command, "config_echo": echo, "metrics": metrics,
+              "gates": gates, "skipped_points": skipped}
     text = _fmt_json(report) + "\n"
     if path:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _g17(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
-def _write_csv(path: str, header: list[str], rows: list[list[float]]):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_g17(v) for v in row) + "\n")
+    return EXIT_OK if all(g["pass"] for g in gates) else EXIT_GATE
 
 
 # ---------------------------------------------------------------- config
@@ -123,13 +127,13 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise ConfigError(f"unknown config section(s) {unknown}; "
                           f"known: {sorted(_SECTION_KEYS)}")
-    for section, keys in _SECTION_KEYS.items():
-        if keys is None or section not in cfg:
+    for section, sub in cfg.items():
+        if section == "system":
             continue
-        sub = cfg[section]
         if not isinstance(sub, dict):
             raise ConfigError(f"config section '{section}' must be an object")
-        bad = sorted(set(sub) - keys)
+        keys = _SECTION_KEYS[section]
+        bad = sorted(set(sub) - keys) if keys is not None else []
         if bad:
             raise ConfigError(f"unknown key(s) {bad} in config section '{section}'; "
                               f"known: {sorted(keys)}")
@@ -149,140 +153,205 @@ def _parse_param_flags(pairs: list[str] | None) -> dict:
     return out
 
 
-def _pick(flag, cfg_section: dict, key: str, default):
+def _floats(value) -> tuple[float, ...]:
+    """A 'a,b,...' string or a list of numbers, as floats."""
+    items = value.split(",") if isinstance(value, str) else value
+    return tuple(float(v) for v in items)
+
+
+def _pair(value) -> tuple[float, float]:
+    lo, hi = _floats(value)
+    return lo, hi
+
+
+def _box(value) -> tuple[tuple[float, float], ...]:
+    return tuple(_pair(iv) for iv in value)
+
+
+def _pick(flag, section: dict, key: str, default, kind: Callable):
+    """The flag, else the config value, else ``default``, read by ``kind``.
+
+    ``kind`` converts the picked value (``float``, ``int``, ``str``,
+    ``_floats``, ``_pair`` or ``_box``); a value it rejects is a
+    :class:`ConfigError` naming ``key``.  An absent value gives
+    ``default`` as it is.
+    """
     if flag is not None:
-        return flag
-    if key in cfg_section:
-        return cfg_section[key]
-    return default
+        value = flag
+    elif key in section:
+        value = section[key]
+    else:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value {value!r} for '{key}': {e}") from None
 
 
-def _seed_value(flag, cfg_section: dict, default: int) -> int:
+def _seed_value(flag, section: dict, default: int) -> int:
     # Precedence: flag > EXTKIT_SEED > config file > default.
-    if flag is not None:
-        return int(flag)
     env = os.environ.get("EXTKIT_SEED")
-    if env is not None:
+    if flag is None and env is not None:
         try:
             return int(env)
         except ValueError:
             raise ConfigError(f"EXTKIT_SEED must be an integer, got {env!r}") from None
-    if "seed" in cfg_section:
-        return int(cfg_section["seed"])
-    return default
+    return _pick(flag, section, "seed", default, int)
 
 
-def _parse_range(text, name) -> tuple[float, float]:
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        lo, hi = float(text[0]), float(text[1])
-    elif isinstance(text, str):
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{name} needs 'lo,hi', got {text!r}")
-        lo, hi = float(parts[0]), float(parts[1])
-    else:
-        raise ConfigError(f"{name} needs a two-value range")
-    if not (lo < hi):
-        raise ConfigError(f"{name} needs lo < hi, got ({lo}, {hi})")
-    return lo, hi
+def _echo_params(params: dict) -> dict:
+    out = {}
+    for k, v in params.items():
+        if isinstance(v, (int, float, str, bool)) or v is None:
+            out[k] = v
+        elif isinstance(v, complex):
+            out[k] = {"re": v.real, "im": v.imag}
+        elif isinstance(v, dict):
+            out[k] = v
+        else:
+            out[k] = repr(v)
+    return out
 
 
-def _intervals_from(cfg_sampling: dict, built) -> tuple[tuple[float, float], ...]:
-    raw = cfg_sampling.get("intervals")
-    if raw is None:
-        return catalog.get_entry(built.entry_key).default_box
-    out = []
-    for iv in raw:
-        if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
-            raise ConfigError("sampling intervals must be [lo, hi] pairs")
-        out.append((float(iv[0]), float(iv[1])))
-    if len(out) != built.system.dim:
-        raise ConfigError(
-            f"sampling intervals count {len(out)} does not match dimension "
-            f"{built.system.dim}"
-        )
-    return tuple(out)
+class _Run:
+    """One system command's inputs, each read once.
+
+    Loads and checks the config, merges ``--param`` over its
+    ``system_params``, instantiates the entry, and records in ``echo``
+    every value it reads, for the report's ``config_echo``.
+    """
+
+    def __init__(self, args, default_system: str | None = None):
+        self.args = args
+        self.cfg = _load_config(args.config)
+        system_id = _pick(args.system, self.cfg, "system", default_system, str)
+        if not system_id:
+            raise ConfigError("--system is required")
+        params = {**self.cfg.get("system_params", {}), **_parse_param_flags(args.param)}
+        self.built = catalog.instantiate(system_id, params)
+        self.entry = catalog.get_entry(system_id)
+        self.echo: dict[str, Any] = {"system": system_id,
+                                     "system_params": _echo_params(params)}
+
+    def section(self, name: str) -> dict:
+        return self.cfg.get(name, {})
+
+    def extension(self) -> Extension:
+        """The extension named by the flags and the config 'extension' section."""
+        a, sec = self.args, self.section("extension")
+        values = {key: _pick(flag, sec, key, None, kind) for key, flag, kind in (
+            ("c", a.c, float), ("c0", a.c0, float), ("C", a.big_c, float),
+            ("m", a.m, int), ("n", a.n, int))}
+        missing = [key for key, v in values.items() if v is None]
+        if missing:
+            raise ConfigError(f"extension parameter(s) {missing} are required "
+                              "(flags or config 'extension' section)")
+        params = ExtensionParams(**values,
+                                 omega=_pick(a.omega, sec, "omega", 0.0, float),
+                                 offset=_pick(a.offset, sec, "offset", 0.0, float))
+        self.echo["extension"] = dataclasses.asdict(params)
+        return build_extension(self.built.system, self.built.seed, params)
+
+    def initial_state(self, extended: Extension | None) -> np.ndarray:
+        """``--state`` or the config initial state, as one flat vector.
+
+        Extended states are (u, p_u, base...), base-flow states the base
+        coordinates.  The state must have the system's dimension, and the
+        Hamiltonian (H, or L for a base flow) must evaluate there.
+        """
+        if self.args.state is not None:
+            values = _pick(self.args.state, {}, "state", None, _floats)
+        else:
+            sec = self.section("initial_state")
+            keys = ("u", "p_u", "base") if extended else ("base",)
+            missing = [key for key in keys if key not in sec]
+            if missing:
+                raise ConfigError(f"an initial state is required (--state, or "
+                                  f"config 'initial_state' keys {missing})")
+            values = (tuple(_pick(None, sec, key, None, float) for key in keys[:-1])
+                      + _pick(None, sec, "base", None, _floats))
+        dim = self.built.system.dim
+        if len(values) != dim + (2 if extended else 0):
+            raise ConfigError(f"the initial state needs {'u, p_u and ' if extended else ''}"
+                              f"{dim} coordinates, got {len(values)} values")
+        vec = np.array(values)
+        try:
+            if extended:
+                extended.hamiltonian_of_vector(vec)
+            else:
+                self.built.system.hamiltonian.value(vec)
+        except EvaluationError as e:
+            raise ConfigError(f"initial state {list(values)} is not admissible: {e}") from None
+        return vec
+
+    def intervals(self, default) -> tuple[tuple[float, float], ...]:
+        """The config sampling box, else ``default``; one interval per coordinate."""
+        box = _pick(None, self.section("sampling"), "intervals", default, _box)
+        if len(box) != self.built.system.dim:
+            raise ConfigError(f"sampling intervals count {len(box)} does not match "
+                              f"dimension {self.built.system.dim}")
+        return box
+
+    def sample_spec(self, count: int, margin: float, box) -> SampleSpec:
+        samp = self.section("sampling")
+        spec = SampleSpec(intervals=box,
+                          count=_pick(self.args.samples, samp, "count", count, int),
+                          seed=_seed_value(self.args.seed, samp, 1234),
+                          margin=_pick(self.args.margin, samp, "margin", margin, float))
+        self.echo["sampling"] = {"count": spec.count, "seed": spec.seed,
+                                 "margin": spec.margin}
+        return spec
+
+    def extended_states(self, count: int) -> np.ndarray:
+        """Sampled (u, p_u, base...) vectors, clear of the base singular set."""
+        samp = self.section("sampling")
+        u_range = _pick(self.args.u_range, samp, "u_range", (0.3, 1.2), _pair)
+        pu_range = _pick(self.args.pu_range, samp, "pu_range", (-1.0, 1.0), _pair)
+        spec = self.sample_spec(count, 0.1, (u_range, pu_range)
+                                + self.intervals(self.entry.default_box))
+        base_pred = self.built.singular
+        if base_pred is None:
+            return verify.sample_points(spec, None)
+        return verify.sample_points(spec, lambda vec, m: base_pred(vec[2:], m))
+
+    def finish(self, metrics: dict, gates: list[dict], skipped: int = 0,
+               path: str | None = None) -> int:
+        return _finish(self.args.command, self.echo, metrics, gates, skipped,
+                       path or self.args.report)
 
 
-def _extension_params(args, cfg: dict) -> ExtensionParams:
-    sec = cfg.get("extension", {})
-
-    def need(flag, key, default=None):
-        v = _pick(flag, sec, key, default)
-        if v is None:
-            raise ConfigError(f"extension parameter '{key}' is required "
-                              "(flag or config 'extension' section)")
-        return v
-
-    try:
-        return ExtensionParams(
-            c=float(need(args.c, "c")),
-            c0=float(need(args.c0, "c0")),
-            C=float(need(args.big_c, "C")),
-            m=int(need(args.m, "m")),
-            n=int(need(args.n, "n")),
-            omega=float(_pick(args.omega, sec, "omega", 0.0)),
-            offset=float(_pick(args.offset, sec, "offset", 0.0)),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+def _worst(residuals: np.ndarray, points: np.ndarray) -> dict:
+    """The point of the largest residual, as a metrics entry (none if empty)."""
+    if not len(residuals):
+        return {}
+    return {"worst_point": [float(v) for v in points[int(np.argmax(residuals))]]}
 
 
-def _initial_state(args, cfg: dict, dim: int) -> ExtendedState:
-    if getattr(args, "state", None):
-        parts = [float(v) for v in args.state.split(",")]
-        if len(parts) != dim + 2:
-            raise ConfigError(f"--state needs {dim + 2} comma-separated values "
-                              f"(u, p_u, {dim} coordinates)")
-        return ExtendedState(parts[0], parts[1], np.array(parts[2:]))
-    sec = cfg.get("initial_state")
-    if not sec:
-        raise ConfigError("an initial state is required (--state or config "
-                          "'initial_state' section)")
-    try:
-        base = np.asarray([float(v) for v in sec["base"]], dtype=float)
-        state = ExtendedState(float(sec["u"]), float(sec["p_u"]), base)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad initial_state section: {e}") from None
-    if len(state.base) != dim:
-        raise ConfigError(f"initial_state.base needs {dim} coordinates")
-    return state
+def _bracket_sweep(ext: Extension, names: list[str], states, h: float):
+    """Largest normalized {H, F} over the states, for each named observable F.
+
+    Returns (worst value, (name, state) of the worst or None, brackets
+    checked, brackets skipped because a point could not be evaluated).
+    """
+    struct = ext.structure()
+    obs = ext.conserved_quantities()
+    worst, where, checked, skipped = 0.0, None, 0, 0
+    for vec in states:
+        for name in names:
+            try:
+                v = verify.fd_bracket_normalized(struct, obs["H"], obs[name], vec, h=h)
+            except EvaluationError:
+                skipped += 1
+                continue
+            checked += 1
+            if v > worst:
+                worst, where = v, (name, vec)
+    return worst, where, checked, skipped
 
 
-def _extended_sampler(built, args, cfg_sampling: dict, count: int, seed: int,
-                      margin: float) -> tuple[SampleSpec, Callable | None]:
-    u_range = _parse_range(_pick(getattr(args, "u_range", None), cfg_sampling,
-                                 "u_range", (0.3, 1.2)), "u range")
-    pu_range = _parse_range(_pick(getattr(args, "pu_range", None), cfg_sampling,
-                                  "pu_range", (-1.0, 1.0)), "p_u range")
-    base_box = _intervals_from(cfg_sampling, built)
-    spec = SampleSpec(intervals=(u_range, pu_range) + base_box, count=count,
-                      seed=seed, margin=margin)
-    base_pred = built.singular
-    if base_pred is None:
-        return spec, None
-
-    def pred(vec, m):
-        return base_pred(vec[2:], m)
-
-    return spec, pred
-
-
-def _gate(name: str, value: float, tol: float, ok: bool | None = None) -> dict:
-    passed = (value <= tol) if ok is None else ok
-    return {"name": name, "value": value, "tol": tol, "pass": bool(passed)}
-
-
-def _finish(report: dict, path: str | None) -> int:
-    _emit_report(report, path)
-    gates = report.get("gates", [])
-    return EXIT_OK if all(g["pass"] for g in gates) else EXIT_GATE
-
-
-def _seeded_or_fail(built) -> None:
-    if not built.seeds:
-        raise ConfigError(f"entry '{built.entry_key}' has no seed solution "
-                          "(no closed-form G is served)")
+def _integral_name(obs: dict) -> str:
+    # Complex integrals are split into K_re and K_im; K_re stands for K.
+    return "K" if "K" in obs else "K_re"
 
 
 # ---------------------------------------------------------------- commands
@@ -313,11 +382,8 @@ def _cmd_show(args) -> int:
         "has_seed": e.has_seed,
         "notes": e.notes,
         "default_box": [list(iv) for iv in e.default_box],
-        "params": {
-            name: {"default": (spec.default if not spec.function else spec.default),
-                   "description": spec.desc}
-            for name, spec in e.params.items()
-        },
+        "params": {name: {"default": spec.default, "description": spec.desc}
+                   for name, spec in e.params.items()},
     }
     if args.json:
         sys.stdout.write(_fmt_json(info) + "\n")
@@ -335,252 +401,98 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_check_pde(args) -> int:
-    cfg = _load_config(args.config)
-    params = {**cfg.get("system_params", {}), **_parse_param_flags(args.param)}
-    system_id = args.system or cfg.get("system")
-    if not system_id:
-        raise ConfigError("--system is required")
-    built = catalog.instantiate(system_id, params)
-    _seeded_or_fail(built)
-    seed_sol = built.seed
-    samp = cfg.get("sampling", {})
-    count = int(_pick(args.samples, samp, "count", 100))
-    seed = _seed_value(args.seed, samp, 1234)
-    margin = float(_pick(args.margin, samp, "margin", 0.1))
-    pair = seed_sol.meta.get("pair", (0.0, 0.0))
-    c = float(args.c) if args.c is not None else float(pair[0])
-    c0 = float(args.c0) if args.c0 is not None else float(pair[1])
-    tol = float(args.tol)
-    spec = SampleSpec(intervals=_intervals_from(samp, built), count=count,
-                      seed=seed, margin=margin)
-    rep = verify.pde_residual(built.system, seed_sol.field, c, c0, spec,
-                              singular=built.singular)
+    run = _Run(args)
+    seed = run.built.seed
+    spec = run.sample_spec(100, 0.1, run.intervals(run.entry.default_box))
+    pair = seed.meta.get("pair", (0.0, 0.0))
+    c = float(pair[0]) if args.c is None else args.c
+    c0 = float(pair[1]) if args.c0 is None else args.c0
+    run.echo.update(c=c, c0=c0, tol=args.tol)
+    rep = verify.pde_residual(run.built.system, seed.field, c, c0, spec,
+                              singular=run.built.singular)
     metrics: dict[str, Any] = {
         "max_residual": rep.max_residual,
         "mean_residual": rep.mean_residual,
-        "n_points": int(len(rep.residuals)),
+        "n_points": len(rep.residuals),
         "c": c,
         "c0": c0,
+        **_worst(rep.residuals, rep.points),
     }
-    if len(rep.residuals):
-        metrics["worst_point"] = [float(v) for v in rep.points[int(np.argmax(rep.residuals))]]
-    if seed_sol.verified is not None:
-        metrics["build_gate_passed"] = bool(seed_sol.verified)
-    report = {
-        "command": "check-pde",
-        "config_echo": {
-            "system": system_id, "system_params": _echo_params(params),
-            "sampling": {"count": count, "seed": seed, "margin": margin},
-            "c": c, "c0": c0, "tol": tol,
-        },
-        "metrics": metrics,
-        "gates": [_gate("pde_max_residual", rep.max_residual, tol)],
-        "skipped_points": rep.skipped,
-    }
-    return _finish(report, args.report)
+    if seed.verified is not None:
+        metrics["build_gate_passed"] = bool(seed.verified)
+    return run.finish(metrics, [_gate("pde_max_residual", rep.max_residual, args.tol)],
+                      rep.skipped)
+
+
+# Default sampling box of check-kn, in euler_top's coordinates.
+_KN_BOX = ((-0.8, 0.8), (0.3, 1.2), (0.3, 1.2))
 
 
 def _cmd_check_kn(args) -> int:
-    cfg = _load_config(args.config)
-    params = {**cfg.get("system_params", {}), **_parse_param_flags(args.param)}
-    system_id = args.system or cfg.get("system") or "euler_top"
-    built = catalog.instantiate(system_id, params)
-    builder = built.meta.get("local_seed_builder")
+    run = _Run(args, default_system="euler_top")
+    builder = run.built.meta.get("local_seed_builder")
     if builder is None:
-        raise ConfigError(f"entry '{system_id}' serves no elliptic-integral local seed; "
-                          "this check applies to euler_top")
-    c = float(args.c)
-    c0 = float(args.c0)
-    field = builder(c, c0, branch=int(args.branch))
-    samp = cfg.get("sampling", {})
-    count = int(_pick(args.samples, samp, "count", 60))
-    seed = _seed_value(args.seed, samp, 1234)
-    margin = float(_pick(args.margin, samp, "margin", 0.0))
-    raw = samp.get("intervals")
-    if raw is not None:
-        intervals = tuple((float(a), float(b)) for a, b in raw)
-    else:
-        intervals = ((-0.8, 0.8), (0.3, 1.2), (0.3, 1.2))
-    spec = SampleSpec(intervals=intervals, count=count, seed=seed, margin=margin)
-    rep = verify.first_order_residual(built.system, field, c, c0, int(args.sign),
-                                      spec, step=float(args.step))
+        raise ConfigError(f"entry '{run.echo['system']}' serves no elliptic-integral "
+                          "local seed; this check applies to euler_top")
+    field = builder(args.c, args.c0, branch=args.branch)
+    box = run.intervals(_KN_BOX)
+    spec = run.sample_spec(60, 0.0, box)
+    run.echo["sampling"]["intervals"] = [list(iv) for iv in box]
+    run.echo.update(c=args.c, c0=args.c0, sign=args.sign, branch=args.branch,
+                    step=args.step, tol=args.tol)
+    rep = verify.first_order_residual(run.built.system, field, args.c, args.c0, args.sign,
+                                      spec, step=args.step)
     metrics = {
         "max_abs_residual": rep.max_abs,
         "max_rel_residual": rep.max_rel,
-        "n_points": int(len(rep.rel_residuals)),
-        "c": c, "c0": c0, "sign": int(args.sign), "branch": int(args.branch),
+        "n_points": len(rep.rel_residuals),
+        "c": args.c, "c0": args.c0, "sign": args.sign, "branch": args.branch,
+        **_worst(rep.rel_residuals, rep.points),
     }
-    if len(rep.rel_residuals):
-        metrics["worst_point"] = [float(v)
-                                  for v in rep.points[int(np.argmax(rep.rel_residuals))]]
-    report = {
-        "command": "check-kn",
-        "config_echo": {
-            "system": system_id, "system_params": _echo_params(params),
-            "sampling": {"count": count, "seed": seed, "margin": margin,
-                         "intervals": [list(iv) for iv in intervals]},
-            "c": c, "c0": c0, "sign": int(args.sign), "branch": int(args.branch),
-            "step": float(args.step), "tol": float(args.tol),
-        },
-        "metrics": metrics,
-        "gates": [_gate("first_order_max_rel", rep.max_rel, float(args.tol))],
-        "skipped_points": rep.skipped,
-    }
-    return _finish(report, args.report)
-
-
-def _echo_params(params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, (int, float, str, bool)) or v is None:
-            out[k] = v
-        elif isinstance(v, complex):
-            out[k] = {"re": v.real, "im": v.imag}
-        elif isinstance(v, dict):
-            out[k] = v
-        else:
-            out[k] = repr(v)
-    return out
-
-
-def _build_from_args(args, cfg) -> tuple:
-    params = {**cfg.get("system_params", {}), **_parse_param_flags(args.param)}
-    system_id = args.system or cfg.get("system")
-    if not system_id:
-        raise ConfigError("--system is required")
-    built = catalog.instantiate(system_id, params)
-    return built, params, system_id
+    return run.finish(metrics, [_gate("first_order_max_rel", rep.max_rel, args.tol)],
+                      rep.skipped)
 
 
 def _cmd_extend(args) -> int:
-    cfg = _load_config(args.config)
-    built, params, system_id = _build_from_args(args, cfg)
-    _seeded_or_fail(built)
-    ext_params = _extension_params(args, cfg)
-    ext = build_extension(built.system, built.seed, ext_params)
-    state = _initial_state(args, cfg, built.system.dim)
-    hval = ext.hamiltonian(state)
-    kval = ext.integral(state)
-    metrics: dict[str, Any] = {"H": hval}
-    if isinstance(kval, complex):
-        metrics["K_re"] = kval.real
-        metrics["K_im"] = kval.imag
-    else:
-        metrics["K"] = float(kval)
-    samp = cfg.get("sampling", {})
-    count = int(_pick(args.samples, samp, "count", 10))
-    seed = _seed_value(args.seed, samp, 1234)
-    margin = float(_pick(args.margin, samp, "margin", 0.1))
-    spec, pred = _extended_sampler(built, args, samp, count, seed, margin)
-    states = verify.sample_points(spec, pred)
-    struct = ext.structure()
+    run = _Run(args)
+    ext = run.extension()
+    state = run.initial_state(ext)
+    run.echo["state"] = [float(v) for v in state]
     obs = ext.conserved_quantities()
-    kname = _integral_name(obs)
-    worst = 0.0
-    worst_state = None
-    skipped = 0
-    for vec in states:
-        try:
-            v = verify.fd_bracket_normalized(struct, obs["H"], obs[kname], vec)
-        except EvaluationError:
-            skipped += 1
-            continue
-        if v > worst:
-            worst, worst_state = v, vec
+    metrics: dict[str, Any] = {name: fn(state) for name, fn in obs.items() if name != "L"}
+    states = run.extended_states(10)
+    run.echo["tol"] = args.tol
+    worst, where, checked, skipped = _bracket_sweep(ext, [_integral_name(obs)], states, 1e-5)
     metrics["bracket_max_normalized"] = worst
-    metrics["n_bracket_states"] = int(len(states) - skipped)
-    if worst_state is not None:
-        metrics["worst_state"] = [float(v) for v in worst_state]
-    report = {
-        "command": "extend",
-        "config_echo": {
-            "system": system_id, "system_params": _echo_params(params),
-            "extension": _params_echo(ext_params),
-            "state": [float(v) for v in state.vector()],
-            "sampling": {"count": count, "seed": seed, "margin": margin},
-            "tol": float(args.tol),
-        },
-        "metrics": metrics,
-        "gates": [_gate("involution_max_normalized", worst, float(args.tol))],
-        "skipped_points": skipped,
-    }
-    return _finish(report, args.report)
-
-
-def _integral_name(obs: dict) -> str:
-    # Complex integrals are split into K_re and K_im; K_re stands for K.
-    return "K" if "K" in obs else "K_re"
-
-
-def _params_echo(p: ExtensionParams) -> dict:
-    return {"c": p.c, "c0": p.c0, "C": p.C, "m": p.m, "n": p.n,
-            "omega": p.omega, "offset": p.offset}
+    metrics["n_bracket_states"] = checked
+    if where is not None:
+        metrics["worst_state"] = [float(v) for v in where[1]]
+    return run.finish(metrics, [_gate("involution_max_normalized", worst, args.tol)],
+                      skipped)
 
 
 def _cmd_bracket(args) -> int:
-    cfg = _load_config(args.config)
-    built, params, system_id = _build_from_args(args, cfg)
-    _seeded_or_fail(built)
-    ext_params = _extension_params(args, cfg)
-    ext = build_extension(built.system, built.seed, ext_params)
-    samp = cfg.get("sampling", {})
-    count = int(_pick(args.samples, samp, "count", 50))
-    seed = _seed_value(args.seed, samp, 1234)
-    margin = float(_pick(args.margin, samp, "margin", 0.1))
-    spec, pred = _extended_sampler(built, args, samp, count, seed, margin)
-    states = verify.sample_points(spec, pred)
-    struct = ext.structure()
-    obs = ext.conserved_quantities()
-    names = [n for n in obs if n != "L"]
-    worst = 0.0
-    worst_info = None
-    skipped = 0
-    n_checked = 0
-    for vec in states:
-        for name in names:
-            if name == "H":
-                continue
-            try:
-                v = verify.fd_bracket_normalized(struct, obs["H"], obs[name], vec,
-                                                 h=float(args.h))
-            except EvaluationError:
-                skipped += 1
-                continue
-            n_checked += 1
-            if v > worst:
-                worst, worst_info = v, (name, vec)
-    metrics: dict[str, Any] = {
-        "bracket_max_normalized": worst,
-        "n_checked": n_checked,
-    }
-    if worst_info is not None:
-        metrics["worst_pair"] = ["H", worst_info[0]]
-        metrics["worst_state"] = [float(v) for v in worst_info[1]]
-    report = {
-        "command": "bracket",
-        "config_echo": {
-            "system": system_id, "system_params": _echo_params(params),
-            "extension": _params_echo(ext_params),
-            "sampling": {"count": count, "seed": seed, "margin": margin},
-            "h": float(args.h), "tol": float(args.tol),
-        },
-        "metrics": metrics,
-        "gates": [_gate("involution_max_normalized", worst, float(args.tol))],
-        "skipped_points": skipped,
-    }
-    return _finish(report, args.report)
+    run = _Run(args)
+    ext = run.extension()
+    states = run.extended_states(50)
+    run.echo.update(h=args.h, tol=args.tol)
+    names = [n for n in ext.conserved_quantities() if n not in ("H", "L")]
+    worst, where, checked, skipped = _bracket_sweep(ext, names, states, args.h)
+    metrics: dict[str, Any] = {"bracket_max_normalized": worst, "n_checked": checked}
+    if where is not None:
+        metrics["worst_pair"] = ["H", where[0]]
+        metrics["worst_state"] = [float(v) for v in where[1]]
+    return run.finish(metrics, [_gate("involution_max_normalized", worst, args.tol)],
+                      skipped)
 
 
 def _cmd_rank(args) -> int:
-    cfg = _load_config(args.config)
-    built, params, system_id = _build_from_args(args, cfg)
-    _seeded_or_fail(built)
-    ext_params = _extension_params(args, cfg)
-    ext = build_extension(built.system, built.seed, ext_params)
+    run = _Run(args)
+    ext = run.extension()
+    system = run.built.system
     obs = ext.conserved_quantities()
     fields: dict[str, Callable] = dict(obs)
-    names = built.system.coord_names or tuple(
-        f"x{i+1}" for i in range(built.system.dim))
+    names = system.coord_names or tuple(f"x{i+1}" for i in range(system.dim))
     for i, name in enumerate(names):
         fields[name] = (lambda idx: lambda vec: float(vec[2 + idx]))(i)
     fields["u"] = lambda vec: float(vec[0])
@@ -591,178 +503,102 @@ def _cmd_rank(args) -> int:
     if missing:
         raise ConfigError(f"unknown field name(s) {missing}; "
                           f"known: {sorted(fields)}")
-    fns = [fields[w] for w in wanted]
-    samp = cfg.get("sampling", {})
-    count = int(_pick(args.samples, samp, "count", 20))
-    seed = _seed_value(args.seed, samp, 1234)
-    margin = float(_pick(args.margin, samp, "margin", 0.1))
-    spec, pred = _extended_sampler(built, args, samp, count, seed, margin)
-    states = verify.sample_points(spec, pred)
-    rank = verify.independence_rank(fns, states, h=float(args.h),
-                                    threshold=float(args.threshold))
-    expect = int(args.expect) if args.expect is not None else len(wanted)
-    report = {
-        "command": "rank",
-        "config_echo": {
-            "system": system_id, "system_params": _echo_params(params),
-            "extension": _params_echo(ext_params),
-            "fields": wanted,
-            "sampling": {"count": count, "seed": seed, "margin": margin},
-            "h": float(args.h), "threshold": float(args.threshold),
-            "expect": expect,
-        },
-        "metrics": {"rank": rank, "n_states": int(len(states))},
-        "gates": [_gate("independence_rank", float(rank), float(expect),
-                        ok=(rank == expect))],
-        "skipped_points": 0,
-    }
-    return _finish(report, args.report)
+    states = run.extended_states(20)
+    expect = args.expect if args.expect is not None else len(wanted)
+    run.echo.update(fields=wanted, h=args.h, threshold=args.threshold, expect=expect)
+    rank = verify.independence_rank([fields[w] for w in wanted], states, h=args.h,
+                                    threshold=args.threshold)
+    return run.finish({"rank": rank, "n_states": len(states)},
+                      [_gate("independence_rank", float(rank), float(expect),
+                             ok=(rank == expect))])
 
 
 def _cmd_integrate(args) -> int:
-    cfg = _load_config(args.config)
-    built, params, system_id = _build_from_args(args, cfg)
-    integ = cfg.get("integration", {})
-    method = str(_pick(args.method, integ, "method", "rk4"))
-    dt = float(_pick(args.dt, integ, "dt", 1e-3))
-    tol = float(_pick(args.tol, integ, "tol", 1e-10))
-    t_final = float(_pick(args.t_final, integ, "t_final", 10.0))
-    stride = int(_pick(args.stride, integ, "stride", 10))
-    drift_tol = float(args.drift_tol)
-    out = cfg.get("output", {})
-    csv_path = args.csv or out.get("csv")
-    report_path = args.report or out.get("report")
+    run = _Run(args)
+    integ = run.section("integration")
+    method = _pick(args.method, integ, "method", "rk4", str)
+    dt = _pick(args.dt, integ, "dt", 1e-3, float)
+    tol = _pick(args.tol, integ, "tol", 1e-10, float)
+    t_final = _pick(args.t_final, integ, "t_final", 10.0, float)
+    stride = _pick(args.stride, integ, "stride", 10, int)
+    out = run.section("output")
+    csv_path = _pick(args.csv, out, "csv", None, str)
 
-    entry = catalog.get_entry(system_id)
-    any_flag = any(v is not None for v in
-                   (args.c, args.c0, args.big_c, args.m, args.n))
-    extended = not args.base_only and (any_flag or "extension" in cfg)
-    if extended:
-        _seeded_or_fail(built)
-        ext_params = _extension_params(args, cfg)
-        ext = build_extension(built.system, built.seed, ext_params)
-        state = _initial_state(args, cfg, built.system.dim)
+    any_flag = any(v is not None for v in (args.c, args.c0, args.big_c, args.m, args.n))
+    ext = None
+    if not args.base_only and (any_flag or "extension" in run.cfg):
+        ext = run.extension()
+    y0 = run.initial_state(ext)
+    if ext is not None:
         rhs = ext.flow()
-        y0 = state.vector()
         observables = ext.conserved_quantities()
     else:
-        ext = None
-        ext_params = None
-        if getattr(args, "state", None):
-            parts = [float(v) for v in args.state.split(",")]
-            if len(parts) != built.system.dim:
-                raise ConfigError(f"--state needs {built.system.dim} values for a "
-                                  "base-flow run")
-            y0 = np.array(parts)
-        else:
-            sec = cfg.get("initial_state", {})
-            if "base" not in sec:
-                raise ConfigError("an initial state is required (--state or config "
-                                  "'initial_state.base')")
-            y0 = np.asarray([float(v) for v in sec["base"]], dtype=float)
-        from .poisson import base_flow
-
-        rhs = base_flow(built.system)
-        ham = built.system.hamiltonian
-        observables = {"L": lambda vec: ham.value(vec)}
-        for name, f in built.system.observables.items():
-            observables[name] = (lambda ff: lambda vec: ff.value(vec))(f)
+        system = run.built.system
+        rhs = base_flow(system)
+        observables = {"L": system.hamiltonian.value,
+                       **{name: f.value for name, f in system.observables.items()}}
+    run.echo.update(integration={"method": method, "dt": dt, "tol": tol,
+                                 "t_final": t_final, "stride": stride},
+                    initial_state=[float(v) for v in y0], drift_tol=args.drift_tol)
 
     traj = verify.integrate(rhs, y0, t_final, method=method, dt=dt, tol=tol)
     rep = verify.conservation_report(traj, observables, stride=stride)
 
     if csv_path:
+        entry = run.entry
         disp = [entry.coord_names[i] for i in entry.csv_order]
-        obs_names = list(observables)
-        if extended:
-            header = ["t", "u", "p_u"] + disp + obs_names
+        if ext is not None:
+            lead, cols = ["u", "p_u"], [0, 1] + [2 + j for j in entry.csv_order]
         else:
-            header = ["t"] + disp + obs_names
-        rows = []
+            lead, cols = [], list(entry.csv_order)
         n = len(traj.states)
         idx = list(range(0, n, stride))
         if idx[-1] != n - 1:
             idx.append(n - 1)
-        for pos, i in enumerate(idx):
-            vec = traj.states[i]
-            row = [traj.times[i]]
-            if extended:
-                row += [vec[0], vec[1]]
-                row += [vec[2 + j] for j in entry.csv_order]
-            else:
-                row += [vec[j] for j in entry.csv_order]
-            row += [rep.series[nm][pos] for nm in obs_names]
-            rows.append(row)
-        _write_csv(csv_path, header, rows)
+        rows = [[traj.times[i]] + [traj.states[i][j] for j in cols]
+                + [rep.series[nm][pos] for nm in observables]
+                for pos, i in enumerate(idx)]
+        _write_csv(csv_path, ["t"] + lead + disp + list(observables), rows)
 
-    gates = [_gate(f"drift_{name}", drift, drift_tol)
+    gates = [_gate(f"drift_{name}", drift, args.drift_tol)
              for name, drift in sorted(rep.drifts.items())]
+    metrics: dict[str, Any] = {
+        "drifts": rep.drifts,
+        "n_states": len(traj.states),
+        "truncated": traj.truncated,
+    }
     if traj.truncated:
         gates.append(_gate("trajectory_completed", 1.0, 0.0, ok=False))
-    metrics: dict[str, Any] = {
-        "drifts": {k: float(v) for k, v in rep.drifts.items()},
-        "n_states": int(len(traj.states)),
-        "truncated": bool(traj.truncated),
-    }
-    if traj.truncated:
         metrics["truncation_reason"] = traj.reason
-    config_echo: dict[str, Any] = {
-        "system": system_id, "system_params": _echo_params(params),
-        "integration": {"method": method, "dt": dt, "tol": tol,
-                        "t_final": t_final, "stride": stride},
-        "initial_state": [float(v) for v in y0],
-        "drift_tol": drift_tol,
-    }
-    if extended and ext_params is not None:
-        config_echo["extension"] = _params_echo(ext_params)
-    report = {
-        "command": "integrate",
-        "config_echo": config_echo,
-        "metrics": metrics,
-        "gates": gates,
-        "skipped_points": 0,
-    }
-    return _finish(report, report_path)
+    return run.finish(metrics, gates, path=_pick(args.report, out, "report", None, str))
 
 
 def _cmd_gn_compare(args) -> int:
-    res = verify.recursion_closed_sweep(int(args.n_max), int(args.samples),
-                                        int(args.complex_samples),
-                                        _seed_value(args.seed, {}, 7))
-    tol = float(args.tol)
-    report = {
-        "command": "gn-compare",
-        "config_echo": {
-            "n_max": int(args.n_max), "samples": int(args.samples),
-            "complex_samples": int(args.complex_samples),
-            "seed": _seed_value(args.seed, {}, 7), "tol": tol,
-        },
-        "metrics": {
-            "max_rel_err": res["max_rel"],
-            "per_index": {str(k): v for k, v in res["per_n"].items()},
-        },
-        "gates": [_gate("recursion_max_rel", res["max_rel"], tol)],
-        "skipped_points": 0,
-    }
-    return _finish(report, args.report)
+    seed = _seed_value(args.seed, {}, 7)
+    res = verify.recursion_closed_sweep(args.n_max, args.samples, args.complex_samples, seed)
+    echo = {"n_max": args.n_max, "samples": args.samples,
+            "complex_samples": args.complex_samples, "seed": seed, "tol": args.tol}
+    metrics = {"max_rel_err": res["max_rel"],
+               "per_index": {str(k): v for k, v in res["per_n"].items()}}
+    return _finish("gn-compare", echo, metrics,
+                   [_gate("recursion_max_rel", res["max_rel"], args.tol)], 0, args.report)
 
 
 # ----------------------------------------------------------------- parser
 
 
-def _add_common(p, samples_default=None):
+def _add_system(p, samples_default=None):
+    """Flags of every system command; sampling ones when it samples."""
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
-    p.add_argument("--seed", type=int, help="sampling seed")
-    if samples_default is not None:
-        p.add_argument("--samples", type=int, help=f"sample count (default {samples_default})")
-
-
-def _add_system(p):
     p.add_argument("--system", help="catalog entry id")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="system parameter override (repeatable)")
-    p.add_argument("--margin", type=float, help="singular-set margin for sampling")
+    if samples_default is not None:
+        p.add_argument("--seed", type=int, help="sampling seed")
+        p.add_argument("--samples", type=int,
+                       help=f"sample count (default {samples_default})")
+        p.add_argument("--margin", type=float, help="singular-set margin for sampling")
 
 
 def _add_extension_flags(p):
@@ -798,8 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_show)
 
     p = sub.add_parser("check-pde", help="defining-equation residual gate")
-    _add_common(p, 100)
-    _add_system(p)
+    _add_system(p, 100)
     p.add_argument("--c", type=float, help="override the seed's constant c")
     p.add_argument("--c0", type=float, help="override the seed's constant c0")
     p.add_argument("--tol", type=float, default=1e-7)
@@ -807,8 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-kn", help="first-order factorization residual "
                                         "(elliptic-integral local seed)")
-    _add_common(p, 60)
-    _add_system(p)
+    _add_system(p, 60)
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--c0", type=float, default=-0.5)
     p.add_argument("--sign", type=int, default=1, choices=(1, -1))
@@ -819,8 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="build the extension, evaluate H and K, "
                                       "spot-check involution")
-    _add_common(p, 10)
-    _add_system(p)
+    _add_system(p, 10)
     _add_extension_flags(p)
     _add_state_ranges(p)
     p.add_argument("--state", help="extended state 'u,p_u,x1,...'")
@@ -828,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_extend)
 
     p = sub.add_parser("integrate", help="integrate the extended or base flow")
-    _add_common(p)
     _add_system(p)
     _add_extension_flags(p)
     p.add_argument("--state", help="initial state (extended: 'u,p_u,x...'; "
@@ -846,8 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket", help="finite-difference involution check over "
                                        "sampled extended states")
-    _add_common(p, 50)
-    _add_system(p)
+    _add_system(p, 50)
     _add_extension_flags(p)
     _add_state_ranges(p)
     p.add_argument("--h", type=float, default=1e-5)
@@ -856,8 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="independence rank of named fields at "
                                     "sampled extended states")
-    _add_common(p, 20)
-    _add_system(p)
+    _add_system(p, 20)
     _add_extension_flags(p)
     _add_state_ranges(p)
     p.add_argument("--fields",
@@ -885,10 +715,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, catalog.CatalogError, RejectionError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_CONFIG
-    except (ValueError, OSError) as e:
+    except (ConfigError, catalog.CatalogError, RejectionError, ExtensionBuildError,
+            ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_CONFIG
 

@@ -344,6 +344,9 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
 
     Drift of O is max_t |O(t) - O(0)| / max(|O(0)|, 1e-12).  ``stride``
     subsamples the stored states; the final state is always included.
+    The states are walked once, every observable evaluated at each, so
+    observables that share per-state work (the real and imaginary parts
+    of a complex K) meet it while it is still memoised.
     """
     if stride < 1:
         raise ValueError("stride must be positive")
@@ -352,10 +355,12 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
     if idx[-1] != n - 1:
         idx.append(n - 1)
     times = traj.times[idx]
+    fns = list(observables.values())
+    rows = [[fn(traj.states[i]) for fn in fns] for i in idx]
     series = {}
     drifts = {}
-    for name, fn in observables.items():
-        vals = np.array([fn(traj.states[i]) for i in idx])
+    for j, name in enumerate(observables):
+        vals = np.array([row[j] for row in rows])
         series[name] = vals
         ref = vals[0]
         drifts[name] = float(np.max(np.abs(vals - ref)) / max(abs(ref), _TINY))

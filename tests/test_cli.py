@@ -260,3 +260,66 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+VORTEX_BAD_PAIR = ["--system", "vortex_opposite", "--c", "1", "--c0", "0.5", "--C", "1",
+                   "--m", "1", "--n", "1"]
+VORTEX_STATE = "0.7,0.3,0.8,-0.4,0.5,0.9"
+
+
+def assert_one_line_error(code, err, *needles):
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("extend", ["--state", VORTEX_STATE]),
+    ("bracket", ["--samples", "2"]),
+    ("rank", ["--samples", "2"]),
+    ("integrate", ["--state", VORTEX_STATE, "--t-final", "0.01"]),
+])
+def test_unsupported_c_pair_is_config_error(command, extra, capsys):
+    code, _, err = run([command, *VORTEX_BAD_PAIR, *extra], capsys)
+    assert_one_line_error(code, err, "(c, c0) = (1.0, 0.5)")
+
+
+@pytest.mark.parametrize("command, extra", [("extend", ["--samples", "2"]),
+                                            ("integrate", ["--t-final", "0.01"])])
+def test_initial_state_on_a_pole_is_config_error(command, extra, capsys):
+    code, _, err = run([command, "--system", "quartic1", "--c", "1", "--c0", "1",
+                        "--C", "1", "--m", "1", "--n", "1",
+                        "--state", "0.0,0.4,0.9,-0.7", *extra], capsys)
+    assert_one_line_error(code, err, "pole")
+
+
+Q1_EXTENSION = {"c": 1, "c0": 1, "C": 1, "m": 1, "n": 1}
+Q1_INITIAL = {"u": 0.6, "p_u": 0.4, "base": [0.9, -0.7]}
+
+
+@pytest.mark.parametrize("argv, doc, key", [
+    (["check-pde"], {"system": "quartic1", "sampling": {"count": None}}, "count"),
+    (["extend"], {"system": "quartic1", "extension": {**Q1_EXTENSION, "c": [1]},
+                  "initial_state": Q1_INITIAL}, "'c'"),
+    (["check-pde"], {"system": "quartic1", "sampling": {"intervals": 5}}, "intervals"),
+    (["integrate", "--base-only", "--t-final", "0.01"],
+     {"system": "lotka_volterra", "initial_state": {"base": 3}}, "base"),
+    (["integrate", "--base-only", "--t-final", "0.01"],
+     {"system": "lotka_volterra", "initial_state": {"base": [1.0, 2.0, 3.0]}},
+     "2 coordinates"),
+    (["check-kn"], {"sampling": {"intervals": [[-0.8, 0.8], [0.3, 1.2]]}}, "intervals"),
+])
+def test_config_value_of_wrong_type_or_shape_is_config_error(argv, doc, key, tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run([*argv, "--config", str(cfg)], capsys)
+    assert_one_line_error(code, err, key)
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--margin"])
+def test_integrate_takes_no_sampling_flags(flag):
+    # integrate samples nothing, so it reads neither flag
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["integrate", flag, "1"])

@@ -103,6 +103,37 @@ def test_conservation_report_stride_includes_endpoint():
     assert rep.times[-1] == 1.0
 
 
+def test_conservation_report_evaluates_a_complex_seed_once_per_state(monkeypatch):
+    import extkit.extension as extension
+
+    built = ek.instantiate("vortex_opposite")
+    params = ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1)
+    state = ek.ExtendedState(0.7, 0.3, np.array([0.8, -0.4, 0.5, 0.9]))
+    ext = ek.build_extension(built.system, built.seed, params)
+    traj = ek.integrate(ext.flow(), state.vector(), 0.5, dt=1e-3)
+    obs = ext.conserved_quantities()
+    assert {"K_re", "K_im"} <= set(obs)
+    calls = []
+    original = extension.seed_pair
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(extension, "seed_pair", counted)
+    rep = ek.conservation_report(traj, obs, stride=10)
+    assert len(calls) == len(rep.times) == 51
+    # one observable at a time over every state, as reports were first made
+    monkeypatch.setattr(extension, "seed_pair", original)
+    ref_obs = ek.build_extension(built.system, built.seed, params).conserved_quantities()
+    idx = list(range(0, len(traj.states), 10))
+    for name, fn in ref_obs.items():
+        vals = np.array([fn(traj.states[i]) for i in idx])
+        np.testing.assert_array_equal(rep.series[name], vals)
+        assert rep.drifts[name] == float(np.max(np.abs(vals - vals[0]))
+                                         / max(abs(vals[0]), 1e-12))
+
+
 def test_fd_bracket_canonical_pair():
     st_ = ek.canonical_structure(2)
     f = lambda y: float(y[0])
