@@ -54,7 +54,6 @@ from .riccati import PoleError, RiccatiParams, riccati_eval, tagged_trig
 from .verify import (
     SampleSpec,
     conservation_report,
-    fd_bracket,
     fd_bracket_normalized,
     first_order_residual,
     independence_rank,
@@ -96,7 +95,6 @@ __all__ = [
     "extend_structure",
     "extended_flow",
     "extended_hamiltonian",
-    "fd_bracket",
     "fd_bracket_normalized",
     "first_order_residual",
     "get_entry",

@@ -72,7 +72,6 @@ class ParamSpec:
     desc: str
     check: Callable[[Any], str | None] = _finite_num
     function: bool = False
-    coerce: Callable[[Any], Any] | None = None
 
 
 def build_function(spec) -> Callable:
@@ -127,7 +126,6 @@ def build_function(spec) -> Callable:
 class CatalogEntry:
     key: str
     title: str
-    dim: int
     coord_names: tuple[str, ...]
     csv_order: tuple[int, ...]
     has_seed: bool
@@ -135,6 +133,10 @@ class CatalogEntry:
     builder: Callable[[dict], "BuiltSystem"]
     default_box: tuple[tuple[float, float], ...]
     notes: str = ""
+
+    @property
+    def dim(self) -> int:
+        return len(self.coord_names)
 
 
 @dataclass
@@ -153,27 +155,6 @@ class BuiltSystem:
         if not self.seeds:
             raise CatalogError(f"entry '{self.entry_key}' has no seed solution")
         return self.seeds[0]
-
-
-def _pair_support(c_ref: float, c0_ref: float) -> Callable[[float, float], bool]:
-    def supports(c: float, c0: float) -> bool:
-        return (
-            abs(c - c_ref) <= 1e-12 * max(1.0, abs(c_ref))
-            and abs(c0 - c0_ref) <= 1e-12 * max(1.0, abs(c0_ref))
-        )
-
-    return supports
-
-
-def _union(*preds):
-    preds = [p for p in preds if p is not None]
-    if not preds:
-        return None
-
-    def combined(x, margin):
-        return any(p(x, margin) for p in preds)
-
-    return combined
 
 
 # ---------------------------------------------------------------- quartic1
@@ -203,14 +184,10 @@ def _build_quartic1(p: dict) -> BuiltSystem:
     system = HamiltonianSystem(
         structure=canonical_structure(2),
         hamiltonian=ScalarField(lfun, 2, label="quartic1.L"),
-        coord_names=("q", "p"),
-        label="quartic1",
     )
     seed = ExtensionSeed(
         field=ScalarField(gfun, 2, label="quartic1.G"),
-        supports=_pair_support(c, c0),
-        label="quartic1.G",
-        meta={"global_flag": "globally-defined", "pair": (c, c0)},
+        meta={"pair": (c, c0)},
     )
     return BuiltSystem("quartic1", system, [seed], p)
 
@@ -245,14 +222,10 @@ def _build_quartic2a(p: dict) -> BuiltSystem:
     system = HamiltonianSystem(
         structure=canonical_structure(2),
         hamiltonian=ScalarField(lfun, 2, singular=pred, label="quartic2a.L"),
-        coord_names=("q", "p"),
-        label="quartic2a",
     )
     seed = ExtensionSeed(
         field=ScalarField(gfun, 2, label="quartic2a.G"),
-        supports=_pair_support(c, c0),
-        label="quartic2a.G",
-        meta={"global_flag": "globally-defined", "pair": (c, c0)},
+        meta={"pair": (c, c0)},
     )
     return BuiltSystem("quartic2a", system, [seed], p, singular=pred)
 
@@ -313,16 +286,12 @@ def _build_quartic2b(p: dict) -> BuiltSystem:
     system = HamiltonianSystem(
         structure=canonical_structure(2),
         hamiltonian=ScalarField(lfun, 2, singular=pred, label="quartic2b.L"),
-        coord_names=("q", "p"),
-        label="quartic2b",
     )
     gfield = ScalarField(gfun, 2, label="quartic2b.G")
     seed = ExtensionSeed(
         field=gfield,
-        supports=_pair_support(c, c0),
-        label="quartic2b.G",
         verified=_gate_quartic2b(system, gfield, c, c0, c1, c2),
-        meta={"global_flag": "globally-defined", "pair": (c, c0)},
+        meta={"pair": (c, c0)},
     )
     return BuiltSystem("quartic2b", system, [seed], p, singular=pred)
 
@@ -357,14 +326,10 @@ def _build_square_polar(p: dict) -> BuiltSystem:
     system = HamiltonianSystem(
         structure=canonical_structure(4),
         hamiltonian=ScalarField(lfun, 4, singular=pred, label="square_polar.L"),
-        coord_names=("q1", "q2", "p1", "p2"),
-        label="square_polar",
     )
     seed = ExtensionSeed(
         field=ScalarField(gfun, 4, label="square_polar.G"),
-        supports=_pair_support(c, 0.0),
-        label="square_polar.G",
-        meta={"global_flag": "globally-defined", "pair": (c, 0.0)},
+        meta={"pair": (c, 0.0)},
     )
     return BuiltSystem("square_polar", system, [seed], p, singular=pred)
 
@@ -422,14 +387,10 @@ def _build_vortex_equal(p: dict) -> BuiltSystem:
     system = HamiltonianSystem(
         structure=canonical_structure(4),
         hamiltonian=ScalarField(lfun, 4, singular=lpred, label="vortex_equal.L"),
-        coord_names=("X1t", "X2t", "Y1t", "Y2t"),
-        label="vortex_equal",
     )
     seed = ExtensionSeed(
         field=ScalarField(gfun, 4, codomain="complex", singular=gpred, label="vortex_equal.G"),
-        supports=_pair_support(0.0, c0),
-        label="vortex_equal.G",
-        meta={"global_flag": "conditionally-single-valued", "pair": (0.0, c0)},
+        meta={"pair": (0.0, c0)},
     )
     return BuiltSystem(
         "vortex_equal", system, [seed], p, singular=gpred,
@@ -467,14 +428,10 @@ def _build_vortex_opposite(p: dict) -> BuiltSystem:
             "X1t": ScalarField(lambda co: co[0], 4, label="X1t"),
             "Y2t": ScalarField(lambda co: co[3], 4, label="Y2t"),
         },
-        coord_names=("X1t", "X2t", "Y1t", "Y2t"),
-        label="vortex_opposite",
     )
     seed = ExtensionSeed(
         field=ScalarField(gfun, 4, codomain="complex", singular=pred, label="vortex_opposite.G"),
-        supports=_pair_support(0.0, c0),
-        label="vortex_opposite.G",
-        meta={"global_flag": "globally-defined", "pair": (0.0, c0)},
+        meta={"pair": (0.0, c0)},
     )
     return BuiltSystem(
         "vortex_opposite", system, [seed], p, singular=pred, meta={"phase": phase},
@@ -502,8 +459,6 @@ def _build_lotka_volterra(p: dict) -> BuiltSystem:
     system = HamiltonianSystem(
         structure=custom_structure(2, entries=entries, label="lotka_volterra.pi"),
         hamiltonian=ScalarField(lfun, 2, singular=pred, label="lotka_volterra.L"),
-        coord_names=("x", "y"),
-        label="lotka_volterra",
     )
     return BuiltSystem("lotka_volterra", system, [], p, singular=pred)
 
@@ -525,12 +480,10 @@ def _build_euler_top(p: dict) -> BuiltSystem:
         observables={
             "M": ScalarField(lambda co: co[0] ** 2 + co[1] ** 2 + co[2] ** 2, 3, label="M"),
         },
-        coord_names=("m1", "m2", "m3"),
-        label="euler_top",
     )
 
-    def local_seed(c, c0, branch=1, prefactor=1.0):
-        return euler_local_seed_field(i1, i2, i3, c, c0, branch=branch, prefactor=prefactor)
+    def local_seed(c, c0, branch=1):
+        return euler_local_seed_field(i1, i2, i3, c, c0, branch=branch)
 
     return BuiltSystem(
         "euler_top", system, [], p, meta={"local_seed_builder": local_seed},
@@ -538,7 +491,7 @@ def _build_euler_top(p: dict) -> BuiltSystem:
 
 
 def euler_local_seed_field(i1: float, i2: float, i3: float, c: float, c0: float,
-                           branch: int = 1, prefactor: float = 1.0) -> ScalarField:
+                           branch: int = 1) -> ScalarField:
     """Elliptic-integral local seed for the free rigid body.
 
     Real-valued on level sets where both I1 I2 (M - 2 I3 L) and
@@ -579,7 +532,7 @@ def euler_local_seed_field(i1: float, i2: float, i3: float, c: float, c0: float,
             raise SingularPointError("elliptic argument leaves the valid interval")
         fj = xval * _carlson_rf(1 - xx, y, 1.0)
         pref = i1 * i2 * i3 / math.sqrt(i2 * (i1 - i3))
-        return prefactor * exp(branch * pref * sqrt(rad) * fj)
+        return exp(branch * pref * sqrt(rad) * fj)
 
     return ScalarField(value, 3, label="euler_top.localG")
 
@@ -644,7 +597,6 @@ def _register(entry: CatalogEntry):
 _register(CatalogEntry(
     key="quartic1",
     title="Quartic oscillator family, seed linear in position",
-    dim=2,
     coord_names=("q", "p"),
     csv_order=(0, 1),
     has_seed=True,
@@ -664,7 +616,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     key="quartic2a",
     title="Quartic momentum family, regular potential branch",
-    dim=2,
     coord_names=("q", "p"),
     csv_order=(0, 1),
     has_seed=True,
@@ -684,7 +635,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     key="quartic2b",
     title="Quartic momentum family, rational potential branch",
-    dim=2,
     coord_names=("q", "p"),
     csv_order=(0, 1),
     has_seed=True,
@@ -704,7 +654,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     key="square_polar",
     title="Squared natural Hamiltonian in polar-type coordinates",
-    dim=4,
     coord_names=("q1", "q2", "p1", "p2"),
     csv_order=(0, 1, 2, 3),
     has_seed=True,
@@ -723,7 +672,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     key="vortex_equal",
     title="Two identical point vortices, reduced coordinates",
-    dim=4,
     coord_names=("X1t", "X2t", "Y1t", "Y2t"),
     csv_order=(0, 2, 1, 3),
     has_seed=True,
@@ -742,7 +690,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     key="vortex_opposite",
     title="Two opposite point vortices, reduced coordinates",
-    dim=4,
     coord_names=("X1t", "X2t", "Y1t", "Y2t"),
     csv_order=(0, 2, 1, 3),
     has_seed=True,
@@ -761,7 +708,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     key="lotka_volterra",
     title="Predator-prey system on a nonconstant Poisson structure",
-    dim=2,
     coord_names=("x", "y"),
     csv_order=(0, 1),
     has_seed=False,
@@ -779,7 +725,6 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     key="euler_top",
     title="Free rigid body on angular momenta",
-    dim=3,
     coord_names=("m1", "m2", "m3"),
     csv_order=(0, 1, 2),
     has_seed=False,
@@ -823,8 +768,6 @@ def instantiate(key: str, params: dict | None = None) -> BuiltSystem:
         if spec.function:
             v = build_function(v)
         else:
-            if spec.coerce is not None:
-                v = spec.coerce(v)
             msg = spec.check(v)
             if msg:
                 raise CatalogError(f"parameter '{name}' of entry '{key}' {msg} (got {v!r})")

@@ -199,20 +199,6 @@ def _seed_value(flag, section: dict, default: int) -> int:
     return _pick(flag, section, "seed", default, int)
 
 
-def _echo_params(params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, (int, float, str, bool)) or v is None:
-            out[k] = v
-        elif isinstance(v, complex):
-            out[k] = {"re": v.real, "im": v.imag}
-        elif isinstance(v, dict):
-            out[k] = v
-        else:
-            out[k] = repr(v)
-    return out
-
-
 class _Run:
     """One system command's inputs, each read once.
 
@@ -230,8 +216,7 @@ class _Run:
         params = {**self.cfg.get("system_params", {}), **_parse_param_flags(args.param)}
         self.built = catalog.instantiate(system_id, params)
         self.entry = catalog.get_entry(system_id)
-        self.echo: dict[str, Any] = {"system": system_id,
-                                     "system_params": _echo_params(params)}
+        self.echo: dict[str, Any] = {"system": system_id, "system_params": params}
 
     def section(self, name: str) -> dict:
         return self.cfg.get(name, {})
@@ -256,8 +241,9 @@ class _Run:
         """``--state`` or the config initial state, as one flat vector.
 
         Extended states are (u, p_u, base...), base-flow states the base
-        coordinates.  The state must have the system's dimension, and the
-        Hamiltonian (H, or L for a base flow) must evaluate there.
+        coordinates.  The state must have the system's dimension, and every
+        observable the command reports (see :meth:`observables`) must
+        evaluate there.
         """
         if self.args.state is not None:
             values = _pick(self.args.state, {}, "state", None, _floats)
@@ -276,13 +262,19 @@ class _Run:
                               f"{dim} coordinates, got {len(values)} values")
         vec = np.array(values)
         try:
-            if extended:
-                extended.hamiltonian_of_vector(vec)
-            else:
-                self.built.system.hamiltonian.value(vec)
+            for fn in self.observables(extended).values():
+                fn(vec)
         except EvaluationError as e:
             raise ConfigError(f"initial state {list(values)} is not admissible: {e}") from None
         return vec
+
+    def observables(self, extended: Extension | None) -> dict[str, Callable]:
+        """The reported observables: H, L and K, or L and the system's own."""
+        if extended:
+            return extended.conserved_quantities()
+        system = self.built.system
+        return {"L": system.hamiltonian.value,
+                **{name: f.value for name, f in system.observables.items()}}
 
     def intervals(self, default) -> tuple[tuple[float, float], ...]:
         """The config sampling box, else ``default``; one interval per coordinate."""
@@ -404,9 +396,9 @@ def _cmd_check_pde(args) -> int:
     run = _Run(args)
     seed = run.built.seed
     spec = run.sample_spec(100, 0.1, run.intervals(run.entry.default_box))
-    pair = seed.meta.get("pair", (0.0, 0.0))
-    c = float(pair[0]) if args.c is None else args.c
-    c0 = float(pair[1]) if args.c0 is None else args.c0
+    c, c0 = seed.meta["pair"]
+    c = float(c) if args.c is None else args.c
+    c0 = float(c0) if args.c0 is None else args.c0
     run.echo.update(c=c, c0=c0, tol=args.tol)
     rep = verify.pde_residual(run.built.system, seed.field, c, c0, spec,
                               singular=run.built.singular)
@@ -489,16 +481,17 @@ def _cmd_bracket(args) -> int:
 def _cmd_rank(args) -> int:
     run = _Run(args)
     ext = run.extension()
-    system = run.built.system
     obs = ext.conserved_quantities()
     fields: dict[str, Callable] = dict(obs)
-    names = system.coord_names or tuple(f"x{i+1}" for i in range(system.dim))
-    for i, name in enumerate(names):
+    for i, name in enumerate(run.entry.coord_names):
         fields[name] = (lambda idx: lambda vec: float(vec[2 + idx]))(i)
     fields["u"] = lambda vec: float(vec[0])
     fields["p_u"] = lambda vec: float(vec[1])
     spec_fields = args.fields or f"H,L,{_integral_name(obs)}"
     wanted = [w.strip() for w in spec_fields.split(",") if w.strip()]
+    if not wanted:
+        raise ConfigError(f"--fields {args.fields!r} names no field; "
+                          f"known: {sorted(fields)}")
     missing = [w for w in wanted if w not in fields]
     if missing:
         raise ConfigError(f"unknown field name(s) {missing}; "
@@ -529,14 +522,8 @@ def _cmd_integrate(args) -> int:
     if not args.base_only and (any_flag or "extension" in run.cfg):
         ext = run.extension()
     y0 = run.initial_state(ext)
-    if ext is not None:
-        rhs = ext.flow()
-        observables = ext.conserved_quantities()
-    else:
-        system = run.built.system
-        rhs = base_flow(system)
-        observables = {"L": system.hamiltonian.value,
-                       **{name: f.value for name, f in system.observables.items()}}
+    rhs = ext.flow() if ext is not None else base_flow(run.built.system)
+    observables = run.observables(ext)
     run.echo.update(integration={"method": method, "dt": dt, "tol": tol,
                                  "t_final": t_final, "stride": stride},
                     initial_state=[float(v) for v in y0], drift_tol=args.drift_tol)

@@ -111,20 +111,17 @@ def profile_at(params: ExtensionParams, u: float) -> tuple[float, float, float]:
 
 @dataclass
 class ExtensionSeed:
-    """A seed function together with the (c, c0) regime it solves.
+    """A seed function together with the constant pair it solves.
 
-    ``supports`` answers whether the defining equation holds for a
-    given constant pair.  ``verified`` records the outcome of an
-    instantiation-time residual gate where one is run (None means the
-    gate was not run).
+    ``meta["pair"]`` is the pair (c, c0) for which the defining equation
+    holds; :func:`build_extension` accepts no other.  ``verified``
+    records the outcome of an instantiation-time residual gate where one
+    is run (None means the gate was not run).
     """
 
     field: ScalarField
-    supports: Callable[[float, float], bool]
-    label: str = ""
-    is_null: bool = False
-    verified: bool | None = None
     meta: dict = field(default_factory=dict)
+    verified: bool | None = None
 
 
 @dataclass
@@ -445,16 +442,17 @@ def build_extension(system: HamiltonianSystem, seed: ExtensionSeed,
                     params: ExtensionParams) -> Extension:
     """Validate compatibility and assemble an :class:`Extension`.
 
-    Rejects identically-zero seeds and constant pairs (c, c0) outside
-    the regime the seed solves.
+    Rejects a seed of another dimension, and constants (c, c0) either
+    of which differs from its entry r of the seed's ``meta["pair"]`` by
+    more than 1e-12 max(1, |r|).
     """
     if seed.field.dim != system.dim:
         raise ExtensionBuildError("seed dimension does not match the system")
-    if seed.is_null:
-        raise ExtensionBuildError("seed is identically zero; the extension is degenerate")
-    if not seed.supports(params.c, params.c0):
+    pair = seed.meta.get("pair")
+    if pair is None or any(abs(v - ref) > 1e-12 * max(1.0, abs(ref))
+                           for v, ref in zip((params.c, params.c0), pair)):
         raise ExtensionBuildError(
-            f"seed {seed.label or ''} does not solve the defining equation "
+            f"seed {seed.field.label} does not solve the defining equation "
             f"for (c, c0) = ({params.c}, {params.c0})"
         )
     return Extension(system=system, seed=seed, params=params)

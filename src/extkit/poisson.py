@@ -1,9 +1,9 @@
 """Poisson structures, brackets and Hamiltonian derivative operators.
 
-A structure is a coordinate-dependent antisymmetric bivector pi.  The
-canonical kind on 2d coordinates ordered (q1..qd, p1..pd) is the block
-matrix ((0, I), (-I, 0)), so {q_i, p_i} = +1.  Custom kinds supply
-either a constant matrix or an entry rule over the coordinate ring.
+A structure is a coordinate-dependent antisymmetric bivector pi, backed
+by either a constant matrix or an entry rule over the coordinate ring.
+The canonical structure on 2d coordinates ordered (q1..qd, p1..pd) is
+the constant block matrix ((0, I), (-I, 0)), so {q_i, p_i} = +1.
 
 The Hamiltonian vector field of L is v = pi grad L, the bracket is
 {F, G} = grad F . pi grad G, and X_L F = {F, L}.  The second-order
@@ -15,7 +15,7 @@ operator is assembled exactly from second jets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,50 +38,30 @@ __all__ = [
 _ANTISYM_TOL = 1e-14
 
 
-def _canonical_block(dim: int) -> np.ndarray:
-    half = dim // 2
-    m = np.zeros((dim, dim))
-    m[:half, half:] = np.eye(half)
-    m[half:, :half] = -np.eye(half)
-    return m
-
-
 @dataclass
 class PoissonStructure:
     """Antisymmetric bivector on ``dim`` coordinates.
 
-    Exactly one of the canonical kind, a constant matrix, or an entry
-    rule ``entries(coords) -> nested sequence`` backs the structure.
-    Entry rules must accept jets so entry derivatives are available.
+    Exactly one of a constant matrix or an entry rule
+    ``entries(coords) -> nested sequence`` backs the structure.  Entry
+    rules must accept jets so entry derivatives are available.
     """
 
     dim: int
-    kind: str = "canonical"
     entries: Callable[[list], Any] | None = None
     const: np.ndarray | None = None
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("canonical", "custom"):
-            raise ValueError(f"unknown Poisson structure kind {self.kind!r}")
-        if self.kind == "canonical":
-            if self.dim % 2 != 0:
-                raise ValueError("canonical structure needs an even dimension")
-            if self.entries is not None or self.const is not None:
-                raise ValueError("canonical structure takes no entries or matrix")
-            self.const = _canonical_block(self.dim)
-        elif self.entries is None and self.const is None:
-            raise ValueError("custom structure needs an entry rule or a constant matrix")
+        if (self.entries is None) == (self.const is None):
+            raise ValueError("a Poisson structure needs exactly one of an entry rule "
+                             "and a constant matrix")
         if self.const is not None:
             self.const = np.asarray(self.const, dtype=float)
             if self.const.shape != (self.dim, self.dim):
                 raise ValueError("constant bivector has the wrong shape")
             self._check_antisym(self.const)
             self.const.setflags(write=False)
-
-    @property
-    def constant(self) -> bool:
-        return self.const is not None
 
     def _check_antisym(self, m: np.ndarray):
         # max |m + m^T| against the tolerance scaled by max(1, max |m|);
@@ -121,7 +101,13 @@ class PoissonStructure:
 
 
 def canonical_structure(dim: int, label: str = "") -> PoissonStructure:
-    return PoissonStructure(dim=dim, kind="canonical", label=label)
+    if dim % 2 != 0:
+        raise ValueError("canonical structure needs an even dimension")
+    half = dim // 2
+    block = np.zeros((dim, dim))
+    block[:half, half:] = np.eye(half)
+    block[half:, :half] = -np.eye(half)
+    return PoissonStructure(dim=dim, const=block, label=label)
 
 
 def custom_structure(
@@ -130,7 +116,7 @@ def custom_structure(
     const: np.ndarray | None = None,
     label: str = "",
 ) -> PoissonStructure:
-    return PoissonStructure(dim=dim, kind="custom", entries=entries, const=const, label=label)
+    return PoissonStructure(dim=dim, entries=entries, const=const, label=label)
 
 
 @dataclass
@@ -140,14 +126,10 @@ class HamiltonianSystem:
     structure: PoissonStructure
     hamiltonian: ScalarField
     observables: dict[str, ScalarField] = field(default_factory=dict)
-    coord_names: tuple[str, ...] | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.hamiltonian.dim != self.structure.dim:
             raise ValueError("Hamiltonian dimension does not match the structure")
-        if self.coord_names is not None and len(self.coord_names) != self.structure.dim:
-            raise ValueError("coordinate name count does not match the dimension")
 
     @property
     def dim(self) -> int:
@@ -205,7 +187,7 @@ def extend_structure(structure: PoissonStructure) -> PoissonStructure:
         big[1, 0] = -1.0
         big[2:, 2:] = structure.const
         return PoissonStructure(
-            dim=n + 2, kind="custom", const=big,
+            dim=n + 2, const=big,
             label=f"extended({structure.label})" if structure.label else "extended",
         )
 
@@ -222,7 +204,7 @@ def extend_structure(structure: PoissonStructure) -> PoissonStructure:
         return rows
 
     return PoissonStructure(
-        dim=n + 2, kind="custom", entries=entries,
+        dim=n + 2, entries=entries,
         label=f"extended({structure.label})" if structure.label else "extended",
     )
 

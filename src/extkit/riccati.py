@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .jets import EvaluationError
 
-__all__ = ["PoleError", "TrigTriple", "tagged_trig", "RiccatiParams", "riccati_eval"]
+__all__ = ["PoleError", "tagged_trig", "RiccatiParams", "riccati_eval"]
 
 # Distance below which a trig denominator counts as an exact pole.
 _POLE_TOL = 1e-12
@@ -29,12 +28,6 @@ _POLE_TOL = 1e-12
 
 class PoleError(EvaluationError):
     """Evaluation landed on a pole of T_kappa or of the Riccati solution."""
-
-
-class TrigTriple(NamedTuple):
-    s: float
-    c: float
-    t: float
 
 
 def _sc(kappa: float, x: float) -> tuple[float, float]:
@@ -47,7 +40,7 @@ def _sc(kappa: float, x: float) -> tuple[float, float]:
     return x, 1.0
 
 
-def tagged_trig(kappa: float, x: float) -> TrigTriple:
+def tagged_trig(kappa: float, x: float) -> tuple[float, float, float]:
     """S_kappa, C_kappa and T_kappa at ``x``.
 
     Raises :class:`PoleError` when ``x`` sits on a pole of T_kappa.
@@ -55,7 +48,7 @@ def tagged_trig(kappa: float, x: float) -> TrigTriple:
     s, c = _sc(kappa, x)
     if abs(c) <= _POLE_TOL:
         raise PoleError(f"T_{kappa:g} has a pole at x = {x!r}")
-    return TrigTriple(s, c, s / c)
+    return s, c, s / c
 
 
 @dataclass(frozen=True)

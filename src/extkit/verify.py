@@ -32,7 +32,6 @@ __all__ = [
     "ConservationReport",
     "conservation_report",
     "fd_gradient",
-    "fd_bracket",
     "fd_bracket_normalized",
     "independence_rank",
     "recursion_closed_sweep",
@@ -379,14 +378,6 @@ def fd_gradient(fn: Callable, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         xm[i] -= h
         out[i] = (fn(xp) - fn(xm)) / (2.0 * h)
     return out
-
-
-def fd_bracket(structure: PoissonStructure, f: Callable, g: Callable,
-               x: np.ndarray, h: float = 1e-5):
-    """{F, G} at ``x`` with both gradients by central differences."""
-    gf = fd_gradient(f, x, h)
-    gg = fd_gradient(g, x, h)
-    return gf @ structure.matrix(x) @ gg
 
 
 def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,

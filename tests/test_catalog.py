@@ -45,6 +45,28 @@ def test_seeded_entries_satisfy_identity(key):
     assert rep.max_residual <= 1e-7, (key, rep.max_residual)
 
 
+@pytest.mark.parametrize("key", ek.entry_ids())
+def test_entry_declarations_agree_with_the_built_system(key):
+    entry, built = ek.get_entry(key), ek.instantiate(key)
+    assert entry.has_seed == bool(built.seeds)
+    assert entry.dim == built.system.dim == len(entry.default_box)
+    assert sorted(entry.csv_order) == list(range(entry.dim))
+
+    def build(seed, c, c0):
+        params = ek.ExtensionParams(c=c, c0=c0, C=1.0, m=1, n=1)
+        return ek.build_extension(built.system, seed, params)
+
+    for seed in built.seeds:
+        pair = seed.meta["pair"]
+        build(seed, *pair)
+        for i, v in enumerate(pair):
+            if v != 0:
+                off = list(pair)
+                off[i] = v * (1 + 1e-9)
+                with pytest.raises(ek.ExtensionBuildError):
+                    build(seed, *off)
+
+
 def test_quartic2b_build_gate_reported():
     b = ek.instantiate("quartic2b")
     assert b.seed.verified is True

@@ -225,6 +225,14 @@ def test_rank_unknown_field_rejected(capsys):
     assert "Q9" in err
 
 
+def test_rank_fields_naming_no_field_rejected(capsys):
+    code, _, err = run(["rank", "--system", "quartic1", "--c", "1",
+                        "--c0", "1", "--C", "1", "--m", "1", "--n", "1",
+                        "--fields", ",,,"], capsys)
+    assert code == 2
+    assert "names no field" in err
+
+
 def test_gn_compare_documented_invocation(capsys):
     code, out, _ = run(["gn-compare", "--n-max", "8", "--samples", "200",
                         "--seed", "7"], capsys)
@@ -292,6 +300,16 @@ def test_initial_state_on_a_pole_is_config_error(command, extra, capsys):
                         "--C", "1", "--m", "1", "--n", "1",
                         "--state", "0.0,0.4,0.9,-0.7", *extra], capsys)
     assert_one_line_error(code, err, "pole")
+
+
+@pytest.mark.parametrize("command, extra", [("extend", ["--samples", "2"]),
+                                            ("integrate", ["--t-final", "0.01"])])
+def test_initial_state_on_the_seed_branch_cut_is_config_error(command, extra, capsys):
+    # H and L evaluate here; only K meets the branch cut of vortex_equal's seed
+    code, _, err = run([command, "--system", "vortex_equal", "--c", "0", "--c0", "0.5",
+                        "--C", "1", "--m", "1", "--n", "1",
+                        "--state", "0.7,0.3,0,0.2,-0.5,0.1", *extra], capsys)
+    assert_one_line_error(code, err, "vortex_equal.G", "singular set")
 
 
 Q1_EXTENSION = {"c": 1, "c0": 1, "C": 1, "m": 1, "n": 1}

@@ -155,7 +155,7 @@ def test_power_coeffs_order_cap():
 def test_first_integral_lowest_index():
     # m = n = 1: K = p_u G + gamma (X_L G)
     sys, gfield = linear_seed_system()
-    seed = ek.ExtensionSeed(field=gfield, supports=lambda c, c0: True)
+    seed = ek.ExtensionSeed(field=gfield, meta={"pair": (0.0, 0.5)})
     p = ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1)
     state = ek.ExtendedState(0.8, 0.45, np.array([1.1, -0.6]))
     gam, _, _ = ek.profile_at(p, 0.8)
@@ -168,7 +168,7 @@ def test_centrifugal_integral_even_reduction():
     # omega != 0, m=2, n=1 reduces to s=1, r=1:
     # K = U^2(G_1) + (2 omega / gamma^2) G_1
     sys, gfield = linear_seed_system()
-    seed = ek.ExtensionSeed(field=gfield, supports=lambda c, c0: True)
+    seed = ek.ExtensionSeed(field=gfield, meta={"pair": (0.0, 0.5)})
     p = ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=2, n=1, omega=0.3)
     state = ek.ExtendedState(0.8, 0.45, np.array([1.1, -0.6]))
     gam, _, _ = ek.profile_at(p, 0.8)
@@ -184,7 +184,7 @@ def test_centrifugal_integral_even_reduction():
 def test_centrifugal_odd_index_doubles():
     # omega != 0 with odd m falls back to s=m, r=2n
     sys, gfield = linear_seed_system()
-    seed = ek.ExtensionSeed(field=gfield, supports=lambda c, c0: True)
+    seed = ek.ExtensionSeed(field=gfield, meta={"pair": (0.0, 0.5)})
     p = ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1, omega=0.3)
     state = ek.ExtendedState(0.8, 0.45, np.array([1.1, -0.6]))
     gam, _, _ = ek.profile_at(p, 0.8)
@@ -203,7 +203,7 @@ def test_centrifugal_odd_index_doubles():
 def test_integral_is_flow_invariant_here():
     # direct spot check away from the catalog: L = p^2/2, G = q
     sys, gfield = linear_seed_system()
-    seed = ek.ExtensionSeed(field=gfield, supports=lambda c, c0: True)
+    seed = ek.ExtensionSeed(field=gfield, meta={"pair": (0.0, 0.5)})
     p = ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1)
     ext = ek.build_extension(sys, seed, p)
     traj = ek.integrate(ext.flow(), np.array([0.7, 0.2, 1.0, 0.4]), 5.0, dt=1e-3)
@@ -224,15 +224,7 @@ def test_pole_in_centrifugal_hamiltonian():
 def test_build_extension_rejects_dim_mismatch():
     sys, _ = linear_seed_system()
     g3 = ek.ScalarField(lambda x: x[0], dim=3)
-    seed = ek.ExtensionSeed(field=g3, supports=lambda c, c0: True)
-    p = ek.ExtensionParams(c=1.0, c0=0.5, C=1.0, m=1, n=1)
-    with pytest.raises(ek.ExtensionBuildError):
-        ek.build_extension(sys, seed, p)
-
-
-def test_build_extension_rejects_null_seed():
-    sys, gfield = linear_seed_system()
-    seed = ek.ExtensionSeed(field=gfield, supports=lambda c, c0: True, is_null=True)
+    seed = ek.ExtensionSeed(field=g3, meta={"pair": (1.0, 0.5)})
     p = ek.ExtensionParams(c=1.0, c0=0.5, C=1.0, m=1, n=1)
     with pytest.raises(ek.ExtensionBuildError):
         ek.build_extension(sys, seed, p)
@@ -240,7 +232,7 @@ def test_build_extension_rejects_null_seed():
 
 def test_build_extension_rejects_unsupported_pair():
     sys, gfield = linear_seed_system()
-    seed = ek.ExtensionSeed(field=gfield, supports=lambda c, c0: c == 2.0)
+    seed = ek.ExtensionSeed(field=gfield, meta={"pair": (2.0, 0.5)})
     p = ek.ExtensionParams(c=1.0, c0=0.5, C=1.0, m=1, n=1)
     with pytest.raises(ek.ExtensionBuildError):
         ek.build_extension(sys, seed, p)

@@ -9,8 +9,7 @@ from extkit.poisson import apply_xl, apply_xl2, base_flow, bracket, jacobi_resid
 
 def harmonic():
     f = ek.ScalarField(lambda x: 0.5 * (x[0] ** 2 + x[1] ** 2), dim=2)
-    return ek.HamiltonianSystem(ek.canonical_structure(2), f,
-                                coord_names=("q", "p"))
+    return ek.HamiltonianSystem(ek.canonical_structure(2), f)
 
 
 def test_canonical_block_signs():
@@ -40,6 +39,16 @@ def test_antisymmetry_enforced_for_const():
     bad = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         ek.custom_structure(2, const=bad)
+
+
+ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize("backing", [{}, {"entries": lambda co: ROTATION,
+                                          "const": np.array(ROTATION)}])
+def test_structure_needs_exactly_one_backing(backing):
+    with pytest.raises(ValueError, match="exactly one"):
+        ek.custom_structure(2, **backing)
 
 
 def test_ham_vector_field_harmonic():

@@ -138,7 +138,7 @@ def test_fd_bracket_canonical_pair():
     st_ = ek.canonical_structure(2)
     f = lambda y: float(y[0])
     g = lambda y: float(y[1])
-    val = ek.fd_bracket(st_, f, g, np.array([0.4, -1.1]))
+    val = ek.fd_bracket_normalized(st_, f, g, np.array([0.4, -1.1]))
     assert abs(val - 1.0) < 1e-9
 
 
