@@ -23,9 +23,7 @@ from .extension import (
     ExtensionParams,
     ExtensionSeed,
     build_extension,
-    char_first_integral,
     extended_flow,
-    extended_hamiltonian,
     power_coeffs,
     profile_at,
     recursion_term,
@@ -46,7 +44,6 @@ from .poisson import (
     base_flow,
     bracket,
     canonical_structure,
-    custom_structure,
     extend_structure,
     jacobi_residual,
 )
@@ -88,13 +85,10 @@ __all__ = [
     "bracket",
     "build_extension",
     "canonical_structure",
-    "char_first_integral",
     "conservation_report",
-    "custom_structure",
     "entry_ids",
     "extend_structure",
     "extended_flow",
-    "extended_hamiltonian",
     "fd_bracket_normalized",
     "first_order_residual",
     "get_entry",

@@ -23,7 +23,8 @@ import numpy as np
 
 from .extension import ExtensionSeed
 from .jets import Jet, ScalarField, SingularPointError, cos, exp, log, sin, sqrt
-from .poisson import HamiltonianSystem, apply_xl2, canonical_structure, custom_structure
+from .poisson import HamiltonianSystem, PoissonStructure, canonical_structure
+from .verify import SampleSpec, pde_residual
 
 __all__ = [
     "CatalogError",
@@ -51,12 +52,14 @@ def _positive(v):
 
 
 def _finite_num(v):
-    if isinstance(v, (int, float)) and math.isfinite(v):
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
         return None
     return "must be a finite real number"
 
 
 def _finite_complex(v):
+    if isinstance(v, bool):
+        return "must be a real or complex number"
     try:
         z = complex(v)
     except TypeError:
@@ -261,23 +264,6 @@ def _quartic2b_fields(p: dict):
     return lfun, gfun
 
 
-def _gate_quartic2b(system: HamiltonianSystem, gfield: ScalarField,
-                    c: float, c0: float, c1: float, c2: float) -> bool:
-    # Deterministic residual probe on points kept away from the pole of L.
-    rng = np.random.default_rng(20250)
-    worst = 0.0
-    for _ in range(24):
-        t = rng.uniform(0.4, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        q = (t - c2) / c1
-        pp = rng.uniform(0.3, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        x = np.array([q, pp])
-        lhs = apply_xl2(system, gfield, x)
-        rhs = -2.0 * (c * system.hamiltonian.value(x) + c0) * gfield.value(x)
-        rel = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-12)
-        worst = max(worst, float(rel))
-    return bool(worst <= 1e-7)
-
-
 def _build_quartic2b(p: dict) -> BuiltSystem:
     c1, c2 = p["C1"], p["C2"]
     c, c0 = p["c"], p["c0"]
@@ -288,11 +274,13 @@ def _build_quartic2b(p: dict) -> BuiltSystem:
         hamiltonian=ScalarField(lfun, 2, singular=pred, label="quartic2b.L"),
     )
     gfield = ScalarField(gfun, 2, label="quartic2b.G")
-    seed = ExtensionSeed(
-        field=gfield,
-        verified=_gate_quartic2b(system, gfield, c, c0, c1, c2),
-        meta={"pair": (c, c0)},
-    )
+    # Build gate: the defining identity at fixed points with
+    # 0.4 <= |C1 q + C2| <= 2, clear of the pole of L.
+    q_box = tuple(sorted(((-2.0 - c2) / c1, (2.0 - c2) / c1)))
+    probe = SampleSpec(intervals=(q_box, (-2.0, 2.0)), count=24, seed=20250, margin=0.4)
+    gate = pde_residual(system, gfield, c, c0, probe, singular=pred)
+    seed = ExtensionSeed(field=gfield, verified=gate.max_residual <= 1e-7,
+                         meta={"pair": (c, c0)})
     return BuiltSystem("quartic2b", system, [seed], p, singular=pred)
 
 
@@ -417,10 +405,6 @@ def _build_vortex_opposite(p: dict) -> BuiltSystem:
     def pred(x, margin):
         return abs(x[3]) <= margin or math.hypot(2 * k * x[0], x[3]) <= margin
 
-    def phase(x):
-        q2 = 4 * k * k * x[0] ** 2 + x[3] ** 2
-        return pcoef * q2 * x[1] / x[3]
-
     system = HamiltonianSystem(
         structure=canonical_structure(4),
         hamiltonian=ScalarField(lfun, 4, singular=pred, label="vortex_opposite.L"),
@@ -433,9 +417,7 @@ def _build_vortex_opposite(p: dict) -> BuiltSystem:
         field=ScalarField(gfun, 4, codomain="complex", singular=pred, label="vortex_opposite.G"),
         meta={"pair": (0.0, c0)},
     )
-    return BuiltSystem(
-        "vortex_opposite", system, [seed], p, singular=pred, meta={"phase": phase},
-    )
+    return BuiltSystem("vortex_opposite", system, [seed], p, singular=pred)
 
 
 # --------------------------------------------------------------- no-seed pair
@@ -457,7 +439,7 @@ def _build_lotka_volterra(p: dict) -> BuiltSystem:
         return x[0] <= margin or x[1] <= margin
 
     system = HamiltonianSystem(
-        structure=custom_structure(2, entries=entries, label="lotka_volterra.pi"),
+        structure=PoissonStructure(2, entries=entries, label="lotka_volterra.pi"),
         hamiltonian=ScalarField(lfun, 2, singular=pred, label="lotka_volterra.L"),
     )
     return BuiltSystem("lotka_volterra", system, [], p, singular=pred)
@@ -475,7 +457,7 @@ def _build_euler_top(p: dict) -> BuiltSystem:
         return 0.5 * (m1 * m1 / i1 + m2 * m2 / i2 + m3 * m3 / i3)
 
     system = HamiltonianSystem(
-        structure=custom_structure(3, entries=entries, label="euler_top.pi"),
+        structure=PoissonStructure(3, entries=entries, label="euler_top.pi"),
         hamiltonian=ScalarField(lfun, 3, label="euler_top.L"),
         observables={
             "M": ScalarField(lambda co: co[0] ** 2 + co[1] ** 2 + co[2] ** 2, 3, label="M"),

@@ -538,13 +538,8 @@ def _cmd_integrate(args) -> int:
             lead, cols = ["u", "p_u"], [0, 1] + [2 + j for j in entry.csv_order]
         else:
             lead, cols = [], list(entry.csv_order)
-        n = len(traj.states)
-        idx = list(range(0, n, stride))
-        if idx[-1] != n - 1:
-            idx.append(n - 1)
-        rows = [[traj.times[i]] + [traj.states[i][j] for j in cols]
-                + [rep.series[nm][pos] for nm in observables]
-                for pos, i in enumerate(idx)]
+        rows = [[t] + [state[j] for j in cols] + [rep.series[nm][pos] for nm in observables]
+                for pos, (t, state) in enumerate(zip(rep.times, rep.states))]
         _write_csv(csv_path, ["t"] + lead + disp + list(observables), rows)
 
     gates = [_gate(f"drift_{name}", drift, args.drift_tol)

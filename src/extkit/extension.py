@@ -44,9 +44,7 @@ __all__ = [
     "recursion_term_closed",
     "power_coeffs",
     "profile_at",
-    "extended_hamiltonian",
     "extended_flow",
-    "char_first_integral",
     "Extension",
     "build_extension",
 ]
@@ -284,20 +282,6 @@ def power_coeffs(m: int, n: int, r: int, p_u: float, gam: float, lam) -> tuple:
     return p_total, d_total / n
 
 
-def extended_hamiltonian(system: HamiltonianSystem, params: ExtensionParams,
-                         state: ExtendedState) -> float:
-    """H = p_u^2/2 - k^2 y' L + k^2 c0 y^2 + omega / y^2 at ``state``."""
-    gam, dgam, _ = profile_at(params, state.u)
-    lval = system.hamiltonian.value(state.base)
-    k2 = params.k**2
-    h = 0.5 * state.p_u**2 - k2 * dgam * lval + k2 * params.c0 * gam * gam
-    if params.omega != 0.0:
-        if abs(gam) <= _POLE_TOL:
-            raise PoleError("centrifugal term omega / y^2 evaluated where y = 0")
-        h += params.omega / gam**2
-    return h
-
-
 def extended_flow(system: HamiltonianSystem, params: ExtensionParams
                   ) -> Callable[[np.ndarray], np.ndarray]:
     """Right-hand side of Hamilton's equations for the extended system.
@@ -330,21 +314,14 @@ def extended_flow(system: HamiltonianSystem, params: ExtensionParams
     return rhs
 
 
-def char_first_integral(system: HamiltonianSystem, seed: ExtensionSeed,
-                        params: ExtensionParams, state: ExtendedState):
-    """The characteristic first integral of the extension at ``state``.
+def _integral_from_pair(params: ExtensionParams, pair: DerivPair, lval, u: float, p_u: float):
+    """The characteristic first integral K, from the seed pair (G, X_L G)
+    and the value of L at the base point, and from (u, p_u).
 
     For omega = 0 this is U_{m,n}^m (G_n).  For omega != 0 the even-index
     combination sum_j binom(s,j) (2 omega/y^2)^j U_{2s,r}^{2(s-j)} (G_r)
     is used, with (s, r) = (m/2, n) for even m and (m, 2n) for odd m.
     """
-    pair, lval = seed_pair(system, seed.field, state.base)
-    return _integral_from_pair(params, pair, lval, state.u, state.p_u)
-
-
-def _integral_from_pair(params: ExtensionParams, pair: DerivPair, lval, u: float, p_u: float):
-    """K from the seed pair (G, X_L G) and the value of L at the base
-    point, and from (u, p_u); see :func:`char_first_integral`."""
     lam = params.c * lval + params.c0
     gam, _, _ = profile_at(params, u)
     if params.omega == 0.0:
@@ -394,9 +371,20 @@ class Extension:
     _seed_pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hamiltonian(self, state: ExtendedState) -> float:
-        return extended_hamiltonian(self.system, self.params, state)
+        """H = p_u^2/2 - k^2 y' L + k^2 c0 y^2 + omega / y^2 at ``state``."""
+        params = self.params
+        gam, dgam, _ = profile_at(params, state.u)
+        lval = self.system.hamiltonian.value(state.base)
+        k2 = params.k**2
+        h = 0.5 * state.p_u**2 - k2 * dgam * lval + k2 * params.c0 * gam * gam
+        if params.omega != 0.0:
+            if abs(gam) <= _POLE_TOL:
+                raise PoleError("centrifugal term omega / y^2 evaluated where y = 0")
+            h += params.omega / gam**2
+        return h
 
     def integral(self, state: ExtendedState):
+        """K at ``state``; see :func:`_integral_from_pair`."""
         memo = self._seed_pairs
         key = state.base.tobytes()
         hit = memo.get(key)
@@ -413,12 +401,6 @@ class Extension:
     def structure(self) -> PoissonStructure:
         return extend_structure(self.system.structure)
 
-    def hamiltonian_of_vector(self, vec) -> float:
-        return self.hamiltonian(ExtendedState.from_vector(vec))
-
-    def integral_of_vector(self, vec):
-        return self.integral(ExtendedState.from_vector(vec))
-
     def conserved_quantities(self) -> dict[str, Callable[[np.ndarray], float]]:
         """Observables over flat extended vectors, for drift reports.
 
@@ -426,15 +408,16 @@ class Extension:
         parts so every observable is real.
         """
         ham = self.system.hamiltonian
+        to_state = ExtendedState.from_vector
         out: dict[str, Callable[[np.ndarray], float]] = {
-            "H": self.hamiltonian_of_vector,
+            "H": lambda vec: self.hamiltonian(to_state(vec)),
             "L": lambda vec: ham.value(vec[2:]),
         }
         if self.seed.field.codomain == "complex":
-            out["K_re"] = lambda vec: complex(self.integral_of_vector(vec)).real
-            out["K_im"] = lambda vec: complex(self.integral_of_vector(vec)).imag
+            out["K_re"] = lambda vec: complex(self.integral(to_state(vec))).real
+            out["K_im"] = lambda vec: complex(self.integral(to_state(vec))).imag
         else:
-            out["K"] = lambda vec: float(self.integral_of_vector(vec))
+            out["K"] = lambda vec: float(self.integral(to_state(vec)))
         return out
 
 

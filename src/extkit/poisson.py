@@ -24,7 +24,6 @@ from .jets import Jet, ScalarField, _seeds
 __all__ = [
     "PoissonStructure",
     "canonical_structure",
-    "custom_structure",
     "HamiltonianSystem",
     "ham_vector_field",
     "base_flow",
@@ -108,15 +107,6 @@ def canonical_structure(dim: int, label: str = "") -> PoissonStructure:
     block[:half, half:] = np.eye(half)
     block[half:, :half] = -np.eye(half)
     return PoissonStructure(dim=dim, const=block, label=label)
-
-
-def custom_structure(
-    dim: int,
-    entries: Callable[[list], Any] | None = None,
-    const: np.ndarray | None = None,
-    label: str = "",
-) -> PoissonStructure:
-    return PoissonStructure(dim=dim, entries=entries, const=const, label=label)
 
 
 @dataclass

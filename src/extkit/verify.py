@@ -8,7 +8,6 @@ deterministic given a sample seed.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -16,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .extension import DerivPair, recursion_term, recursion_term_closed
-from .jets import EvaluationError, ScalarField
+from .jets import EvaluationError, ScalarField, sqrt
 from .poisson import HamiltonianSystem, PoissonStructure, apply_xl2, base_flow
 
 __all__ = [
@@ -38,6 +37,31 @@ __all__ = [
 ]
 
 _TINY = 1e-12
+
+
+def _rel(a, b) -> float:
+    """|a - b| / (|a| + |b| + 1e-12), the relative residual of every gate."""
+    return abs(a - b) / (abs(a) + abs(b) + _TINY)
+
+
+def _sweep(points: np.ndarray, fn: Callable) -> tuple[list, np.ndarray, int]:
+    """``fn`` at each point; a point where it raises EvaluationError is skipped.
+
+    Returns the values, the points they came from and the skipped count.
+    """
+    vals, kept = [], []
+    for x in points:
+        try:
+            vals.append(fn(x))
+        except EvaluationError:
+            continue
+        kept.append(x)
+    return vals, np.array(kept), len(points) - len(kept)
+
+
+def _check_positive(value: float, name: str):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class RejectionError(Exception):
@@ -117,24 +141,18 @@ def pde_residual(system: HamiltonianSystem, seed_field: ScalarField,
                  singular: Callable[[np.ndarray, float], bool] | None = None) -> ResidualReport:
     """Relative residual of X_L^2 G = -2 (c L + c0) G at sampled points.
 
-    Residuals are |lhs - rhs| / (|lhs| + |rhs| + 1e-12).  Points where
+    Residuals are :func:`_rel` of the two sides.  Points where
     evaluation fails are skipped and counted.
     """
     pred = singular if singular is not None else seed_field.singular
-    points = sample_points(spec, pred)
-    vals = []
-    kept = []
-    skipped = 0
-    for x in points:
-        try:
-            lhs = apply_xl2(system, seed_field, x)
-            rhs = -2.0 * (c * system.hamiltonian.value(x) + c0) * seed_field.value(x)
-        except EvaluationError:
-            skipped += 1
-            continue
-        vals.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + _TINY))
-        kept.append(x)
-    return ResidualReport(np.array(vals), np.array(kept), skipped)
+    ham = system.hamiltonian
+
+    def residual(x):
+        lhs = apply_xl2(system, seed_field, x)
+        return _rel(lhs, -2.0 * (c * ham.value(x) + c0) * seed_field.value(x))
+
+    vals, kept, skipped = _sweep(sample_points(spec, pred), residual)
+    return ResidualReport(np.array(vals), kept, skipped)
 
 
 @dataclass
@@ -169,30 +187,22 @@ def first_order_residual(system: HamiltonianSystem, field_g: ScalarField,
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    points = sample_points(spec, singular)
+    _check_positive(step, "step")
     rhs_fn = base_flow(system)
-    abs_vals, rel_vals, kept = [], [], []
-    skipped = 0
-    for x in points:
-        try:
-            g0 = field_g.value(x)
-            xp = _rk4_step(rhs_fn, x, step)
-            xm = _rk4_step(rhs_fn, x, -step)
-            deriv = (field_g.value(xp) - field_g.value(xm)) / (2.0 * step)
-            rad = -2.0 * (c * system.hamiltonian.value(x) + c0)
-            if rad < 0 and field_g.codomain == "real":
-                skipped += 1
-                continue
-            root = cmath.sqrt(rad) if rad < 0 else math.sqrt(rad)
-            target = sign * root * g0
-        except EvaluationError:
-            skipped += 1
-            continue
-        a = abs(deriv - target)
-        abs_vals.append(a)
-        rel_vals.append(a / (abs(deriv) + abs(target) + _TINY))
-        kept.append(x)
-    return FirstOrderReport(np.array(abs_vals), np.array(rel_vals), np.array(kept), skipped)
+
+    def sides(x):
+        g0 = field_g.value(x)
+        xp = _rk4_step(rhs_fn, x, step)
+        xm = _rk4_step(rhs_fn, x, -step)
+        deriv = (field_g.value(xp) - field_g.value(xm)) / (2.0 * step)
+        rad = -2.0 * (c * system.hamiltonian.value(x) + c0)
+        if rad < 0 and field_g.codomain == "real":
+            raise EvaluationError("negative radicand for a real field")
+        return deriv, sign * sqrt(rad) * g0
+
+    pairs, kept, skipped = _sweep(sample_points(spec, singular), sides)
+    return FirstOrderReport(np.array([abs(d - t) for d, t in pairs]),
+                            np.array([_rel(d, t) for d, t in pairs]), kept, skipped)
 
 
 @dataclass
@@ -239,18 +249,18 @@ def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0, t_final: float,
     records the reason.
     """
     y0 = np.asarray(y0, dtype=float)
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    _check_positive(t_final, "t_final")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     if method == "rk4":
         return _integrate_rk4(rhs, y0, t_final, dt)
     if method == "rkf45":
+        _check_positive(tol, "tol")
         return _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max)
     raise ValueError(f"unknown integration method {method!r}")
 
 
 def _integrate_rk4(rhs, y0, t_final, dt) -> Trajectory:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
     times = [0.0]
     states = [y0]
@@ -333,6 +343,7 @@ def _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max) -> Trajectory:
 @dataclass
 class ConservationReport:
     times: np.ndarray
+    states: np.ndarray
     series: dict[str, np.ndarray]
     drifts: dict[str, float]
 
@@ -342,7 +353,8 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
     """Observable series along a trajectory and their relative drifts.
 
     Drift of O is max_t |O(t) - O(0)| / max(|O(0)|, 1e-12).  ``stride``
-    subsamples the stored states; the final state is always included.
+    subsamples the stored states, which the report keeps with their
+    times; the final state is always included.
     The states are walked once, every observable evaluated at each, so
     observables that share per-state work (the real and imaginary parts
     of a complex K) meet it while it is still memoised.
@@ -353,9 +365,9 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
         idx.append(n - 1)
-    times = traj.times[idx]
+    states = traj.states[idx]
     fns = list(observables.values())
-    rows = [[fn(traj.states[i]) for fn in fns] for i in idx]
+    rows = [[fn(state) for fn in fns] for state in states]
     series = {}
     drifts = {}
     for j, name in enumerate(observables):
@@ -363,11 +375,12 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
         series[name] = vals
         ref = vals[0]
         drifts[name] = float(np.max(np.abs(vals - ref)) / max(abs(ref), _TINY))
-    return ConservationReport(times, series, drifts)
+    return ConservationReport(traj.times[idx], states, series, drifts)
 
 
 def fd_gradient(fn: Callable, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a callable over flat vectors."""
+    _check_positive(h, "finite-difference step")
     x = np.asarray(x, dtype=float)
     probe = fn(x)
     out = np.empty(len(x), dtype=complex if isinstance(probe, complex) else float)
@@ -448,7 +461,6 @@ def recursion_closed_sweep(n_max: int, count_real: int, count_complex: int,
             pair = DerivPair(g, xg)
             a = recursion_term(n, pair, lam)
             b = recursion_term_closed(n, pair, lam)
-            for u, v in ((a.value, b.value), (a.xl, b.xl)):
-                worst = max(worst, abs(u - v) / (abs(u) + abs(v) + _TINY))
+            worst = max(worst, _rel(a.value, b.value), _rel(a.xl, b.xl))
         per_n[n] = worst
     return {"max_rel": max(per_n.values()), "per_n": per_n}

@@ -341,3 +341,29 @@ def test_quartic1_identity_with_poly_profile():
                          count=30, seed=75, margin=0.1)
     rep = ek.pde_residual(b.system, sd.field, c, c0, spec, singular=b.singular)
     assert rep.max_residual <= 1e-7
+
+
+@pytest.mark.parametrize("key, name", [("quartic1", "C1"), ("quartic1", "c0"),
+                                       ("vortex_equal", "alpha"), ("vortex_equal", "F1"),
+                                       ("vortex_opposite", "F2")])
+def test_boolean_number_parameters_rejected(key, name):
+    # bool is an int subclass, but never a meaningful constant
+    with pytest.raises(ek.CatalogError, match=name):
+        ek.instantiate(key, {name: True})
+
+
+QUARTIC2B_PARAMS = [{}, {"C1": 2.0, "C2": 0.5}, {"C1": -1.5, "C2": 1.0, "C3": 0.3},
+                    {"c": 2.0, "c0": -0.5}]
+
+
+@pytest.mark.parametrize("params", QUARTIC2B_PARAMS)
+def test_quartic2b_build_gate_fails_when_l_has_c0_ten_percent_off(params, monkeypatch):
+    assert ek.instantiate("quartic2b", params).seed.verified is True
+    fields = cat._quartic2b_fields
+
+    def off(p):
+        lfun, _ = fields({**p, "c0": 1.1 * p["c0"]})
+        return lfun, fields(p)[1]
+
+    monkeypatch.setattr(cat, "_quartic2b_fields", off)
+    assert ek.instantiate("quartic2b", params).seed.verified is False

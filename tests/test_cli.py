@@ -341,3 +341,33 @@ def test_integrate_takes_no_sampling_flags(flag):
     # integrate samples nothing, so it reads neither flag
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["integrate", flag, "1"])
+
+
+Q1_EXTEND_FLAGS = ["--system", "quartic1", "--c", "1", "--c0", "1", "--C", "1",
+                   "--m", "1", "--n", "1"]
+
+
+# Number inputs that have no meaning: a step or tolerance that is not finite and
+# positive, a final time that is not finite, a boolean catalog constant.  Each is
+# a config error whose one line names the offending parameter, with no report.
+@pytest.mark.parametrize("argv, needle", [
+    (["check-kn", "--step", "0", "--samples", "3"], "step"),
+    (["bracket", *Q1_EXTEND_FLAGS, "--h", "0", "--samples", "2"], "step"),
+    (["rank", *Q1_EXTEND_FLAGS, "--h", "0", "--samples", "2"], "step"),
+    (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "inf"], "t_final"),
+    (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "nan"], "t_final"),
+    (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "0.01",
+      "--method", "rkf45", "--tol", "-1"], "tol"),
+    (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "0.01",
+      "--method", "rkf45", "--tol", "nan"], "tol"),
+    (["check-pde", "--system", "quartic1", "--param", "C1=true", "--samples", "5"], "C1"),
+    (["check-pde", "--system", "vortex_equal", "--param", "F1=true", "--samples", "5"],
+     "F1"),
+], ids=["check-kn-step-0", "bracket-h-0", "rank-h-0", "integrate-t-final-inf",
+        "integrate-t-final-nan", "integrate-rkf45-tol-negative", "integrate-rkf45-tol-nan",
+        "check-pde-bool-C1", "check-pde-bool-F1"])
+def test_bad_numeric_input_is_one_line_config_error(argv, needle, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    code, out, err = run([*argv, "--report", str(report)], capsys)
+    assert_one_line_error(code, err, needle)
+    assert out == "" and not report.exists()

@@ -34,7 +34,7 @@ def test_worked_hamiltonian_value():
     p = ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=2, n=1)
     sys = const_level_system(3.0)
     state = ek.ExtendedState(2.0, 1.0, np.array([0.3, 0.4]))
-    assert ek.extended_hamiltonian(sys, p, state) == 20.5
+    assert ek.Extension(sys, None, p).hamiltonian(state) == 20.5
 
 
 def test_worked_flow_rhs():
@@ -159,7 +159,7 @@ def test_first_integral_lowest_index():
     p = ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1)
     state = ek.ExtendedState(0.8, 0.45, np.array([1.1, -0.6]))
     gam, _, _ = ek.profile_at(p, 0.8)
-    k = ek.char_first_integral(sys, seed, p, state)
+    k = ek.Extension(sys, seed, p).integral(state)
     expect = 0.45 * 1.1 + gam * (-0.6)
     assert abs(k - expect) < 1e-14
 
@@ -177,7 +177,7 @@ def test_centrifugal_integral_even_reduction():
     P, D = ek.power_coeffs(2, 1, 2, state.p_u, gam, lam)
     plain = P * pair.value + D * pair.xl
     expect = plain + (2 * 0.3 / gam ** 2) * pair.value
-    got = ek.char_first_integral(sys, seed, p, state)
+    got = ek.Extension(sys, seed, p).integral(state)
     assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
@@ -196,7 +196,7 @@ def test_centrifugal_odd_index_doubles():
     for j, coef in ((0, 1.0), (1, 1.0)):
         P, D = ek.power_coeffs(2, 2, 2 * (1 - j), state.p_u, gam, lam)
         expect += coef * w ** j * (P * g2.value + D * g2.xl)
-    got = ek.char_first_integral(sys, seed, p, state)
+    got = ek.Extension(sys, seed, p).integral(state)
     assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
@@ -218,7 +218,7 @@ def test_pole_in_centrifugal_hamiltonian():
     # gamma vanishes at u = pi/2 for c = C = 1
     state = ek.ExtendedState(np.pi / 2, 1.0, np.array([0.0, 0.0]))
     with pytest.raises(ek.PoleError):
-        ek.extended_hamiltonian(sys, p, state)
+        ek.Extension(sys, None, p).hamiltonian(state)
 
 
 def test_build_extension_rejects_dim_mismatch():
@@ -272,7 +272,8 @@ BRACKET_CASES = [
 @pytest.mark.parametrize("key, consts, mn", BRACKET_CASES)
 def test_kept_seed_pairs_change_no_bit_of_k(key, consts, mn, monkeypatch):
     # every K the bracket stencil asks for, K_re and K_im included, equals
-    # the unmemoised char_first_integral at the same state bit for bit
+    # the original Extension.integral on a fresh instance, so with nothing
+    # kept, at the same state bit for bit
     built = ek.instantiate(key)
     params = ek.ExtensionParams(m=mn[0], n=mn[1], **consts)
     ext = ek.build_extension(built.system, built.seed, params)
@@ -298,7 +299,7 @@ def test_kept_seed_pairs_change_no_bit_of_k(key, consts, mn, monkeypatch):
     assert len(seen) == 4 * len(ks) * (1 + 2 * len(vec))
     assert len({state.base.tobytes() for state, _ in seen}) < len(seen)
     for state, got in seen:
-        want = ek.char_first_integral(built.system, built.seed, params, state)
+        want = integral(ek.Extension(built.system, built.seed, params), state)
         assert type(got) is type(want) and got == want, (key, state.vector().tolist())
 
 

@@ -38,7 +38,7 @@ def test_odd_canonical_dim_rejected():
 def test_antisymmetry_enforced_for_const():
     bad = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        ek.custom_structure(2, const=bad)
+        ek.PoissonStructure(2, const=bad)
 
 
 ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
@@ -48,7 +48,7 @@ ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
                                           "const": np.array(ROTATION)}])
 def test_structure_needs_exactly_one_backing(backing):
     with pytest.raises(ValueError, match="exactly one"):
-        ek.custom_structure(2, **backing)
+        ek.PoissonStructure(2, **backing)
 
 
 def test_ham_vector_field_harmonic():
@@ -93,7 +93,7 @@ def plane_entries(co):
 
 
 def test_nonconstant_structure_gradients():
-    st = ek.custom_structure(2, entries=plane_entries)
+    st = ek.PoissonStructure(2, entries=plane_entries)
     x = np.array([1.5, -2.0])
     m, dm = st.matrix_with_grads(x)
     assert m[0, 1] == -3.0
@@ -109,14 +109,14 @@ def test_antisymmetry_enforced_for_entry_rules(skew):
         a = co[0] * co[1]
         return [[0.0, -a], [skew * a, 0.0]]
 
-    st = ek.custom_structure(2, entries=entries, label="skewed")
+    st = ek.PoissonStructure(2, entries=entries, label="skewed")
     x = np.array([1.5, -2.0])
     with pytest.raises(ValueError, match="bivector skewed is not antisymmetric within 1e-14"):
         st.matrix(x)
     with pytest.raises(ValueError, match="bivector skewed is not antisymmetric within 1e-14"):
         st.matrix_with_grads(x)
     # control: the antisymmetric rule passes both
-    fine = ek.custom_structure(2, entries=lambda co: [[0.0, -co[0] * co[1]], [co[0] * co[1], 0.0]])
+    fine = ek.PoissonStructure(2, entries=lambda co: [[0.0, -co[0] * co[1]], [co[0] * co[1], 0.0]])
     fine.matrix(x), fine.matrix_with_grads(x)
 
 
@@ -135,7 +135,7 @@ def test_entry_rule_assembly_matches_closed_form():
 
 
 def test_jacobi_residual_zero_in_dim_two():
-    st = ek.custom_structure(2, entries=plane_entries)
+    st = ek.PoissonStructure(2, entries=plane_entries)
     assert jacobi_residual(st, np.array([0.4, 1.1])) <= 1e-9
 
 
@@ -146,7 +146,7 @@ def test_jacobi_residual_catches_violation():
                 [-co[2], 0.0, 0.0],
                 [-co[0], 0.0, 0.0]]
 
-    st = ek.custom_structure(3, entries=entries)
+    st = ek.PoissonStructure(3, entries=entries)
     assert jacobi_residual(st, np.array([1.0, 2.0, 3.0])) > 0.1
 
 
@@ -160,7 +160,7 @@ def test_extend_structure_constant():
 
 
 def test_extend_structure_entries():
-    st = ek.custom_structure(2, entries=plane_entries)
+    st = ek.PoissonStructure(2, entries=plane_entries)
     ext = ek.extend_structure(st)
     x = np.array([9.0, 9.0, 1.5, -2.0])  # u, p_u prepended
     m = ext.matrix(x)

@@ -195,3 +195,43 @@ def test_rk4_energy_drift_small_property(q0, p0):
     traj = ek.integrate(harmonic_rhs, y0, 1.0, dt=5e-3)
     e = 0.5 * (traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2)
     assert np.max(np.abs(e - e[0])) <= 1e-9 * max(1.0, e[0])
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
+def test_fd_gradient_rejects_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match="step"):
+        ek.verify.fd_gradient(lambda v: float(v[0]), np.array([1.0, 2.0]), h)
+
+
+def test_first_order_residual_rejects_a_zero_step():
+    built = ek.instantiate("euler_top")
+    field = built.meta["local_seed_builder"](0.0, -0.5)
+    spec = ek.SampleSpec(((-0.8, 0.8), (0.3, 1.2), (0.3, 1.2)), count=3, seed=1)
+    with pytest.raises(ValueError, match="step"):
+        ek.first_order_residual(built.system, field, 0.0, -0.5, 1, spec, step=0.0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(t_final=math.inf), "t_final"),
+    (dict(t_final=math.nan), "t_final"),
+    (dict(t_final=1.0, dt=math.nan), "dt"),
+    (dict(t_final=1.0, method="rkf45", dt=0.0), "dt"),
+    (dict(t_final=1.0, method="rkf45", tol=-1.0), "tol"),
+    (dict(t_final=1.0, method="rkf45", tol=math.nan), "tol"),
+    (dict(t_final=1.0, method="rkf45", tol=math.inf), "tol"),
+])
+def test_integrate_rejects_meaningless_numbers(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        ek.integrate(harmonic_rhs, np.array([1.0, 0.0]), **kwargs)
+
+
+def test_conservation_report_keeps_the_subsampled_states():
+    from extkit.verify import Trajectory
+
+    times = np.linspace(0.0, 1.0, 11)
+    states = np.stack([times, -times], axis=1)
+    traj = Trajectory(times, states, "rk4", False, "", {})
+    rep = ek.conservation_report(traj, {"A": lambda y: float(y[0])}, stride=4)
+    np.testing.assert_array_equal(rep.times, times[[0, 4, 8, 10]])
+    np.testing.assert_array_equal(rep.states, states[[0, 4, 8, 10]])
+    np.testing.assert_array_equal(rep.series["A"], rep.states[:, 0])
