@@ -61,8 +61,9 @@ def _finite_complex(v):
     if isinstance(v, bool):
         return "must be a real or complex number"
     try:
+        # a numeric string such as "1+2j" is accepted: JSON has no complex type
         z = complex(v)
-    except TypeError:
+    except (TypeError, ValueError):
         return "must be a real or complex number"
     if math.isfinite(z.real) and math.isfinite(z.imag):
         return None

@@ -18,13 +18,40 @@ the :class:`ScalarField` boundary ``jet1``/``jet2`` hand the gradient
 back as an ndarray of shape ``(dim,)`` and the Hessian as one of shape
 ``(dim, dim)``, complex when any entry turned complex, and reject
 non-finite values, gradients and Hessians with :class:`NonFiniteError`.
+
+``jet1`` compiles.  Its first call runs ``fn`` on jets.  Its second call
+runs ``fn`` once more on jets whose values are tape scalars, so the
+unchanged jet rules record every scalar operation in order, and compiles
+the tape into one straight-line Python function over plain numbers (a
+tape in the sense of Griewank & Walther, *Evaluating Derivatives*, 2008,
+ch. 3 and 6).  From then on ``jet1`` runs that kernel,
+and ``fn`` no longer runs.  Constants reach the kernel by reference.  The
+scalar dispatchers (math or cmath) are recorded as calls, so the kernel
+still picks on each call.  Every other decision that depends on a value, a
+comparison or an ``isinstance`` test of a value, becomes a guard.  The
+kernel runs inside the same error mapping and finiteness checks as the jet
+path, so its values, gradients, errors and messages are bit for bit those
+of the jet path.
+
+The contract: ``fn`` is a pure function of its coordinates and of closure
+constants that are fixed once the field is built, and it does not branch on
+``type()`` of a value, which a tape scalar cannot answer truly.  A field
+stays on jets for good when its recording fails: ``fn`` calls ``float()``,
+``bool()``, ``complex()``, numpy or math on a value, or raises while
+recording.  So does a field whose guard fails: that call and every later
+one run on jets.
+Reassigning ``fn`` drops the kernel.  ``jet2`` and ``value`` are not
+compiled.  A Hessian tape is about d times longer than a gradient tape: in a
+prototype, compiling square_polar.L's 1563-line Hessian tape peaked near
+4 MiB, which raised the peak memory of the sampled-gates benchmark by 6 %.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from operator import add as _add, sub as _sub
 from typing import Any, Callable
 
@@ -63,14 +90,22 @@ class NonFiniteError(EvaluationError):
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
+# The scalar dispatchers pick math or cmath by the argument's type.  On a
+# tape scalar they record a call to themselves, so a compiled kernel picks
+# on every call as the jet path does.
+
 def _either(mfn, cfn):
     def scalar(v):
+        if type(v) is _Var:
+            return v.call(scalar)
         return cfn(v) if isinstance(v, complex) else mfn(v)
 
     return scalar
 
 
 def _scalar_log(v):
+    if type(v) is _Var:
+        return v.call(_scalar_log)
     if isinstance(v, complex):
         return cmath.log(v)
     if v > 0.0:
@@ -81,6 +116,8 @@ def _scalar_log(v):
 
 
 def _scalar_sqrt(v):
+    if type(v) is _Var:
+        return v.call(_scalar_sqrt)
     if isinstance(v, complex):
         return cmath.sqrt(v)
     if v >= 0.0:
@@ -276,15 +313,186 @@ tanh = _elementary(_either(math.tanh, cmath.tanh),
                    lambda v, t: 1.0 - t * t, lambda v, t: -2.0 * t * (1.0 - t * t))
 
 
+# ------------------------------------------------------ first-order kernels
+
+
+class _Untraceable(BaseException):
+    """``fn`` asked a tape scalar for something a kernel cannot replay.
+
+    A BaseException, so that an ``except Exception`` inside ``fn`` cannot
+    catch it and go on down a branch the jet path would not take.
+    """
+
+
+class _GuardFailed(Exception):
+    """A kernel guard saw a decision go the other way than when recorded."""
+
+
+class _Tape:
+    """The scalar operations of one run of a field's ``fn``, in order, as
+    lines of Python over the names ``x<i>`` (coordinates), ``t<k>``
+    (results) and ``c<j>`` (constants, passed to the kernel by reference)."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: list = []
+        self._names: dict[int, str] = {}
+        self._typed: set[str] = set()
+
+    def const(self, obj) -> str:
+        name = self._names.get(id(obj))
+        if name is None:
+            name = self._names[id(obj)] = f"c{len(self.consts)}"
+            self.consts.append(obj)
+        return name
+
+    def operand(self, o) -> str | None:
+        """The name of a tape scalar or a number, else None."""
+        if type(o) is _Var:
+            return o.name
+        return self.const(o) if isinstance(o, _SCALARS) else None
+
+    def emit(self, expr: str, val) -> "_Var":
+        var = _Var(self, f"t{len(self.lines)}", val)
+        self.lines.append(f"{var.name} = {expr}")
+        return var
+
+    def guard(self, test: str, outcome):
+        """The kernel goes on only while ``test`` comes out as it did here."""
+        self.lines.append(f"if not ({test}): raise R" if outcome else f"if {test}: raise R")
+
+    def type_guard(self, var: "_Var") -> type:
+        if var.name not in self._typed:
+            self._typed.add(var.name)
+            self.guard(f"type({var.name}) is {self.const(type(var.val))}", True)
+        return type(var.val)
+
+    def compile(self, out, d: int, label: str):
+        """``kernel(xs) -> (value, gradient tuple)``, or ``(value, None)``
+        when ``fn`` returned a plain number."""
+        def name(o):
+            n = self.operand(o)
+            if n is None:
+                raise _Untraceable
+            return n
+
+        if type(out) is Jet:
+            if out.hess is not None or type(out.grad) is not tuple or len(out.grad) != d:
+                raise _Untraceable
+            ret = f"{name(out.value)}, ({''.join(name(g) + ', ' for g in out.grad)})"
+        else:
+            ret = f"{name(out)}, None"
+        src = "\n".join([
+            f"def make({', '.join(['R'] + [f'c{j}' for j in range(len(self.consts))])}):",
+            "    def kernel(xs):",
+            f"        {''.join(f'x{i}, ' for i in range(d))}= xs",
+            *(f"        {line}" for line in self.lines),
+            f"        return {ret}",
+            "    return kernel",
+        ])
+        namespace: dict = {}
+        exec(compile(src, f"<jet1 kernel of {label or 'field'}>", "exec"), namespace)
+        return namespace["make"](_GuardFailed, *self.consts)
+
+
+class _Var:
+    """A tape scalar: a number that records each operation made with it.
+
+    Arithmetic with numbers and other tape scalars computes the result and
+    records the operation, both operands in place.  A comparison records a
+    guard on its outcome, and so does a type test, through ``__class__``:
+    ``isinstance(v, complex)`` in :meth:`Jet.__pow__` or in ``fn`` becomes
+    the guard ``type(v) is ...``.  Anything that needs a plain number
+    (``float()``, ``bool()``, numpy, math) cannot be recorded.
+    """
+
+    __slots__ = ("tape", "name", "val")
+    __array_ufunc__ = None
+    __hash__ = None
+
+    def __init__(self, tape: _Tape, name: str, val):
+        self.tape = tape
+        self.name = name
+        self.val = val
+
+    @property
+    def __class__(self):
+        return self.tape.type_guard(self)
+
+    def call(self, fn) -> "_Var":
+        return self.tape.emit(f"{self.tape.const(fn)}({self.name})", fn(self.val))
+
+    def __neg__(self):
+        return self.tape.emit(f"-{self.name}", -self.val)
+
+    def __pos__(self):
+        return self.tape.emit(f"+{self.name}", +self.val)
+
+    def __abs__(self):
+        return self.tape.emit(f"abs({self.name})", abs(self.val))
+
+    def _untraceable(self, *args):
+        raise _Untraceable
+
+    __bool__ = __float__ = __complex__ = __int__ = __index__ = _untraceable
+
+
+def _var_binary(sym, op, reflected):
+    def method(self, o):
+        name = self.tape.operand(o)
+        if name is None:
+            return NotImplemented
+        oval = o.val if type(o) is _Var else o
+        if reflected:
+            return self.tape.emit(f"{name} {sym} {self.name}", op(oval, self.val))
+        return self.tape.emit(f"{self.name} {sym} {name}", op(self.val, oval))
+
+    return method
+
+
+def _var_compare(sym, op):
+    def method(self, o):
+        name = self.tape.operand(o)
+        if name is None:
+            return NotImplemented
+        out = op(self.val, o.val if type(o) is _Var else o)
+        self.tape.guard(f"{self.name} {sym} {name}", out)
+        return out
+
+    return method
+
+
+for _op, _sym in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("pow", "**")):
+    setattr(_Var, f"__{_op}__", _var_binary(_sym, getattr(operator, _op), False))
+    setattr(_Var, f"__r{_op}__", _var_binary(_sym, getattr(operator, _op), True))
+for _op, _sym in (("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="),
+                  ("ne", "!=")):
+    setattr(_Var, f"__{_op}__", _var_compare(_sym, getattr(operator, _op)))
+
+
+def _compile_jet1(fn, xs: list, label: str):
+    """A kernel that replays ``fn``'s first-order jet at any point, recorded
+    by one run of ``fn`` at ``xs``; False when that run cannot be recorded."""
+    tape = _Tape()
+    seeds = [Jet(_Var(tape, f"x{i}", v), row)
+             for i, (v, row) in enumerate(zip(xs, _unit_rows(len(xs))))]
+    try:
+        return tape.compile(fn(seeds), len(xs), label)
+    except (Exception, _Untraceable):
+        return False
+
+
 @dataclass
 class ScalarField:
     """A scalar-valued field over a fixed number of real coordinates.
 
     ``fn`` receives one ring element per coordinate (plain numbers or
     jets, interchangeably) and combines them with ordinary arithmetic
-    and the math functions exported by this module.  ``singular`` is an
-    optional predicate ``(point, margin) -> bool`` declaring where the
-    field must not be evaluated.
+    and the math functions exported by this module.  It must be a pure
+    function of its coordinates and of closure constants fixed after
+    construction: ``jet1`` compiles it on its second call (module notes).
+    ``singular`` is an optional predicate ``(point, margin) -> bool``
+    declaring where the field must not be evaluated.
     """
 
     fn: Callable[[list], Any]
@@ -292,6 +500,9 @@ class ScalarField:
     codomain: str = "real"
     singular: Callable[[np.ndarray, float], bool] | None = None
     label: str = ""
+    # (fn, kernel): kernel is None before the second jet1 call of that fn,
+    # False once the field stays on jets, else the compiled kernel
+    _kernel: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.codomain not in ("real", "complex"):
@@ -311,9 +522,9 @@ class ScalarField:
             raise SingularPointError(f"{name} evaluated on its singular set at {x.tolist()}")
         return x
 
-    def _run(self, x: np.ndarray, args: list):
+    def _run(self, x: np.ndarray, fn, args: list):
         try:
-            return self.fn(args)
+            return fn(args)
         except ZeroDivisionError:
             raise NonFiniteError(f"{self.label or 'field'} divides by zero "
                                  f"at {x.tolist()}") from None
@@ -335,32 +546,55 @@ class ScalarField:
 
     def value(self, x):
         x = self._pre(x)
-        return self._finite(x, self._run(x, x.tolist()))
+        return self._finite(x, self._run(x, self.fn, x.tolist()))
 
     __call__ = value
 
     def jet1(self, x) -> Jet:
-        """Value and gradient at ``x``."""
-        return self._jet(x, second_order=False)
+        """Value and gradient at ``x``; from the second call on, through
+        the compiled kernel while it has one (see the module notes)."""
+        x = self._pre(x)
+        xs = x.tolist()
+        fn, kernel = self._kernel
+        if fn is not self.fn:
+            fn, kernel = self._kernel = (self.fn, None)
+        elif kernel is None:
+            kernel = _compile_jet1(fn, xs, self.label)
+            self._kernel = (fn, kernel)
+        if kernel:
+            try:
+                return self._checked(x, *self._run(x, kernel, xs))
+            except (_GuardFailed, TypeError):
+                # a decision went the other way, or a comparison met a
+                # complex value: this call and every later one run on jets
+                self._kernel = (fn, False)
+        return self._jet(x, xs, second_order=False)
 
     def jet2(self, x) -> Jet:
         """Value, gradient and Hessian at ``x``."""
-        return self._jet(x, second_order=True)
-
-    def _jet(self, x, second_order: bool) -> Jet:
         x = self._pre(x)
-        d = self.dim
-        out = self._run(x, _seeds(x.tolist(), second_order))
+        return self._jet(x, x.tolist(), second_order=True)
+
+    def _jet(self, x: np.ndarray, xs: list, second_order: bool) -> Jet:
+        out = self._run(x, self.fn, _seeds(xs, second_order))
         if not isinstance(out, Jet):
-            return Jet(self._finite(x, out), np.zeros(d),
+            return self._checked(x, out, None, second_order=second_order)
+        return self._checked(x, out.value, out.grad, out.hess)
+
+    def _checked(self, x: np.ndarray, value, grad, hess=None, second_order=False) -> Jet:
+        """The boundary jet of ``fn``'s value, gradient tuple and Hessian
+        tuple; ``grad is None`` when ``fn`` returned a plain number."""
+        d = self.dim
+        if grad is None:
+            return Jet(self._finite(x, value), np.zeros(d),
                        np.zeros((d, d)) if second_order else None)
-        self._finite(x, out.value)
-        if not all(map(cmath.isfinite, out.grad)):
+        self._finite(x, value)
+        if not all(map(cmath.isfinite, grad)):
             raise NonFiniteError(f"{self.label or 'field'} has a non-finite gradient "
                                  f"at {x.tolist()}")
-        if not second_order:
-            return Jet(out.value, np.array(out.grad))
-        if not all(map(cmath.isfinite, out.hess)):
+        if hess is None:
+            return Jet(value, np.array(grad))
+        if not all(map(cmath.isfinite, hess)):
             raise NonFiniteError(f"{self.label or 'field'} has a non-finite Hessian "
                                  f"at {x.tolist()}")
-        return Jet(out.value, np.array(out.grad), np.array(out.hess).reshape(d, d))
+        return Jet(value, np.array(grad), np.array(hess).reshape(d, d))

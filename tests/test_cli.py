@@ -363,9 +363,11 @@ Q1_EXTEND_FLAGS = ["--system", "quartic1", "--c", "1", "--c0", "1", "--C", "1",
     (["check-pde", "--system", "quartic1", "--param", "C1=true", "--samples", "5"], "C1"),
     (["check-pde", "--system", "vortex_equal", "--param", "F1=true", "--samples", "5"],
      "F1"),
+    (["check-pde", "--system", "vortex_equal", "--param", "F1=abc", "--samples", "5"],
+     "parameter 'F1' of entry 'vortex_equal' must be a real or complex number (got 'abc')"),
 ], ids=["check-kn-step-0", "bracket-h-0", "rank-h-0", "integrate-t-final-inf",
         "integrate-t-final-nan", "integrate-rkf45-tol-negative", "integrate-rkf45-tol-nan",
-        "check-pde-bool-C1", "check-pde-bool-F1"])
+        "check-pde-bool-C1", "check-pde-bool-F1", "check-pde-string-F1"])
 def test_bad_numeric_input_is_one_line_config_error(argv, needle, tmp_path, capsys):
     report = tmp_path / "r.json"
     code, out, err = run([*argv, "--report", str(report)], capsys)

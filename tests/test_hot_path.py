@@ -1,5 +1,6 @@
 """Structural guards on the hot paths: what one right-hand side call and
-one finite-difference bracket state run.
+one finite-difference bracket state run, and that a warm ``jet1`` runs
+no jet arithmetic.
 
 These count calls rather than time them, so a change that brings per-call
 set-up back into the extended flow, or recomputes K's base-point part
@@ -132,3 +133,41 @@ def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_
     ham, seed = built.system.hamiltonian.label, built.seed.field.label
     assert calls["jet1"].count(ham) == calls["jet1"].count(seed) == per_field
     assert len(calls["jet1"]) == 2 * per_field and calls["jet2"] == []
+
+
+@pytest.mark.parametrize("key, run", [
+    ("quartic1", lambda b: ek.build_extension(
+        b.system, b.seed, ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=3, n=2)).flow()),
+    ("lotka_volterra", lambda b: ek.base_flow(b.system)),
+], ids=["quartic1-extended-rhs", "lotka_volterra-base-flow"])
+def test_a_warm_flow_call_runs_no_jet_arithmetic(key, run, monkeypatch):
+    # from its second call on, jet1 replays a compiled kernel over plain
+    # numbers: L's fn does not run, and no jet is built inside arithmetic
+    built = ek.instantiate(key)
+    ham = built.system.hamiltonian
+    fn_calls = []
+    fn = ham.fn
+
+    def counted_fn(co):
+        fn_calls.append(1)
+        return fn(co)
+
+    ham.fn = counted_fn
+    state = {"quartic1": [0.6, 0.4, 0.9, -0.7], "lotka_volterra": [1.2, 0.8]}[key]
+    rhs = run(built)
+    x = np.array(state)
+    rhs(x)
+    rhs(x * 1.01)  # warm-up: the jet path, then the recording
+    fn_calls.clear()
+    grads = []
+    init = jets.Jet.__init__
+
+    def counted_init(self, value, grad, hess=None):
+        grads.append(type(grad))
+        init(self, value, grad, hess)
+
+    monkeypatch.setattr(jets.Jet, "__init__", counted_init)
+    out = rhs(x * 0.99)
+    assert np.all(np.isfinite(out))
+    assert fn_calls == []
+    assert tuple not in grads and grads == [np.ndarray]  # the one jet jet1 hands out
