@@ -78,7 +78,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[float]]):
             fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
 
 
-def _gate(name: str, value: float, tol: float, ok: bool | None = None) -> dict:
+def _gate(name: str, value: float | None, tol: float, ok: bool | None = None) -> dict:
     passed = (value <= tol) if ok is None else ok
     return {"name": name, "value": value, "tol": tol, "pass": bool(passed)}
 
@@ -319,28 +319,6 @@ def _worst(residuals: np.ndarray, points: np.ndarray) -> dict:
     return {"worst_point": [float(v) for v in points[int(np.argmax(residuals))]]}
 
 
-def _bracket_sweep(ext: Extension, names: list[str], states, h: float):
-    """Largest normalized {H, F} over the states, for each named observable F.
-
-    Returns (worst value, (name, state) of the worst or None, brackets
-    checked, brackets skipped because a point could not be evaluated).
-    """
-    struct = ext.structure()
-    obs = ext.conserved_quantities()
-    worst, where, checked, skipped = 0.0, None, 0, 0
-    for vec in states:
-        for name in names:
-            try:
-                v = verify.fd_bracket_normalized(struct, obs["H"], obs[name], vec, h=h)
-            except EvaluationError:
-                skipped += 1
-                continue
-            checked += 1
-            if v > worst:
-                worst, where = v, (name, vec)
-    return worst, where, checked, skipped
-
-
 def _integral_name(obs: dict) -> str:
     # Complex integrals are split into K_re and K_im; K_re stands for K.
     return "K" if "K" in obs else "K_re"
@@ -454,7 +432,9 @@ def _cmd_extend(args) -> int:
     metrics: dict[str, Any] = {name: fn(state) for name, fn in obs.items() if name != "L"}
     states = run.extended_states(10)
     run.echo["tol"] = args.tol
-    worst, where, checked, skipped = _bracket_sweep(ext, [_integral_name(obs)], states, 1e-5)
+    name = _integral_name(obs)
+    worst, where, checked, skipped = verify.bracket_sweep(ext.structure(), obs["H"],
+                                                          {name: obs[name]}, states)
     metrics["bracket_max_normalized"] = worst
     metrics["n_bracket_states"] = checked
     if where is not None:
@@ -468,8 +448,10 @@ def _cmd_bracket(args) -> int:
     ext = run.extension()
     states = run.extended_states(50)
     run.echo.update(h=args.h, tol=args.tol)
-    names = [n for n in ext.conserved_quantities() if n not in ("H", "L")]
-    worst, where, checked, skipped = _bracket_sweep(ext, names, states, args.h)
+    obs = ext.conserved_quantities()
+    fns = {name: fn for name, fn in obs.items() if name not in ("H", "L")}
+    worst, where, checked, skipped = verify.bracket_sweep(ext.structure(), obs["H"], fns,
+                                                          states, args.h)
     metrics: dict[str, Any] = {"bracket_max_normalized": worst, "n_checked": checked}
     if where is not None:
         metrics["worst_pair"] = ["H", where[0]]
@@ -499,11 +481,11 @@ def _cmd_rank(args) -> int:
     states = run.extended_states(20)
     expect = args.expect if args.expect is not None else len(wanted)
     run.echo.update(fields=wanted, h=args.h, threshold=args.threshold, expect=expect)
-    rank = verify.independence_rank([fields[w] for w in wanted], states, h=args.h,
-                                    threshold=args.threshold)
-    return run.finish({"rank": rank, "n_states": len(states)},
-                      [_gate("independence_rank", float(rank), float(expect),
-                             ok=(rank == expect))])
+    ranks, _, skipped = verify.state_ranks([fields[w] for w in wanted], states, h=args.h,
+                                           threshold=args.threshold)
+    rank = min(ranks) if ranks else None  # unknown where no state evaluated: the gate fails
+    return run.finish({"rank": rank, "n_states": len(ranks)},
+                      [_gate("independence_rank", rank, expect, ok=rank == expect)], skipped)
 
 
 def _cmd_integrate(args) -> int:

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .jets import ScalarField
-from .poisson import HamiltonianSystem, PoissonStructure, extend_structure
+from .poisson import HamiltonianSystem, PoissonStructure, extend_structure, ham_field
 from .riccati import _POLE_TOL, PoleError, RiccatiParams, riccati_eval
 
 __all__ = [
@@ -100,11 +100,16 @@ def profile_at(params: ExtensionParams, u: float) -> tuple[float, float, float]:
     """Profile value, slope and curvature at ``u``.
 
     The degenerate pair (c, C) = (0, 0) has the identically-zero
-    profile; otherwise this is the closed-form Riccati solution.
+    profile; otherwise this is the closed-form Riccati solution.  With
+    omega != 0, a profile value within 1e-12 of zero is a pole of the
+    centrifugal term omega / y^2 and raises :class:`PoleError`.
     """
     if params._riccati is None:
         return 0.0, 0.0, 0.0
-    return riccati_eval(params._riccati, u)
+    y = riccati_eval(params._riccati, u)
+    if params.omega != 0.0 and abs(y[0]) <= _POLE_TOL:
+        raise PoleError(f"centrifugal term omega / y^2 has a pole at u = {u!r}, where y = 0")
+    return y
 
 
 @dataclass
@@ -139,11 +144,7 @@ class ExtendedState:
         return cls(u=float(vec[0]), p_u=float(vec[1]), base=vec[2:].copy())
 
     def vector(self) -> np.ndarray:
-        out = np.empty(2 + len(self.base))
-        out[0] = self.u
-        out[1] = self.p_u
-        out[2:] = self.base
-        return out
+        return np.concatenate(([self.u, self.p_u], self.base))
 
 
 class DerivPair:
@@ -195,9 +196,8 @@ class DerivPair:
 
 def seed_pair(system: HamiltonianSystem, seed_field: ScalarField, x) -> tuple[DerivPair, float]:
     """(G, X_L G) as a pair at ``x``, plus the value of L there."""
-    jl = system.hamiltonian.jet1(x)
+    jl, v = ham_field(system, x)
     jg = seed_field.jet1(x)
-    v = system.structure.matrix(x) @ jl.grad
     return DerivPair(jg.value, jg.grad @ v), jl.value
 
 
@@ -290,25 +290,19 @@ def extended_flow(system: HamiltonianSystem, params: ExtensionParams
     base field -k^2 y'(u) pi grad L.
     """
     k2 = params.k**2
-    struct = system.structure
-    ham = system.hamiltonian
     c0 = params.c0
     omega = params.omega
 
     def rhs(vec: np.ndarray) -> np.ndarray:
-        u = float(vec[0])
-        x = vec[2:]
-        gam, dgam, ddgam = profile_at(params, u)
-        jl = ham.jet1(x)
+        gam, dgam, ddgam = profile_at(params, float(vec[0]))
+        jl, v = ham_field(system, vec[2:])
         dpu = k2 * ddgam * jl.value - 2.0 * k2 * c0 * gam * dgam
         if omega != 0.0:
-            if abs(gam) <= _POLE_TOL:
-                raise PoleError("extended flow with omega != 0 reached y = 0")
             dpu += 2.0 * omega * dgam / gam**3
         out = np.empty(vec.shape)
         out[0] = vec[1]
         out[1] = dpu
-        out[2:] = (-k2 * dgam) * (struct.matrix(x) @ jl.grad)
+        out[2:] = (-k2 * dgam) * v
         return out
 
     return rhs
@@ -328,8 +322,6 @@ def _integral_from_pair(params: ExtensionParams, pair: DerivPair, lval, u: float
         chain = recursion_term_closed(params.n, pair, lam)
         p_c, d_c = power_coeffs(params.m, params.n, params.m, p_u, gam, lam)
         return p_c * chain.value + d_c * chain.xl
-    if abs(gam) <= _POLE_TOL:
-        raise PoleError("first integral with omega != 0 evaluated where y = 0")
     if params.m % 2 == 0:
         s, r = params.m // 2, params.n
     else:
@@ -378,8 +370,6 @@ class Extension:
         k2 = params.k**2
         h = 0.5 * state.p_u**2 - k2 * dgam * lval + k2 * params.c0 * gam * gam
         if params.omega != 0.0:
-            if abs(gam) <= _POLE_TOL:
-                raise PoleError("centrifugal term omega / y^2 evaluated where y = 0")
             h += params.omega / gam**2
         return h
 

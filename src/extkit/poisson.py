@@ -25,7 +25,7 @@ __all__ = [
     "PoissonStructure",
     "canonical_structure",
     "HamiltonianSystem",
-    "ham_vector_field",
+    "ham_field",
     "base_flow",
     "bracket",
     "apply_xl",
@@ -126,19 +126,15 @@ class HamiltonianSystem:
         return self.structure.dim
 
 
-def ham_vector_field(system: HamiltonianSystem, x) -> np.ndarray:
-    """pi grad L at ``x``."""
-    j = system.hamiltonian.jet1(x)
-    return system.structure.matrix(x) @ j.grad
+def ham_field(system: HamiltonianSystem, x) -> tuple[Jet, np.ndarray]:
+    """L's first jet at ``x`` and the Hamiltonian vector field pi grad L there."""
+    jl = system.hamiltonian.jet1(x)
+    return jl, system.structure.matrix(x) @ jl.grad
 
 
 def base_flow(system: HamiltonianSystem) -> Callable[[np.ndarray], np.ndarray]:
     """Right-hand side ``x -> pi grad L`` for integrators."""
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        return ham_vector_field(system, x)
-
-    return rhs
+    return lambda x: ham_field(system, x)[1]
 
 
 def bracket(structure: PoissonStructure, f: ScalarField, g: ScalarField, x):
@@ -150,8 +146,7 @@ def bracket(structure: PoissonStructure, f: ScalarField, g: ScalarField, x):
 
 def apply_xl(system: HamiltonianSystem, f: ScalarField, x):
     """X_L F = {F, L} at ``x``."""
-    v = ham_vector_field(system, x)
-    return f.jet1(x).grad @ v
+    return f.jet1(x).grad @ ham_field(system, x)[1]
 
 
 def apply_xl2(system: HamiltonianSystem, f: ScalarField, x):

@@ -32,6 +32,8 @@ __all__ = [
     "conservation_report",
     "fd_gradient",
     "fd_bracket_normalized",
+    "bracket_sweep",
+    "state_ranks",
     "independence_rank",
     "recursion_closed_sweep",
 ]
@@ -44,7 +46,7 @@ def _rel(a, b) -> float:
     return abs(a - b) / (abs(a) + abs(b) + _TINY)
 
 
-def _sweep(points: np.ndarray, fn: Callable) -> tuple[list, np.ndarray, int]:
+def _sweep(points: Sequence, fn: Callable) -> tuple[list, list, int]:
     """``fn`` at each point; a point where it raises EvaluationError is skipped.
 
     Returns the values, the points they came from and the skipped count.
@@ -56,7 +58,7 @@ def _sweep(points: np.ndarray, fn: Callable) -> tuple[list, np.ndarray, int]:
         except EvaluationError:
             continue
         kept.append(x)
-    return vals, np.array(kept), len(points) - len(kept)
+    return vals, kept, len(points) - len(kept)
 
 
 def _check_positive(value: float, name: str):
@@ -85,8 +87,10 @@ class SampleSpec:
         for lo, hi in self.intervals:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bad sampling interval ({lo}, {hi})")
-        if self.margin < 0:
-            raise ValueError("singular margin must be nonnegative")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError(f"sampling margin must be finite and nonnegative, got {self.margin!r}")
+        if self.seed < 0:
+            raise ValueError(f"sampling seed must be nonnegative, got {self.seed!r}")
 
 
 def sample_points(spec: SampleSpec,
@@ -152,7 +156,7 @@ def pde_residual(system: HamiltonianSystem, seed_field: ScalarField,
         return _rel(lhs, -2.0 * (c * ham.value(x) + c0) * seed_field.value(x))
 
     vals, kept, skipped = _sweep(sample_points(spec, pred), residual)
-    return ResidualReport(np.array(vals), kept, skipped)
+    return ResidualReport(np.array(vals), np.array(kept), skipped)
 
 
 @dataclass
@@ -202,7 +206,7 @@ def first_order_residual(system: HamiltonianSystem, field_g: ScalarField,
 
     pairs, kept, skipped = _sweep(sample_points(spec, singular), sides)
     return FirstOrderReport(np.array([abs(d - t) for d, t in pairs]),
-                            np.array([_rel(d, t) for d, t in pairs]), kept, skipped)
+                            np.array([_rel(d, t) for d, t in pairs]), np.array(kept), skipped)
 
 
 @dataclass
@@ -240,13 +244,14 @@ def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0, t_final: float,
               dt_min: float = 1e-9, dt_max: float = 0.5) -> Trajectory:
     """Integrate y' = rhs(y) from 0 to ``t_final``.
 
-    ``rk4`` takes fixed steps of size ``dt`` (the last step is shortened
-    to land exactly on ``t_final``); ``rkf45`` is an embedded adaptive
-    pair controlled by ``tol``; its ``stats`` count accepted and rejected
-    steps, and as ``n_forced`` the accepted steps whose error exceeded
-    the tolerance once the step size had reached ``dt_min``.  A flow
-    evaluation error or a non-finite state truncates the trajectory and
-    records the reason.
+    ``rk4`` takes ceil(t_final / dt - 1e-12) steps, each min(dt, t_final - t)
+    with t the running sum of the steps so far.  It ends at that rounded
+    sum, which can miss ``t_final``: 10000 steps of 1e-3 end at
+    9.999999999999897.  ``rkf45`` is an embedded adaptive pair controlled
+    by ``tol``; its ``stats`` count accepted and rejected steps, and as
+    ``n_forced`` the accepted steps whose error exceeded the tolerance
+    once the step size had reached ``dt_min``.  A flow evaluation error
+    or a non-finite state truncates the trajectory and records the reason.
     """
     y0 = np.asarray(y0, dtype=float)
     _check_positive(t_final, "t_final")
@@ -382,15 +387,14 @@ def fd_gradient(fn: Callable, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a callable over flat vectors."""
     _check_positive(h, "finite-difference step")
     x = np.asarray(x, dtype=float)
-    probe = fn(x)
-    out = np.empty(len(x), dtype=complex if isinstance(probe, complex) else float)
+    out = []
     for i in range(len(x)):
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        out[i] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return out
+        out.append((fn(xp) - fn(xm)) / (2.0 * h))
+    return np.array(out)
 
 
 def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
@@ -405,37 +409,58 @@ def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
     return val / (scale + _TINY)
 
 
-def independence_rank(fns: Sequence[Callable], states: Sequence[np.ndarray],
-                      h: float = 1e-5, threshold: float = 1e-6) -> int:
-    """Minimum over states of the numerical rank of the gradient stack.
+def bracket_sweep(structure: PoissonStructure, h_fn: Callable, fns: dict[str, Callable],
+                  states: Sequence[np.ndarray], h: float = 1e-5) -> tuple:
+    """Largest :func:`fd_bracket_normalized` {H, F} over the states, for each named F.
+
+    Each (F, state) bracket is one point of :func:`_sweep`.  Returns the
+    worst value (inf if no bracket was checked), the (name, state) it came
+    from (None if no bracket is positive), and the counts of brackets
+    checked and skipped.
+    """
+    vals, kept, skipped = _sweep([(name, x) for x in states for name in fns], lambda p:
+                                 fd_bracket_normalized(structure, h_fn, fns[p[0]], p[1], h))
+    worst, where = max(((v, p) for v, p in zip(vals, kept) if v > 0), key=lambda vp: vp[0],
+                       default=(0.0 if vals else math.inf, None))
+    return worst, where, len(vals), skipped
+
+
+def state_ranks(fns: Sequence[Callable], states: Sequence[np.ndarray],
+                h: float = 1e-5, threshold: float = 1e-6) -> tuple[list, list, int]:
+    """Numerical rank of the gradient stack at each state, through :func:`_sweep`.
 
     Gradients come from central differences, and each gradient row is
     scaled to unit length, so a constant factor on a field leaves the
-    rank unchanged.  Singular values below ``threshold`` times the
-    largest are treated as zero.  A complex observable whose imaginary
-    gradient is negligible contributes its real part only; otherwise
-    real and imaginary parts each get a row.
+    rank unchanged.  Singular values below ``threshold`` (in (0, 1))
+    times the largest are treated as zero.  A complex observable whose
+    imaginary gradient is negligible contributes its real part only;
+    otherwise real and imaginary parts each get a row.
     """
-    best = None
-    for x in states:
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"rank threshold must lie in (0, 1), got {threshold!r}")
+
+    def rank_at(x) -> int:
         rows = []
         for fn in fns:
             gr = fd_gradient(fn, x, h)
-            if np.iscomplexobj(gr):
-                scale = float(np.max(np.abs(gr))) or 1.0
-                rows.append(gr.real)
-                if float(np.max(np.abs(gr.imag))) > 1e-12 * scale:
-                    rows.append(gr.imag)
-            else:
-                rows.append(gr)
+            rows.append(gr.real)
+            if np.iscomplexobj(gr) and np.max(np.abs(gr.imag)) > 1e-12 * np.max(np.abs(gr)):
+                rows.append(gr.imag)
         rows = np.array(rows)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         sv = np.linalg.svd(rows / np.where(norms > 0, norms, 1.0), compute_uv=False)
-        rank = int(np.sum(sv > threshold * sv[0])) if sv[0] > 0 else 0
-        best = rank if best is None else min(best, rank)
-    if best is None:
-        raise ValueError("independence_rank needs at least one state")
-    return best
+        return int(np.sum(sv > threshold * sv[0])) if sv[0] > 0 else 0
+
+    return _sweep(states, rank_at)
+
+
+def independence_rank(fns: Sequence[Callable], states: Sequence[np.ndarray],
+                      h: float = 1e-5, threshold: float = 1e-6) -> int:
+    """Minimum of :func:`state_ranks` over the states where every field evaluates."""
+    ranks = state_ranks(fns, states, h, threshold)[0]
+    if not ranks:
+        raise ValueError("independence_rank needs a state where every field evaluates")
+    return min(ranks)
 
 
 def recursion_closed_sweep(n_max: int, count_real: int, count_complex: int,
@@ -446,6 +471,12 @@ def recursion_closed_sweep(n_max: int, count_real: int, count_complex: int,
     ``count_real`` real and ``count_complex`` complex (G, X_L G, lam)
     triples drawn deterministically from ``seed``.
     """
+    for name, v, least in (("n_max", n_max, 1), ("count_real", count_real, 0),
+                           ("count_complex", count_complex, 0), ("seed", seed, 0)):
+        if v < least:
+            raise ValueError(f"{name} must be an integer of at least {least}, got {v!r}")
+    if count_real + count_complex == 0:
+        raise ValueError("count_real and count_complex draw no triple between them")
     rng = np.random.default_rng(seed)
     triples = []
     for _ in range(count_real):

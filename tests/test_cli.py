@@ -217,6 +217,45 @@ def test_rank_default_fields_name_the_integral(system, kname, capsys):
     assert doc["metrics"]["rank"] == 3
 
 
+SQUARE_POLAR_H = ["--system", "square_polar", "--c", "1", "--c0", "0", "--C", "1",
+                  "--m", "1", "--n", "1", "--h", "0.5"]
+
+
+def test_rank_skips_a_state_whose_stencil_meets_the_singular_set(capsys):
+    # with h = 0.5, four of the twenty stencils reach the singular set of L
+    code, out, _ = run(["rank", *SQUARE_POLAR_H], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["skipped_points"] == 4
+    assert doc["metrics"] == {"rank": 3, "n_states": 16}
+
+
+def test_bracket_counts_brackets_where_rank_counts_states(capsys):
+    # one bracket per state and field; h = 0.5 is too coarse for the gate itself
+    _, out, _ = run(["bracket", *SQUARE_POLAR_H], capsys)
+    doc = json.loads(out)
+    assert (doc["metrics"]["n_checked"], doc["skipped_points"]) == (36, 14)
+
+
+# y = cot u vanishes at pi/2 to within 1e-13 here: a pole of omega / y^2
+AT_THE_CENTRIFUGAL_POLE = ["--system", "quartic1", "--c", "1", "--c0", "1", "--C", "1",
+                           "--m", "2", "--n", "1", "--omega", "0.3", "--samples", "5",
+                           "--u-range", "1.5707963267948,1.5707963267949"]
+
+
+@pytest.mark.parametrize("command, metrics", [
+    ("rank", {"rank": None, "n_states": 0}),
+    ("bracket", {"bracket_max_normalized": None, "n_checked": 0}),
+])
+def test_a_gate_with_no_point_evaluated_fails(command, metrics, capsys):
+    code, out, _ = run([command, *AT_THE_CENTRIFUGAL_POLE], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["metrics"] == metrics
+    assert doc["skipped_points"] == 5
+    assert doc["gates"][0]["pass"] is False
+
+
 def test_rank_unknown_field_rejected(capsys):
     code, _, err = run(["rank", "--system", "quartic1", "--c", "1",
                         "--c0", "1", "--C", "1", "--m", "1", "--n", "1",
@@ -348,7 +387,9 @@ Q1_EXTEND_FLAGS = ["--system", "quartic1", "--c", "1", "--c0", "1", "--C", "1",
 
 
 # Number inputs that have no meaning: a step or tolerance that is not finite and
-# positive, a final time that is not finite, a boolean catalog constant.  Each is
+# positive, a final time that is not finite, a boolean catalog constant, a sampling
+# margin that is not finite and nonnegative, a negative seed, a rank threshold
+# outside (0, 1), a recursion sweep that compares nothing.  Each is
 # a config error whose one line names the offending parameter, with no report.
 @pytest.mark.parametrize("argv, needle", [
     (["check-kn", "--step", "0", "--samples", "3"], "step"),
@@ -365,9 +406,17 @@ Q1_EXTEND_FLAGS = ["--system", "quartic1", "--c", "1", "--c0", "1", "--C", "1",
      "F1"),
     (["check-pde", "--system", "vortex_equal", "--param", "F1=abc", "--samples", "5"],
      "parameter 'F1' of entry 'vortex_equal' must be a real or complex number (got 'abc')"),
+    (["check-pde", "--system", "quartic1", "--samples", "5", "--margin", "nan"], "margin"),
+    (["check-pde", "--system", "quartic1", "--samples", "5", "--seed", "-1"], "seed"),
+    (["rank", *Q1_EXTEND_FLAGS, "--threshold", "nan", "--samples", "2"], "threshold"),
+    (["gn-compare", "--samples", "0", "--complex-samples", "0"], "no triple"),
+    (["gn-compare", "--samples", "-3"], "count_real"),
+    (["gn-compare", "--n-max", "0"], "n_max"),
 ], ids=["check-kn-step-0", "bracket-h-0", "rank-h-0", "integrate-t-final-inf",
         "integrate-t-final-nan", "integrate-rkf45-tol-negative", "integrate-rkf45-tol-nan",
-        "check-pde-bool-C1", "check-pde-bool-F1", "check-pde-string-F1"])
+        "check-pde-bool-C1", "check-pde-bool-F1", "check-pde-string-F1",
+        "check-pde-margin-nan", "check-pde-seed-negative", "rank-threshold-nan",
+        "gn-compare-no-samples", "gn-compare-samples-negative", "gn-compare-n-max-0"])
 def test_bad_numeric_input_is_one_line_config_error(argv, needle, tmp_path, capsys):
     report = tmp_path / "r.json"
     code, out, err = run([*argv, "--report", str(report)], capsys)

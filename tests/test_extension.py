@@ -221,6 +221,31 @@ def test_pole_in_centrifugal_hamiltonian():
         ek.Extension(sys, None, p).hamiltonian(state)
 
 
+POLE_EVALUATIONS = {
+    "profile": lambda ext, state: ek.profile_at(ext.params, state.u),
+    "H": lambda ext, state: ext.hamiltonian(state),
+    "K": lambda ext, state: ext.integral(state),
+    "rhs": lambda ext, state: ext.flow()(state.vector()),
+}
+
+
+@pytest.mark.parametrize("what", sorted(POLE_EVALUATIONS))
+def test_centrifugal_pole_is_one_error_wherever_y_vanishes(what):
+    # c = 0, C = 1 gives y = -u, which vanishes at u = 0: a pole of omega / y^2
+    # for omega != 0, and no pole at all for omega = 0
+    sys, gfield = linear_seed_system()
+    seed = ek.ExtensionSeed(field=gfield, meta={"pair": (0.0, 0.5)})
+    state = ek.ExtendedState(0.0, 0.3, np.array([0.7, -0.2]))
+    evaluate = POLE_EVALUATIONS[what]
+    ext = ek.build_extension(sys, seed, ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1,
+                                                           omega=0.4))
+    with pytest.raises(ek.PoleError, match=r"^centrifugal term omega / y\^2 has a pole "
+                                           r"at u = 0\.0, where y = 0$"):
+        evaluate(ext, state)
+    flat = ek.build_extension(sys, seed, ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1))
+    assert np.all(np.isfinite(evaluate(flat, state)))
+
+
 def test_build_extension_rejects_dim_mismatch():
     sys, _ = linear_seed_system()
     g3 = ek.ScalarField(lambda x: x[0], dim=3)
@@ -296,7 +321,7 @@ def test_kept_seed_pairs_change_no_bit_of_k(key, consts, mn, monkeypatch):
     for vec in ek.sample_points(spec, pred):
         for k in ks:
             ek.fd_bracket_normalized(structure, obs["H"], k, vec)
-    assert len(seen) == 4 * len(ks) * (1 + 2 * len(vec))
+    assert len(seen) == 4 * len(ks) * 2 * len(vec)
     assert len({state.base.tobytes() for state, _ in seen}) < len(seen)
     for state, got in seen:
         want = integral(ek.Extension(built.system, built.seed, params), state)

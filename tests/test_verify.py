@@ -181,6 +181,65 @@ def test_independence_rank_is_scale_free():
     assert ek.independence_rank(scaled, states) == 3
 
 
+@pytest.mark.parametrize("value", [1.5, 2 + 1j])
+def test_fd_gradient_evaluates_only_its_stencil(value):
+    # two points per coordinate and no third at x itself
+    seen = []
+
+    def fn(v):
+        seen.append(v.tolist())
+        return value * (v[0] * v[1] + v[2] ** 2)
+
+    x = np.array([0.3, -1.2, 0.7])
+    h = 1e-5
+    grad = ek.verify.fd_gradient(fn, x, h)
+    assert len(seen) == 2 * len(x) and x.tolist() not in seen
+    assert grad.dtype == np.asarray(value).dtype
+    for i in range(len(x)):
+        step = np.eye(len(x))[i] * h
+        assert grad[i] == (fn(x + step) - fn(x - step)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, -1e-6, math.nan])
+def test_independence_rank_rejects_a_threshold_outside_the_unit_interval(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        ek.independence_rank([lambda v: float(v[0])], [np.array([1.0, 2.0])],
+                             threshold=threshold)
+
+
+def test_independence_rank_skips_a_state_that_cannot_be_evaluated():
+    def f(v):
+        if v[0] < 0:
+            raise ek.SingularPointError("left half-plane")
+        return float(v[0] * v[1])
+
+    states = [np.array([-0.5, 1.0]), np.array([0.5, 1.0])]
+    assert ek.verify.state_ranks([f, lambda v: float(v[1])], states)[1:] == ([states[1]], 1)
+    assert ek.independence_rank([f, lambda v: float(v[1])], states) == 2
+    with pytest.raises(ValueError, match="evaluates"):
+        ek.independence_rank([f], states[:1])
+
+
+@pytest.mark.parametrize("args, name", [
+    ((0, 5, 5, 1), "n_max"),
+    ((3, -3, 5, 1), "count_real"),
+    ((3, 5, -1, 1), "count_complex"),
+    ((3, 0, 0, 1), "no triple"),
+    ((3, 5, 5, -1), "seed"),
+])
+def test_recursion_sweep_rejects_a_sweep_that_compares_nothing(args, name):
+    with pytest.raises(ValueError, match=name):
+        ek.recursion_closed_sweep(*args)
+
+
+@pytest.mark.parametrize("field, value", [("margin", math.nan), ("margin", math.inf),
+                                          ("margin", -0.1), ("seed", -1)])
+def test_sample_spec_rejects_a_margin_or_seed_without_meaning(field, value):
+    kwargs = {"margin": 0.0, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=field):
+        ek.SampleSpec(((0.0, 1.0),), 5, **kwargs)
+
+
 def test_recursion_sweep_shape():
     res = ek.recursion_closed_sweep(4, 20, 5, 123)
     assert set(res["per_n"]) == {1, 2, 3, 4}
