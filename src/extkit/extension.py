@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -196,9 +196,9 @@ class DerivPair:
 
 def seed_pair(system: HamiltonianSystem, seed_field: ScalarField, x) -> tuple[DerivPair, float]:
     """(G, X_L G) as a pair at ``x``, plus the value of L there."""
-    jl, v = ham_field(system, x)
+    lval, v = ham_field(system, x)
     jg = seed_field.jet1(x)
-    return DerivPair(jg.value, jg.grad @ v), jl.value
+    return DerivPair(jg.value, jg.grad @ np.array(v)), lval
 
 
 def _stream_mul(a: list, b: list) -> list:
@@ -283,27 +283,24 @@ def power_coeffs(m: int, n: int, r: int, p_u: float, gam: float, lam) -> tuple:
 
 
 def extended_flow(system: HamiltonianSystem, params: ExtensionParams
-                  ) -> Callable[[np.ndarray], np.ndarray]:
+                  ) -> Callable[[Sequence[float]], list]:
     """Right-hand side of Hamilton's equations for the extended system.
 
-    Acts on flat vectors (u, p_u, x); the base block is the rescaled
-    base field -k^2 y'(u) pi grad L.
+    Acts on flat vectors (u, p_u, x), any float sequence, and returns a
+    list; the base block is the rescaled base field -k^2 y'(u) pi grad L.
     """
     k2 = params.k**2
     c0 = params.c0
     omega = params.omega
 
-    def rhs(vec: np.ndarray) -> np.ndarray:
+    def rhs(vec: Sequence[float]) -> list:
         gam, dgam, ddgam = profile_at(params, float(vec[0]))
-        jl, v = ham_field(system, vec[2:])
-        dpu = k2 * ddgam * jl.value - 2.0 * k2 * c0 * gam * dgam
+        lval, v = ham_field(system, vec[2:])
+        dpu = k2 * ddgam * lval - 2.0 * k2 * c0 * gam * dgam
         if omega != 0.0:
             dpu += 2.0 * omega * dgam / gam**3
-        out = np.empty(vec.shape)
-        out[0] = vec[1]
-        out[1] = dpu
-        out[2:] = (-k2 * dgam) * v
-        return out
+        scale = -k2 * dgam
+        return [float(vec[1]), dpu, *[scale * w for w in v]]
 
     return rhs
 

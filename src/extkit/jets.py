@@ -13,18 +13,24 @@ real or complex entry by entry, and a Hessian is a flat row-major tuple
 of the same kind, so propagation at either order allocates no numpy
 arrays.  Each Hessian entry is formed with the association numpy would
 use on the full matrices (``f2 * (g[i] * g[k])`` for the outer-product
-term), so real results match an array implementation bit for bit.  At
-the :class:`ScalarField` boundary ``jet1``/``jet2`` hand the gradient
-back as an ndarray of shape ``(dim,)`` and the Hessian as one of shape
-``(dim, dim)``, complex when any entry turned complex, and reject
-non-finite values, gradients and Hessians with :class:`NonFiniteError`.
+term), so real results match an array implementation bit for bit.
 
-``jet1`` compiles.  Its first call runs ``fn`` on jets.  Its second call
-runs ``fn`` once more on jets whose values are tape scalars, so the
+At the :class:`ScalarField` boundary every evaluation rejects a point of
+the wrong dimension or on the declared singular set, and non-finite
+values, gradients and Hessians with :class:`NonFiniteError`.  There is
+one first-order entry point, ``value_grad``: a list of floats in, the
+value and the gradient tuple out, no numpy on the way.  The flows call
+it once per right-hand side.  ``jet1`` is ``value_grad`` for any
+coordinate sequence, with the gradient handed back as an ndarray of
+shape ``(dim,)``; ``jet2`` adds the Hessian as one of shape
+``(dim, dim)``.  An ndarray is complex when any entry turned complex.
+
+``value_grad`` compiles.  Its first call runs ``fn`` on jets.  Its second
+call runs ``fn`` once more on jets whose values are tape scalars, so the
 unchanged jet rules record every scalar operation in order, and compiles
 the tape into one straight-line Python function over plain numbers (a
 tape in the sense of Griewank & Walther, *Evaluating Derivatives*, 2008,
-ch. 3 and 6).  From then on ``jet1`` runs that kernel,
+ch. 3 and 6).  From then on ``value_grad`` runs that kernel,
 and ``fn`` no longer runs.  Constants reach the kernel by reference.  The
 scalar dispatchers (math or cmath) are recorded as calls, so the kernel
 still picks on each call.  Every other decision that depends on a value, a
@@ -39,7 +45,8 @@ constants that are fixed once the field is built, and it does not branch on
 stays on jets for good when its recording fails: ``fn`` calls ``float()``,
 ``bool()``, ``complex()``, numpy or math on a value, or raises while
 recording.  So does a field whose guard fails: that call and every later
-one run on jets.
+one run on jets.  The kernel's guards hold a coordinate to the type it
+had when recorded, so a caller of ``value_grad`` hands it floats.
 Reassigning ``fn`` drops the kernel.  ``jet2`` and ``value`` are not
 compiled.  A Hessian tape is about d times longer than a gradient tape: in a
 prototype, compiling square_polar.L's 1563-line Hessian tape peaked near
@@ -53,7 +60,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from operator import add as _add, sub as _sub
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -490,17 +497,18 @@ class ScalarField:
     jets, interchangeably) and combines them with ordinary arithmetic
     and the math functions exported by this module.  It must be a pure
     function of its coordinates and of closure constants fixed after
-    construction: ``jet1`` compiles it on its second call (module notes).
-    ``singular`` is an optional predicate ``(point, margin) -> bool``
-    declaring where the field must not be evaluated.
+    construction: ``value_grad`` compiles it on its second call (module
+    notes).  ``singular`` is an optional predicate ``(point, margin) ->
+    bool`` declaring where the field must not be evaluated; it receives
+    the point as a sequence of floats (a list, when this class asks).
     """
 
     fn: Callable[[list], Any]
     dim: int
     codomain: str = "real"
-    singular: Callable[[np.ndarray, float], bool] | None = None
+    singular: Callable[[Sequence[float], float], bool] | None = None
     label: str = ""
-    # (fn, kernel): kernel is None before the second jet1 call of that fn,
+    # (fn, kernel): kernel is None before the second value_grad call of that fn,
     # False once the field stays on jets, else the compiled kernel
     _kernel: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
@@ -510,29 +518,33 @@ class ScalarField:
         if self.dim < 1:
             raise ValueError("field dimension must be positive")
 
-    def _pre(self, x) -> np.ndarray:
+    def _coords(self, x) -> list:
+        """``x`` as a list of ``dim`` floats, else the dimension-mismatch error."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
-            name = self.label or "field"
-            raise EvaluationError(
-                f"dimension mismatch: {name} expects {self.dim} coordinates, got shape {x.shape}"
-            )
-        if self.singular is not None and self.singular(x, 0.0):
-            name = self.label or "field"
-            raise SingularPointError(f"{name} evaluated on its singular set at {x.tolist()}")
-        return x
+            raise self._dim_error(x.shape)
+        return x.tolist()
 
-    def _run(self, x: np.ndarray, fn, args: list):
+    def _dim_error(self, shape) -> EvaluationError:
+        return EvaluationError(f"dimension mismatch: {self.label or 'field'} expects "
+                               f"{self.dim} coordinates, got shape {shape}")
+
+    def _on_chart(self, xs: list) -> list:
+        """``xs`` itself, or :class:`SingularPointError` on the singular set."""
+        if self.singular is not None and self.singular(xs, 0.0):
+            raise SingularPointError(f"{self.label or 'field'} evaluated on its singular "
+                                     f"set at {xs}")
+        return xs
+
+    def _run(self, xs: list, fn, args: list):
         try:
             return fn(args)
         except ZeroDivisionError:
-            raise NonFiniteError(f"{self.label or 'field'} divides by zero "
-                                 f"at {x.tolist()}") from None
+            raise NonFiniteError(f"{self.label or 'field'} divides by zero at {xs}") from None
         except OverflowError:
-            raise NonFiniteError(f"{self.label or 'field'} overflows "
-                                 f"at {x.tolist()}") from None
+            raise NonFiniteError(f"{self.label or 'field'} overflows at {xs}") from None
 
-    def _finite(self, x: np.ndarray, v):
+    def _finite(self, xs: list, v):
         """``v`` itself if it is a finite number, else :class:`NonFiniteError`."""
         try:
             if cmath.isfinite(v):
@@ -542,19 +554,24 @@ class ScalarField:
             how = "overflows"
         except TypeError:
             how = "is not a number"
-        raise NonFiniteError(f"{self.label or 'field'} {how} at {x.tolist()}")
+        raise NonFiniteError(f"{self.label or 'field'} {how} at {xs}")
 
     def value(self, x):
-        x = self._pre(x)
-        return self._finite(x, self._run(x, self.fn, x.tolist()))
+        xs = self._on_chart(self._coords(x))
+        return self._finite(xs, self._run(xs, self.fn, xs))
 
     __call__ = value
 
-    def jet1(self, x) -> Jet:
-        """Value and gradient at ``x``; from the second call on, through
-        the compiled kernel while it has one (see the module notes)."""
-        x = self._pre(x)
-        xs = x.tolist()
+    def value_grad(self, xs: list) -> tuple:
+        """Value and gradient tuple at the coordinate list ``xs``.
+
+        The one first-order entry point: ``xs`` is a list of ``dim``
+        floats, taken as it is.  From the second call on it runs the
+        compiled kernel while the field has one (see the module notes).
+        """
+        if len(xs) != self.dim:
+            raise self._dim_error((len(xs),))
+        self._on_chart(xs)
         fn, kernel = self._kernel
         if fn is not self.fn:
             fn, kernel = self._kernel = (self.fn, None)
@@ -563,38 +580,45 @@ class ScalarField:
             self._kernel = (fn, kernel)
         if kernel:
             try:
-                return self._checked(x, *self._run(x, kernel, xs))
+                return self._first_order(xs, *self._run(xs, kernel, xs))
             except (_GuardFailed, TypeError):
                 # a decision went the other way, or a comparison met a
                 # complex value: this call and every later one run on jets
                 self._kernel = (fn, False)
-        return self._jet(x, xs, second_order=False)
+        out = self._run(xs, fn, _seeds(xs))
+        if not isinstance(out, Jet):
+            return self._first_order(xs, out, None)
+        return self._first_order(xs, out.value, out.grad)
+
+    def jet1(self, x) -> Jet:
+        """Value and gradient at ``x``: :meth:`value_grad` with the
+        gradient as an ndarray."""
+        value, grad = self.value_grad(self._coords(x))
+        return Jet(value, np.array(grad))
 
     def jet2(self, x) -> Jet:
         """Value, gradient and Hessian at ``x``."""
-        x = self._pre(x)
-        return self._jet(x, x.tolist(), second_order=True)
-
-    def _jet(self, x: np.ndarray, xs: list, second_order: bool) -> Jet:
-        out = self._run(x, self.fn, _seeds(xs, second_order))
-        if not isinstance(out, Jet):
-            return self._checked(x, out, None, second_order=second_order)
-        return self._checked(x, out.value, out.grad, out.hess)
-
-    def _checked(self, x: np.ndarray, value, grad, hess=None, second_order=False) -> Jet:
-        """The boundary jet of ``fn``'s value, gradient tuple and Hessian
-        tuple; ``grad is None`` when ``fn`` returned a plain number."""
+        xs = self._on_chart(self._coords(x))
+        out = self._run(xs, self.fn, _seeds(xs, second_order=True))
         d = self.dim
-        if grad is None:
-            return Jet(self._finite(x, value), np.zeros(d),
-                       np.zeros((d, d)) if second_order else None)
-        self._finite(x, value)
-        if not all(map(cmath.isfinite, grad)):
-            raise NonFiniteError(f"{self.label or 'field'} has a non-finite gradient "
-                                 f"at {x.tolist()}")
+        if not isinstance(out, Jet):
+            return Jet(self._finite(xs, out), np.zeros(d), np.zeros((d, d)))
+        value, grad = self._first_order(xs, out.value, out.grad)
+        hess = out.hess
         if hess is None:
             return Jet(value, np.array(grad))
         if not all(map(cmath.isfinite, hess)):
             raise NonFiniteError(f"{self.label or 'field'} has a non-finite Hessian "
-                                 f"at {x.tolist()}")
+                                 f"at {xs}")
         return Jet(value, np.array(grad), np.array(hess).reshape(d, d))
+
+    def _first_order(self, xs: list, value, grad) -> tuple:
+        """``fn``'s value and gradient tuple, checked finite; ``grad is None``
+        when ``fn`` returned a plain number."""
+        if grad is None:
+            return self._finite(xs, value), (0.0,) * self.dim
+        self._finite(xs, value)
+        if not all(map(cmath.isfinite, grad)):
+            raise NonFiniteError(f"{self.label or 'field'} has a non-finite gradient "
+                                 f"at {xs}")
+        return value, grad

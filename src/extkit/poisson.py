@@ -15,7 +15,9 @@ operator is assembled exactly from second jets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from itertools import chain
+from operator import add
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -50,6 +52,9 @@ class PoissonStructure:
     entries: Callable[[list], Any] | None = None
     const: np.ndarray | None = None
     label: str = ""
+    # for a constant bivector whose rows each hold at most one nonzero
+    # entry, (column, entry) per row; else None
+    _sparse: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.entries is None) == (self.const is None):
@@ -59,29 +64,33 @@ class PoissonStructure:
             self.const = np.asarray(self.const, dtype=float)
             if self.const.shape != (self.dim, self.dim):
                 raise ValueError("constant bivector has the wrong shape")
-            self._check_antisym(self.const)
+            rows = self._check_antisym(self.const.tolist())
             self.const.setflags(write=False)
+            nonzero = [[(j, v) for j, v in enumerate(row) if v != 0.0] for row in rows]
+            if all(len(row) <= 1 for row in nonzero):
+                self._sparse = tuple(row[0] if row else (0, 0.0) for row in nonzero)
 
-    def _check_antisym(self, m: np.ndarray):
-        # max |m + m^T| against the tolerance scaled by max(1, max |m|);
-        # builtin max over lists beats numpy reductions at these sizes
-        scale = max(1.0, max(map(abs, m.ravel().tolist())))
-        if max(map(abs, (m + m.T).ravel().tolist())) > _ANTISYM_TOL * scale:
+    def _check_antisym(self, rows: list) -> list:
+        """``rows``, entry values nested by row, once max |m + m^T| is within
+        the tolerance scaled by max(1, max |m|)."""
+        flat = list(chain.from_iterable(rows))
+        scale = max(1.0, max(map(abs, flat)))
+        transposed = chain.from_iterable(zip(*rows))
+        if max(map(abs, map(add, flat, transposed))) > _ANTISYM_TOL * scale:
             raise ValueError(
                 f"bivector {self.label or ''} is not antisymmetric within {_ANTISYM_TOL:g}"
             )
-
-    def _assemble(self, values) -> np.ndarray:
-        """Entry values, nested by row, as a float matrix checked for antisymmetry."""
-        m = np.array(values, dtype=float)
-        self._check_antisym(m)
-        return m
+        return rows
 
     def matrix(self, x) -> np.ndarray:
         """The bivector evaluated at ``x``."""
         if self.const is not None:
             return self.const
-        return self._assemble(self.entries(np.asarray(x, dtype=float).tolist()))
+        return self._at(np.asarray(x, dtype=float).tolist())
+
+    def _at(self, xs: list) -> np.ndarray:
+        """The entry rule's bivector at the coordinate list ``xs``."""
+        return np.array(self._check_antisym(self.entries(xs)), dtype=float)
 
     def matrix_with_grads(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Bivector and its entry derivatives.
@@ -94,9 +103,22 @@ class PoissonStructure:
         zero = (0.0,) * d
         rows = [[e if isinstance(e, Jet) else Jet(e, zero) for e in row]
                 for row in self.entries(_seeds(np.asarray(x, dtype=float).tolist()))]
-        m = self._assemble([[e.value for e in row] for row in rows])
+        m = np.array(self._check_antisym([[e.value for e in row] for row in rows]), dtype=float)
         dm = np.array([[e.grad for e in row] for row in rows], dtype=float)
         return m, np.ascontiguousarray(dm.transpose(2, 0, 1))
+
+    def contract(self, xs: list, grad) -> list:
+        """pi grad at the coordinate list ``xs``, as a list.
+
+        For a finite real gradient this is numpy's ``matrix(xs) @ grad``
+        bit for bit: a row with one nonzero entry p at column j reads
+        0.0 + p grad[j], and any other bivector goes through that product.
+        """
+        sparse = self._sparse
+        if sparse is not None:
+            return [0.0 + p * grad[j] for j, p in sparse]
+        m = self.const if self.entries is None else self._at(xs)
+        return (m @ np.array(grad)).tolist()
 
 
 def canonical_structure(dim: int, label: str = "") -> PoissonStructure:
@@ -126,14 +148,21 @@ class HamiltonianSystem:
         return self.structure.dim
 
 
-def ham_field(system: HamiltonianSystem, x) -> tuple[Jet, np.ndarray]:
-    """L's first jet at ``x`` and the Hamiltonian vector field pi grad L there."""
-    jl = system.hamiltonian.jet1(x)
-    return jl, system.structure.matrix(x) @ jl.grad
+def ham_field(system: HamiltonianSystem, x) -> tuple[Any, list]:
+    """L's value at ``x`` and the Hamiltonian vector field pi grad L there.
+
+    ``x`` is a list of floats, taken as it is, or any other coordinate
+    sequence; the field comes back as a list.
+    """
+    ham = system.hamiltonian
+    xs = x if type(x) is list else ham._coords(x)
+    lval, grad = ham.value_grad(xs)
+    return lval, system.structure.contract(xs, grad)
 
 
-def base_flow(system: HamiltonianSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-hand side ``x -> pi grad L`` for integrators."""
+def base_flow(system: HamiltonianSystem) -> Callable[[Sequence[float]], list]:
+    """Right-hand side ``x -> pi grad L`` for integrators: any float
+    sequence in, a list out."""
     return lambda x: ham_field(system, x)[1]
 
 
@@ -146,7 +175,7 @@ def bracket(structure: PoissonStructure, f: ScalarField, g: ScalarField, x):
 
 def apply_xl(system: HamiltonianSystem, f: ScalarField, x):
     """X_L F = {F, L} at ``x``."""
-    return f.jet1(x).grad @ ham_field(system, x)[1]
+    return f.jet1(x).grad @ np.array(ham_field(system, x)[1])
 
 
 def apply_xl2(system: HamiltonianSystem, f: ScalarField, x):

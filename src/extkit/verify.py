@@ -8,6 +8,7 @@ deterministic given a sample seed.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -196,8 +197,9 @@ def first_order_residual(system: HamiltonianSystem, field_g: ScalarField,
 
     def sides(x):
         g0 = field_g.value(x)
-        xp = _rk4_step(rhs_fn, x, step)
-        xm = _rk4_step(rhs_fn, x, -step)
+        xs = x.tolist()
+        xp = _rk4_step(rhs_fn, xs, step)
+        xm = _rk4_step(rhs_fn, xs, -step)
         deriv = (field_g.value(xp) - field_g.value(xm)) / (2.0 * step)
         rad = -2.0 * (c * system.hamiltonian.value(x) + c0)
         if rad < 0 and field_g.codomain == "real":
@@ -219,12 +221,39 @@ class Trajectory:
     stats: dict = field(default_factory=dict)
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _components(v, d: int) -> list:
+    """A right-hand side's output as a list of ``d`` numbers."""
+    if type(v) is not list:
+        v = np.asarray(v).tolist()
+    if type(v) is not list or len(v) != d:
+        raise ValueError(f"right-hand side must return {d} numbers, got shape {np.shape(v)}")
+    return v
+
+
+def _rk4_step(rhs, y: list, h: float) -> list:
+    # each component as numpy evaluates y + 0.5 * h * k1 and
+    # y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) on arrays
+    d = len(y)
+    a = 0.5 * h
+    k1 = _components(rhs(y), d)
+    k2 = _components(rhs([yi + a * k for yi, k in zip(y, k1)]), d)
+    k3 = _components(rhs([yi + a * k for yi, k in zip(y, k2)]), d)
+    k4 = _components(rhs([yi + h * k for yi, k in zip(y, k3)]), d)
+    b = h / 6.0
+    return [yi + b * (((p + 2.0 * q) + 2.0 * r) + s)
+            for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]
+
+
+def _max_abs(v) -> float:
+    """max |v_i|, NaN as soon as one entry is NaN, as ``np.max(np.abs(v))``."""
+    out = 0.0
+    for x in v:
+        a = abs(x)
+        if a != a:
+            return a
+        if a > out:
+            out = a
+    return out
 
 
 # Fehlberg 4(5) tableau.
@@ -239,60 +268,76 @@ _FB4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FB5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
-def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0, t_final: float,
+def integrate(rhs: Callable[[list], Sequence[float]], y0, t_final: float,
               method: str = "rk4", dt: float = 1e-3, tol: float = 1e-10,
               dt_min: float = 1e-9, dt_max: float = 0.5) -> Trajectory:
     """Integrate y' = rhs(y) from 0 to ``t_final``.
 
-    ``rk4`` takes ceil(t_final / dt - 1e-12) steps, each min(dt, t_final - t)
-    with t the running sum of the steps so far.  It ends at that rounded
-    sum, which can miss ``t_final``: 10000 steps of 1e-3 end at
-    9.999999999999897.  ``rkf45`` is an embedded adaptive pair controlled
-    by ``tol``; its ``stats`` count accepted and rejected steps, and as
+    ``rhs`` receives the state as a list of floats and returns any
+    sequence of as many numbers (a list, or an ndarray).  The trajectory
+    holds ndarrays.  ``rk4`` takes ceil(t_final / dt - 1e-12) steps, each
+    min(dt, t_final - t) with t the running sum of the steps so far.  It
+    ends at that rounded sum, which can miss ``t_final``: 10000 steps of
+    1e-3 end at 9.999999999999897.  ``rkf45`` is an embedded adaptive pair
+    controlled by ``tol``, with step sizes kept within [``dt_min``,
+    ``dt_max``]; its ``stats`` count accepted and rejected steps, and as
     ``n_forced`` the accepted steps whose error exceeded the tolerance
     once the step size had reached ``dt_min``.  A flow evaluation error
     or a non-finite state truncates the trajectory and records the reason.
     """
     y0 = np.asarray(y0, dtype=float)
+    if y0.ndim != 1:
+        raise ValueError(f"y0 must be a flat vector, got shape {y0.shape}")
+    y0 = y0.tolist()
     _check_positive(t_final, "t_final")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _check_positive(dt, "dt")
     if method == "rk4":
         return _integrate_rk4(rhs, y0, t_final, dt)
     if method == "rkf45":
         _check_positive(tol, "tol")
+        _check_positive(dt_min, "dt_min")
+        _check_positive(dt_max, "dt_max")
+        if dt_min > dt_max:
+            raise ValueError(f"dt_min must not exceed dt_max, got {dt_min!r} > {dt_max!r}")
         return _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max)
     raise ValueError(f"unknown integration method {method!r}")
 
 
-def _integrate_rk4(rhs, y0, t_final, dt) -> Trajectory:
+def _integrate_rk4(rhs, y0: list, t_final, dt) -> Trajectory:
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
     times = [0.0]
-    states = [y0]
+    states = np.empty((n_steps + 1, len(y0)))
+    states[0] = y0
     y = y0
     t = 0.0
     truncated = False
     reason = ""
-    for i in range(n_steps):
+    for i in range(1, n_steps + 1):
         h = min(dt, t_final - t)
         try:
             y = _rk4_step(rhs, y, h)
         except EvaluationError as e:
             truncated, reason = True, f"flow evaluation failed at t = {t:.6g}: {e}"
             break
-        if not np.all(np.isfinite(y)):
+        if not all(map(cmath.isfinite, y)):
             truncated, reason = True, f"state became non-finite at t = {t + h:.6g}"
             break
         t += h
         times.append(t)
-        states.append(y)
+        try:
+            states[i] = y
+        except TypeError:  # a complex state
+            states = states.astype(complex)
+            states[i] = y
+    n = len(times)
     return Trajectory(
-        np.array(times), np.array(states), "rk4", truncated, reason,
-        stats={"n_steps": len(times) - 1},
+        np.array(times), states if n == len(states) else states[:n].copy(), "rk4",
+        truncated, reason, stats={"n_steps": n - 1},
     )
 
 
-def _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max) -> Trajectory:
+def _integrate_rkf45(rhs, y0: list, t_final, dt, tol, dt_min, dt_max) -> Trajectory:
+    d = len(y0)
     times = [0.0]
     states = [y0]
     y = y0
@@ -303,24 +348,35 @@ def _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max) -> Trajectory:
     forced = 0
     truncated = False
     reason = ""
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = _FB
+    b40, b41, b42, b43, b44, b45 = _FB4
+    b50, b51, b52, b53, b54, b55 = _FB5
     while t < t_final - 1e-14 * t_final:
         h = min(h, t_final - t)
+        # each component as numpy evaluates the stage sums on arrays,
+        # y + h * (a0 * k1 + a1 * k2 + ...), left to right
         try:
-            k1 = rhs(y)
-            k2 = rhs(y + h * _FB[0][0] * k1)
-            k3 = rhs(y + h * (_FB[1][0] * k1 + _FB[1][1] * k2))
-            k4 = rhs(y + h * (_FB[2][0] * k1 + _FB[2][1] * k2 + _FB[2][2] * k3))
-            k5 = rhs(y + h * (_FB[3][0] * k1 + _FB[3][1] * k2 + _FB[3][2] * k3 + _FB[3][3] * k4))
-            k6 = rhs(y + h * (_FB[4][0] * k1 + _FB[4][1] * k2 + _FB[4][2] * k3
-                              + _FB[4][3] * k4 + _FB[4][4] * k5))
+            k1 = _components(rhs(y), d)
+            c = h * a10
+            k2 = _components(rhs([yi + c * p for yi, p in zip(y, k1)]), d)
+            k3 = _components(rhs([yi + h * (a20 * p + a21 * q)
+                              for yi, p, q in zip(y, k1, k2)]), d)
+            k4 = _components(rhs([yi + h * (a30 * p + a31 * q + a32 * r)
+                              for yi, p, q, r in zip(y, k1, k2, k3)]), d)
+            k5 = _components(rhs([yi + h * (a40 * p + a41 * q + a42 * r + a43 * s)
+                              for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]), d)
+            k6 = _components(rhs([yi + h * (a50 * p + a51 * q + a52 * r + a53 * s + a54 * w)
+                              for yi, p, q, r, s, w in zip(y, k1, k2, k3, k4, k5)]), d)
         except EvaluationError as e:
             truncated, reason = True, f"flow evaluation failed at t = {t:.6g}: {e}"
             break
-        ks = (k1, k2, k3, k4, k5, k6)
-        y4 = y + h * sum(b * k for b, k in zip(_FB4, ks))
-        y5 = y + h * sum(b * k for b, k in zip(_FB5, ks))
-        scale = tol * (1.0 + float(np.max(np.abs(y))))
-        err = float(np.max(np.abs(y5 - y4)))
+        ks = list(zip(k1, k2, k3, k4, k5, k6))
+        y4 = [yi + h * (0 + b40 * p + b41 * q + b42 * r + b43 * s + b44 * w + b45 * z)
+              for yi, (p, q, r, s, w, z) in zip(y, ks)]
+        y5 = [yi + h * (0 + b50 * p + b51 * q + b52 * r + b53 * s + b54 * w + b55 * z)
+              for yi, (p, q, r, s, w, z) in zip(y, ks)]
+        scale = tol * (1.0 + _max_abs(y))
+        err = _max_abs([a - b for a, b in zip(y5, y4)])
         if not math.isfinite(err):
             truncated, reason = True, f"step error became non-finite at t = {t:.6g}"
             break
@@ -332,7 +388,7 @@ def _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max) -> Trajectory:
             times.append(t)
             states.append(y)
             accepted += 1
-            if not np.all(np.isfinite(y)):
+            if not all(map(cmath.isfinite, y)):
                 truncated, reason = True, f"state became non-finite at t = {t:.6g}"
                 break
         else:

@@ -397,6 +397,8 @@ Q1_EXTEND_FLAGS = ["--system", "quartic1", "--c", "1", "--c0", "1", "--C", "1",
     (["rank", *Q1_EXTEND_FLAGS, "--h", "0", "--samples", "2"], "step"),
     (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "inf"], "t_final"),
     (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "nan"], "t_final"),
+    (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "1", "--dt", "inf"],
+     "dt"),
     (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "0.01",
       "--method", "rkf45", "--tol", "-1"], "tol"),
     (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "0.01",
@@ -413,7 +415,8 @@ Q1_EXTEND_FLAGS = ["--system", "quartic1", "--c", "1", "--c0", "1", "--C", "1",
     (["gn-compare", "--samples", "-3"], "count_real"),
     (["gn-compare", "--n-max", "0"], "n_max"),
 ], ids=["check-kn-step-0", "bracket-h-0", "rank-h-0", "integrate-t-final-inf",
-        "integrate-t-final-nan", "integrate-rkf45-tol-negative", "integrate-rkf45-tol-nan",
+        "integrate-t-final-nan", "integrate-dt-inf", "integrate-rkf45-tol-negative",
+        "integrate-rkf45-tol-nan",
         "check-pde-bool-C1", "check-pde-bool-F1", "check-pde-string-F1",
         "check-pde-margin-nan", "check-pde-seed-negative", "rank-threshold-nan",
         "gn-compare-no-samples", "gn-compare-samples-negative", "gn-compare-n-max-0"])

@@ -1,5 +1,5 @@
 """Structural guards on the hot paths: what one right-hand side call and
-one finite-difference bracket state run, and that a warm ``jet1`` runs
+one finite-difference bracket state run, and that a warm flow call runs
 no jet arithmetic.
 
 These count calls rather than time them, so a change that brings per-call
@@ -16,7 +16,8 @@ from extkit import extension, jets, riccati
 @pytest.fixture
 def calls(monkeypatch):
     """Field evaluations, profile evaluations and Riccati constant sets made."""
-    seen = {"jet1": [], "jet2": [], "value": [], "riccati_eval": 0, "riccati_params": 0}
+    seen = {"value_grad": [], "jet1": [], "jet2": [], "value": [], "riccati_eval": 0,
+            "riccati_params": 0}
 
     def spy(name):
         original = getattr(jets.ScalarField, name)
@@ -27,7 +28,7 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(jets.ScalarField, name, wrapped)
 
-    for name in ("jet1", "jet2", "value"):
+    for name in ("value_grad", "jet1", "jet2", "value"):
         spy(name)
     monkeypatch.setattr(jets.ScalarField, "__call__", jets.ScalarField.value)
 
@@ -63,14 +64,15 @@ def test_one_extended_rhs_call(key, consts, state, calls):
     params = ek.ExtensionParams(**consts)
     rhs = ek.build_extension(built.system, built.seed, params).flow()
     assert calls["riccati_params"] == 1  # built once, with the extension constants
-    for name in ("jet1", "jet2", "value"):
+    for name in ("value_grad", "jet1", "jet2", "value"):
         calls[name].clear()
     calls["riccati_params"] = 0
 
     out = rhs(np.array(state))
     assert np.all(np.isfinite(out))
-    assert calls["jet1"] == [built.system.hamiltonian.label]
-    assert calls["jet2"] == [] and calls["value"] == []
+    # L once, through the first-order entry point, and no ndarray jet
+    assert calls["value_grad"] == [built.system.hamiltonian.label]
+    assert calls["jet1"] == [] and calls["jet2"] == [] and calls["value"] == []
     assert calls["riccati_eval"] == 1
     assert calls["riccati_params"] == 0
 
@@ -106,11 +108,13 @@ def test_entry_rule_bivector_calls_its_rule_once(key, state, calls):
     system.structure.matrix_with_grads(x)
     assert len(seen) == 2 and all(isinstance(v, ek.Jet) for v in seen[1])
 
-    # one base-flow call: one rule call and one jet1 of L
+    # one base-flow call: one rule call and one first-order evaluation of L
+    calls["value_grad"].clear()
     calls["jet1"].clear()
     ek.base_flow(system)(x)
     assert len(seen) == 3
-    assert calls["jet1"] == [system.hamiltonian.label] and calls["jet2"] == []
+    assert calls["value_grad"] == [system.hamiltonian.label]
+    assert calls["jet1"] == [] and calls["jet2"] == []
 
 
 @pytest.mark.parametrize("key, consts, state, per_field", [
@@ -125,14 +129,15 @@ def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_
     ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
     obs = ext.conserved_quantities()
     structure = ext.structure()
-    for name in ("jet1", "jet2", "value"):
+    for name in ("value_grad", "jet1", "jet2", "value"):
         calls[name].clear()
     for name in obs:
         if name.startswith("K"):
             ek.fd_bracket_normalized(structure, obs["H"], obs[name], np.array(state))
+    # every first-order evaluation, jet1's included, goes through value_grad
     ham, seed = built.system.hamiltonian.label, built.seed.field.label
-    assert calls["jet1"].count(ham) == calls["jet1"].count(seed) == per_field
-    assert len(calls["jet1"]) == 2 * per_field and calls["jet2"] == []
+    assert calls["value_grad"].count(ham) == calls["value_grad"].count(seed) == per_field
+    assert len(calls["value_grad"]) == 2 * per_field and calls["jet2"] == []
 
 
 @pytest.mark.parametrize("key, run", [
@@ -141,8 +146,8 @@ def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_
     ("lotka_volterra", lambda b: ek.base_flow(b.system)),
 ], ids=["quartic1-extended-rhs", "lotka_volterra-base-flow"])
 def test_a_warm_flow_call_runs_no_jet_arithmetic(key, run, monkeypatch):
-    # from its second call on, jet1 replays a compiled kernel over plain
-    # numbers: L's fn does not run, and no jet is built inside arithmetic
+    # from its second call on, value_grad replays a compiled kernel over
+    # plain numbers: L's fn does not run, and no jet is built at all
     built = ek.instantiate(key)
     ham = built.system.hamiltonian
     fn_calls = []
@@ -170,4 +175,4 @@ def test_a_warm_flow_call_runs_no_jet_arithmetic(key, run, monkeypatch):
     out = rhs(x * 0.99)
     assert np.all(np.isfinite(out))
     assert fn_calls == []
-    assert tuple not in grads and grads == [np.ndarray]  # the one jet jet1 hands out
+    assert grads == []

@@ -1,5 +1,6 @@
 """Sampling, integrators, drift reports, finite-difference brackets."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,10 +279,73 @@ def test_first_order_residual_rejects_a_zero_step():
     (dict(t_final=1.0, method="rkf45", tol=-1.0), "tol"),
     (dict(t_final=1.0, method="rkf45", tol=math.nan), "tol"),
     (dict(t_final=1.0, method="rkf45", tol=math.inf), "tol"),
+    (dict(t_final=1.0, dt=math.inf), "dt"),
+    # a negative dt_max once made h negative: t walked backwards for good
+    (dict(t_final=1.0, method="rkf45", dt_max=-1.0), "dt_max"),
+    (dict(t_final=1.0, method="rkf45", dt_max=math.nan), "dt_max"),
+    (dict(t_final=1.0, method="rkf45", dt_min=-1.0), "dt_min"),
+    (dict(t_final=1.0, method="rkf45", dt_min=math.nan), "dt_min"),
+    (dict(t_final=1.0, method="rkf45", dt_min=0.1, dt_max=0.01), "dt_min must not exceed"),
 ])
 def test_integrate_rejects_meaningless_numbers(kwargs, name):
+    calls = []
+
+    def rhs(y):
+        calls.append(1)
+        return harmonic_rhs(y)
+
     with pytest.raises(ValueError, match=name):
-        ek.integrate(harmonic_rhs, np.array([1.0, 0.0]), **kwargs)
+        ek.integrate(rhs, np.array([1.0, 0.0]), **kwargs)
+    assert calls == []  # rejected before any step
+
+
+def test_integrate_hands_rhs_a_list_and_takes_any_sequence_back():
+    seen = []
+
+    def rhs(y):
+        seen.append(type(y))
+        return (y[1], -y[0]) if len(seen) % 2 else np.array([y[1], -y[0]])
+
+    for method in ("rk4", "rkf45"):
+        seen.clear()
+        traj = ek.integrate(rhs, (1.0, 0.0), 0.1, method=method, dt=1e-2)
+        assert set(seen) == {list}
+        assert traj.states.dtype == np.float64 and traj.times.dtype == np.float64
+        assert traj.states.shape == (len(traj.times), 2)
+        np.testing.assert_allclose(traj.states[-1], [math.cos(0.1), -math.sin(0.1)],
+                                   atol=1e-9)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_integrate_keeps_a_state_that_turns_complex(method):
+    # y' = i y from y = 1: exp(i t)
+    traj = ek.integrate(lambda y: [1j * y[0]], [1.0], 1.0, method=method)
+    assert traj.states.dtype == np.complex128 and not traj.truncated
+    assert abs(traj.states[-1, 0] - complex(math.cos(1.0), math.sin(1.0))) <= 1e-9
+    assert traj.states[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("rhs, y0, needle", [
+    (lambda y: [1.0], [0.0, 0.0], "must return 2 numbers, got shape (1,)"),
+    (lambda y: 1.0, [0.0], "must return 1 numbers, got shape ()"),
+    (harmonic_rhs, [[1.0, 0.0]], "y0 must be a flat vector"),
+])
+def test_integrate_rejects_a_state_or_rhs_of_the_wrong_shape(rhs, y0, needle):
+    for method in ("rk4", "rkf45"):
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            ek.integrate(rhs, y0, 0.1, method=method)
+
+
+def test_a_truncated_rk4_trajectory_keeps_only_its_states():
+    def rhs(y):
+        if y[0] >= 0.5:
+            raise ek.EvaluationError("left the chart")
+        return [1.0, 0.0]
+
+    traj = ek.integrate(rhs, [0.0, 0.0], 10.0, dt=1e-2)
+    assert traj.truncated and traj.states.shape == (len(traj.times), 2)
+    assert traj.states.base is None  # not a view of the whole step budget
+    np.testing.assert_array_equal(traj.states[:, 0], traj.times)
 
 
 def test_conservation_report_keeps_the_subsampled_states():
