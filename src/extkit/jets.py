@@ -27,11 +27,12 @@ shape ``(dim,)``; ``jet2`` adds the Hessian as one of shape
 
 ``value_grad`` compiles.  Its first call runs ``fn`` on jets.  Its second
 call runs ``fn`` once more on jets whose values are tape scalars, so the
-unchanged jet rules record every scalar operation in order, and compiles
-the tape into one straight-line Python function over plain numbers (a
-tape in the sense of Griewank & Walther, *Evaluating Derivatives*, 2008,
-ch. 3 and 6).  From then on ``value_grad`` runs that kernel,
-and ``fn`` no longer runs.  Constants reach the kernel by reference.  The
+unchanged jet rules record every scalar operation in order, as structured
+ops (operation, destination register, operand registers) on a tape in the
+sense of Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 3 and 6.
+It generates one straight-line Python function over plain numbers from the
+ops and compiles it.  From then on ``value_grad`` runs that kernel, and
+``fn`` no longer runs.  Constants reach the kernel by reference.  The
 scalar dispatchers (math or cmath) are recorded as calls, so the kernel
 still picks on each call.  Every other decision that depends on a value, a
 comparison or an ``isinstance`` test of a value, becomes a guard.  The
@@ -47,10 +48,25 @@ stays on jets for good when its recording fails: ``fn`` calls ``float()``,
 recording.  So does a field whose guard fails: that call and every later
 one run on jets.  The kernel's guards hold a coordinate to the type it
 had when recorded, so a caller of ``value_grad`` hands it floats.
-Reassigning ``fn`` drops the kernel.  ``jet2`` and ``value`` are not
-compiled.  A Hessian tape is about d times longer than a gradient tape: in a
-prototype, compiling square_polar.L's 1563-line Hessian tape peaked near
-4 MiB, which raised the peak memory of the sampled-gates benchmark by 6 %.
+Reassigning ``fn`` drops the kernel.
+
+Second order runs over clouds of points.
+``jet2_cloud`` records ``fn``'s second-order jet once, at one point of a
+cloud of B points, and replays the ops over all of them at once: each
+tape temporary becomes an ndarray of shape (B,), dropped after its last
+use.  The replay interprets the ops and compiles nothing.  A Hessian tape
+is about d times longer than a gradient tape: square_polar.L's has some
+1500 ops.  In a prototype, compiling it peaked near 3.7 MiB and raised the
+peak memory of the sampled-gates benchmark by 5.5 %, while at B = 300 the
+interpreter ran as fast as the compiled source and a replay peaks below
+1 MiB, its recording included.  The tape is recorded at every call and
+not kept, for the same reason.  Each value the replay leaves at a point is
+the one ``jet2`` computes there, bit for bit: numpy does only the real
+arithmetic and complex + and -, complex * and / follow CPython's own
+formulas, and ``**`` and the dispatchers run as Python scalars, point by
+point (:meth:`_Tape.replay`).  A point where that cannot hold is marked,
+and its caller asks ``jet2`` there.  ``jet2`` and ``value`` themselves run
+``fn`` on jets and on numbers.
 """
 from __future__ import annotations
 
@@ -320,11 +336,11 @@ tanh = _elementary(_either(math.tanh, cmath.tanh),
                    lambda v, t: 1.0 - t * t, lambda v, t: -2.0 * t * (1.0 - t * t))
 
 
-# ------------------------------------------------------ first-order kernels
+# ------------------------------------------------------------------- tapes
 
 
 class _Untraceable(BaseException):
-    """``fn`` asked a tape scalar for something a kernel cannot replay.
+    """``fn`` asked a tape scalar for something a tape cannot replay.
 
     A BaseException, so that an ``except Exception`` inside ``fn`` cannot
     catch it and go on down a branch the jet path would not take.
@@ -335,71 +351,276 @@ class _GuardFailed(Exception):
     """A kernel guard saw a decision go the other way than when recorded."""
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "**": operator.pow}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "==": operator.eq, "!=": operator.ne}
+_UNARY = {"neg": "-{}", "pos": "+{}", "abs": "abs({})"}
+# the constant types a cloud replay takes as operands, which numpy combines
+# with float64 and complex128 arrays as Python combines them with numbers
+_CLOUD_CONSTS = (bool, int, float, complex)
+
+
 class _Tape:
-    """The scalar operations of one run of a field's ``fn``, in order, as
-    lines of Python over the names ``x<i>`` (coordinates), ``t<k>``
-    (results) and ``c<j>`` (constants, passed to the kernel by reference)."""
+    """The scalar operations of one run of a field's ``fn``, in order.
 
-    def __init__(self):
-        self.lines: list[str] = []
-        self.consts: list = []
-        self._names: dict[int, str] = {}
-        self._typed: set[str] = set()
+    Every number the run meets gets a register: the coordinates first, then
+    each constant and each result as it appears.  ``vals`` holds each
+    register's value in this run, and ``consts`` the constant registers.
+    ``ops`` holds one ``(op, dest, a, b)`` per operation, ``a`` and ``b``
+    registers:
 
-    def const(self, obj) -> str:
-        name = self._names.get(id(obj))
-        if name is None:
-            name = self._names[id(obj)] = f"c{len(self.consts)}"
-            self.consts.append(obj)
-        return name
+    - ``op`` in :data:`_BINARY`: register ``dest`` = ``a op b``;
+    - ``"neg"``, ``"pos"``, ``"abs"``: ``dest`` = ``op(a)``, ``b`` unused;
+    - ``"call"``: ``dest`` = ``b(a)``, ``b`` holding a scalar dispatcher;
+    - ``op`` in :data:`_COMPARE`: a guard that ``a op b`` comes out as
+      ``dest``, the recorded outcome;
+    - ``"type"``: a guard that ``type(a) is b``; ``dest`` unused.
 
-    def operand(self, o) -> str | None:
-        """The name of a tape scalar or a number, else None."""
+    :meth:`compile` turns the ops into the source of a first-order kernel,
+    and :meth:`replay` runs them over a cloud of points at once.
+    """
+
+    def __init__(self, xs: list):
+        self.vals: list = list(xs)
+        self.consts: list[int] = []
+        self.ops: list[tuple] = []
+        self._regs: dict[int, int] = {}
+        self._typed: set[int] = set()
+
+    def const(self, obj) -> int:
+        # vals keeps obj alive, so its id stays its own
+        reg = self._regs.get(id(obj))
+        if reg is None:
+            reg = self._regs[id(obj)] = len(self.vals)
+            self.vals.append(obj)
+            self.consts.append(reg)
+        return reg
+
+    def operand(self, o) -> int | None:
+        """The register of a tape scalar or a number, else None."""
         if type(o) is _Var:
-            return o.name
+            return o.reg
         return self.const(o) if isinstance(o, _SCALARS) else None
 
-    def emit(self, expr: str, val) -> "_Var":
-        var = _Var(self, f"t{len(self.lines)}", val)
-        self.lines.append(f"{var.name} = {expr}")
-        return var
+    def emit(self, op: str, a: int, b, val) -> "_Var":
+        reg = len(self.vals)
+        self.vals.append(val)
+        self.ops.append((op, reg, a, b))
+        return _Var(self, reg, val)
 
-    def guard(self, test: str, outcome):
-        """The kernel goes on only while ``test`` comes out as it did here."""
-        self.lines.append(f"if not ({test}): raise R" if outcome else f"if {test}: raise R")
+    def guard(self, op: str, a: int, b: int, outcome):
+        """Replays go on only while ``a op b`` comes out as it did here."""
+        self.ops.append((op, outcome, a, b))
 
     def type_guard(self, var: "_Var") -> type:
-        if var.name not in self._typed:
-            self._typed.add(var.name)
-            self.guard(f"type({var.name}) is {self.const(type(var.val))}", True)
+        if var.reg not in self._typed:
+            self._typed.add(var.reg)
+            self.ops.append(("type", None, var.reg, self.const(type(var.val))))
         return type(var.val)
+
+    def outputs(self, out, d: int, hessian: bool) -> tuple:
+        """The registers of ``fn``'s result ``out``: its value's, then its
+        gradient's and Hessian's as lists, both None when ``fn`` returned a
+        plain number.  A jet of another order or size cannot be replayed."""
+        def reg(o):
+            r = self.operand(o)
+            if r is None:
+                raise _Untraceable
+            return r
+
+        if type(out) is not Jet:
+            return reg(out), None, None
+        grad, hess = out.grad, out.hess
+        if type(grad) is not tuple or len(grad) != d or (hess is not None) != hessian:
+            raise _Untraceable
+        if hess is not None and (type(hess) is not tuple or len(hess) != d * d):
+            raise _Untraceable
+        return (reg(out.value), [reg(g) for g in grad],
+                None if hess is None else [reg(h) for h in hess])
 
     def compile(self, out, d: int, label: str):
         """``kernel(xs) -> (value, gradient tuple)``, or ``(value, None)``
-        when ``fn`` returned a plain number."""
-        def name(o):
-            n = self.operand(o)
-            if n is None:
-                raise _Untraceable
-            return n
-
-        if type(out) is Jet:
-            if out.hess is not None or type(out.grad) is not tuple or len(out.grad) != d:
-                raise _Untraceable
-            ret = f"{name(out.value)}, ({''.join(name(g) + ', ' for g in out.grad)})"
-        else:
-            ret = f"{name(out)}, None"
+        when ``fn`` returned a plain number: the ops as straight-line Python
+        over the names ``r<register>``, constants passed by reference."""
+        value, grad, _ = self.outputs(out, d, False)
+        lines = []
+        for op, dest, a, b in self.ops:
+            if op in _COMPARE:
+                test = f"r{a} {op} r{b}"
+                lines.append(f"if not ({test}): raise R" if dest else f"if {test}: raise R")
+            elif op == "type":
+                lines.append(f"if type(r{a}) is not r{b}: raise R")
+            elif op == "call":
+                lines.append(f"r{dest} = r{b}(r{a})")
+            elif op in _BINARY:
+                lines.append(f"r{dest} = r{a} {op} r{b}")
+            else:
+                lines.append(f"r{dest} = {_UNARY[op].format(f'r{a}')}")
+        ret = "None" if grad is None else f"({''.join(f'r{g}, ' for g in grad)})"
         src = "\n".join([
-            f"def make({', '.join(['R'] + [f'c{j}' for j in range(len(self.consts))])}):",
+            f"def make({', '.join(['R'] + [f'r{i}' for i in self.consts])}):",
             "    def kernel(xs):",
-            f"        {''.join(f'x{i}, ' for i in range(d))}= xs",
-            *(f"        {line}" for line in self.lines),
-            f"        return {ret}",
+            f"        {''.join(f'r{i}, ' for i in range(d))}= xs",
+            *(f"        {line}" for line in lines),
+            f"        return r{value}, {ret}",
             "    return kernel",
         ])
         namespace: dict = {}
         exec(compile(src, f"<jet1 kernel of {label or 'field'}>", "exec"), namespace)
-        return namespace["make"](_GuardFailed, *self.consts)
+        return namespace["make"](_GuardFailed, *(self.vals[i] for i in self.consts))
+
+    def replay(self, cols: list, wanted: list, marked: np.ndarray) -> list:
+        """The registers ``wanted`` over a cloud of points, one ndarray each.
+
+        ``cols[i]`` holds coordinate ``i`` at every point.  Each result
+        register becomes an ndarray over the cloud, of the type it had here,
+        and is dropped after its last use.  Every value at a point left
+        unmarked is the one the scalar run makes there, bit for bit:
+
+        - numpy does real +, -, *, /, negation, abs and comparisons, and
+          complex + and -, which match Python's float and complex rules;
+        - complex * and / follow CPython's own formulas on the parts;
+        - ``**``, abs of a complex value and every recorded call run through
+          the same Python scalar function, one point at a time.
+
+        A point is marked (set in ``marked``) where the scalar run raises or
+        leaves the tape: a zero divisor, an exception in a per-point call, a
+        guard that comes out the other way, or a result of another type than
+        recorded.  Its values are then meaningless.  A tape holding a value
+        the replay cannot keep as an array raises :class:`_Untraceable`.
+        """
+        vals = self.vals
+        ops = self.ops
+        cplx = [type(v) is complex for v in vals]
+        for r in self.consts:
+            if type(vals[r]) not in _CLOUD_CONSTS:
+                cplx[r] = None  # not an operand the replay can take
+        for op, dest, a, b in ops:
+            if op == "type" or op in _COMPARE:
+                continue
+            if type(vals[dest]) not in (float, complex) or cplx[a] is None or (
+                    op in _BINARY and cplx[b] is None):
+                raise _Untraceable
+            if op in ("**", "call") or op == "abs" and cplx[a]:
+                continue
+            want = op != "abs" and (cplx[a] or op in _BINARY and cplx[b])
+            if cplx[dest] != want:
+                raise _Untraceable
+        if any(cplx[r] is None for r in wanted):
+            raise _Untraceable
+        keep = set(wanted).union(self.consts)
+        last = {}
+        for k, (op, dest, a, b) in enumerate(ops):
+            last[a] = k
+            if op in _BINARY or op in _COMPARE:
+                last[b] = k
+            if op != "type" and op not in _COMPARE:
+                last[dest] = k  # a result nothing reads is dropped at once
+        drop = [[] for _ in ops]
+        for r, k in last.items():
+            if r not in keep:
+                drop[k].append(r)
+
+        regs = list(vals)
+        regs[:len(cols)] = cols
+        with np.errstate(all="ignore"):
+            for (op, dest, a, b), gone in zip(ops, drop):
+                x = regs[a]
+                if op in _COMPARE:
+                    marked |= _COMPARE[op](x, regs[b]) != dest
+                elif op == "type":
+                    pass  # every register keeps its recorded type at unmarked points
+                elif op == "call":
+                    regs[dest] = _each(regs[b], (x,), type(vals[dest]), marked)
+                elif op == "**":
+                    regs[dest] = _each(operator.pow, (x, regs[b]), type(vals[dest]), marked)
+                elif op in _BINARY:
+                    y = regs[b]
+                    if not (cplx[a] or cplx[b]):
+                        if op == "/":
+                            marked |= y == 0
+                        regs[dest] = _BINARY[op](x, y)
+                    elif op == "*":
+                        regs[dest] = _complex_mul(x, y, cplx[a], cplx[b])
+                    elif op == "/":
+                        regs[dest] = _complex_div(x, y, cplx[a], cplx[b], marked)
+                    else:
+                        regs[dest] = _BINARY[op](x, y)
+                elif op == "neg":
+                    regs[dest] = -x
+                elif op == "pos":
+                    regs[dest] = x
+                elif cplx[a]:
+                    regs[dest] = _each(abs, (x,), float, marked)
+                else:
+                    regs[dest] = np.abs(x)
+                for r in gone:
+                    regs[r] = None
+        n = len(marked)
+        return [regs[r] if type(regs[r]) is np.ndarray else np.full(n, regs[r]) for r in wanted]
+
+
+def _each(fn, args: tuple, kind: type, marked: np.ndarray) -> np.ndarray:
+    """``fn`` over the cloud one point at a time, on Python numbers; a point
+    where it raises or returns another type than ``kind`` is marked."""
+    n = len(marked)
+    cols = [a.tolist() if type(a) is np.ndarray else [a] * n for a in args]
+    try:
+        out = list(map(fn, *cols))
+    except Exception:
+        out = []
+        for i, xs in enumerate(zip(*cols)):
+            try:
+                out.append(fn(*xs))
+            except Exception:
+                marked[i] = True
+                out.append(kind())
+    if set(map(type, out)) != {kind}:
+        for i, v in enumerate(out):
+            if type(v) is not kind:
+                marked[i] = True
+                out[i] = kind()
+    return np.array(out, dtype=kind)
+
+
+def _parts(v, is_complex: bool) -> tuple:
+    """Real and imaginary parts as CPython converts an operand to complex."""
+    return (v.real, v.imag) if is_complex else (v, 0.0)
+
+
+def _to_complex(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _complex_mul(x, y, cx: bool, cy: bool) -> np.ndarray:
+    """``x * y`` as CPython's ``_Py_c_prod`` forms it at each point."""
+    ar, ai = _parts(x, cx)
+    br, bi = _parts(y, cy)
+    return _to_complex(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _complex_div(x, y, cx: bool, cy: bool, marked: np.ndarray) -> np.ndarray:
+    """``x / y`` as CPython's ``_Py_c_quot`` forms it at each point (Smith's
+    algorithm); a zero divisor, ZeroDivisionError there, is marked."""
+    ar, ai = _parts(x, cx)
+    br, bi = _parts(y, cy)
+    abs_r, abs_i = np.abs(br), np.abs(bi)
+    by_real = abs_r >= abs_i
+    by_imag = ~by_real & (abs_i >= abs_r)
+    marked |= by_real & (abs_r == 0.0)
+    ratio = bi / br
+    denom = br + bi * ratio
+    ratio_i = br / bi
+    denom_i = br * ratio_i + bi
+    re = np.where(by_real, (ar + ai * ratio) / denom,
+                  np.where(by_imag, (ar * ratio_i + ai) / denom_i, np.nan))
+    im = np.where(by_real, (ai - ar * ratio) / denom,
+                  np.where(by_imag, (ai * ratio_i - ar) / denom_i, np.nan))
+    return _to_complex(re, im)
 
 
 class _Var:
@@ -413,13 +634,13 @@ class _Var:
     (``float()``, ``bool()``, numpy, math) cannot be recorded.
     """
 
-    __slots__ = ("tape", "name", "val")
+    __slots__ = ("tape", "reg", "val")
     __array_ufunc__ = None
     __hash__ = None
 
-    def __init__(self, tape: _Tape, name: str, val):
+    def __init__(self, tape: _Tape, reg: int, val):
         self.tape = tape
-        self.name = name
+        self.reg = reg
         self.val = val
 
     @property
@@ -427,16 +648,16 @@ class _Var:
         return self.tape.type_guard(self)
 
     def call(self, fn) -> "_Var":
-        return self.tape.emit(f"{self.tape.const(fn)}({self.name})", fn(self.val))
+        return self.tape.emit("call", self.reg, self.tape.const(fn), fn(self.val))
 
     def __neg__(self):
-        return self.tape.emit(f"-{self.name}", -self.val)
+        return self.tape.emit("neg", self.reg, None, -self.val)
 
     def __pos__(self):
-        return self.tape.emit(f"+{self.name}", +self.val)
+        return self.tape.emit("pos", self.reg, None, +self.val)
 
     def __abs__(self):
-        return self.tape.emit(f"abs({self.name})", abs(self.val))
+        return self.tape.emit("abs", self.reg, None, abs(self.val))
 
     def _untraceable(self, *args):
         raise _Untraceable
@@ -446,45 +667,52 @@ class _Var:
 
 def _var_binary(sym, op, reflected):
     def method(self, o):
-        name = self.tape.operand(o)
-        if name is None:
+        reg = self.tape.operand(o)
+        if reg is None:
             return NotImplemented
         oval = o.val if type(o) is _Var else o
         if reflected:
-            return self.tape.emit(f"{name} {sym} {self.name}", op(oval, self.val))
-        return self.tape.emit(f"{self.name} {sym} {name}", op(self.val, oval))
+            return self.tape.emit(sym, reg, self.reg, op(oval, self.val))
+        return self.tape.emit(sym, self.reg, reg, op(self.val, oval))
 
     return method
 
 
 def _var_compare(sym, op):
     def method(self, o):
-        name = self.tape.operand(o)
-        if name is None:
+        reg = self.tape.operand(o)
+        if reg is None:
             return NotImplemented
         out = op(self.val, o.val if type(o) is _Var else o)
-        self.tape.guard(f"{self.name} {sym} {name}", out)
+        self.tape.guard(sym, self.reg, reg, out)
         return out
 
     return method
 
 
-for _op, _sym in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("pow", "**")):
-    setattr(_Var, f"__{_op}__", _var_binary(_sym, getattr(operator, _op), False))
-    setattr(_Var, f"__r{_op}__", _var_binary(_sym, getattr(operator, _op), True))
-for _op, _sym in (("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="),
-                  ("ne", "!=")):
-    setattr(_Var, f"__{_op}__", _var_compare(_sym, getattr(operator, _op)))
+for _sym, _op in _BINARY.items():
+    setattr(_Var, f"__{_op.__name__}__", _var_binary(_sym, _op, False))
+    setattr(_Var, f"__r{_op.__name__}__", _var_binary(_sym, _op, True))
+for _sym, _op in _COMPARE.items():
+    setattr(_Var, f"__{_op.__name__}__", _var_compare(_sym, _op))
+
+
+def _record(fn, xs: list, second_order: bool) -> tuple:
+    """A tape of one run of ``fn`` on jets seeded at ``xs`` whose values are
+    tape scalars, and what the run returned."""
+    tape = _Tape(xs)
+    zero = (0.0,) * (len(xs) ** 2) if second_order else None
+    seeds = [Jet(_Var(tape, i, v), row, zero)
+             for i, (v, row) in enumerate(zip(xs, _unit_rows(len(xs))))]
+    return tape, fn(seeds)
 
 
 def _compile_jet1(fn, xs: list, label: str):
     """A kernel that replays ``fn``'s first-order jet at any point, recorded
     by one run of ``fn`` at ``xs``; False when that run cannot be recorded."""
-    tape = _Tape()
-    seeds = [Jet(_Var(tape, f"x{i}", v), row)
-             for i, (v, row) in enumerate(zip(xs, _unit_rows(len(xs))))]
     try:
-        return tape.compile(fn(seeds), len(xs), label)
+        tape, out = _record(fn, xs, False)
+        return tape.compile(out, len(xs), label)
     except (Exception, _Untraceable):
         return False
 
@@ -611,6 +839,57 @@ class ScalarField:
             raise NonFiniteError(f"{self.label or 'field'} has a non-finite Hessian "
                                  f"at {xs}")
         return Jet(value, np.array(grad), np.array(hess).reshape(d, d))
+
+    def jet2_cloud(self, points) -> tuple:
+        """:meth:`jet2` at every row of ``points``, shape (B, dim), in one pass.
+
+        Returns the values (B,), gradients (B, dim) and Hessians
+        (B, dim, dim), and a boolean mask of the marked rows.  At an unmarked
+        row the three are ``jet2``'s bit for bit, of the same dtypes.  A
+        marked row holds no answer: a point on the singular set, or one where
+        the replay of the tape cannot stand in for ``jet2`` (see
+        :meth:`_Tape.replay`), or where ``jet2`` would find a non-finite
+        number.  ``jet2`` there returns or raises what it does.  The tape is
+        recorded at the first row off the singular set, once per call; a
+        recording that fails marks every row.
+        """
+        pts = np.asarray(points, dtype=float)
+        d = self.dim
+        n = len(pts)
+        marked = np.ones(n, dtype=bool)
+        blank = (np.zeros(n), np.zeros((n, d)), np.zeros((n, d, d)), marked)
+        if pts.shape != (n, d):
+            return blank
+        rows = pts.tolist()
+        if self.singular is not None:
+            for i, xs in enumerate(rows):
+                try:
+                    marked[i] = bool(self.singular(xs, 0.0))
+                except Exception:
+                    pass
+        else:
+            marked[:] = False
+        clear = np.flatnonzero(~marked)
+        if not len(clear):
+            return blank
+        try:
+            tape, out = _record(self.fn, rows[clear[0]], True)
+            value, grad, hess = tape.outputs(out, d, True)
+            if grad is None:
+                value = tape.replay(list(np.ascontiguousarray(pts.T)), [value], marked)[0]
+                grads, hessians = np.zeros((n, d)), np.zeros((n, d, d))
+            else:
+                cols = tape.replay(list(np.ascontiguousarray(pts.T)), [value, *grad, *hess],
+                                   marked)
+                value = cols[0]
+                grads = np.stack(cols[1:d + 1], axis=1)
+                hessians = np.stack(cols[d + 1:], axis=1).reshape(n, d, d)
+        except (Exception, _Untraceable):
+            marked[:] = True
+            return blank
+        marked |= ~(np.isfinite(value) & np.isfinite(grads).all(axis=1)
+                    & np.isfinite(hessians).all(axis=(1, 2)))
+        return value, grads, hessians, marked
 
     def _first_order(self, xs: list, value, grad) -> tuple:
         """``fn``'s value and gradient tuple, checked finite; ``grad is None``

@@ -15,8 +15,9 @@ operator is assembled exactly from second jets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
-from operator import add
+from operator import add, ge
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "bracket",
     "apply_xl",
     "apply_xl2",
+    "apply_xl2_cloud",
     "extend_structure",
     "jacobi_residual",
 ]
@@ -55,6 +57,8 @@ class PoissonStructure:
     # for a constant bivector whose rows each hold at most one nonzero
     # entry, (column, entry) per row; else None
     _sparse: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # a constant bivector's spectral norm, once asked for
+    _norm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.entries is None) == (self.const is None):
@@ -71,12 +75,13 @@ class PoissonStructure:
                 self._sparse = tuple(row[0] if row else (0, 0.0) for row in nonzero)
 
     def _check_antisym(self, rows: list) -> list:
-        """``rows``, entry values nested by row, once max |m + m^T| is within
-        the tolerance scaled by max(1, max |m|)."""
+        """``rows``, entry values nested by row, once every |m + m^T| is within
+        the tolerance scaled by max(1, max |m|).  A NaN entry fails: its sum
+        is NaN, which no bound holds, where ``max`` would drop it."""
         flat = list(chain.from_iterable(rows))
-        scale = max(1.0, max(map(abs, flat)))
+        within = partial(ge, _ANTISYM_TOL * max(1.0, max(map(abs, flat))))
         transposed = chain.from_iterable(zip(*rows))
-        if max(map(abs, map(add, flat, transposed))) > _ANTISYM_TOL * scale:
+        if not all(map(within, map(abs, map(add, flat, transposed)))):
             raise ValueError(
                 f"bivector {self.label or ''} is not antisymmetric within {_ANTISYM_TOL:g}"
             )
@@ -91,6 +96,15 @@ class PoissonStructure:
     def _at(self, xs: list) -> np.ndarray:
         """The entry rule's bivector at the coordinate list ``xs``."""
         return np.array(self._check_antisym(self.entries(xs)), dtype=float)
+
+    def spectral_norm(self, m) -> float:
+        """The spectral norm of ``m``, a value of :meth:`matrix`.  A constant
+        bivector's is computed once; an entry rule's at every call."""
+        if self.const is None:
+            return np.linalg.norm(np.asarray(m, dtype=float), 2)
+        if self._norm is None:
+            self._norm = np.linalg.norm(self.const, 2)
+        return self._norm
 
     def matrix_with_grads(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Bivector and its entry derivatives.
@@ -178,14 +192,69 @@ def apply_xl(system: HamiltonianSystem, f: ScalarField, x):
     return f.jet1(x).grad @ np.array(ham_field(system, x)[1])
 
 
+def _xl2(grad_l, hess_l, grad_f, hess_f, pi, dpi_grad_l) -> np.ndarray:
+    """X_L^2 F over a stack of B points, from the gradients (B, d) and
+    Hessians (B, d, d) of L and F, the bivector (d, d) or (B, d, d), and
+    ``dpi_grad_l[b, i, k]`` = sum_j d_k pi_ij(b) d_j L(b) as (B, d, d).
+
+    Every product is one stacked ``np.matmul``, which forms each point's
+    result as numpy's ``@`` forms it for that point alone.
+    """
+    v = np.matmul(pi, grad_l[:, :, None])
+    jac = dpi_grad_l + np.matmul(pi, hess_l)
+    vt = v.transpose(0, 2, 1)
+    jv = np.matmul(jac, v).transpose(0, 2, 1)
+    return (np.matmul(np.matmul(vt, hess_f), v) + np.matmul(jv, grad_f[:, :, None]))[:, 0, 0]
+
+
+def _dpi_grad(dpi: np.ndarray, grad_l: np.ndarray) -> np.ndarray:
+    return np.einsum("kij,j->ik", dpi, grad_l)
+
+
 def apply_xl2(system: HamiltonianSystem, f: ScalarField, x):
-    """X_L(X_L F) at ``x``, exact through second jets."""
+    """X_L(X_L F) at ``x``, exact through second jets: :func:`_xl2` on a
+    cloud of one point."""
     jl = system.hamiltonian.jet2(x)
     jf = f.jet2(x)
     pi, dpi = system.structure.matrix_with_grads(x)
-    v = pi @ jl.grad
-    jac = np.einsum("kij,j->ik", dpi, jl.grad) + pi @ jl.hess
-    return v @ jf.hess @ v + (jac @ v) @ jf.grad
+    return _xl2(jl.grad[None], jl.hess[None], jf.grad[None], jf.hess[None], pi,
+                _dpi_grad(dpi, jl.grad)[None])[0]
+
+
+def apply_xl2_cloud(system: HamiltonianSystem, f: ScalarField, points) -> tuple:
+    """:func:`apply_xl2` at every row of ``points`` in one pass.
+
+    Returns the values (B,) and a boolean mask of the marked rows, those
+    the second jets of L or F mark (:meth:`ScalarField.jet2_cloud`) or where
+    an entry-rule bivector raises.  At every other row the value is
+    ``apply_xl2``'s, bit for bit.  A marked row holds no value:
+    ``apply_xl2`` there returns or raises what it does.
+    """
+    pts = np.asarray(points, dtype=float)
+    _, grad_l, hess_l, marked = system.hamiltonian.jet2_cloud(pts)
+    _, grad_f, hess_f, marked_f = f.jet2_cloud(pts)
+    marked |= marked_f
+    structure = system.structure
+    n, d = len(marked), structure.dim
+    if grad_l.shape != (n, d) or grad_f.shape != (n, d):
+        # points or F of another dimension: apply_xl2 raises at every point
+        marked[:] = True
+        return np.zeros(n), marked
+    dpi_grad_l = np.zeros((n, d, d), dtype=grad_l.dtype)
+    if structure.const is not None:
+        pi = structure.const
+    else:
+        # einsum's sums, unlike matmul's, differ when stacked: one point at a time
+        pi = np.zeros((n, d, d))
+        for i in np.flatnonzero(~marked):
+            try:
+                pi[i], dpi = structure.matrix_with_grads(pts[i])
+            except Exception:
+                marked[i] = True
+                continue
+            dpi_grad_l[i] = _dpi_grad(dpi, grad_l[i])
+    with np.errstate(all="ignore"):
+        return _xl2(grad_l, hess_l, grad_f, hess_f, pi, dpi_grad_l), marked
 
 
 def extend_structure(structure: PoissonStructure) -> PoissonStructure:

@@ -399,6 +399,9 @@ Q1_EXTEND_FLAGS = ["--system", "quartic1", "--c", "1", "--c0", "1", "--C", "1",
     (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "nan"], "t_final"),
     (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "1", "--dt", "inf"],
      "dt"),
+    # 1e13 rk4 steps: over the step budget, refused before any state is stored
+    (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--dt", "1e-12", "--t-final", "10"],
+     "dt = 1e-12 and t_final = 10.0"),
     (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "0.01",
       "--method", "rkf45", "--tol", "-1"], "tol"),
     (["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1, "--t-final", "0.01",
@@ -415,7 +418,8 @@ Q1_EXTEND_FLAGS = ["--system", "quartic1", "--c", "1", "--c0", "1", "--C", "1",
     (["gn-compare", "--samples", "-3"], "count_real"),
     (["gn-compare", "--n-max", "0"], "n_max"),
 ], ids=["check-kn-step-0", "bracket-h-0", "rank-h-0", "integrate-t-final-inf",
-        "integrate-t-final-nan", "integrate-dt-inf", "integrate-rkf45-tol-negative",
+        "integrate-t-final-nan", "integrate-dt-inf", "integrate-over-step-budget",
+        "integrate-rkf45-tol-negative",
         "integrate-rkf45-tol-nan",
         "check-pde-bool-C1", "check-pde-bool-F1", "check-pde-string-F1",
         "check-pde-margin-nan", "check-pde-seed-negative", "rank-threshold-nan",

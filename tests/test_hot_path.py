@@ -176,3 +176,32 @@ def test_a_warm_flow_call_runs_no_jet_arithmetic(key, run, monkeypatch):
     assert np.all(np.isfinite(out))
     assert fn_calls == []
     assert grads == []
+
+
+@pytest.mark.parametrize("key", ["quartic1", "vortex_equal"])
+def test_a_clean_cloud_makes_no_jet2_call(key, calls, monkeypatch):
+    # pde_residual evaluates X_L^2 G over its whole sample in one replay of each
+    # field's recorded second-order tape; jet2 and apply_xl2 run only at marked points
+    from extkit import verify
+
+    built = ek.instantiate(key)
+    c, c0 = built.seed.meta["pair"]
+    per_point = []
+    apply_xl2 = verify.apply_xl2
+
+    def counted(system, f, x):
+        per_point.append(x)
+        return apply_xl2(system, f, x)
+
+    monkeypatch.setattr(verify, "apply_xl2", counted)
+    spec = ek.SampleSpec(intervals=ek.get_entry(key).default_box, count=20, seed=2,
+                         margin=0.15)
+    for name in ("value_grad", "jet1", "jet2", "value"):
+        calls[name].clear()
+    rep = ek.pde_residual(built.system, built.seed.field, c, c0, spec)
+    assert len(rep.residuals) == 20 and rep.skipped == 0
+    assert calls["jet2"] == [] and per_point == []
+    # the right side still takes L and G by value, once each per point
+    assert sorted(set(calls["value"])) == sorted(
+        {built.system.hamiltonian.label, built.seed.field.label})
+    assert len(calls["value"]) == 40

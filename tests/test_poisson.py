@@ -1,4 +1,6 @@
 """Poisson structures, derivations along the flow, structure extension."""
+import math
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,45 @@ def test_system_dim_consistency():
     f = ek.ScalarField(lambda x: x[0], dim=3)
     with pytest.raises(ValueError):
         ek.HamiltonianSystem(ek.canonical_structure(2), f)
+
+
+@pytest.mark.parametrize("rows", [[[0.0, math.nan], [1.0, 0.0]], [[math.nan, 1.0], [-1.0, 0.0]]],
+                         ids=["nan-off-diagonal", "nan-first"])
+def test_antisymmetry_check_rejects_a_nan_entry(rows):
+    # builtin max drops a NaN that does not come first, and nan > tol is false
+    # when it does: both once passed the check
+    st = ek.PoissonStructure(2, entries=lambda co: rows, label="holed")
+    x = np.array([0.5, 0.25])
+    needle = "bivector holed is not antisymmetric within 1e-14"
+    with pytest.raises(ValueError, match=needle):
+        st.matrix(x)
+    with pytest.raises(ValueError, match=needle):
+        st.matrix_with_grads(x)
+    with pytest.raises(ValueError, match=needle):
+        st.contract(x.tolist(), [1.0, 2.0])
+    with pytest.raises(ValueError, match="bivector  is not antisymmetric"):
+        ek.PoissonStructure(2, const=np.array(rows))
+
+
+def test_spectral_norm_of_a_constant_bivector_is_computed_once(monkeypatch):
+    st = ek.canonical_structure(4)
+    want = np.linalg.norm(st.const, 2)
+    norms = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        norms.append(kwargs.get("ord", args[1] if len(args) > 1 else None))
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    f = ek.ScalarField(lambda co: co[0] * co[2] + co[1], 4)
+    g = ek.ScalarField(lambda co: co[3] * co[3] - co[1] * co[0], 4)
+    for x in ([0.1, 0.2, 0.3, 0.4], [0.5, -0.6, 0.7, 0.8], [1.0, 0.5, -0.25, 2.0]):
+        ek.fd_bracket_normalized(st, f, g, np.array(x))
+    assert norms.count(2) == 1
+    assert st.spectral_norm(st.const) == want
+    # an entry rule's bivector changes from point to point: its norm is taken each call
+    rule = ek.PoissonStructure(2, entries=plane_entries)
+    for x in ([1.5, -2.0], [0.5, 3.0]):
+        m = rule.matrix(np.array(x))
+        assert rule.spectral_norm(m) == norm(m, 2)

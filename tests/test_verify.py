@@ -280,6 +280,8 @@ def test_first_order_residual_rejects_a_zero_step():
     (dict(t_final=1.0, method="rkf45", tol=math.nan), "tol"),
     (dict(t_final=1.0, method="rkf45", tol=math.inf), "tol"),
     (dict(t_final=1.0, dt=math.inf), "dt"),
+    # more rk4 steps than the budget, so many that their count overflows
+    (dict(t_final=1e300, dt=1e-300), "ask for inf rk4 steps"),
     # a negative dt_max once made h negative: t walked backwards for good
     (dict(t_final=1.0, method="rkf45", dt_max=-1.0), "dt_max"),
     (dict(t_final=1.0, method="rkf45", dt_max=math.nan), "dt_max"),
@@ -358,3 +360,18 @@ def test_conservation_report_keeps_the_subsampled_states():
     np.testing.assert_array_equal(rep.times, times[[0, 4, 8, 10]])
     np.testing.assert_array_equal(rep.states, states[[0, 4, 8, 10]])
     np.testing.assert_array_equal(rep.series["A"], rep.states[:, 0])
+
+
+def test_rk4_refuses_a_run_over_its_step_budget_before_storing_a_state(monkeypatch):
+    from extkit import verify
+
+    def no_storage(*args, **kwargs):
+        raise AssertionError("rk4 allocated its states")
+
+    # the package's longest run is 20 000 steps
+    assert verify.RK4_MAX_STEPS >= 50 * 20_000
+    monkeypatch.setattr(verify.np, "empty", no_storage)
+    with pytest.raises(ValueError, match=r"dt = 1e-12 and t_final = 10\.0 ask for 1e\+13"):
+        ek.integrate(harmonic_rhs, [1.0, 0.0], 10.0, dt=1e-12)
+    with pytest.raises(ValueError, match="budget"):
+        ek.integrate(harmonic_rhs, [1.0, 0.0], 1.0, dt=1.0 / (verify.RK4_MAX_STEPS + 1))
