@@ -45,6 +45,12 @@ _TINY = 1e-12
 # and the benchmark (20 000 steps), and 48 MB of stored states for six
 # coordinates.
 RK4_MAX_STEPS = 1_000_000
+# The fewest points pde_residual evaluates in one cloud pass.  Recording a
+# tape and replaying it costs about 0.9-12 ms whatever the size of the cloud
+# (quartic1 to vortex_equal), and one point by apply_xl2 0.1-0.25 ms, so the
+# pass breaks even at 12-50 points; 32 keeps the worst loss on either side
+# of the threshold near 4 ms.
+CLOUD_MIN_POINTS = 32
 
 
 def _rel(a, b) -> float:
@@ -152,15 +158,19 @@ def pde_residual(system: HamiltonianSystem, seed_field: ScalarField,
     """Relative residual of X_L^2 G = -2 (c L + c0) G at sampled points.
 
     Residuals are :func:`_rel` of the two sides.  Points where
-    evaluation fails are skipped and counted.  The left side comes from
-    one pass over the whole sample (:func:`apply_xl2_cloud`); a point that
-    pass marks gets :func:`apply_xl2` on its own, which gives the same
-    value or raises what skips the point.
+    evaluation fails are skipped and counted.  A sample of at least
+    :data:`CLOUD_MIN_POINTS` points takes its left side from one pass over
+    the whole sample (:func:`apply_xl2_cloud`); a point that pass marks,
+    and every point of a smaller sample, gets :func:`apply_xl2` on its
+    own, which gives the same value or raises what skips the point.
     """
     pred = singular if singular is not None else seed_field.singular
     ham = system.hamiltonian
     points = sample_points(spec, pred)
-    lhs, marked = apply_xl2_cloud(system, seed_field, points)
+    if len(points) >= CLOUD_MIN_POINTS:
+        lhs, marked = apply_xl2_cloud(system, seed_field, points)
+    else:
+        lhs, marked = None, [True] * len(points)
 
     def residual(i):
         x = points[i]

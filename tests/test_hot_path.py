@@ -194,14 +194,44 @@ def test_a_clean_cloud_makes_no_jet2_call(key, calls, monkeypatch):
         return apply_xl2(system, f, x)
 
     monkeypatch.setattr(verify, "apply_xl2", counted)
-    spec = ek.SampleSpec(intervals=ek.get_entry(key).default_box, count=20, seed=2,
+    spec = ek.SampleSpec(intervals=ek.get_entry(key).default_box, count=40, seed=2,
                          margin=0.15)
     for name in ("value_grad", "jet1", "jet2", "value"):
         calls[name].clear()
     rep = ek.pde_residual(built.system, built.seed.field, c, c0, spec)
-    assert len(rep.residuals) == 20 and rep.skipped == 0
+    assert len(rep.residuals) == 40 and rep.skipped == 0
     assert calls["jet2"] == [] and per_point == []
     # the right side still takes L and G by value, once each per point
     assert sorted(set(calls["value"])) == sorted(
         {built.system.hamiltonian.label, built.seed.field.label})
-    assert len(calls["value"]) == 40
+    assert len(calls["value"]) == 80
+
+
+@pytest.mark.parametrize("count", [1, 20, 31])
+def test_a_sample_below_the_cloud_threshold_goes_point_by_point(count, calls, monkeypatch):
+    # a pass's fixed cost outweighs its gain on a small sample (verify.CLOUD_MIN_POINTS)
+    from extkit import verify
+
+    assert count < verify.CLOUD_MIN_POINTS
+    built = ek.instantiate("quartic1")
+    c, c0 = built.seed.meta["pair"]
+    per_point = []
+    apply_xl2 = verify.apply_xl2
+
+    def counted(system, f, x):
+        per_point.append(x)
+        return apply_xl2(system, f, x)
+
+    def no_cloud(*args):
+        raise AssertionError("apply_xl2_cloud on a small sample")
+
+    monkeypatch.setattr(verify, "apply_xl2", counted)
+    monkeypatch.setattr(verify, "apply_xl2_cloud", no_cloud)
+    spec = ek.SampleSpec(intervals=ek.get_entry("quartic1").default_box, count=count,
+                         seed=2, margin=0.15)
+    calls["jet2"].clear()
+    rep = ek.pde_residual(built.system, built.seed.field, c, c0, spec)
+    assert len(rep.residuals) == count and rep.skipped == 0
+    assert len(per_point) == count
+    assert sorted(calls["jet2"]) == sorted(
+        [built.system.hamiltonian.label, built.seed.field.label] * count)

@@ -243,7 +243,7 @@ def test_pde_residual_gets_marked_points_from_the_scalar_path(monkeypatch):
     system = ek.HamiltonianSystem(ek.canonical_structure(2),
                                   ek.ScalarField(lambda co: co[0] * co[0] + co[1] * co[1], 2))
     g = ek.ScalarField(sign_branch_with_a_kink, 2, label="kinked")
-    spec = ek.SampleSpec(intervals=((-1.0, 1.0), (-1.0, 1.0)), count=30, seed=8)
+    spec = ek.SampleSpec(intervals=((-1.0, 1.0), (-1.0, 1.0)), count=40, seed=8)
     points = ek.sample_points(spec)
     points[5] = 0.0
     assert 5 < apply_xl2_cloud(system, g, points)[1].sum() < 25
