@@ -33,6 +33,11 @@ STDOUT_CASES = {
     "rank_vortex_opposite.json": ["rank", "--system", "vortex_opposite", "--c", "0",
                                   "--c0", "0.5", "--C", "1", "--m", "1", "--n", "1",
                                   "--fields", "H,X1t,Y2t,K_re"],
+    # the catalog as the CLI shows it, one file per entry
+    "list.json": ["list", "--json"],
+    **{f"show_{key}.json": ["show", "--system", key, "--json"]
+       for key in ("quartic1", "quartic2a", "quartic2b", "square_polar", "vortex_equal",
+                   "vortex_opposite", "lotka_volterra", "euler_top")},
 }
 
 README_INTEGRATE_CONFIG = {
