@@ -8,6 +8,15 @@ rigid body) are served for their base dynamics and invariants; the
 rigid body additionally exposes an elliptic-integral local seed valid on
 bounded level sets.
 
+An entry is declared once: a :class:`CatalogEntry` in the registry holds
+its key, coordinate names, parameters and default box, and its builder
+returns only its mathematics (L, an entry rule unless the bivector is
+canonical, the served seed and its pair, observables and ``meta``), each
+function with the singular predicate it declares.  :func:`instantiate`
+sizes every field from the coordinate names, labels them from the key
+and builds the system.  The entry's domain is derived from its fields:
+:attr:`BuiltSystem.singular` is the OR of their predicates.
+
 Parameter values are validated against per-entry constraints and
 unknown names are rejected.  Function-valued parameters accept either a
 jet-capable callable or a small declarative spec understood by
@@ -131,12 +140,16 @@ class CatalogEntry:
     key: str
     title: str
     coord_names: tuple[str, ...]
-    csv_order: tuple[int, ...]
     has_seed: bool
     params: dict[str, ParamSpec]
-    builder: Callable[[dict], "BuiltSystem"]
+    builder: Callable[[dict], "_Parts"]
     default_box: tuple[tuple[float, float], ...]
     notes: str = ""
+    # CSV column order of the coordinates; coordinate order when not given
+    csv_order: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self.csv_order = self.csv_order or tuple(range(self.dim))
 
     @property
     def dim(self) -> int:
@@ -151,7 +164,6 @@ class BuiltSystem:
     system: HamiltonianSystem
     seeds: list[ExtensionSeed]
     params: dict
-    singular: Callable[[np.ndarray, float], bool] | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -160,11 +172,41 @@ class BuiltSystem:
             raise CatalogError(f"entry '{self.entry_key}' has no seed solution")
         return self.seeds[0]
 
+    @property
+    def singular(self) -> Callable[[np.ndarray, float], bool] | None:
+        """The OR of the predicates that L, the observables and the served
+        seeds declare, in that order and each distinct one once; None when
+        none declares one."""
+        fields = [self.system.hamiltonian, *self.system.observables.values(),
+                  *(s.field for s in self.seeds)]
+        preds = list(dict.fromkeys(f.singular for f in fields if f.singular is not None))
+        if len(preds) <= 1:
+            return preds[0] if preds else None
+        return lambda x, margin: any(pred(x, margin) for pred in preds)
+
+
+@dataclass
+class _Parts:
+    """What a builder returns.  ``rule`` is None for the canonical bivector,
+    ``gfun`` None when no seed is served; ``probe`` is a sample on which
+    :func:`instantiate` gates the seed."""
+
+    lfun: Callable
+    lsing: Callable | None = None
+    rule: Callable | None = None
+    gfun: Callable | None = None
+    gsing: Callable | None = None
+    codomain: str = "real"
+    pair: tuple | None = None
+    observables: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)
+    probe: SampleSpec | None = None
+
 
 # ---------------------------------------------------------------- quartic1
 
 
-def _build_quartic1(p: dict) -> BuiltSystem:
+def _build_quartic1(p: dict) -> _Parts:
     c1, c2, c3 = p["C1"], p["C2"], p["C3"]
     c, c0 = p["c"], p["c0"]
     f = p["f"]
@@ -185,28 +227,26 @@ def _build_quartic1(p: dict) -> BuiltSystem:
     def gfun(co):
         return c1 * co[0] + c2
 
-    system = HamiltonianSystem(
-        structure=canonical_structure(2),
-        hamiltonian=ScalarField(lfun, 2, label="quartic1.L"),
-    )
-    seed = ExtensionSeed(
-        field=ScalarField(gfun, 2, label="quartic1.G"),
-        meta={"pair": (c, c0)},
-    )
-    return BuiltSystem("quartic1", system, [seed], p)
+    return _Parts(lfun, gfun=gfun, pair=(c, c0))
 
 
 # ------------------------------------------------------- quartic2 variants
 
 
-def _shift_pole_pred(c1: float, c2: float):
+def _shifted(c1: float, c2: float) -> tuple:
+    """The seed (C1 q + C2) p both variants serve, and the predicate of the
+    pole of L at C1 q + C2 = 0."""
+
+    def gfun(co):
+        return (c1 * co[0] + c2) * co[1]
+
     def pred(x, margin):
         return abs(c1 * x[0] + c2) <= margin
 
-    return pred
+    return gfun, pred
 
 
-def _build_quartic2a(p: dict) -> BuiltSystem:
+def _build_quartic2a(p: dict) -> _Parts:
     c1, c2, c3, c4 = p["C1"], p["C2"], p["C3"], p["C4"]
     c, c0 = p["c"], p["c0"]
 
@@ -219,19 +259,8 @@ def _build_quartic2a(p: dict) -> BuiltSystem:
         fq = ffun(q)
         return pp**4 + fq * pp * pp + fq * fq / 4 - c0 / c
 
-    def gfun(co):
-        return (c1 * co[0] + c2) * co[1]
-
-    pred = _shift_pole_pred(c1, c2) if c3 != 0 else None
-    system = HamiltonianSystem(
-        structure=canonical_structure(2),
-        hamiltonian=ScalarField(lfun, 2, singular=pred, label="quartic2a.L"),
-    )
-    seed = ExtensionSeed(
-        field=ScalarField(gfun, 2, label="quartic2a.G"),
-        meta={"pair": (c, c0)},
-    )
-    return BuiltSystem("quartic2a", system, [seed], p, singular=pred)
+    gfun, pred = _shifted(c1, c2)
+    return _Parts(lfun, pred if c3 != 0 else None, gfun=gfun, pair=(c, c0))
 
 
 def _quartic2b_fields(p: dict):
@@ -259,36 +288,23 @@ def _quartic2b_fields(p: dict):
         v = (c4 - q * p7 / (1024 * c * c1**3)) / s**4
         return pp**4 + fq * pp * pp + v
 
-    def gfun(co):
-        return (c1 * co[0] + c2) * co[1]
-
-    return lfun, gfun
+    return lfun, _shifted(c1, c2)[0]
 
 
-def _build_quartic2b(p: dict) -> BuiltSystem:
+def _build_quartic2b(p: dict) -> _Parts:
     c1, c2 = p["C1"], p["C2"]
-    c, c0 = p["c"], p["c0"]
     lfun, gfun = _quartic2b_fields(p)
-    pred = _shift_pole_pred(c1, c2)
-    system = HamiltonianSystem(
-        structure=canonical_structure(2),
-        hamiltonian=ScalarField(lfun, 2, singular=pred, label="quartic2b.L"),
-    )
-    gfield = ScalarField(gfun, 2, label="quartic2b.G")
     # Build gate: the defining identity at fixed points with
     # 0.4 <= |C1 q + C2| <= 2, clear of the pole of L.
     q_box = tuple(sorted(((-2.0 - c2) / c1, (2.0 - c2) / c1)))
     probe = SampleSpec(intervals=(q_box, (-2.0, 2.0)), count=24, seed=20250, margin=0.4)
-    gate = pde_residual(system, gfield, c, c0, probe, singular=pred)
-    seed = ExtensionSeed(field=gfield, verified=gate.max_residual <= 1e-7,
-                         meta={"pair": (c, c0)})
-    return BuiltSystem("quartic2b", system, [seed], p, singular=pred)
+    return _Parts(lfun, _shifted(c1, c2)[1], gfun=gfun, pair=(p["c"], p["c0"]), probe=probe)
 
 
 # ------------------------------------------------------------ square_polar
 
 
-def _build_square_polar(p: dict) -> BuiltSystem:
+def _build_square_polar(p: dict) -> _Parts:
     c1, c2, c3 = p["C1"], p["C2"], p["C3"]
     c = p["c"]
     ffun = p["F"]
@@ -312,15 +328,7 @@ def _build_square_polar(p: dict) -> BuiltSystem:
     def pred(x, margin):
         return x[0] <= margin
 
-    system = HamiltonianSystem(
-        structure=canonical_structure(4),
-        hamiltonian=ScalarField(lfun, 4, singular=pred, label="square_polar.L"),
-    )
-    seed = ExtensionSeed(
-        field=ScalarField(gfun, 4, label="square_polar.G"),
-        meta={"pair": (c, 0.0)},
-    )
-    return BuiltSystem("square_polar", system, [seed], p, singular=pred)
+    return _Parts(lfun, pred, gfun=gfun, pair=(c, 0.0))
 
 
 # ------------------------------------------------------------ point vortices
@@ -333,7 +341,7 @@ def _check_vortex_seed_consts(p: dict):
         )
 
 
-def _build_vortex_equal(p: dict) -> BuiltSystem:
+def _build_vortex_equal(p: dict) -> _Parts:
     _check_vortex_seed_consts(p)
     k, alpha, c0 = p["k"], p["alpha"], p["c0"]
     f1, f2 = complex(p["F1"]), complex(p["F2"])
@@ -373,21 +381,11 @@ def _build_vortex_equal(p: dict) -> BuiltSystem:
         e = exponent(x)
         return abs(e - round(e)) <= tol
 
-    system = HamiltonianSystem(
-        structure=canonical_structure(4),
-        hamiltonian=ScalarField(lfun, 4, singular=lpred, label="vortex_equal.L"),
-    )
-    seed = ExtensionSeed(
-        field=ScalarField(gfun, 4, codomain="complex", singular=gpred, label="vortex_equal.G"),
-        meta={"pair": (0.0, c0)},
-    )
-    return BuiltSystem(
-        "vortex_equal", system, [seed], p, singular=gpred,
-        meta={"exponent": exponent, "single_valued": single_valued},
-    )
+    return _Parts(lfun, lpred, gfun=gfun, gsing=gpred, codomain="complex", pair=(0.0, c0),
+                  meta={"exponent": exponent, "single_valued": single_valued})
 
 
-def _build_vortex_opposite(p: dict) -> BuiltSystem:
+def _build_vortex_opposite(p: dict) -> _Parts:
     _check_vortex_seed_consts(p)
     k, alpha, c0 = p["k"], p["alpha"], p["c0"]
     f1, f2 = complex(p["F1"]), complex(p["F2"])
@@ -406,25 +404,14 @@ def _build_vortex_opposite(p: dict) -> BuiltSystem:
     def pred(x, margin):
         return abs(x[3]) <= margin or math.hypot(2 * k * x[0], x[3]) <= margin
 
-    system = HamiltonianSystem(
-        structure=canonical_structure(4),
-        hamiltonian=ScalarField(lfun, 4, singular=pred, label="vortex_opposite.L"),
-        observables={
-            "X1t": ScalarField(lambda co: co[0], 4, label="X1t"),
-            "Y2t": ScalarField(lambda co: co[3], 4, label="Y2t"),
-        },
-    )
-    seed = ExtensionSeed(
-        field=ScalarField(gfun, 4, codomain="complex", singular=pred, label="vortex_opposite.G"),
-        meta={"pair": (0.0, c0)},
-    )
-    return BuiltSystem("vortex_opposite", system, [seed], p, singular=pred)
+    return _Parts(lfun, pred, gfun=gfun, gsing=pred, codomain="complex", pair=(0.0, c0),
+                  observables={"X1t": lambda co: co[0], "Y2t": lambda co: co[3]})
 
 
 # --------------------------------------------------------------- no-seed pair
 
 
-def _build_lotka_volterra(p: dict) -> BuiltSystem:
+def _build_lotka_volterra(p: dict) -> _Parts:
     a, b, d, g = p["a"], p["b"], p["d"], p["g"]
 
     def entries(co):
@@ -439,14 +426,10 @@ def _build_lotka_volterra(p: dict) -> BuiltSystem:
     def pred(x, margin):
         return x[0] <= margin or x[1] <= margin
 
-    system = HamiltonianSystem(
-        structure=PoissonStructure(2, entries=entries, label="lotka_volterra.pi"),
-        hamiltonian=ScalarField(lfun, 2, singular=pred, label="lotka_volterra.L"),
-    )
-    return BuiltSystem("lotka_volterra", system, [], p, singular=pred)
+    return _Parts(lfun, pred, rule=entries)
 
 
-def _build_euler_top(p: dict) -> BuiltSystem:
+def _build_euler_top(p: dict) -> _Parts:
     i1, i2, i3 = p["I1"], p["I2"], p["I3"]
 
     def entries(co):
@@ -457,20 +440,12 @@ def _build_euler_top(p: dict) -> BuiltSystem:
         m1, m2, m3 = co
         return 0.5 * (m1 * m1 / i1 + m2 * m2 / i2 + m3 * m3 / i3)
 
-    system = HamiltonianSystem(
-        structure=PoissonStructure(3, entries=entries, label="euler_top.pi"),
-        hamiltonian=ScalarField(lfun, 3, label="euler_top.L"),
-        observables={
-            "M": ScalarField(lambda co: co[0] ** 2 + co[1] ** 2 + co[2] ** 2, 3, label="M"),
-        },
-    )
-
     def local_seed(c, c0, branch=1):
         return euler_local_seed_field(i1, i2, i3, c, c0, branch=branch)
 
-    return BuiltSystem(
-        "euler_top", system, [], p, meta={"local_seed_builder": local_seed},
-    )
+    return _Parts(lfun, rule=entries,
+                  observables={"M": lambda co: co[0] ** 2 + co[1] ** 2 + co[2] ** 2},
+                  meta={"local_seed_builder": local_seed})
 
 
 def euler_local_seed_field(i1: float, i2: float, i3: float, c: float, c0: float,
@@ -552,8 +527,8 @@ def _carlson_rf(x, y, z):
 # ------------------------------------------------------------------ registry
 
 
-def _num(default, desc, check=_finite_num):
-    return ParamSpec(default=default, desc=desc, check=check)
+def _num(default, desc):
+    return ParamSpec(default=default, desc=desc)
 
 
 def _numc(default, desc, extra):
@@ -581,7 +556,6 @@ _register(CatalogEntry(
     key="quartic1",
     title="Quartic oscillator family, seed linear in position",
     coord_names=("q", "p"),
-    csv_order=(0, 1),
     has_seed=True,
     params={
         "C1": _numc(1.0, "seed slope", _nonzero),
@@ -600,7 +574,6 @@ _register(CatalogEntry(
     key="quartic2a",
     title="Quartic momentum family, regular potential branch",
     coord_names=("q", "p"),
-    csv_order=(0, 1),
     has_seed=True,
     params={
         "C1": _numc(1.0, "seed slope", _nonzero),
@@ -619,7 +592,6 @@ _register(CatalogEntry(
     key="quartic2b",
     title="Quartic momentum family, rational potential branch",
     coord_names=("q", "p"),
-    csv_order=(0, 1),
     has_seed=True,
     params={
         "C1": _numc(1.0, "seed slope", _nonzero),
@@ -638,7 +610,6 @@ _register(CatalogEntry(
     key="square_polar",
     title="Squared natural Hamiltonian in polar-type coordinates",
     coord_names=("q1", "q2", "p1", "p2"),
-    csv_order=(0, 1, 2, 3),
     has_seed=True,
     params={
         "C1": _num(0.5, "seed offset"),
@@ -660,7 +631,7 @@ _register(CatalogEntry(
     has_seed=True,
     params={
         "k": _numc(1.0, "common vortex strength", _positive),
-        "alpha": ParamSpec(default=0.125 / math.pi, desc="interaction scale", check=lambda v: _finite_num(v) or _positive(v)),
+        "alpha": _numc(0.125 / math.pi, "interaction scale", _positive),
         "c0": _numc(0.5, "defining-equation constant term", _positive),
         "F1": ParamSpec(default=1.0, desc="coefficient of the forward power", check=_finite_complex),
         "F2": ParamSpec(default=0.0, desc="coefficient of the inverse power", check=_finite_complex),
@@ -678,7 +649,7 @@ _register(CatalogEntry(
     has_seed=True,
     params={
         "k": _numc(1.0, "vortex strength magnitude", _positive),
-        "alpha": ParamSpec(default=0.125 / math.pi, desc="interaction scale", check=lambda v: _finite_num(v) or _positive(v)),
+        "alpha": _numc(0.125 / math.pi, "interaction scale", _positive),
         "c0": _numc(0.5, "defining-equation constant term", _positive),
         "F1": ParamSpec(default=1.0, desc="sine coefficient", check=_finite_complex),
         "F2": ParamSpec(default=0.0, desc="cosine coefficient", check=_finite_complex),
@@ -692,7 +663,6 @@ _register(CatalogEntry(
     key="lotka_volterra",
     title="Predator-prey system on a nonconstant Poisson structure",
     coord_names=("x", "y"),
-    csv_order=(0, 1),
     has_seed=False,
     params={
         "a": _numc(1.0, "prey growth rate", _positive),
@@ -709,7 +679,6 @@ _register(CatalogEntry(
     key="euler_top",
     title="Free rigid body on angular momenta",
     coord_names=("m1", "m2", "m3"),
-    csv_order=(0, 1, 2),
     has_seed=False,
     params={
         "I1": _numc(3.0, "first moment of inertia", _positive),
@@ -755,5 +724,27 @@ def instantiate(key: str, params: dict | None = None) -> BuiltSystem:
             if msg:
                 raise CatalogError(f"parameter '{name}' of entry '{key}' {msg} (got {v!r})")
         resolved[name] = v
-    built = entry.builder(resolved)
+    return _assemble(key, entry.dim, entry.builder(resolved), resolved)
+
+
+def _assemble(key: str, d: int, parts: _Parts, params: dict) -> BuiltSystem:
+    """The entry's fields, sized ``d`` and named from ``key``, its system and
+    its served seed, gated where the builder names a probe sample."""
+    structure = (canonical_structure(d) if parts.rule is None
+                 else PoissonStructure(d, entries=parts.rule, label=f"{key}.pi"))
+    system = HamiltonianSystem(
+        structure=structure,
+        hamiltonian=ScalarField(parts.lfun, d, singular=parts.lsing, label=f"{key}.L"),
+        observables={name: ScalarField(fn, d, label=name)
+                     for name, fn in parts.observables.items()},
+    )
+    seeds = []
+    if parts.gfun is not None:
+        gfield = ScalarField(parts.gfun, d, codomain=parts.codomain, singular=parts.gsing,
+                             label=f"{key}.G")
+        seeds.append(ExtensionSeed(field=gfield, meta={"pair": parts.pair}))
+    built = BuiltSystem(key, system, seeds, params, meta=parts.meta)
+    if parts.probe is not None:
+        gate = pde_residual(system, gfield, *parts.pair, parts.probe, singular=built.singular)
+        seeds[0].verified = gate.max_residual <= 1e-7
     return built

@@ -851,7 +851,8 @@ class ScalarField:
         :meth:`_Tape.replay`), or where ``jet2`` would find a non-finite
         number.  ``jet2`` there returns or raises what it does.  The tape is
         recorded at the first row off the singular set, once per call; a
-        recording that fails marks every row.
+        recording that fails, or where ``fn`` returns a plain number, marks
+        every row.
         """
         pts = np.asarray(points, dtype=float)
         d = self.dim
@@ -875,15 +876,12 @@ class ScalarField:
         try:
             tape, out = _record(self.fn, rows[clear[0]], True)
             value, grad, hess = tape.outputs(out, d, True)
-            if grad is None:
-                value = tape.replay(list(np.ascontiguousarray(pts.T)), [value], marked)[0]
-                grads, hessians = np.zeros((n, d)), np.zeros((n, d, d))
-            else:
-                cols = tape.replay(list(np.ascontiguousarray(pts.T)), [value, *grad, *hess],
-                                   marked)
-                value = cols[0]
-                grads = np.stack(cols[1:d + 1], axis=1)
-                hessians = np.stack(cols[d + 1:], axis=1).reshape(n, d, d)
+            if grad is None:  # a plain number: every row goes to jet2
+                raise _Untraceable
+            cols = tape.replay(list(np.ascontiguousarray(pts.T)), [value, *grad, *hess], marked)
+            value = cols[0]
+            grads = np.stack(cols[1:d + 1], axis=1)
+            hessians = np.stack(cols[d + 1:], axis=1).reshape(n, d, d)
         except (Exception, _Untraceable):
             marked[:] = True
             return blank

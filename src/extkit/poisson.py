@@ -14,6 +14,7 @@ operator is assembled exactly from second jets:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -77,11 +78,13 @@ class PoissonStructure:
     def _check_antisym(self, rows: list) -> list:
         """``rows``, entry values nested by row, once every |m + m^T| is within
         the tolerance scaled by max(1, max |m|).  A NaN entry fails: its sum
-        is NaN, which no bound holds, where ``max`` would drop it."""
+        is NaN, which no bound holds, where ``max`` would drop it.  An
+        infinite entry fails: it makes the bound infinite, which none is."""
         flat = list(chain.from_iterable(rows))
-        within = partial(ge, _ANTISYM_TOL * max(1.0, max(map(abs, flat))))
+        bound = _ANTISYM_TOL * max(1.0, max(map(abs, flat)))
         transposed = chain.from_iterable(zip(*rows))
-        if not all(map(within, map(abs, map(add, flat, transposed)))):
+        if bound == math.inf or not all(map(partial(ge, bound),
+                                            map(abs, map(add, flat, transposed)))):
             raise ValueError(
                 f"bivector {self.label or ''} is not antisymmetric within {_ANTISYM_TOL:g}"
             )
@@ -225,10 +228,10 @@ def apply_xl2_cloud(system: HamiltonianSystem, f: ScalarField, points) -> tuple:
     """:func:`apply_xl2` at every row of ``points`` in one pass.
 
     Returns the values (B,) and a boolean mask of the marked rows, those
-    the second jets of L or F mark (:meth:`ScalarField.jet2_cloud`) or where
-    an entry-rule bivector raises.  At every other row the value is
-    ``apply_xl2``'s, bit for bit.  A marked row holds no value:
-    ``apply_xl2`` there returns or raises what it does.
+    the second jets of L or F mark (:meth:`ScalarField.jet2_cloud`), and
+    every row when the bivector is an entry rule or a dimension differs.
+    At every other row the value is ``apply_xl2``'s, bit for bit.  A marked
+    row holds no value: ``apply_xl2`` there returns or raises what it does.
     """
     pts = np.asarray(points, dtype=float)
     _, grad_l, hess_l, marked = system.hamiltonian.jet2_cloud(pts)
@@ -236,25 +239,12 @@ def apply_xl2_cloud(system: HamiltonianSystem, f: ScalarField, points) -> tuple:
     marked |= marked_f
     structure = system.structure
     n, d = len(marked), structure.dim
-    if grad_l.shape != (n, d) or grad_f.shape != (n, d):
-        # points or F of another dimension: apply_xl2 raises at every point
+    if structure.const is None or grad_l.shape != (n, d) or grad_f.shape != (n, d):
         marked[:] = True
         return np.zeros(n), marked
     dpi_grad_l = np.zeros((n, d, d), dtype=grad_l.dtype)
-    if structure.const is not None:
-        pi = structure.const
-    else:
-        # einsum's sums, unlike matmul's, differ when stacked: one point at a time
-        pi = np.zeros((n, d, d))
-        for i in np.flatnonzero(~marked):
-            try:
-                pi[i], dpi = structure.matrix_with_grads(pts[i])
-            except Exception:
-                marked[i] = True
-                continue
-            dpi_grad_l[i] = _dpi_grad(dpi, grad_l[i])
     with np.errstate(all="ignore"):
-        return _xl2(grad_l, hess_l, grad_f, hess_f, pi, dpi_grad_l), marked
+        return _xl2(grad_l, hess_l, grad_f, hess_f, structure.const, dpi_grad_l), marked
 
 
 def extend_structure(structure: PoissonStructure) -> PoissonStructure:

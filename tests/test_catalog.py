@@ -67,6 +67,72 @@ def test_entry_declarations_agree_with_the_built_system(key):
                     build(seed, *off)
 
 
+MARGINS = (0.0, 0.05, 0.15, 0.4)
+# each entry's singular set at the default parameters, spelled out here
+# (k = 1 and C1 = 1, C2 = 0); quartic1 and euler_top have none
+SINGULAR_SETS = {
+    "quartic2a": lambda x, m: abs(x[0]) <= m,
+    "quartic2b": lambda x, m: abs(x[0]) <= m,
+    "square_polar": lambda x, m: x[0] <= m,
+    "vortex_equal": lambda x, m: (math.hypot(2 * x[0], x[2]) <= m
+                                  or (x[2] < 0 and abs(2 * x[0]) <= m * max(1.0, abs(x[2])))),
+    "vortex_opposite": lambda x, m: abs(x[3]) <= m or math.hypot(2 * x[0], x[3]) <= m,
+    "lotka_volterra": lambda x, m: x[0] <= m or x[1] <= m,
+}
+# on the branch cut of vortex_equal's G, clear of the pole of its L
+VORTEX_EQUAL_CUT = [[0.0, 0.3, -0.5, 0.2], [0.01, -0.2, -1.0, 0.0], [-0.004, 0.9, -0.1, 0.5]]
+
+
+def fields_of(b):
+    return [b.system.hamiltonian, *b.system.observables.values(), *(s.field for s in b.seeds)]
+
+
+def around_box(key, count=2000, seed=0):
+    """``count`` points in the default box widened by half its width each way."""
+    box = np.array(ek.get_entry(key).default_box)
+    width = box[:, 1] - box[:, 0]
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(box[:, 0] - width / 2, box[:, 1] + width / 2, size=(count, len(box)))
+    return list(pts) + ([np.array(x) for x in VORTEX_EQUAL_CUT] if key == "vortex_equal" else [])
+
+
+@pytest.mark.parametrize("key", ek.entry_ids())
+def test_the_singular_set_is_the_or_of_the_fields_predicates(key, built):
+    b = built[key]
+    preds = [f.singular for f in fields_of(b) if f.singular is not None]
+    assert (b.singular is None) == (key not in SINGULAR_SETS) == (key in ("quartic1", "euler_top"))
+    for margin in MARGINS:
+        for x in around_box(key):
+            want = any(pred(x, margin) for pred in preds)
+            assert want == bool(SINGULAR_SETS.get(key, lambda x_, m: False)(x, margin))
+            assert (b.singular is not None and bool(b.singular(x, margin))) == want, (x, margin)
+
+
+def test_quartic2a_without_the_inverse_square_term_has_no_singular_set():
+    assert ek.instantiate("quartic2a", {"C3": 0.0}).singular is None
+    assert ek.instantiate("quartic2a", {"C3": 0.5}).singular is not None
+
+
+def test_vortex_equal_singular_set_takes_the_branch_cut_from_g(built):
+    # the control: L's predicate alone leaves out the cut, where G jumps
+    b = built["vortex_equal"]
+    for x in map(np.array, VORTEX_EQUAL_CUT):
+        assert b.singular(x, 0.05) and b.seed.field.singular(x, 0.05)
+        assert not b.system.hamiltonian.singular(x, 0.05)
+
+
+@pytest.mark.parametrize("key", ek.entry_ids())
+def test_every_field_is_named_and_sized_from_its_entry(key, built):
+    entry, b = ek.get_entry(key), built[key]
+    assert b.entry_key == key
+    assert b.system.hamiltonian.label == f"{key}.L"
+    assert [s.field.label for s in b.seeds] == ([f"{key}.G"] if entry.has_seed else [])
+    assert [f.dim for f in fields_of(b)] == [entry.dim] * len(fields_of(b))
+    assert b.system.structure.dim == entry.dim
+    if not key.startswith("vortex"):
+        assert entry.csv_order == tuple(range(entry.dim))
+
+
 def test_quartic2b_build_gate_reported():
     b = ek.instantiate("quartic2b")
     assert b.seed.verified is True

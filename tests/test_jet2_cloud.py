@@ -253,3 +253,34 @@ def test_pde_residual_gets_marked_points_from_the_scalar_path(monkeypatch):
     assert rep.skipped == skipped == 1
     assert rep.residuals.tobytes() == vals.tobytes()
     assert rep.points.tobytes() == kept.tobytes()
+
+
+UNCOVERED_SEEDS = {
+    "entry-rule bivector": ek.ScalarField(lambda co: co[0], 2, label="G"),
+    "constant seed": ek.ScalarField(lambda co: 2.0, 2, label="G"),
+    "seed of another dimension": ek.ScalarField(lambda co: co[0], 3, label="G"),
+}
+
+
+@pytest.mark.parametrize("case", UNCOVERED_SEEDS)
+def test_inputs_the_catalog_never_builds_go_point_by_point(case):
+    # no catalog entry pairs a seed with an entry-rule bivector or serves a
+    # constant seed: apply_xl2_cloud marks every row, so pde_residual takes
+    # each point from apply_xl2
+    structure = (ek.PoissonStructure(2, entries=lambda co: [[0.0, 1.0], [-1.0, 0.0]])
+                 if case == "entry-rule bivector" else ek.canonical_structure(2))
+    system = ek.HamiltonianSystem(
+        structure, ek.ScalarField(lambda co: 0.5 * (co[0] * co[0] + co[1] * co[1]), 2))
+    g = dataclasses.replace(UNCOVERED_SEEDS[case])
+    spec = ek.SampleSpec(intervals=((-1.0, 1.0), (-1.0, 1.0)), count=40, seed=11)
+    points = ek.sample_points(spec)
+    assert len(points) >= verify.CLOUD_MIN_POINTS
+    assert apply_xl2_cloud(system, g, points)[1].all()
+    rep = ek.pde_residual(system, g, 0.0, 0.5, spec)
+    vals, kept, skipped = per_point_report(system, g, 0.0, 0.5, points)
+    assert rep.skipped == skipped == (40 if g.dim != 2 else 0)
+    assert rep.residuals.tobytes() == vals.tobytes()
+    assert rep.points.tobytes() == kept.tobytes()
+    if case == "entry-rule bivector":
+        # X_L^2 q = -q for the harmonic oscillator, the pair (0, 1/2)
+        assert rep.max_residual <= 1e-12

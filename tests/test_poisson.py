@@ -199,6 +199,38 @@ def test_antisymmetry_check_rejects_a_nan_entry(rows):
         ek.PoissonStructure(2, const=np.array(rows))
 
 
+INFINITE_ROWS = {"inf-off-diagonal": [[0.0, math.inf], [1.0, 0.0]],
+                 "antisymmetric-inf-pair": [[0.0, math.inf], [-math.inf, 0.0]]}
+ANTISYM_ROUTES = {
+    "matrix": lambda st, x: st.matrix(x),
+    "contract": lambda st, x: st.contract(x.tolist(), [1.0, 2.0]),
+    "matrix_with_grads": lambda st, x: st.matrix_with_grads(x),
+    "const": lambda st, x: ek.PoissonStructure(2, const=np.array(st.entries(x)), label="blown"),
+}
+
+
+@pytest.mark.parametrize("rows", INFINITE_ROWS.values(), ids=INFINITE_ROWS)
+@pytest.mark.parametrize("route", ANTISYM_ROUTES)
+def test_antisymmetry_check_rejects_an_infinite_entry(route, rows):
+    # an infinite entry made the bound 1e-14 max |m| infinite, and |inf + 1| = inf
+    # held it: matrix and matrix_with_grads handed inf on, and contract gave [inf, 1.0]
+    st = ek.PoissonStructure(2, entries=lambda co: rows, label="blown")
+    with pytest.raises(ValueError, match="bivector blown is not antisymmetric within 1e-14"):
+        ANTISYM_ROUTES[route](st, np.array([0.5, 0.25]))
+
+
+@pytest.mark.parametrize("route", ANTISYM_ROUTES)
+def test_antisymmetry_tolerance_still_scales_with_the_largest_finite_entry(route):
+    x = np.array([0.5, 0.25])
+    big = ek.PoissonStructure(2, entries=lambda co: [[0.0, 1e300], [-1e300 * (1 + 5e-15), 0.0]],
+                              label="big")
+    ANTISYM_ROUTES[route](big, x)
+    off = ek.PoissonStructure(2, entries=lambda co: [[0.0, 1.0], [-1.0 - 2e-14, 0.0]],
+                              label="blown")
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        ANTISYM_ROUTES[route](off, x)
+
+
 def test_spectral_norm_of_a_constant_bivector_is_computed_once(monkeypatch):
     st = ek.canonical_structure(4)
     want = np.linalg.norm(st.const, 2)
