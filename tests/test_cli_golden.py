@@ -23,6 +23,8 @@ STDOUT_CASES = {
     "gn_compare.json": ["gn-compare", "--n-max", "8", "--samples", "200", "--seed", "7"],
     "extend_quartic1.json": ["extend", "--system", "quartic1", *Q1_EXT,
                              "--state", "0.6,0.4,0.9,-0.7"],
+    "check_pde_quartic2b.json": ["check-pde", "--system", "quartic2b", "--samples", "40",
+                                 "--seed", "1234"],
     "check_pde_quartic1_poly_f.json": [
         "check-pde", "--system", "quartic1",
         "--param", 'f={"kind": "poly", "coeffs": [0.3, -0.2, 0.1]}'],
