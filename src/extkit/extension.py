@@ -160,21 +160,10 @@ class DerivPair:
         self.value = value
         self.xl = xl
 
-    def __repr__(self):
-        return f"DerivPair({self.value!r}, {self.xl!r})"
-
     def __add__(self, o):
         if isinstance(o, DerivPair):
             return DerivPair(self.value + o.value, self.xl + o.xl)
         return NotImplemented
-
-    def __sub__(self, o):
-        if isinstance(o, DerivPair):
-            return DerivPair(self.value - o.value, self.xl - o.xl)
-        return NotImplemented
-
-    def __neg__(self):
-        return DerivPair(-self.value, -self.xl)
 
     def __mul__(self, o):
         if isinstance(o, DerivPair):

@@ -65,8 +65,10 @@ the one ``jet2`` computes there, bit for bit: numpy does only the real
 arithmetic and complex + and -, complex * and / follow CPython's own
 formulas, and ``**`` and the dispatchers run as Python scalars, point by
 point (:meth:`_Tape.replay`).  A point where that cannot hold is marked,
-and its caller asks ``jet2`` there.  ``jet2`` and ``value`` themselves run
-``fn`` on jets and on numbers.
+and its caller asks ``jet2`` there.  ``jet2`` and ``value`` run ``fn`` on
+jets and on numbers, and their values agree but for a complex or
+non-positive base to a non-integer power, which a jet takes as exp(e log v).
+``pde_residual`` takes X_L^2 G, L and G at each unmarked point from the cloud.
 """
 from __future__ import annotations
 

@@ -227,24 +227,29 @@ def apply_xl2(system: HamiltonianSystem, f: ScalarField, x):
 def apply_xl2_cloud(system: HamiltonianSystem, f: ScalarField, points) -> tuple:
     """:func:`apply_xl2` at every row of ``points`` in one pass.
 
-    Returns the values (B,) and a boolean mask of the marked rows, those
-    the second jets of L or F mark (:meth:`ScalarField.jet2_cloud`), and
-    every row when the bivector is an entry rule or a dimension differs.
-    At every other row the value is ``apply_xl2``'s, bit for bit.  A marked
-    row holds no value: ``apply_xl2`` there returns or raises what it does.
+    Returns the values (B,), a boolean mask of the marked rows, and the
+    value columns (B,) of L and of F from the same two passes
+    (:meth:`ScalarField.jet2_cloud`).  A row either pass marks is marked; an
+    entry-rule bivector, or a field or points of another dimension, mark
+    every row, and then neither pass runs.  At an unmarked row the values
+    are ``apply_xl2``'s and the ``jet2`` values of L and F, bit for bit, and
+    these are ``value``'s but for a complex or non-positive base to a
+    non-integer power (module notes of :mod:`extkit.jets`).
+    A marked row holds no value: ``apply_xl2`` there returns or raises.
     """
     pts = np.asarray(points, dtype=float)
-    _, grad_l, hess_l, marked = system.hamiltonian.jet2_cloud(pts)
-    _, grad_f, hess_f, marked_f = f.jet2_cloud(pts)
-    marked |= marked_f
     structure = system.structure
-    n, d = len(marked), structure.dim
-    if structure.const is None or grad_l.shape != (n, d) or grad_f.shape != (n, d):
-        marked[:] = True
-        return np.zeros(n), marked
+    ham = system.hamiltonian
+    n, d = len(pts), structure.dim
+    if structure.const is None or pts.shape != (n, d) or ham.dim != d or f.dim != d:
+        return np.zeros(n), np.ones(n, dtype=bool), np.zeros(n), np.zeros(n)
+    l_vals, grad_l, hess_l, marked = ham.jet2_cloud(pts)
+    f_vals, grad_f, hess_f, marked_f = f.jet2_cloud(pts)
+    marked |= marked_f
     dpi_grad_l = np.zeros((n, d, d), dtype=grad_l.dtype)
     with np.errstate(all="ignore"):
-        return _xl2(grad_l, hess_l, grad_f, hess_f, structure.const, dpi_grad_l), marked
+        xl2 = _xl2(grad_l, hess_l, grad_f, hess_f, structure.const, dpi_grad_l)
+    return xl2, marked, l_vals, f_vals
 
 
 def extend_structure(structure: PoissonStructure) -> PoissonStructure:

@@ -193,6 +193,7 @@ def test_criterion_5_involution_of_h_and_k():
            + "; ".join(details) + f", tol {TOL_BRACKET:g}")
 
 
+@pytest.mark.slow
 def test_criterion_6_conservation_along_extended_flow():
     ok = True
     worst_overall = 0.0

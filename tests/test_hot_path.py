@@ -201,10 +201,8 @@ def test_a_clean_cloud_makes_no_jet2_call(key, calls, monkeypatch):
     rep = ek.pde_residual(built.system, built.seed.field, c, c0, spec)
     assert len(rep.residuals) == 40 and rep.skipped == 0
     assert calls["jet2"] == [] and per_point == []
-    # the right side still takes L and G by value, once each per point
-    assert sorted(set(calls["value"])) == sorted(
-        {built.system.hamiltonian.label, built.seed.field.label})
-    assert len(calls["value"]) == 80
+    # the right side takes L and G from the same pass's value columns
+    assert calls["value"] == []
 
 
 @pytest.mark.parametrize("count", [1, 20, 31])

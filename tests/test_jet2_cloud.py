@@ -19,6 +19,7 @@ import extkit as ek
 from extkit import jets, verify
 from extkit.poisson import apply_xl2, apply_xl2_cloud
 from test_jet1_kernel import FIELDS, boxed_points
+from test_jet1_kernel import assert_parity as kernel_parity
 
 PDE_ENTRIES = ["quartic1", "quartic2a", "quartic2b", "square_polar", "vortex_equal",
                "vortex_opposite"]
@@ -84,6 +85,34 @@ def test_catalog_fields_replay_a_300_point_cloud_with_no_marks():
         assert_marked_only_where_jet2_raises(field, points, assert_parity(field, points))
 
 
+@pytest.mark.parametrize("key", PDE_ENTRIES)
+def test_the_value_column_is_value_at_every_point_of_a_seeded_entry(key, built):
+    # pde_residual reads L and G from these columns in place of value()
+    b = built[key]
+    lo, hi = np.array(ek.get_entry(key).default_box).T
+    points = lo + np.random.default_rng(21).uniform(size=(2000, len(lo))) * (hi - lo)
+    for field in (b.system.hamiltonian, b.seed.field):
+        values, _, _, marked = field.jet2_cloud(points)
+        assert not marked.any(), field.label
+        for got, x in zip(values.tolist(), points):
+            want = field.value(x)
+            assert type(got) is type(want), (field.label, x)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (field.label, x)
+
+
+def test_a_power_of_a_negative_base_is_where_the_value_column_leaves_value():
+    # the one known exception: a jet takes v ** e of a non-positive or complex
+    # base as exp(e log v), a number as v ** e, and they can round apart
+    field = ek.ScalarField(lambda co: co[0] ** 0.3 + co[1], 2, label="root")
+    rng = np.random.default_rng(0)
+    points = np.column_stack([rng.uniform(-2.0, -0.1, 200), rng.uniform(-1.0, 1.0, 200)])
+    values, _, _, marked = field.jet2_cloud(points)
+    assert not marked.any()
+    assert_parity(field, points.tolist())
+    apart = [got != field.value(x) for got, x in zip(values.tolist(), points)]
+    assert 0 < sum(apart) < 50
+
+
 def branch_on_sign(co):
     return co[0] * co[1] if co[0].value > 0 else jets.exp(co[0]) - co[1]
 
@@ -137,7 +166,7 @@ def test_a_point_the_replay_cannot_follow_is_marked_and_left_to_the_scalar_path(
     # apply_xl2_cloud marks the row too, and apply_xl2 there raises what jet2 does
     system = ek.HamiltonianSystem(ek.canonical_structure(2),
                                   ek.ScalarField(lambda co: 0.5 * co[0] + co[1] * co[1], 2))
-    lhs, xl2_marked = apply_xl2_cloud(system, field, np.array(points))
+    lhs, xl2_marked, _, _ = apply_xl2_cloud(system, field, np.array(points))
     assert xl2_marked.tolist() == marked.tolist()
     for i, x in enumerate(points):
         if i == row and want[0] == "raised":
@@ -157,6 +186,46 @@ def test_a_recording_that_fails_marks_the_whole_cloud():
     points = [[0.2, 1.0], [0.4, 2.0], [-0.6, 1.5]]
     assert assert_parity(field, points).all()
     assert all(on_jets(field, x)[0] == "ok" for x in points)
+
+
+NUMPY_TWO = np.float64(2.0)
+
+
+def short_gradient(co):
+    h = co[0].hess
+    return ek.Jet(co[0].value, co[0].grad[:1], None if h is None else h[:1])
+
+
+def half_hessian(co):
+    h = co[0].hess
+    return ek.Jet(co[0].value, co[0].grad, None if h is None else h[:1])
+
+
+# fn's that a tape records but cannot replay over a cloud, and whether the
+# first-order kernel still compiles
+UNREPLAYABLE = {
+    # an operand the replay cannot keep as an array (_Tape.replay)
+    "numpy closure constant": (lambda co: NUMPY_TWO * co[0] + co[1], True),
+    # a result of another order or size (_Tape.outputs)
+    "shorter gradient": (short_gradient, False),
+    "Hessian of another size": (half_hessian, True),
+    # a result that is no number (_Tape.outputs)
+    "string": (lambda co: "q", False),
+    # an output register the replay cannot hand back as an array (_Tape.replay)
+    "numpy constant as the value": (lambda co: ek.Jet(NUMPY_TWO, co[0].grad, co[0].hess),
+                                    True),
+}
+
+
+@pytest.mark.parametrize("case", UNREPLAYABLE)
+def test_a_tape_the_replay_cannot_take_marks_the_whole_cloud(case):
+    fn, compiles = UNREPLAYABLE[case]
+    field = ek.ScalarField(fn, 2, label="f")
+    points = [[0.3, 0.4], [0.5, 0.6], [0.7, 0.9], [-0.2, 1.1]]
+    assert field.jet2_cloud(np.array(points))[3].all()
+    # value_grad, through jet1, gives the jet path's value, gradient or error
+    kernel = kernel_parity(field, points)._kernel[1]
+    assert callable(kernel) if compiles else kernel is False
 
 
 def numpy_complex_mul(x, y, cx, cy):
@@ -284,3 +353,26 @@ def test_inputs_the_catalog_never_builds_go_point_by_point(case):
     if case == "entry-rule bivector":
         # X_L^2 q = -q for the harmonic oscillator, the pair (0, 1/2)
         assert rep.max_residual <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["entry-rule bivector", "seed of another dimension"])
+def test_apply_xl2_cloud_marks_a_cloud_it_cannot_serve_before_either_pass(case, monkeypatch):
+    structure = (ek.PoissonStructure(2, entries=lambda co: [[0.0, 1.0], [-1.0, 0.0]])
+                 if case == "entry-rule bivector" else ek.canonical_structure(2))
+    system = ek.HamiltonianSystem(
+        structure, ek.ScalarField(lambda co: 0.5 * (co[0] * co[0] + co[1] * co[1]), 2))
+    passes = []
+    cloud = jets.ScalarField.jet2_cloud
+
+    def counted(self, points):
+        passes.append(self.label)
+        return cloud(self, points)
+
+    monkeypatch.setattr(jets.ScalarField, "jet2_cloud", counted)
+    points = ek.sample_points(ek.SampleSpec(intervals=((-1.0, 1.0), (-1.0, 1.0)), count=40,
+                                            seed=11))
+    xl2, marked, l_vals, g_vals = apply_xl2_cloud(system, UNCOVERED_SEEDS[case], points)
+    assert passes == []
+    assert marked.dtype == bool and marked.tolist() == [True] * 40
+    for column in (xl2, l_vals, g_vals):
+        assert column.dtype == float and column.tolist() == [0.0] * 40

@@ -85,6 +85,28 @@ def test_trajectory_truncates_on_singularity():
     assert traj.times[-1] < 10.0
 
 
+NON_FINITE_FLOWS = {
+    "blow-up of y' = y^2": (lambda y: [y[0] * y[0]], [1.0], 2.0),
+    "constant inf": (lambda y: [math.inf], [0.0], 1.0),
+    "constant nan": (lambda y: [math.nan], [0.0], 1.0),
+    "inf past a threshold": (lambda y: [math.inf if y[0] > 0.5 else 1.0], [0.0], 1.0),
+    "nan in one of two": (lambda y: [1.0, math.nan if y[0] > 0.2 else 0.0], [0.0, 0.0], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_FLOWS)
+def test_a_state_driven_non_finite_truncates_each_method_with_its_reason(case):
+    # rkf45 never stores a non-finite state: a non-finite component of the
+    # fifth-order solution makes its difference from the fourth-order one
+    # non-finite, so the step error check truncates first
+    rhs, y0, t_final = NON_FINITE_FLOWS[case]
+    for method, reason in (("rk4", "state became non-finite at t = "),
+                           ("rkf45", "step error became non-finite at t = ")):
+        traj = ek.integrate(rhs, y0, t_final, method=method, dt=1e-2)
+        assert traj.truncated and traj.reason.startswith(reason), (method, traj.reason)
+        assert np.isfinite(traj.states).all() and traj.times[-1] < t_final
+
+
 def test_conservation_report_drift_formula():
     from extkit.verify import Trajectory
 
