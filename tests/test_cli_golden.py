@@ -25,6 +25,10 @@ STDOUT_CASES = {
                              "--state", "0.6,0.4,0.9,-0.7"],
     "check_pde_quartic2b.json": ["check-pde", "--system", "quartic2b", "--samples", "40",
                                  "--seed", "1234"],
+    # the seeds whose jets run complex arithmetic, at a size that takes the cloud path
+    **{f"check_pde_{key}.json": ["check-pde", "--system", key, "--samples", "100",
+                                 "--seed", "1234"]
+       for key in ("vortex_equal", "vortex_opposite")},
     "check_pde_quartic1_poly_f.json": [
         "check-pde", "--system", "quartic1",
         "--param", 'f={"kind": "poly", "coeffs": [0.3, -0.2, 0.1]}'],
