@@ -66,8 +66,6 @@ def _fmt_json(obj, indent=0) -> str:
             lines.append("  " * (indent + 1) + json.dumps(str(k)) + ": "
                          + _fmt_json(obj[k], indent + 1))
         return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
-    if isinstance(obj, complex):
-        return _fmt_json({"re": obj.real, "im": obj.imag}, indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

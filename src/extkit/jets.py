@@ -4,9 +4,10 @@ A jet carries a value together with its gradient (and, at second order,
 its Hessian) with respect to a fixed set of real coordinates.  Scalar
 fields are evaluated by seeding one jet per coordinate and running the
 field's defining expression through overloaded arithmetic, so the
-reported derivatives are exact to rounding and Hessians are symmetric
-by construction.  Values may turn complex mid-expression (principal
-branches throughout).
+reported derivatives are exact to rounding.  A Hessian is symmetric to
+rounding, not always bit for bit: the product and quotient rules add their
+two cross terms in one order for entry (i, k) and in the other for (k, i).
+Values may turn complex mid-expression (principal branches throughout).
 
 Inside jet arithmetic a gradient is a tuple of plain Python numbers,
 real or complex entry by entry, and a Hessian is a flat row-major tuple
@@ -16,8 +17,12 @@ use on the full matrices (``f2 * (g[i] * g[k])`` for the outer-product
 term), so real results match an array implementation bit for bit.
 
 At the :class:`ScalarField` boundary every evaluation rejects a point of
-the wrong dimension or on the declared singular set, and non-finite
-values, gradients and Hessians with :class:`NonFiniteError`.  There is
+the wrong dimension or on the declared singular set.  One rule
+(``ScalarField._result``) takes what ``fn`` returned on every path: a plain
+number, whose derivatives are zero, or a jet of the order asked for with a
+gradient of ``dim`` entries and, at second order, a Hessian of ``dim**2``.
+A result of another order or size raises :class:`EvaluationError`, and a
+non-finite value, gradient or Hessian :class:`NonFiniteError`.  There is
 one first-order entry point, ``value_grad``: a list of floats in, the
 value and the gradient tuple out, no numpy on the way.  The flows call
 it once per right-hand side.  ``jet1`` is ``value_grad`` for any
@@ -66,9 +71,9 @@ arithmetic and complex + and -, complex * and / follow CPython's own
 formulas, and ``**`` and the dispatchers run as Python scalars, point by
 point (:meth:`_Tape.replay`).  A point where that cannot hold is marked,
 and its caller asks ``jet2`` there.  ``jet2`` and ``value`` run ``fn`` on
-jets and on numbers, and their values agree but for a complex or
-non-positive base to a non-integer power, which a jet takes as exp(e log v).
-``pde_residual`` takes X_L^2 G, L and G at each unmarked point from the cloud.
+jets and on numbers, and their values agree: a jet takes every power's
+value from ``**``, as a number does.  So ``pde_residual`` takes X_L^2 G,
+L and G at each unmarked point from the cloud.
 """
 from __future__ import annotations
 
@@ -247,26 +252,33 @@ class Jet:
             return _chain(self, w, -w / v, None if self.hess is None else 2.0 * w / (v * v))
         return NotImplemented
 
+    # Every power takes its value from ``**``, as a plain number does; where
+    # the derivatives come from exp(e log v), that jet is built first, so
+    # that a logarithm at zero raises before the value is formed.
     def __pow__(self, e):
-        if isinstance(e, Jet):
-            return exp(e * log(self))
         v = self.value
+        if isinstance(e, Jet):
+            return _revalued(exp(e * log(self)), v ** e.value)
         if isinstance(e, (int, np.integer)):
             n = int(e)
             if n == 0:
                 h = self.hess
-                return Jet(1.0, (0.0,) * len(self.grad), None if h is None else (0.0,) * len(h))
+                return Jet(v**n, (0.0,) * len(self.grad), None if h is None else (0.0,) * len(h))
             f2 = 0.0 if self.hess is None or n == 1 else n * (n - 1) * v ** (n - 2)
             return _chain(self, v**n, n * v ** (n - 1), f2)
         if isinstance(v, complex) or v <= 0.0:
-            return exp(e * log(self))
+            return _revalued(exp(e * log(self)), v**e)
         f2 = None if self.hess is None else e * (e - 1) * v ** (e - 2)
         return _chain(self, v**e, e * v ** (e - 1), f2)
 
     def __rpow__(self, base):
         if isinstance(base, _SCALARS):
-            return exp(self * _scalar_log(base))
+            return _revalued(exp(self * _scalar_log(base)), base**self.value)
         return NotImplemented
+
+
+def _revalued(j: Jet, value) -> Jet:
+    return Jet(value, j.grad, j.hess)
 
 
 def _neg(t: tuple) -> tuple:
@@ -421,24 +433,20 @@ class _Tape:
             self.ops.append(("type", None, var.reg, self.const(type(var.val))))
         return type(var.val)
 
-    def outputs(self, out, d: int, hessian: bool) -> tuple:
+    def outputs(self, out, d: int, second_order: bool) -> tuple:
         """The registers of ``fn``'s result ``out``: its value's, then its
         gradient's and Hessian's as lists, both None when ``fn`` returned a
-        plain number.  A jet of another order or size cannot be replayed."""
+        plain number.  A result :func:`_sized` refuses cannot be replayed."""
         def reg(o):
             r = self.operand(o)
             if r is None:
                 raise _Untraceable
             return r
 
-        if type(out) is not Jet:
-            return reg(out), None, None
-        grad, hess = out.grad, out.hess
-        if type(grad) is not tuple or len(grad) != d or (hess is not None) != hessian:
+        value, grad, hess = _unpack(out)
+        if not _sized(grad, hess, d, second_order):
             raise _Untraceable
-        if hess is not None and (type(hess) is not tuple or len(hess) != d * d):
-            raise _Untraceable
-        return (reg(out.value), [reg(g) for g in grad],
+        return (reg(value), None if grad is None else [reg(g) for g in grad],
                 None if hess is None else [reg(h) for h in hess])
 
     def compile(self, out, d: int, label: str):
@@ -699,6 +707,24 @@ for _sym, _op in _COMPARE.items():
     setattr(_Var, f"__{_op.__name__}__", _var_compare(_sym, _op))
 
 
+def _unpack(out) -> tuple:
+    """``fn``'s result as (value, gradient, Hessian); a plain number has
+    neither derivative."""
+    if isinstance(out, Jet):
+        return out.value, out.grad, out.hess
+    return out, None, None
+
+
+def _sized(grad, hess, d: int, second_order: bool) -> bool:
+    """Whether ``fn`` returned a result of the order asked for over ``d``
+    coordinates: a plain number (no derivatives), or a gradient tuple of
+    ``d`` entries with, at second order only, a Hessian tuple of ``d * d``."""
+    if grad is None:
+        return hess is None
+    return type(grad) is tuple and len(grad) == d and (
+        type(hess) is tuple and len(hess) == d * d if second_order else hess is None)
+
+
 def _record(fn, xs: list, second_order: bool) -> tuple:
     """A tape of one run of ``fn`` on jets seeded at ``xs`` whose values are
     tape scalars, and what the run returned."""
@@ -810,15 +836,12 @@ class ScalarField:
             self._kernel = (fn, kernel)
         if kernel:
             try:
-                return self._first_order(xs, *self._run(xs, kernel, xs))
+                return self._result(xs, *self._run(xs, kernel, xs))[:2]
             except (_GuardFailed, TypeError):
                 # a decision went the other way, or a comparison met a
                 # complex value: this call and every later one run on jets
                 self._kernel = (fn, False)
-        out = self._run(xs, fn, _seeds(xs))
-        if not isinstance(out, Jet):
-            return self._first_order(xs, out, None)
-        return self._first_order(xs, out.value, out.grad)
+        return self._result(xs, *_unpack(self._run(xs, fn, _seeds(xs))))[:2]
 
     def jet1(self, x) -> Jet:
         """Value and gradient at ``x``: :meth:`value_grad` with the
@@ -829,18 +852,9 @@ class ScalarField:
     def jet2(self, x) -> Jet:
         """Value, gradient and Hessian at ``x``."""
         xs = self._on_chart(self._coords(x))
-        out = self._run(xs, self.fn, _seeds(xs, second_order=True))
-        d = self.dim
-        if not isinstance(out, Jet):
-            return Jet(self._finite(xs, out), np.zeros(d), np.zeros((d, d)))
-        value, grad = self._first_order(xs, out.value, out.grad)
-        hess = out.hess
-        if hess is None:
-            return Jet(value, np.array(grad))
-        if not all(map(cmath.isfinite, hess)):
-            raise NonFiniteError(f"{self.label or 'field'} has a non-finite Hessian "
-                                 f"at {xs}")
-        return Jet(value, np.array(grad), np.array(hess).reshape(d, d))
+        out = _unpack(self._run(xs, self.fn, _seeds(xs, second_order=True)))
+        value, grad, hess = self._result(xs, *out, second_order=True)
+        return Jet(value, np.array(grad), np.array(hess).reshape(self.dim, self.dim))
 
     def jet2_cloud(self, points) -> tuple:
         """:meth:`jet2` at every row of ``points``, shape (B, dim), in one pass.
@@ -891,13 +905,22 @@ class ScalarField:
                     & np.isfinite(hessians).all(axis=(1, 2)))
         return value, grads, hessians, marked
 
-    def _first_order(self, xs: list, value, grad) -> tuple:
-        """``fn``'s value and gradient tuple, checked finite; ``grad is None``
-        when ``fn`` returned a plain number."""
-        if grad is None:
-            return self._finite(xs, value), (0.0,) * self.dim
+    def _result(self, xs: list, value, grad, hess=None, second_order=False) -> tuple:
+        """``fn``'s result at ``xs``, given as its parts, as (value, gradient,
+        Hessian) with tuples for derivatives, the Hessian None at first order
+        and a plain number's derivatives zero: the one rule for every path.
+        A result :func:`_sized` refuses raises :class:`EvaluationError`, a
+        non-finite entry :class:`NonFiniteError`."""
+        d = self.dim
+        if not _sized(grad, hess, d, second_order):
+            raise EvaluationError(f"{self.label or 'field'} returned no "
+                                  f"{'second' if second_order else 'first'}-order jet "
+                                  f"over {d} coordinates at {xs}")
         self._finite(xs, value)
+        if grad is None:
+            return value, (0.0,) * d, (0.0,) * (d * d) if second_order else None
         if not all(map(cmath.isfinite, grad)):
-            raise NonFiniteError(f"{self.label or 'field'} has a non-finite gradient "
-                                 f"at {xs}")
-        return value, grad
+            raise NonFiniteError(f"{self.label or 'field'} has a non-finite gradient at {xs}")
+        if hess is not None and not all(map(cmath.isfinite, hess)):
+            raise NonFiniteError(f"{self.label or 'field'} has a non-finite Hessian at {xs}")
+        return value, grad, hess

@@ -76,10 +76,15 @@ class PoissonStructure:
                 self._sparse = tuple(row[0] if row else (0, 0.0) for row in nonzero)
 
     def _check_antisym(self, rows: list) -> list:
-        """``rows``, entry values nested by row, once every |m + m^T| is within
-        the tolerance scaled by max(1, max |m|).  A NaN entry fails: its sum
-        is NaN, which no bound holds, where ``max`` would drop it.  An
-        infinite entry fails: it makes the bound infinite, which none is."""
+        """``rows``, entry values nested by row, once they are ``dim`` rows of
+        ``dim`` and every |m + m^T| is within the tolerance scaled by
+        max(1, max |m|).  A NaN entry fails: its sum is NaN, which no bound
+        holds, where ``max`` would drop it.  An infinite entry fails: it makes
+        the bound infinite, which none is."""
+        lengths = list(map(len, rows))
+        if lengths != [self.dim] * self.dim:
+            raise ValueError(f"bivector {self.label or ''} has rows of lengths {lengths}, "
+                             f"not {self.dim} rows of {self.dim}")
         flat = list(chain.from_iterable(rows))
         bound = _ANTISYM_TOL * max(1.0, max(map(abs, flat)))
         transposed = chain.from_iterable(zip(*rows))
@@ -233,8 +238,7 @@ def apply_xl2_cloud(system: HamiltonianSystem, f: ScalarField, points) -> tuple:
     entry-rule bivector, or a field or points of another dimension, mark
     every row, and then neither pass runs.  At an unmarked row the values
     are ``apply_xl2``'s and the ``jet2`` values of L and F, bit for bit, and
-    these are ``value``'s but for a complex or non-positive base to a
-    non-integer power (module notes of :mod:`extkit.jets`).
+    these are ``value``'s (module notes of :mod:`extkit.jets`).
     A marked row holds no value: ``apply_xl2`` there returns or raises.
     """
     pts = np.asarray(points, dtype=float)

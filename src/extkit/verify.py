@@ -9,7 +9,9 @@ deterministic given a sample seed.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -164,9 +166,7 @@ def pde_residual(system: HamiltonianSystem, seed_field: ScalarField,
     L and G that its second jets carry.  A point that pass marks, and every
     point of a smaller sample, gets :func:`apply_xl2` and the two fields'
     ``value`` on its own, which give the same numbers or raise what skips
-    the point.  The one way a jet's value can differ from ``value``'s is a
-    power of a complex or non-positive base to a non-integer exponent,
-    which a jet forms as exp(e log v); no catalog field takes one.
+    the point.
     """
     pred = singular if singular is not None else seed_field.singular
     ham = system.hamiltonian
@@ -272,18 +272,6 @@ def _rk4_step(rhs, y: list, h: float) -> list:
             for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
-def _max_abs(v) -> float:
-    """max |v_i|, NaN as soon as one entry is NaN, as ``np.max(np.abs(v))``."""
-    out = 0.0
-    for x in v:
-        a = abs(x)
-        if a != a:
-            return a
-        if a > out:
-            out = a
-    return out
-
-
 # Fehlberg 4(5) tableau.
 _FB = (
     (1 / 4,),
@@ -294,6 +282,13 @@ _FB = (
 )
 _FB4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FB5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+
+
+def _fehlberg_sum(y: list, h: float, weights: tuple, ks: list, *start) -> list:
+    """y + h * (w0 k1 + w1 k2 + ...) per component, the products summed
+    left to right from ``start`` when given, as numpy sums arrays."""
+    return [yi + h * functools.reduce(operator.add, map(operator.mul, weights, kk), *start)
+            for yi, *kk in zip(y, *ks)]
 
 
 def integrate(rhs: Callable[[list], Sequence[float]], y0, t_final: float,
@@ -382,35 +377,23 @@ def _integrate_rkf45(rhs, y0: list, t_final, dt, tol, dt_min, dt_max) -> Traject
     forced = 0
     truncated = False
     reason = ""
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = _FB
-    b40, b41, b42, b43, b44, b45 = _FB4
-    b50, b51, b52, b53, b54, b55 = _FB5
     while t < t_final - 1e-14 * t_final:
         h = min(h, t_final - t)
-        # each component as numpy evaluates the stage sums on arrays,
-        # y + h * (a0 * k1 + a1 * k2 + ...), left to right
+        # each component as numpy evaluates the stages on arrays: the first
+        # y + (h * a0) * k1, each later one by _fehlberg_sum
         try:
-            k1 = _components(rhs(y), d)
-            c = h * a10
-            k2 = _components(rhs([yi + c * p for yi, p in zip(y, k1)]), d)
-            k3 = _components(rhs([yi + h * (a20 * p + a21 * q)
-                              for yi, p, q in zip(y, k1, k2)]), d)
-            k4 = _components(rhs([yi + h * (a30 * p + a31 * q + a32 * r)
-                              for yi, p, q, r in zip(y, k1, k2, k3)]), d)
-            k5 = _components(rhs([yi + h * (a40 * p + a41 * q + a42 * r + a43 * s)
-                              for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]), d)
-            k6 = _components(rhs([yi + h * (a50 * p + a51 * q + a52 * r + a53 * s + a54 * w)
-                              for yi, p, q, r, s, w in zip(y, k1, k2, k3, k4, k5)]), d)
+            ks = [_components(rhs(y), d)]
+            c = h * _FB[0][0]
+            ks.append(_components(rhs([yi + c * k for yi, k in zip(y, ks[0])]), d))
+            for row in _FB[1:]:
+                ks.append(_components(rhs(_fehlberg_sum(y, h, row, ks)), d))
         except EvaluationError as e:
             truncated, reason = True, f"flow evaluation failed at t = {t:.6g}: {e}"
             break
-        ks = list(zip(k1, k2, k3, k4, k5, k6))
-        y4 = [yi + h * (0 + b40 * p + b41 * q + b42 * r + b43 * s + b44 * w + b45 * z)
-              for yi, (p, q, r, s, w, z) in zip(y, ks)]
-        y5 = [yi + h * (0 + b50 * p + b51 * q + b52 * r + b53 * s + b54 * w + b55 * z)
-              for yi, (p, q, r, s, w, z) in zip(y, ks)]
-        scale = tol * (1.0 + _max_abs(y))
-        err = _max_abs([a - b for a, b in zip(y5, y4)])
+        y4 = _fehlberg_sum(y, h, _FB4, ks, 0)
+        y5 = _fehlberg_sum(y, h, _FB5, ks, 0)
+        scale = tol * (1.0 + float(np.max(np.abs(y))))
+        err = float(np.max(np.abs([a - b for a, b in zip(y5, y4)])))
         if not math.isfinite(err):
             truncated, reason = True, f"step error became non-finite at t = {t:.6g}"
             break

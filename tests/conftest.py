@@ -4,11 +4,6 @@ import pytest
 import extkit as ek
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: a test of many seconds; `pytest -m \"not slow\"` leaves it out")
-
-
 @pytest.fixture(scope="session")
 def built():
     """One default build of every catalog entry, shared across tests."""

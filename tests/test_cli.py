@@ -429,3 +429,10 @@ def test_bad_numeric_input_is_one_line_config_error(argv, needle, tmp_path, caps
     code, out, err = run([*argv, "--report", str(report)], capsys)
     assert_one_line_error(code, err, needle)
     assert out == "" and not report.exists()
+
+
+def test_a_complex_value_is_not_serialized():
+    # no report holds one: a complex K is split into K_re and K_im
+    for obj in (1 + 2j, {"K": [0.5, np.complex128(1j)]}):
+        with pytest.raises(TypeError, match="cannot serialize complex"):
+            cli._fmt_json(obj)

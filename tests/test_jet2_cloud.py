@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import extkit as ek
 from extkit import jets, verify
-from extkit.poisson import apply_xl2, apply_xl2_cloud
+from extkit.poisson import apply_xl2, apply_xl2_cloud, base_flow
 from test_jet1_kernel import FIELDS, boxed_points
 from test_jet1_kernel import assert_parity as kernel_parity
 
@@ -101,8 +101,8 @@ def test_the_value_column_is_value_at_every_point_of_a_seeded_entry(key, built):
 
 
 def test_a_power_of_a_negative_base_is_where_the_value_column_leaves_value():
-    # the one known exception: a jet takes v ** e of a non-positive or complex
-    # base as exp(e log v), a number as v ** e, and they can round apart
+    # a jet takes the value of v ** e from **, as value does; as
+    # exp(e log v) it rounded apart from value at 13 of these points
     field = ek.ScalarField(lambda co: co[0] ** 0.3 + co[1], 2, label="root")
     rng = np.random.default_rng(0)
     points = np.column_stack([rng.uniform(-2.0, -0.1, 200), rng.uniform(-1.0, 1.0, 200)])
@@ -110,7 +110,38 @@ def test_a_power_of_a_negative_base_is_where_the_value_column_leaves_value():
     assert not marked.any()
     assert_parity(field, points.tolist())
     apart = [got != field.value(x) for got, x in zip(values.tolist(), points)]
-    assert 0 < sum(apart) < 50
+    assert sum(apart) == 0
+
+
+def boxed(rng, box, count=200):
+    return np.column_stack([rng.uniform(a, b, count) for a, b in box])
+
+
+# the four forms whose jet value was once exp(e log v) or a plain 1.0
+POWER_FORMS = {
+    "negative base to a float": (lambda co: co[0] ** 0.3 + co[1], ((-2.0, -0.1), (-1.0, 1.0))),
+    "jet to a jet": (lambda co: co[0] ** co[1], ((0.1, 2.0), (-1.5, 1.5))),
+    "number to a jet": (lambda co: 2.0 ** co[0] - co[1], ((-3.0, 3.0), (-1.0, 1.0))),
+    "complex base to the zeroth": (lambda co: (1j * co[0] + co[1]) ** 0,
+                                   ((-1.0, 1.0), (-1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("form", POWER_FORMS)
+def test_every_path_takes_a_power_s_value_from_pow(form):
+    # value, jet1 (jet path, then kernel), jet2 and the cloud's value column
+    # agree bit for bit and in type
+    fn, box = POWER_FORMS[form]
+    field = ek.ScalarField(fn, 2, label="power")
+    points = boxed(np.random.default_rng(3), box)
+    cloud, _, _, marked = field.jet2_cloud(points)
+    assert not marked.any()
+    for got, x in zip(cloud.tolist(), points):
+        want = field.value(x)
+        for v in (got, field.jet1(x).value, field.jet2(x).value):
+            assert type(v) is type(want), (form, x)
+            assert np.array(v).tobytes() == np.array(want).tobytes(), (form, x)
+    assert callable(field._kernel[1])
 
 
 def branch_on_sign(co):
@@ -226,6 +257,58 @@ def test_a_tape_the_replay_cannot_take_marks_the_whole_cloud(case):
     # value_grad, through jet1, gives the jet path's value, gradient or error
     kernel = kernel_parity(field, points)._kernel[1]
     assert callable(kernel) if compiles else kernel is False
+
+
+def first_order_at_second(co):
+    return ek.Jet(co[0].value, co[0].grad)
+
+
+# fn's whose result is of the wrong order or size at second order; short_gradient
+# is wrong at first order too
+MALFORMED = {"short gradient": short_gradient, "Hessian of another size": half_hessian,
+             "first-order jet at second order": first_order_at_second}
+
+
+def oscillator(structure=None):
+    return ek.HamiltonianSystem(
+        structure or ek.canonical_structure(2),
+        ek.ScalarField(lambda co: 0.5 * (co[0] * co[0] + co[1] * co[1]), 2, label="L"))
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_result_of_the_wrong_order_or_size_raises_on_every_path(case):
+    g = ek.ScalarField(MALFORMED[case], 2, label="badG")
+    x = [0.3, 0.4]
+    needle = r"badG returned no (first|second)-order jet over 2 coordinates at \[0.3, 0.4\]"
+    with pytest.raises(ek.EvaluationError, match=needle):
+        g.jet2(x)
+    for _ in range(2):  # the second round through a kernel, where one compiles
+        if case == "short gradient":
+            for call in (g.value_grad, g.jet1):
+                with pytest.raises(ek.EvaluationError, match=needle):
+                    call(x)
+        else:
+            assert len(g.value_grad(x)[1]) == 2 and g.jet1(x).grad.shape == (2,)
+    system = oscillator()
+    with pytest.raises(ek.EvaluationError, match=needle):
+        apply_xl2(system, g, np.array(x))
+    points = ek.sample_points(ek.SampleSpec(intervals=((-1.0, 1.0), (-1.0, 1.0)), count=40,
+                                            seed=11))
+    assert g.jet2_cloud(points)[3].all()
+    assert apply_xl2_cloud(system, g, points)[1].all()
+    for count in (10, 40):  # point by point, and through the cloud
+        spec = ek.SampleSpec(intervals=((-1.0, 1.0), (-1.0, 1.0)), count=count, seed=11)
+        rep = ek.pde_residual(system, g, 0.0, 0.5, spec)
+        assert rep.skipped == count and len(rep.residuals) == 0
+
+
+def test_a_short_gradient_in_l_truncates_the_base_flow():
+    system = ek.HamiltonianSystem(ek.canonical_structure(2),
+                                  ek.ScalarField(short_gradient, 2, label="badL"))
+    traj = ek.integrate(base_flow(system), [0.3, 0.4], 1.0)
+    assert traj.truncated and len(traj.times) == 1
+    assert traj.reason == ("flow evaluation failed at t = 0: badL returned no first-order "
+                           "jet over 2 coordinates at [0.3, 0.4]")
 
 
 def numpy_complex_mul(x, y, cx, cy):

@@ -269,3 +269,17 @@ def test_gradients_are_tuples_inside_arithmetic():
     assert all(type(h) is float for h in seen[-1].hess)
     assert isinstance(j.hess, np.ndarray) and j.hess.shape == (2, 2)
     assert j.hess.tolist() == [list(seen[-1].hess[:2]), list(seen[-1].hess[2:])]
+
+
+@pytest.mark.parametrize("key", ["quartic1", "quartic2a", "quartic2b", "square_polar",
+                                 "vortex_equal", "vortex_opposite"])
+def test_hessians_are_symmetric_to_rounding(key, built):
+    # not bit for bit: the product and quotient rules add their two cross
+    # terms in opposite orders for (i, k) and (k, i), which vortex_equal.G shows
+    b = built[key]
+    spec = ek.SampleSpec(intervals=ek.get_entry(key).default_box, count=300, seed=1,
+                         margin=0.15)
+    for x in ek.sample_points(spec, b.singular):
+        for field in (b.system.hamiltonian, b.seed.field):
+            hess = field.jet2(x).hess
+            assert np.max(np.abs(hess - hess.T)) <= np.finfo(float).eps * np.max(np.abs(hess))

@@ -1,5 +1,6 @@
 """Poisson structures, derivations along the flow, structure extension."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,21 @@ def test_antisymmetry_check_rejects_a_nan_entry(rows):
         st.contract(x.tolist(), [1.0, 2.0])
     with pytest.raises(ValueError, match="bivector  is not antisymmetric"):
         ek.PoissonStructure(2, const=np.array(rows))
+
+
+@pytest.mark.parametrize("rows", [[[0.0]], [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]],
+                         ids=["1x1", "2x3"])
+def test_entry_rows_of_the_wrong_shape_are_refused_first(rows):
+    # a 1 x 1 rule passed the antisymmetry check, and base_flow then failed
+    # in numpy's matmul; a 2 x 3 rule was called not antisymmetric
+    st = ek.PoissonStructure(2, entries=lambda co: rows, label="cramped")
+    system = ek.HamiltonianSystem(st, ek.ScalarField(lambda co: co[0] * co[1], 2))
+    lengths = [len(row) for row in rows]
+    needle = re.escape(f"bivector cramped has rows of lengths {lengths}, not 2 rows of 2")
+    x = np.array([0.5, 0.25])
+    for route in (st.matrix, st.matrix_with_grads, base_flow(system)):
+        with pytest.raises(ValueError, match=needle):
+            route(x)
 
 
 INFINITE_ROWS = {"inf-off-diagonal": [[0.0, math.inf], [1.0, 0.0]],
