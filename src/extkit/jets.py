@@ -18,7 +18,8 @@ term), so real results match an array implementation bit for bit.
 
 At the :class:`ScalarField` boundary every evaluation rejects a point of
 the wrong dimension or on the declared singular set.  One rule
-(``ScalarField._result``) takes what ``fn`` returned on every path: a plain
+(``ScalarField._result``) takes what ``fn`` returned on every path (a
+compiled kernel's result was held to it when recorded): a plain
 number, whose derivatives are zero, or a jet of the order asked for with a
 gradient of ``dim`` entries and, at second order, a Hessian of ``dim**2``.
 A result of another order or size raises :class:`EvaluationError`, and a
@@ -836,12 +837,13 @@ class ScalarField:
             self._kernel = (fn, kernel)
         if kernel:
             try:
-                return self._result(xs, *self._run(xs, kernel, xs))[:2]
+                # the recording held the result to _sized
+                return self._finite_jet(xs, *self._run(xs, kernel, xs))
             except (_GuardFailed, TypeError):
                 # a decision went the other way, or a comparison met a
                 # complex value: this call and every later one run on jets
                 self._kernel = (fn, False)
-        return self._result(xs, *_unpack(self._run(xs, fn, _seeds(xs))))[:2]
+        return self._result(xs, self._run(xs, fn, _seeds(xs)), False)[:2]
 
     def jet1(self, x) -> Jet:
         """Value and gradient at ``x``: :meth:`value_grad` with the
@@ -852,8 +854,8 @@ class ScalarField:
     def jet2(self, x) -> Jet:
         """Value, gradient and Hessian at ``x``."""
         xs = self._on_chart(self._coords(x))
-        out = _unpack(self._run(xs, self.fn, _seeds(xs, second_order=True)))
-        value, grad, hess = self._result(xs, *out, second_order=True)
+        out = self._run(xs, self.fn, _seeds(xs, second_order=True))
+        value, grad, hess = self._result(xs, out, True)
         return Jet(value, np.array(grad), np.array(hess).reshape(self.dim, self.dim))
 
     def jet2_cloud(self, points) -> tuple:
@@ -905,22 +907,31 @@ class ScalarField:
                     & np.isfinite(hessians).all(axis=(1, 2)))
         return value, grads, hessians, marked
 
-    def _result(self, xs: list, value, grad, hess=None, second_order=False) -> tuple:
-        """``fn``'s result at ``xs``, given as its parts, as (value, gradient,
-        Hessian) with tuples for derivatives, the Hessian None at first order
-        and a plain number's derivatives zero: the one rule for every path.
-        A result :func:`_sized` refuses raises :class:`EvaluationError`, a
-        non-finite entry :class:`NonFiniteError`."""
+    def _result(self, xs: list, out, second_order: bool) -> tuple:
+        """``fn``'s result ``out`` at ``xs`` as (value, gradient, Hessian),
+        the derivatives tuples, the Hessian None at first order: the one rule
+        for what ``fn`` may return.  A plain number's derivatives are zeros;
+        a result :func:`_sized` refuses raises :class:`EvaluationError`, a
+        non-finite one :class:`NonFiniteError` (:meth:`_finite_jet`)."""
+        value, grad, hess = _unpack(out)
         d = self.dim
         if not _sized(grad, hess, d, second_order):
             raise EvaluationError(f"{self.label or 'field'} returned no "
                                   f"{'second' if second_order else 'first'}-order jet "
                                   f"over {d} coordinates at {xs}")
+        if grad is None:
+            grad, hess = (0.0,) * d, (0.0,) * (d * d) if second_order else None
+        return (*self._finite_jet(xs, value, grad, hess), hess)
+
+    def _finite_jet(self, xs: list, value, grad, hess=None) -> tuple:
+        """``(value, grad)`` once the value and every entry of ``grad`` and
+        ``hess`` are finite, else :class:`NonFiniteError`; ``grad`` None, a
+        plain number's, reads as zeros."""
         self._finite(xs, value)
         if grad is None:
-            return value, (0.0,) * d, (0.0,) * (d * d) if second_order else None
+            return value, (0.0,) * self.dim
         if not all(map(cmath.isfinite, grad)):
             raise NonFiniteError(f"{self.label or 'field'} has a non-finite gradient at {xs}")
         if hess is not None and not all(map(cmath.isfinite, hess)):
             raise NonFiniteError(f"{self.label or 'field'} has a non-finite Hessian at {xs}")
-        return value, grad, hess
+        return value, grad
