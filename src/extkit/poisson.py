@@ -81,13 +81,14 @@ class PoissonStructure:
         max(1, max |m|).  A NaN entry fails: its sum is NaN, which no bound
         holds, where ``max`` would drop it.  An infinite entry fails: it makes
         the bound infinite, which none is."""
-        lengths = list(map(len, rows))
-        if lengths != [self.dim] * self.dim:
-            raise ValueError(f"bivector {self.label or ''} has rows of lengths {lengths}, "
-                             f"not {self.dim} rows of {self.dim}")
+        d = self.dim
         flat = list(chain.from_iterable(rows))
+        cols = list(zip(*rows))  # zip stops at the shortest row
+        if len(rows) != d or len(flat) != d * d or len(cols) != d:
+            raise ValueError(f"bivector {self.label or ''} has rows of lengths "
+                             f"{[len(row) for row in rows]}, not {d} rows of {d}")
         bound = _ANTISYM_TOL * max(1.0, max(map(abs, flat)))
-        transposed = chain.from_iterable(zip(*rows))
+        transposed = chain.from_iterable(cols)
         if bound == math.inf or not all(map(partial(ge, bound),
                                             map(abs, map(add, flat, transposed)))):
             raise ValueError(

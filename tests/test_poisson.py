@@ -200,8 +200,9 @@ def test_antisymmetry_check_rejects_a_nan_entry(rows):
         ek.PoissonStructure(2, const=np.array(rows))
 
 
-@pytest.mark.parametrize("rows", [[[0.0]], [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]],
-                         ids=["1x1", "2x3"])
+@pytest.mark.parametrize("rows", [[[0.0]], [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]],
+                                  [[0.0, 1.0, 0.0], [-1.0]]],
+                         ids=["1x1", "2x3", "ragged"])
 def test_entry_rows_of_the_wrong_shape_are_refused_first(rows):
     # a 1 x 1 rule passed the antisymmetry check, and base_flow then failed
     # in numpy's matmul; a 2 x 3 rule was called not antisymmetric
