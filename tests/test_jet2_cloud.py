@@ -101,8 +101,8 @@ def test_the_value_column_is_value_at_every_point_of_a_seeded_entry(key, built):
 
 
 def test_a_power_of_a_negative_base_is_where_the_value_column_leaves_value():
-    # a jet takes the value of v ** e from **, as value does; as
-    # exp(e log v) it rounded apart from value at 13 of these points
+    # a jet takes the value of v ** e from **, as value does; exp(e log v),
+    # which gives its derivatives, rounds apart from it at some of these points
     field = ek.ScalarField(lambda co: co[0] ** 0.3 + co[1], 2, label="root")
     rng = np.random.default_rng(0)
     points = np.column_stack([rng.uniform(-2.0, -0.1, 200), rng.uniform(-1.0, 1.0, 200)])
@@ -117,7 +117,8 @@ def boxed(rng, box, count=200):
     return np.column_stack([rng.uniform(a, b, count) for a, b in box])
 
 
-# the four forms whose jet value was once exp(e log v) or a plain 1.0
+# the powers whose derivatives come from exp(e log v), and a zeroth power,
+# whose value is a complex 1 for a complex base
 POWER_FORMS = {
     "negative base to a float": (lambda co: co[0] ** 0.3 + co[1], ((-2.0, -0.1), (-1.0, 1.0))),
     "jet to a jet": (lambda co: co[0] ** co[1], ((0.1, 2.0), (-1.5, 1.5))),
@@ -269,9 +270,9 @@ MALFORMED = {"short gradient": short_gradient, "Hessian of another size": half_h
              "first-order jet at second order": first_order_at_second}
 
 
-def oscillator(structure=None):
+def oscillator():
     return ek.HamiltonianSystem(
-        structure or ek.canonical_structure(2),
+        ek.canonical_structure(2),
         ek.ScalarField(lambda co: 0.5 * (co[0] * co[0] + co[1] * co[1]), 2, label="L"))
 
 

@@ -204,8 +204,8 @@ def test_antisymmetry_check_rejects_a_nan_entry(rows):
                                   [[0.0, 1.0, 0.0], [-1.0]]],
                          ids=["1x1", "2x3", "ragged"])
 def test_entry_rows_of_the_wrong_shape_are_refused_first(rows):
-    # a 1 x 1 rule passed the antisymmetry check, and base_flow then failed
-    # in numpy's matmul; a 2 x 3 rule was called not antisymmetric
+    # the shape is tested before antisymmetry, which a 1 x 1 rule passes and
+    # a 2 x 3 rule fails for the wrong reason
     st = ek.PoissonStructure(2, entries=lambda co: rows, label="cramped")
     system = ek.HamiltonianSystem(st, ek.ScalarField(lambda co: co[0] * co[1], 2))
     lengths = [len(row) for row in rows]
