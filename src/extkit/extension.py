@@ -190,45 +190,88 @@ def seed_pair(system: HamiltonianSystem, seed_field: ScalarField, x) -> tuple[De
     return DerivPair(jg.value, jg.grad @ np.array(v)), lval
 
 
-def _stream_mul(a: list, b: list) -> list:
-    # Leibniz convolution of truncated derivative streams.
-    order = min(len(a), len(b))
-    out = []
-    for k in range(order):
-        acc = 0.0
-        for i in range(k + 1):
-            acc += comb(k, i) * a[i] * b[k - i]
-        out.append(acc)
+def _check_index(v, name: str):
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ValueError(f"chain index {name} must be a positive integer, got {v!r}")
+
+
+def _recursion_chain(n_max: int, pair: DerivPair, lam) -> list:
+    """G_1 ... G_{n_max} by direct recursion, in one pass.
+
+    Works on streams of successive derivation images, truncated after
+    n_max + 1 terms and closed under the two rules D(G) = X_L G and
+    D(X_L G) = -2 lam G.  Term k of a Leibniz product reads only terms
+    0..k of its factors, so after step i the first two terms are
+    G_{i+1}'s value and X_L image, bit for bit what a run truncated at
+    that index gives.
+    """
+    w = -2.0 * lam
+    g_ext = [w ** (i // 2) * (pair.value if i % 2 == 0 else pair.xl) for i in range(n_max + 2)]
+    g, xg = g_ext[:-1], g_ext[1:]
+    cur = g
+    chain = [DerivPair(cur[0], cur[1])]
+    for i in range(1, n_max):
+        # cur <- X_L(G) cur + (1/i) G X_L(cur), one term shorter
+        nxt = []
+        for k in range(len(cur) - 1):
+            a = b = 0.0
+            for j in range(k + 1):
+                c = comb(k, j)
+                a += c * xg[j] * cur[k - j]
+                b += c * g[j] * cur[k + 1 - j]
+            nxt.append(a + b / i)
+        cur = nxt
+        chain.append(DerivPair(cur[0], cur[1]))
+    return chain
+
+
+def _pair_powers(value, xl, count: int) -> list:
+    # (value, xl) ** j for j < count, multiplied out as DerivPair.__pow__ does
+    out = [(1.0, 0.0)]
+    for _ in range(count - 1):
+        pv, px = out[-1]
+        out.append((pv * value, px * value + pv * xl))
     return out
 
 
-def _check_index(n: int):
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("chain index must be a positive integer")
+def _closed_chain(n_max: int, pair: DerivPair, lam) -> list:
+    """G_1 ... G_{n_max} in closed form, from one table of powers.
+
+    Each term is formed with the operations, in the order, of the
+    DerivPair expression comb * (-2 lam)^k * pair**(2k+1) * xg**(n-2k-1).
+    """
+    w = -2.0 * lam
+    g_pow = _pair_powers(pair.value, pair.xl, n_max + 1)
+    xg_pow = _pair_powers(pair.xl, w * pair.value, n_max)
+    w_pow = [w**k for k in range((n_max + 1) // 2)]
+    chain = []
+    for n in range(1, n_max + 1):
+        for k in range((n - 1) // 2 + 1):
+            s = comb(n, 2 * k + 1) * w_pow[k]
+            if isinstance(s, np.generic):
+                # numpy multiplies a DerivPair in its object loop, by s as a Python number
+                s = s.item()
+            gv, gx = g_pow[2 * k + 1]
+            gv, gx = gv * s, gx * s
+            qv, qx = xg_pow[n - 2 * k - 1]
+            tv, tx = gv * qv, gx * qv + gv * qx
+            if k == 0:
+                value, xl = tv, tx
+            else:
+                value, xl = value + tv, xl + tx
+        chain.append(DerivPair(value, xl))
+    return chain
 
 
 def recursion_term(n: int, pair: DerivPair, lam) -> DerivPair:
     """n-th member of the seed chain, evaluated by direct recursion.
 
-    Works on truncated streams of successive derivation images, closed
-    under the two rules D(G) = X_L G and D(X_L G) = -2 lam G.  Returns
-    the value and first derivative of the chain member; agreement with
+    Returns the value and first derivative of the chain member; see
+    :func:`_recursion_chain`.  Agreement with
     :func:`recursion_term_closed` is part of the test surface.
     """
-    _check_index(n)
-    w = -2.0 * lam
-    g_ext = []
-    for i in range(n + 2):
-        base = pair.value if i % 2 == 0 else pair.xl
-        g_ext.append(w ** (i // 2) * base)
-    g_stream = g_ext[: n + 1]
-    xg_stream = g_ext[1 : n + 2]
-    cur = list(g_stream)
-    for i in range(1, n):
-        a = _stream_mul(xg_stream, cur)
-        b = _stream_mul(g_stream, cur[1:])
-        cur = [a[k] + b[k] / i for k in range(len(b))]
-    return DerivPair(cur[0], cur[1])
+    _check_index(n, "n")
+    return _recursion_chain(n, pair, lam)[-1]
 
 
 def recursion_term_closed(n: int, pair: DerivPair, lam) -> DerivPair:
@@ -236,13 +279,8 @@ def recursion_term_closed(n: int, pair: DerivPair, lam) -> DerivPair:
 
     G_n = sum_k binom(n, 2k+1) (-2 lam)^k G^(2k+1) (X_L G)^(n-2k-1).
     """
-    _check_index(n)
-    xg = DerivPair(pair.xl, -2.0 * lam * pair.value)
-    total = None
-    for k in range((n - 1) // 2 + 1):
-        term = comb(n, 2 * k + 1) * (-2.0 * lam) ** k * pair ** (2 * k + 1) * xg ** (n - 2 * k - 1)
-        total = term if total is None else total + term
-    return total
+    _check_index(n, "n")
+    return _closed_chain(n, pair, lam)[-1]
 
 
 def power_coeffs(m: int, n: int, r: int, p_u: float, gam: float, lam) -> tuple:
@@ -254,10 +292,10 @@ def power_coeffs(m: int, n: int, r: int, p_u: float, gam: float, lam) -> tuple:
       P = sum_j binom(r, 2j)   (m gam/n)^(2j)   p_u^(r-2j)   (-2 lam)^j
       D = sum_j binom(r, 2j+1) (m gam/n)^(2j+1) p_u^(r-2j-1) (-2 lam)^j / n
     """
-    _check_index(m)
-    _check_index(n)
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("operator power must be a nonnegative integer")
+    _check_index(m, "m")
+    _check_index(n, "n")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise ValueError(f"operator power r must be a nonnegative integer, got {r!r}")
     if r > m:
         raise ValueError(f"operator power r = {r} exceeds the first index m = {m}")
     kg = m * gam / n

@@ -68,7 +68,8 @@ class PoissonStructure:
         if self.const is not None:
             self.const = np.asarray(self.const, dtype=float)
             if self.const.shape != (self.dim, self.dim):
-                raise ValueError("constant bivector has the wrong shape")
+                raise ValueError(f"constant bivector {self.label or ''} has the wrong shape "
+                                 f"{self.const.shape}, not ({self.dim}, {self.dim})")
             rows = self._check_antisym(self.const.tolist())
             self.const.setflags(write=False)
             nonzero = [[(j, v) for j, v in enumerate(row) if v != 0.0] for row in rows]
@@ -82,11 +83,13 @@ class PoissonStructure:
         holds, where ``max`` would drop it.  An infinite entry fails: it makes
         the bound infinite, which none is."""
         d = self.dim
-        flat = list(chain.from_iterable(rows))
-        cols = list(zip(*rows))  # zip stops at the shortest row
+        try:
+            flat = list(chain.from_iterable(rows))
+            cols = list(zip(*rows))  # zip stops at the shortest row
+        except TypeError:  # a row that is no sequence, such as one flat row
+            raise self._shape_error(rows) from None
         if len(rows) != d or len(flat) != d * d or len(cols) != d:
-            raise ValueError(f"bivector {self.label or ''} has rows of lengths "
-                             f"{[len(row) for row in rows]}, not {d} rows of {d}")
+            raise self._shape_error(rows)
         bound = _ANTISYM_TOL * max(1.0, max(map(abs, flat)))
         transposed = chain.from_iterable(cols)
         if bound == math.inf or not all(map(partial(ge, bound),
@@ -95,6 +98,15 @@ class PoissonStructure:
                 f"bivector {self.label or ''} is not antisymmetric within {_ANTISYM_TOL:g}"
             )
         return rows
+
+    def _shape_error(self, rows) -> ValueError:
+        """The error for entry values that are not ``dim`` rows of ``dim``."""
+        d = self.dim
+        try:
+            found = f"rows of lengths {[len(row) for row in rows]}"
+        except TypeError:
+            found = "a row that is not a sequence"
+        return ValueError(f"bivector {self.label or ''} has {found}, not {d} rows of {d}")
 
     def matrix(self, x) -> np.ndarray:
         """The bivector evaluated at ``x``."""
@@ -124,8 +136,11 @@ class PoissonStructure:
         if self.const is not None:
             return self.const, np.zeros((d, d, d))
         zero = (0.0,) * d
-        rows = [[e if isinstance(e, Jet) else Jet(e, zero) for e in row]
-                for row in self.entries(_seeds(np.asarray(x, dtype=float).tolist()))]
+        entries = self.entries(_seeds(np.asarray(x, dtype=float).tolist()))
+        try:
+            rows = [[e if isinstance(e, Jet) else Jet(e, zero) for e in row] for row in entries]
+        except TypeError:
+            raise self._shape_error(entries) from None
         m = np.array(self._check_antisym([[e.value for e in row] for row in rows]), dtype=float)
         dm = np.array([[e.grad for e in row] for row in rows], dtype=float)
         return m, np.ascontiguousarray(dm.transpose(2, 0, 1))

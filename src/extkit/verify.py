@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extension import DerivPair, recursion_term, recursion_term_closed
+from .extension import DerivPair, _closed_chain, _recursion_chain
 from .jets import EvaluationError, ScalarField, sqrt
 from .poisson import (HamiltonianSystem, PoissonStructure, apply_xl2, apply_xl2_cloud,
                       base_flow)
@@ -542,7 +542,7 @@ def recursion_closed_sweep(n_max: int, count_real: int, count_complex: int,
     """
     for name, v, least in (("n_max", n_max, 1), ("count_real", count_real, 0),
                            ("count_complex", count_complex, 0), ("seed", seed, 0)):
-        if v < least:
+        if isinstance(v, bool) or not isinstance(v, int) or v < least:
             raise ValueError(f"{name} must be an integer of at least {least}, got {v!r}")
     if count_real + count_complex == 0:
         raise ValueError("count_real and count_complex draw no triple between them")
@@ -554,13 +554,10 @@ def recursion_closed_sweep(n_max: int, count_real: int, count_complex: int,
     for _ in range(count_complex):
         v = rng.uniform(-1.0, 1.0, size=6)
         triples.append((complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])))
-    per_n = {}
-    for n in range(1, n_max + 1):
-        worst = 0.0
-        for g, xg, lam in triples:
-            pair = DerivPair(g, xg)
-            a = recursion_term(n, pair, lam)
-            b = recursion_term_closed(n, pair, lam)
-            worst = max(worst, _rel(a.value, b.value), _rel(a.xl, b.xl))
-        per_n[n] = worst
+    per_n = dict.fromkeys(range(1, n_max + 1), 0.0)
+    for g, xg, lam in triples:
+        pair = DerivPair(g, xg)
+        chains = zip(_recursion_chain(n_max, pair, lam), _closed_chain(n_max, pair, lam))
+        for n, (a, b) in enumerate(chains, 1):
+            per_n[n] = max(per_n[n], _rel(a.value, b.value), _rel(a.xl, b.xl))
     return {"max_rel": max(per_n.values()), "per_n": per_n}

@@ -1,5 +1,6 @@
 """Extended Hamiltonian, chain elements, cofactors, first integrals."""
 import dataclasses
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import extkit as ek
 from extkit.extension import (
     DerivPair,
+    _closed_chain,
+    _recursion_chain,
     recursion_term,
     recursion_term_closed,
     seed_pair,
@@ -150,6 +153,22 @@ def test_power_coeffs_zero_order():
 def test_power_coeffs_order_cap():
     with pytest.raises(ValueError):
         ek.power_coeffs(2, 1, 3, p_u=0.7, gam=-1.3, lam=0.4)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: recursion_term(True, DerivPair(0.5, 0.3), 0.2), "chain index n"),
+    (lambda: recursion_term_closed(True, DerivPair(0.5, 0.3), 0.2), "chain index n"),
+    (lambda: recursion_term(2.0, DerivPair(0.5, 0.3), 0.2), "chain index n"),
+    (lambda: ek.power_coeffs(True, 1, 1, 0.5, 0.3, 0.2), "chain index m"),
+    (lambda: ek.power_coeffs(1, True, 1, 0.5, 0.3, 0.2), "chain index n"),
+    (lambda: ek.power_coeffs(1, 1, True, 0.5, 0.3, 0.2), "operator power r"),
+    (lambda: ek.power_coeffs(2, 1, 1.0, 0.5, 0.3, 0.2), "operator power r"),
+], ids=["recursion-bool", "closed-bool", "recursion-float", "m-bool", "n-bool", "r-bool",
+        "r-float"])
+def test_chain_indices_refuse_bools_and_floats(call, name):
+    # True once passed as the index 1: power_coeffs(True, 1, True, ...) gave (0.5, 0.3)
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 def test_first_integral_lowest_index():
@@ -361,3 +380,138 @@ def test_extension_is_frozen():
                              ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=1, n=1))
     with pytest.raises(dataclasses.FrozenInstanceError):
         ext.seed = built.seed
+
+
+# The per-index algorithms the one-pass chains replaced, verbatim but for the
+# index checks: the reference the chains must equal bit for bit.
+def ref_stream_mul(a: list, b: list) -> list:
+    # Leibniz convolution of truncated derivative streams.
+    order = min(len(a), len(b))
+    out = []
+    for k in range(order):
+        acc = 0.0
+        for i in range(k + 1):
+            acc += comb(k, i) * a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def ref_recursion_term(n: int, pair: DerivPair, lam) -> DerivPair:
+    w = -2.0 * lam
+    g_ext = []
+    for i in range(n + 2):
+        base = pair.value if i % 2 == 0 else pair.xl
+        g_ext.append(w ** (i // 2) * base)
+    g_stream = g_ext[: n + 1]
+    xg_stream = g_ext[1 : n + 2]
+    cur = list(g_stream)
+    for i in range(1, n):
+        a = ref_stream_mul(xg_stream, cur)
+        b = ref_stream_mul(g_stream, cur[1:])
+        cur = [a[k] + b[k] / i for k in range(len(b))]
+    return DerivPair(cur[0], cur[1])
+
+
+def ref_recursion_term_closed(n: int, pair: DerivPair, lam) -> DerivPair:
+    xg = DerivPair(pair.xl, -2.0 * lam * pair.value)
+    total = None
+    for k in range((n - 1) // 2 + 1):
+        term = comb(n, 2 * k + 1) * (-2.0 * lam) ** k * pair ** (2 * k + 1) * xg ** (n - 2 * k - 1)
+        total = term if total is None else total + term
+    return total
+
+
+def reversed_closed_chain(n_max: int, pair: DerivPair, lam) -> list:
+    # negative control: the closed form with its terms summed from the last k
+    xg = DerivPair(pair.xl, -2.0 * lam * pair.value)
+    chain = []
+    for n in range(1, n_max + 1):
+        total = None
+        for k in reversed(range((n - 1) // 2 + 1)):
+            term = comb(n, 2 * k + 1) * (-2.0 * lam) ** k * pair ** (2 * k + 1) * xg ** (n - 2 * k - 1)
+            total = term if total is None else total + term
+        chain.append(total)
+    return chain
+
+
+def same_bits(x, y) -> bool:
+    # repr is exact for floats and shows the sign of every zero part
+    return type(x) is type(y) and x == y and repr(x) == repr(y)
+
+
+def chain_mismatches(chain_fn, ref_fn, n_max: int, pair: DerivPair, lam) -> list:
+    """Indices n where member n of ``chain_fn``'s chain differs from ``ref_fn(n)``."""
+    chain = chain_fn(n_max, pair, lam)
+    assert len(chain) == n_max
+    bad = []
+    for n, got in enumerate(chain, 1):
+        ref = ref_fn(n, pair, lam)
+        if not (same_bits(got.value, ref.value) and same_bits(got.xl, ref.xl)):
+            bad.append(n)
+    return bad
+
+
+_reals = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+                   st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+_numbers = st.one_of(_reals, st.builds(complex, _reals, _reals), _reals.map(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numbers, _numbers, st.one_of(st.sampled_from([0.0, -0.0, np.float64(-0.0)]), _numbers),
+       st.integers(min_value=1, max_value=12))
+def test_chains_equal_the_per_index_algorithms_bit_for_bit(g, xg, lam, n_max):
+    # real, complex and np.float64 entries, mixed freely, so that numpy scalars
+    # meet Python numbers as in Extension.integral
+    pair = DerivPair(g, xg)
+    assert chain_mismatches(_recursion_chain, ref_recursion_term, n_max, pair, lam) == []
+    assert chain_mismatches(_closed_chain, ref_recursion_term_closed, n_max, pair, lam) == []
+
+
+def test_a_closed_form_summed_in_reverse_fails_the_bit_check():
+    rng = np.random.default_rng(4)
+    changed = 0
+    for g, xg, lam in rng.uniform(-2.0, 2.0, size=(200, 3)).tolist():
+        pair = DerivPair(g, xg)
+        assert chain_mismatches(_closed_chain, ref_recursion_term_closed, 8, pair, lam) == []
+        changed += len(chain_mismatches(reversed_closed_chain, ref_recursion_term_closed,
+                                        8, pair, lam))
+    assert changed > 0
+
+
+def ref_recursion_closed_sweep(n_max, count_real, count_complex, seed) -> dict:
+    # the sweep before its one pass per triple, checks left out
+    rng = np.random.default_rng(seed)
+    triples = []
+    for _ in range(count_real):
+        g, xg, lam = rng.uniform(-2.0, 2.0, size=3)
+        triples.append((float(g), float(xg), float(lam)))
+    for _ in range(count_complex):
+        v = rng.uniform(-1.0, 1.0, size=6)
+        triples.append((complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])))
+    per_n = {}
+    for n in range(1, n_max + 1):
+        worst = 0.0
+        for g, xg, lam in triples:
+            pair = DerivPair(g, xg)
+            a = ref_recursion_term(n, pair, lam)
+            b = ref_recursion_term_closed(n, pair, lam)
+            worst = max(worst, ek.verify._rel(a.value, b.value), ek.verify._rel(a.xl, b.xl))
+        per_n[n] = worst
+    return {"max_rel": max(per_n.values()), "per_n": per_n}
+
+
+def sweep_reprs(res: dict) -> tuple:
+    return repr(res["max_rel"]), [(n, repr(v)) for n, v in res["per_n"].items()]
+
+
+@pytest.mark.parametrize("seed", [7, 13, 99])
+@pytest.mark.parametrize("n_max", [1, 3, 8, 12])
+def test_recursion_sweep_equals_the_per_index_loop(seed, n_max):
+    ref = ref_recursion_closed_sweep(n_max, 200, 50, seed)
+    assert sweep_reprs(ek.recursion_closed_sweep(n_max, 200, 50, seed)) == sweep_reprs(ref)
+
+
+def test_recursion_sweep_with_a_reversed_closed_form_differs(monkeypatch):
+    monkeypatch.setattr(ek.verify, "_closed_chain", reversed_closed_chain)
+    ref = ref_recursion_closed_sweep(8, 200, 50, 7)
+    assert sweep_reprs(ek.recursion_closed_sweep(8, 200, 50, 7)) != sweep_reprs(ref)

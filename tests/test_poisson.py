@@ -216,6 +216,23 @@ def test_entry_rows_of_the_wrong_shape_are_refused_first(rows):
             route(x)
 
 
+@pytest.mark.parametrize("rows", [[0.0, 1.0], 1.0], ids=["flat-row", "scalar"])
+def test_entry_rows_that_are_no_sequences_are_refused_by_shape(rows):
+    # a flat row once escaped as TypeError ("'float' object is not iterable")
+    st = ek.PoissonStructure(2, entries=lambda co: rows, label="flat")
+    system = ek.HamiltonianSystem(st, ek.ScalarField(lambda co: co[0] * co[1], 2))
+    needle = "bivector flat has a row that is not a sequence, not 2 rows of 2"
+    for route in (st.matrix, st.matrix_with_grads, base_flow(system)):
+        with pytest.raises(ValueError, match=needle):
+            route(np.array([0.1, 0.2]))
+
+
+def test_flat_constant_bivector_is_refused_by_shape():
+    with pytest.raises(ValueError, match=re.escape("constant bivector flat has the wrong shape "
+                                                   "(2,), not (2, 2)")):
+        ek.PoissonStructure(2, const=[0.0, 1.0], label="flat")
+
+
 INFINITE_ROWS = {"inf-off-diagonal": [[0.0, math.inf], [1.0, 0.0]],
                  "antisymmetric-inf-pair": [[0.0, math.inf], [-math.inf, 0.0]]}
 ANTISYM_ROUTES = {

@@ -255,6 +255,19 @@ def test_recursion_sweep_rejects_a_sweep_that_compares_nothing(args, name):
         ek.recursion_closed_sweep(*args)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((True, 5, 5, 1), "n_max"),
+    ((2.5, 10, 0, 1), "n_max"),
+    ((3, 10.5, 0, 1), "count_real"),
+    ((3, 5, True, 1), "count_complex"),
+    ((3, 5, 5, True), "seed"),
+])
+def test_recursion_sweep_refuses_bools_and_floats(args, name):
+    # True once counted as 1, and a float escaped as numpy's or range's TypeError
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ek.recursion_closed_sweep(*args)
+
+
 @pytest.mark.parametrize("field, value", [("margin", math.nan), ("margin", math.inf),
                                           ("margin", -0.1), ("seed", -1)])
 def test_sample_spec_rejects_a_margin_or_seed_without_meaning(field, value):
