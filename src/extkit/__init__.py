@@ -4,105 +4,21 @@ Builds one-and-a-half extra degrees of freedom on top of a base
 Hamiltonian on a Poisson manifold, evaluates the characteristic first
 integrals in closed form, and checks every defining identity
 numerically on a catalog of worked systems.
+
+A name is public when its module's ``__all__`` lists it, and the package
+re-exports every such name, the jet-aware math functions (``sin``,
+``exp``, ...) included.
 """
 
 __version__ = "0.1.0"
 
-from .catalog import (
-    BuiltSystem,
-    CatalogEntry,
-    CatalogError,
-    entry_ids,
-    get_entry,
-    instantiate,
-)
-from .extension import (
-    ExtendedState,
-    Extension,
-    ExtensionBuildError,
-    ExtensionParams,
-    ExtensionSeed,
-    build_extension,
-    extended_flow,
-    power_coeffs,
-    profile_at,
-    recursion_term,
-    recursion_term_closed,
-)
-from .jets import (
-    EvaluationError,
-    Jet,
-    NonFiniteError,
-    ScalarField,
-    SingularPointError,
-)
-from .poisson import (
-    HamiltonianSystem,
-    PoissonStructure,
-    apply_xl,
-    apply_xl2,
-    base_flow,
-    bracket,
-    canonical_structure,
-    extend_structure,
-    jacobi_residual,
-)
-from .riccati import PoleError, RiccatiParams, riccati_eval, tagged_trig
-from .verify import (
-    SampleSpec,
-    conservation_report,
-    fd_bracket_normalized,
-    first_order_residual,
-    independence_rank,
-    integrate,
-    pde_residual,
-    recursion_closed_sweep,
-    sample_points,
-)
+from . import catalog, extension, jets, poisson, riccati, verify
+from .catalog import *
+from .extension import *
+from .jets import *
+from .poisson import *
+from .riccati import *
+from .verify import *
 
-__all__ = [
-    "BuiltSystem",
-    "CatalogEntry",
-    "CatalogError",
-    "EvaluationError",
-    "ExtendedState",
-    "Extension",
-    "ExtensionBuildError",
-    "ExtensionParams",
-    "ExtensionSeed",
-    "HamiltonianSystem",
-    "Jet",
-    "NonFiniteError",
-    "PoissonStructure",
-    "PoleError",
-    "RiccatiParams",
-    "SampleSpec",
-    "ScalarField",
-    "SingularPointError",
-    "apply_xl",
-    "apply_xl2",
-    "base_flow",
-    "bracket",
-    "build_extension",
-    "canonical_structure",
-    "conservation_report",
-    "entry_ids",
-    "extend_structure",
-    "extended_flow",
-    "fd_bracket_normalized",
-    "first_order_residual",
-    "get_entry",
-    "independence_rank",
-    "instantiate",
-    "integrate",
-    "jacobi_residual",
-    "pde_residual",
-    "power_coeffs",
-    "profile_at",
-    "recursion_closed_sweep",
-    "recursion_term",
-    "recursion_term_closed",
-    "riccati_eval",
-    "sample_points",
-    "tagged_trig",
-]
+__all__ = [name for module in (jets, riccati, poisson, extension, verify, catalog)
+           for name in module.__all__]

@@ -15,7 +15,9 @@ canonical, the served seed and its pair, observables and ``meta``), each
 function with the singular predicate it declares.  :func:`instantiate`
 sizes every field from the coordinate names, labels them from the key
 and builds the system.  The entry's domain is derived from its fields:
-:attr:`BuiltSystem.singular` is the OR of their predicates.
+:attr:`BuiltSystem.singular` is the OR of their predicates.  Whether an
+entry serves a seed is read from its builder at the default parameters
+(:attr:`CatalogEntry.has_seed`).
 
 Parameter values are validated against per-entry constraints and
 unknown names are rejected.  Function-valued parameters accept either a
@@ -33,7 +35,7 @@ import numpy as np
 from .extension import ExtensionSeed
 from .jets import Jet, ScalarField, SingularPointError, cos, exp, log, sin, sqrt
 from .poisson import HamiltonianSystem, PoissonStructure, canonical_structure
-from .verify import SampleSpec, pde_residual
+from .verify import PDE_TOL, SampleSpec, pde_residual
 
 __all__ = [
     "CatalogError",
@@ -140,7 +142,6 @@ class CatalogEntry:
     key: str
     title: str
     coord_names: tuple[str, ...]
-    has_seed: bool
     params: dict[str, ParamSpec]
     builder: Callable[[dict], "_Parts"]
     default_box: tuple[tuple[float, float], ...]
@@ -154,6 +155,35 @@ class CatalogEntry:
     @property
     def dim(self) -> int:
         return len(self.coord_names)
+
+    @property
+    def has_seed(self) -> bool:
+        """Whether the builder serves a seed at the default parameters; no
+        build gate runs."""
+        return self.builder(self._resolve()).gfun is not None
+
+    def _resolve(self, params: dict | None = None) -> dict:
+        """The builder's parameters: the defaults merged under validated
+        overrides, function parameters built by :func:`build_function`."""
+        overrides = dict(params or {})
+        unknown = sorted(set(overrides) - set(self.params))
+        if unknown:
+            raise CatalogError(
+                f"unknown parameter(s) {unknown} for entry '{self.key}'; "
+                f"known: {sorted(self.params)}"
+            )
+        resolved = {}
+        for name, spec in self.params.items():
+            v = overrides.get(name, spec.default)
+            if spec.function:
+                v = build_function(v)
+            else:
+                msg = spec.check(v)
+                if msg:
+                    raise CatalogError(
+                        f"parameter '{name}' of entry '{self.key}' {msg} (got {v!r})")
+            resolved[name] = v
+        return resolved
 
 
 @dataclass
@@ -556,7 +586,6 @@ _register(CatalogEntry(
     key="quartic1",
     title="Quartic oscillator family, seed linear in position",
     coord_names=("q", "p"),
-    has_seed=True,
     params={
         "C1": _numc(1.0, "seed slope", _nonzero),
         "C2": _num(0.0, "seed intercept"),
@@ -574,7 +603,6 @@ _register(CatalogEntry(
     key="quartic2a",
     title="Quartic momentum family, regular potential branch",
     coord_names=("q", "p"),
-    has_seed=True,
     params={
         "C1": _numc(1.0, "seed slope", _nonzero),
         "C2": _num(0.0, "seed intercept"),
@@ -592,7 +620,6 @@ _register(CatalogEntry(
     key="quartic2b",
     title="Quartic momentum family, rational potential branch",
     coord_names=("q", "p"),
-    has_seed=True,
     params={
         "C1": _numc(1.0, "seed slope", _nonzero),
         "C2": _num(0.0, "seed intercept"),
@@ -610,7 +637,6 @@ _register(CatalogEntry(
     key="square_polar",
     title="Squared natural Hamiltonian in polar-type coordinates",
     coord_names=("q1", "q2", "p1", "p2"),
-    has_seed=True,
     params={
         "C1": _num(0.5, "seed offset"),
         "C2": _num(0.5, "seed sine coefficient"),
@@ -628,7 +654,6 @@ _register(CatalogEntry(
     title="Two identical point vortices, reduced coordinates",
     coord_names=("X1t", "X2t", "Y1t", "Y2t"),
     csv_order=(0, 2, 1, 3),
-    has_seed=True,
     params={
         "k": _numc(1.0, "common vortex strength", _positive),
         "alpha": _numc(0.125 / math.pi, "interaction scale", _positive),
@@ -646,7 +671,6 @@ _register(CatalogEntry(
     title="Two opposite point vortices, reduced coordinates",
     coord_names=("X1t", "X2t", "Y1t", "Y2t"),
     csv_order=(0, 2, 1, 3),
-    has_seed=True,
     params={
         "k": _numc(1.0, "vortex strength magnitude", _positive),
         "alpha": _numc(0.125 / math.pi, "interaction scale", _positive),
@@ -663,7 +687,6 @@ _register(CatalogEntry(
     key="lotka_volterra",
     title="Predator-prey system on a nonconstant Poisson structure",
     coord_names=("x", "y"),
-    has_seed=False,
     params={
         "a": _numc(1.0, "prey growth rate", _positive),
         "b": _numc(1.0, "predation rate", _positive),
@@ -679,7 +702,6 @@ _register(CatalogEntry(
     key="euler_top",
     title="Free rigid body on angular momenta",
     coord_names=("m1", "m2", "m3"),
-    has_seed=False,
     params={
         "I1": _numc(3.0, "first moment of inertia", _positive),
         "I2": _numc(2.0, "second moment of inertia", _positive),
@@ -707,23 +729,7 @@ def get_entry(key: str) -> CatalogEntry:
 def instantiate(key: str, params: dict | None = None) -> BuiltSystem:
     """Build an entry with defaults merged under validated overrides."""
     entry = get_entry(key)
-    overrides = dict(params or {})
-    unknown = sorted(set(overrides) - set(entry.params))
-    if unknown:
-        raise CatalogError(
-            f"unknown parameter(s) {unknown} for entry '{key}'; "
-            f"known: {sorted(entry.params)}"
-        )
-    resolved = {}
-    for name, spec in entry.params.items():
-        v = overrides.get(name, spec.default)
-        if spec.function:
-            v = build_function(v)
-        else:
-            msg = spec.check(v)
-            if msg:
-                raise CatalogError(f"parameter '{name}' of entry '{key}' {msg} (got {v!r})")
-        resolved[name] = v
+    resolved = entry._resolve(params)
     return _assemble(key, entry.dim, entry.builder(resolved), resolved)
 
 
@@ -746,5 +752,5 @@ def _assemble(key: str, d: int, parts: _Parts, params: dict) -> BuiltSystem:
     built = BuiltSystem(key, system, seeds, params, meta=parts.meta)
     if parts.probe is not None:
         gate = pde_residual(system, gfield, *parts.pair, parts.probe, singular=built.singular)
-        seeds[0].verified = gate.max_residual <= 1e-7
+        seeds[0].verified = gate.max_residual <= PDE_TOL
     return built

@@ -29,6 +29,12 @@ EXIT_OK = 0
 EXIT_GATE = 1
 EXIT_CONFIG = 2
 
+# Sample count of each sampling command where neither --samples nor the
+# config sets one.
+_SAMPLE_COUNTS = {"check-pde": 100, "check-kn": 60, "extend": 10, "bracket": 50, "rank": 20}
+# Gate on the normalised bracket {H, K} of extend and bracket.
+_INVOLUTION_TOL = 1e-5
+
 
 class ConfigError(Exception):
     """Bad command line or config document."""
@@ -282,8 +288,9 @@ class _Run:
                               f"dimension {self.built.system.dim}")
         return box
 
-    def sample_spec(self, count: int, margin: float, box) -> SampleSpec:
+    def sample_spec(self, margin: float, box) -> SampleSpec:
         samp = self.section("sampling")
+        count = _SAMPLE_COUNTS[self.args.command]
         spec = SampleSpec(intervals=box,
                           count=_pick(self.args.samples, samp, "count", count, int),
                           seed=_seed_value(self.args.seed, samp, 1234),
@@ -292,13 +299,12 @@ class _Run:
                                  "margin": spec.margin}
         return spec
 
-    def extended_states(self, count: int) -> np.ndarray:
+    def extended_states(self) -> np.ndarray:
         """Sampled (u, p_u, base...) vectors, clear of the base singular set."""
         samp = self.section("sampling")
         u_range = _pick(self.args.u_range, samp, "u_range", (0.3, 1.2), _pair)
         pu_range = _pick(self.args.pu_range, samp, "pu_range", (-1.0, 1.0), _pair)
-        spec = self.sample_spec(count, 0.1, (u_range, pu_range)
-                                + self.intervals(self.entry.default_box))
+        spec = self.sample_spec(0.1, (u_range, pu_range) + self.intervals(self.entry.default_box))
         base_pred = self.built.singular
         if base_pred is None:
             return verify.sample_points(spec, None)
@@ -371,7 +377,7 @@ def _cmd_show(args) -> int:
 def _cmd_check_pde(args) -> int:
     run = _Run(args)
     seed = run.built.seed
-    spec = run.sample_spec(100, 0.1, run.intervals(run.entry.default_box))
+    spec = run.sample_spec(0.1, run.intervals(run.entry.default_box))
     c, c0 = seed.meta["pair"]
     c = float(c) if args.c is None else args.c
     c0 = float(c0) if args.c0 is None else args.c0
@@ -404,7 +410,7 @@ def _cmd_check_kn(args) -> int:
                           "local seed; this check applies to euler_top")
     field = builder(args.c, args.c0, branch=args.branch)
     box = run.intervals(_KN_BOX)
-    spec = run.sample_spec(60, 0.0, box)
+    spec = run.sample_spec(0.0, box)
     run.echo["sampling"]["intervals"] = [list(iv) for iv in box]
     run.echo.update(c=args.c, c0=args.c0, sign=args.sign, branch=args.branch,
                     step=args.step, tol=args.tol)
@@ -428,7 +434,7 @@ def _cmd_extend(args) -> int:
     run.echo["state"] = [float(v) for v in state]
     obs = ext.conserved_quantities()
     metrics: dict[str, Any] = {name: fn(state) for name, fn in obs.items() if name != "L"}
-    states = run.extended_states(10)
+    states = run.extended_states()
     run.echo["tol"] = args.tol
     name = _integral_name(obs)
     worst, where, checked, skipped = verify.bracket_sweep(ext.structure(), obs["H"],
@@ -444,7 +450,7 @@ def _cmd_extend(args) -> int:
 def _cmd_bracket(args) -> int:
     run = _Run(args)
     ext = run.extension()
-    states = run.extended_states(50)
+    states = run.extended_states()
     run.echo.update(h=args.h, tol=args.tol)
     obs = ext.conserved_quantities()
     fns = {name: fn for name, fn in obs.items() if name not in ("H", "L")}
@@ -476,7 +482,7 @@ def _cmd_rank(args) -> int:
     if missing:
         raise ConfigError(f"unknown field name(s) {missing}; "
                           f"known: {sorted(fields)}")
-    states = run.extended_states(20)
+    states = run.extended_states()
     expect = args.expect if args.expect is not None else len(wanted)
     run.echo.update(fields=wanted, h=args.h, threshold=args.threshold, expect=expect)
     ranks, _, skipped = verify.state_ranks([fields[w] for w in wanted], states, h=args.h,
@@ -490,8 +496,8 @@ def _cmd_integrate(args) -> int:
     run = _Run(args)
     integ = run.section("integration")
     method = _pick(args.method, integ, "method", "rk4", str)
-    dt = _pick(args.dt, integ, "dt", 1e-3, float)
-    tol = _pick(args.tol, integ, "tol", 1e-10, float)
+    dt = _pick(args.dt, integ, "dt", verify.RK4_DT, float)
+    tol = _pick(args.tol, integ, "tol", verify.RKF45_TOL, float)
     t_final = _pick(args.t_final, integ, "t_final", 10.0, float)
     stride = _pick(args.stride, integ, "stride", 10, int)
     out = run.section("output")
@@ -549,18 +555,22 @@ def _cmd_gn_compare(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_system(p, samples_default=None):
-    """Flags of every system command; sampling ones when it samples."""
+def _system_parser(sub, name: str, summary: str, fn: Callable) -> argparse.ArgumentParser:
+    """A system command's parser with the flags every one takes, and the
+    sampling ones when it samples."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(fn=fn)
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.add_argument("--system", help="catalog entry id")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="system parameter override (repeatable)")
-    if samples_default is not None:
+    if name in _SAMPLE_COUNTS:
         p.add_argument("--seed", type=int, help="sampling seed")
         p.add_argument("--samples", type=int,
-                       help=f"sample count (default {samples_default})")
+                       help=f"sample count (default {_SAMPLE_COUNTS[name]})")
         p.add_argument("--margin", type=float, help="singular-set margin for sampling")
+    return p
 
 
 def _add_extension_flags(p):
@@ -595,35 +605,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_show)
 
-    p = sub.add_parser("check-pde", help="defining-equation residual gate")
-    _add_system(p, 100)
+    p = _system_parser(sub, "check-pde", "defining-equation residual gate", _cmd_check_pde)
     p.add_argument("--c", type=float, help="override the seed's constant c")
     p.add_argument("--c0", type=float, help="override the seed's constant c0")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.set_defaults(fn=_cmd_check_pde)
+    p.add_argument("--tol", type=float, default=verify.PDE_TOL)
 
-    p = sub.add_parser("check-kn", help="first-order factorization residual "
-                                        "(elliptic-integral local seed)")
-    _add_system(p, 60)
+    p = _system_parser(sub, "check-kn", "first-order factorization residual "
+                                        "(elliptic-integral local seed)", _cmd_check_kn)
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--c0", type=float, default=-0.5)
     p.add_argument("--sign", type=int, default=1, choices=(1, -1))
     p.add_argument("--branch", type=int, default=1, choices=(1, -1))
-    p.add_argument("--step", type=float, default=1e-6)
+    p.add_argument("--step", type=float, default=verify.FIRST_ORDER_STEP)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.set_defaults(fn=_cmd_check_kn)
 
-    p = sub.add_parser("extend", help="build the extension, evaluate H and K, "
-                                      "spot-check involution")
-    _add_system(p, 10)
+    p = _system_parser(sub, "extend", "build the extension, evaluate H and K, "
+                                      "spot-check involution", _cmd_extend)
     _add_extension_flags(p)
     _add_state_ranges(p)
     p.add_argument("--state", help="extended state 'u,p_u,x1,...'")
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.set_defaults(fn=_cmd_extend)
+    p.add_argument("--tol", type=float, default=_INVOLUTION_TOL)
 
-    p = sub.add_parser("integrate", help="integrate the extended or base flow")
-    _add_system(p)
+    p = _system_parser(sub, "integrate", "integrate the extended or base flow", _cmd_integrate)
     _add_extension_flags(p)
     p.add_argument("--state", help="initial state (extended: 'u,p_u,x...'; "
                                    "base: 'x...')")
@@ -636,29 +639,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int)
     p.add_argument("--csv", help="trajectory CSV path")
     p.add_argument("--drift-tol", dest="drift_tol", type=float, default=1e-6)
-    p.set_defaults(fn=_cmd_integrate)
 
-    p = sub.add_parser("bracket", help="finite-difference involution check over "
-                                       "sampled extended states")
-    _add_system(p, 50)
+    p = _system_parser(sub, "bracket", "finite-difference involution check over "
+                                       "sampled extended states", _cmd_bracket)
     _add_extension_flags(p)
     _add_state_ranges(p)
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.set_defaults(fn=_cmd_bracket)
+    p.add_argument("--h", type=float, default=verify.FD_STEP)
+    p.add_argument("--tol", type=float, default=_INVOLUTION_TOL)
 
-    p = sub.add_parser("rank", help="independence rank of named fields at "
-                                    "sampled extended states")
-    _add_system(p, 20)
+    p = _system_parser(sub, "rank", "independence rank of named fields at "
+                                    "sampled extended states", _cmd_rank)
     _add_extension_flags(p)
     _add_state_ranges(p)
     p.add_argument("--fields",
                    help="comma-separated field names (observables, coordinates, u, p_u; "
                         "default H,L and the integral, K or K_re)")
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--threshold", type=float, default=1e-6)
+    p.add_argument("--h", type=float, default=verify.FD_STEP)
+    p.add_argument("--threshold", type=float, default=verify.RANK_THRESHOLD)
     p.add_argument("--expect", type=int, help="required rank (default: field count)")
-    p.set_defaults(fn=_cmd_rank)
 
     p = sub.add_parser("gn-compare", help="chain recursion vs closed form sweep")
     p.add_argument("--n-max", dest="n_max", type=int, default=8)

@@ -164,47 +164,56 @@ class Jet:
     so no arithmetic allocates arrays.  ``hess is None`` marks a
     first-order jet, which skips all Hessian work.  Both operands of a
     binary operation carry the same order.  :class:`ScalarField` hands
-    gradients and Hessians out as ndarrays.
+    gradients and Hessians out as ndarrays; a handed-out jet keeps its
+    flat Hessian for the rules, so arithmetic on it stays exact.
     """
 
-    __slots__ = ("value", "grad", "hess")
+    # the rules read _hess; _matrix is set only by ScalarField.jet2
+    __slots__ = ("value", "grad", "_hess", "_matrix")
     __array_ufunc__ = None
 
     def __init__(self, value, grad, hess=None):
         self.value = value
         self.grad = grad
-        self.hess = hess
+        self._hess = hess
+
+    @property
+    def hess(self):
+        """None at first order, the flat tuple inside arithmetic, and an
+        ndarray of shape (d, d) on a jet that :meth:`ScalarField.jet2`
+        hands out."""
+        return getattr(self, "_matrix", self._hess)
 
     def __repr__(self):
         return f"Jet({self.value!r}, {self.grad!r}, {self.hess!r})"
 
     def __neg__(self):
-        h = self.hess
+        h = self._hess
         return Jet(-self.value, _neg(self.grad), None if h is None else _neg(h))
 
     def __add__(self, o):
         if isinstance(o, Jet):
-            h = self.hess
+            h = self._hess
             return Jet(self.value + o.value, tuple(map(_add, self.grad, o.grad)),
-                       None if h is None else tuple(map(_add, h, o.hess)))
+                       None if h is None else tuple(map(_add, h, o._hess)))
         if isinstance(o, _SCALARS):
-            return Jet(self.value + o, self.grad, self.hess)
+            return Jet(self.value + o, self.grad, self._hess)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, Jet):
-            h = self.hess
+            h = self._hess
             return Jet(self.value - o.value, tuple(map(_sub, self.grad, o.grad)),
-                       None if h is None else tuple(map(_sub, h, o.hess)))
+                       None if h is None else tuple(map(_sub, h, o._hess)))
         if isinstance(o, _SCALARS):
-            return Jet(self.value - o, self.grad, self.hess)
+            return Jet(self.value - o, self.grad, self._hess)
         return NotImplemented
 
     def __rsub__(self, o):
         if isinstance(o, _SCALARS):
-            h = self.hess
+            h = self._hess
             return Jet(o - self.value, _neg(self.grad), None if h is None else _neg(h))
         return NotImplemented
 
@@ -212,15 +221,15 @@ class Jet:
         if isinstance(o, Jet):
             a, b = self.value, o.value
             grad = tuple([a * y + b * x for x, y in zip(self.grad, o.grad)])
-            if self.hess is None:
+            if self._hess is None:
                 return Jet(a * b, grad)
             # a H_o + b H_self + (g_self g_o^T) + (g_self g_o^T)^T
             cross = [x * y for x in self.grad for y in o.grad]
             return Jet(a * b, grad, tuple([
                 a * y + b * x + c + cross[t]
-                for x, y, c, t in zip(self.hess, o.hess, cross, _transposed(len(grad)))]))
+                for x, y, c, t in zip(self._hess, o._hess, cross, _transposed(len(grad)))]))
         if isinstance(o, _SCALARS):
-            h = self.hess
+            h = self._hess
             return Jet(self.value * o, tuple([g * o for g in self.grad]),
                        None if h is None else tuple([x * o for x in h]))
         return NotImplemented
@@ -234,14 +243,14 @@ class Jet:
             b = o.value
             q = self.value / b
             grad = tuple([(x - q * y) / b for x, y in zip(self.grad, o.grad)])
-            if self.hess is None:
+            if self._hess is None:
                 return Jet(q, grad)
             cross = [x * y for x in grad for y in o.grad]
             return Jet(q, grad, tuple([
                 (x - q * y - c - cross[t]) / b
-                for x, y, c, t in zip(self.hess, o.hess, cross, _transposed(len(grad)))]))
+                for x, y, c, t in zip(self._hess, o._hess, cross, _transposed(len(grad)))]))
         if isinstance(o, _SCALARS):
-            h = self.hess
+            h = self._hess
             return Jet(self.value / o, tuple([g / o for g in self.grad]),
                        None if h is None else tuple([x / o for x in h]))
         return NotImplemented
@@ -250,12 +259,15 @@ class Jet:
         if isinstance(o, _SCALARS):
             v = self.value
             w = o / v
-            return _chain(self, w, -w / v, None if self.hess is None else 2.0 * w / (v * v))
+            return _chain(self, w, -w / v, None if self._hess is None else 2.0 * w / (v * v))
         return NotImplemented
 
-    # Every power takes its value from ``**``, as a plain number does; where
-    # the derivatives come from exp(e log v), that jet is built first, so
-    # that a logarithm at zero raises before the value is formed.
+    # Every power takes its value from ``**``, as a plain number does.  A jet
+    # exponent, or a non-integer power of a negative or complex base, takes
+    # its derivatives from exp(e log v), built first so that a logarithm at
+    # zero raises before the value is formed.  A zero base to a number power
+    # takes the real power rule, whose ``**`` gives finite derivatives or
+    # raises ZeroDivisionError.
     def __pow__(self, e):
         v = self.value
         if isinstance(e, Jet):
@@ -263,13 +275,13 @@ class Jet:
         if isinstance(e, (int, np.integer)):
             n = int(e)
             if n == 0:
-                h = self.hess
+                h = self._hess
                 return Jet(v**n, (0.0,) * len(self.grad), None if h is None else (0.0,) * len(h))
-            f2 = 0.0 if self.hess is None or n == 1 else n * (n - 1) * v ** (n - 2)
+            f2 = 0.0 if self._hess is None or n == 1 else n * (n - 1) * v ** (n - 2)
             return _chain(self, v**n, n * v ** (n - 1), f2)
-        if isinstance(v, complex) or v <= 0.0:
+        if isinstance(v, complex) or v < 0.0:
             return _revalued(exp(e * log(self)), v**e)
-        f2 = None if self.hess is None else e * (e - 1) * v ** (e - 2)
+        f2 = None if self._hess is None else e * (e - 1) * v ** (e - 2)
         return _chain(self, v**e, e * v ** (e - 1), f2)
 
     def __rpow__(self, base):
@@ -279,7 +291,7 @@ class Jet:
 
 
 def _revalued(j: Jet, value) -> Jet:
-    return Jet(value, j.grad, j.hess)
+    return Jet(value, j.grad, j._hess)
 
 
 def _neg(t: tuple) -> tuple:
@@ -300,11 +312,11 @@ def _chain(j: Jet, f0, f1, f2) -> Jet:
     """
     g = j.grad
     grad = tuple([f1 * x for x in g])
-    if j.hess is None:
+    if j._hess is None:
         return Jet(f0, grad)
     # f1 H + f2 (g g^T)
     outer = [x * y for x in g for y in g]
-    return Jet(f0, grad, tuple([f1 * h + f2 * c for h, c in zip(j.hess, outer)]))
+    return Jet(f0, grad, tuple([f1 * h + f2 * c for h, c in zip(j._hess, outer)]))
 
 
 @functools.cache
@@ -328,7 +340,7 @@ def _elementary(scalar, d1, d2):
             return scalar(x)
         v = x.value
         f0 = scalar(v)
-        return _chain(x, f0, d1(v, f0), None if x.hess is None else d2(v, f0))
+        return _chain(x, f0, d1(v, f0), None if x._hess is None else d2(v, f0))
 
     return fn
 
@@ -712,7 +724,7 @@ def _unpack(out) -> tuple:
     """``fn``'s result as (value, gradient, Hessian); a plain number has
     neither derivative."""
     if isinstance(out, Jet):
-        return out.value, out.grad, out.hess
+        return out.value, out.grad, out._hess
     return out, None, None
 
 
@@ -856,7 +868,9 @@ class ScalarField:
         xs = self._on_chart(self._coords(x))
         out = self._run(xs, self.fn, _seeds(xs, second_order=True))
         value, grad, hess = self._result(xs, out, True)
-        return Jet(value, np.array(grad), np.array(hess).reshape(self.dim, self.dim))
+        jet = Jet(value, np.array(grad), hess)
+        jet._matrix = np.array(hess).reshape(self.dim, self.dim)
+        return jet
 
     def jet2_cloud(self, points) -> tuple:
         """:meth:`jet2` at every row of ``points``, shape (B, dim), in one pass.

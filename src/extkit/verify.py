@@ -53,6 +53,16 @@ RK4_MAX_STEPS = 1_000_000
 # pass breaks even at 12-50 points; 32 keeps the worst loss on either side
 # of the threshold near 4 ms.
 CLOUD_MIN_POINTS = 32
+# Defaults the command line shares: the finite-difference step and rank
+# threshold of the bracket and rank checks, the step of the first-order
+# residual, rk4's step and rkf45's tolerance, and the gate on the defining
+# identity (check-pde, and quartic2b's build).
+FD_STEP = 1e-5
+RANK_THRESHOLD = 1e-6
+FIRST_ORDER_STEP = 1e-6
+RK4_DT = 1e-3
+RKF45_TOL = 1e-10
+PDE_TOL = 1e-7
 
 
 def _rel(a, b) -> float:
@@ -80,6 +90,12 @@ def _check_positive(value: float, name: str):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_integer(value, name: str, least: int):
+    """``value`` must be an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 class RejectionError(Exception):
     """Rejection sampling could not find enough admissible points."""
 
@@ -94,17 +110,16 @@ class SampleSpec:
     margin: float = 0.0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("sample count must be positive")
+        _check_integer(self.count, "count", 1)
         if not self.intervals:
             raise ValueError("sampling needs at least one interval")
         for lo, hi in self.intervals:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bad sampling interval ({lo}, {hi})")
-        if not (math.isfinite(self.margin) and self.margin >= 0):
-            raise ValueError(f"sampling margin must be finite and nonnegative, got {self.margin!r}")
-        if self.seed < 0:
-            raise ValueError(f"sampling seed must be nonnegative, got {self.seed!r}")
+        margin = self.margin
+        if isinstance(margin, bool) or not (math.isfinite(margin) and margin >= 0):
+            raise ValueError(f"sampling margin must be finite and nonnegative, got {margin!r}")
+        _check_integer(self.seed, "seed", 0)
 
 
 def sample_points(spec: SampleSpec,
@@ -209,7 +224,7 @@ class FirstOrderReport:
 def first_order_residual(system: HamiltonianSystem, field_g: ScalarField,
                          c: float, c0: float, sign: int, spec: SampleSpec,
                          singular: Callable[[np.ndarray, float], bool] | None = None,
-                         step: float = 1e-6) -> FirstOrderReport:
+                         step: float = FIRST_ORDER_STEP) -> FirstOrderReport:
     """Residual of X_L G = sign * sqrt(-2 (c L + c0)) G at sampled points.
 
     The derivative along the flow is taken by a central difference over
@@ -292,7 +307,7 @@ def _fehlberg_sum(y: list, h: float, weights: tuple, ks: list, *start) -> list:
 
 
 def integrate(rhs: Callable[[list], Sequence[float]], y0, t_final: float,
-              method: str = "rk4", dt: float = 1e-3, tol: float = 1e-10,
+              method: str = "rk4", dt: float = RK4_DT, tol: float = RKF45_TOL,
               dt_min: float = 1e-9, dt_max: float = 0.5) -> Trajectory:
     """Integrate y' = rhs(y) from 0 to ``t_final``.
 
@@ -434,8 +449,7 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
     observables that share per-state work (the real and imaginary parts
     of a complex K) meet it while it is still memoised.
     """
-    if stride < 1:
-        raise ValueError("stride must be positive")
+    _check_integer(stride, "stride", 1)
     n = len(traj.states)
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
@@ -453,7 +467,7 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
     return ConservationReport(traj.times[idx], states, series, drifts)
 
 
-def fd_gradient(fn: Callable, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def fd_gradient(fn: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of a callable over flat vectors."""
     _check_positive(h, "finite-difference step")
     x = np.asarray(x, dtype=float)
@@ -468,7 +482,7 @@ def fd_gradient(fn: Callable, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 
 def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
-                          x: np.ndarray, h: float = 1e-5) -> float:
+                          x: np.ndarray, h: float = FD_STEP) -> float:
     """|{F, G}| scaled by the gradient sizes and the bivector norm."""
     gf = fd_gradient(f, x, h)
     gg = fd_gradient(g, x, h)
@@ -479,7 +493,7 @@ def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
 
 
 def bracket_sweep(structure: PoissonStructure, h_fn: Callable, fns: dict[str, Callable],
-                  states: Sequence[np.ndarray], h: float = 1e-5) -> tuple:
+                  states: Sequence[np.ndarray], h: float = FD_STEP) -> tuple:
     """Largest :func:`fd_bracket_normalized` {H, F} over the states, for each named F.
 
     Each (F, state) bracket is one point of :func:`_sweep`.  Returns the
@@ -495,7 +509,7 @@ def bracket_sweep(structure: PoissonStructure, h_fn: Callable, fns: dict[str, Ca
 
 
 def state_ranks(fns: Sequence[Callable], states: Sequence[np.ndarray],
-                h: float = 1e-5, threshold: float = 1e-6) -> tuple[list, list, int]:
+                h: float = FD_STEP, threshold: float = RANK_THRESHOLD) -> tuple[list, list, int]:
     """Numerical rank of the gradient stack at each state, through :func:`_sweep`.
 
     Gradients come from central differences, and each gradient row is
@@ -524,7 +538,7 @@ def state_ranks(fns: Sequence[Callable], states: Sequence[np.ndarray],
 
 
 def independence_rank(fns: Sequence[Callable], states: Sequence[np.ndarray],
-                      h: float = 1e-5, threshold: float = 1e-6) -> int:
+                      h: float = FD_STEP, threshold: float = RANK_THRESHOLD) -> int:
     """Minimum of :func:`state_ranks` over the states where every field evaluates."""
     ranks = state_ranks(fns, states, h, threshold)[0]
     if not ranks:
@@ -542,8 +556,7 @@ def recursion_closed_sweep(n_max: int, count_real: int, count_complex: int,
     """
     for name, v, least in (("n_max", n_max, 1), ("count_real", count_real, 0),
                            ("count_complex", count_complex, 0), ("seed", seed, 0)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < least:
-            raise ValueError(f"{name} must be an integer of at least {least}, got {v!r}")
+        _check_integer(v, name, least)
     if count_real + count_complex == 0:
         raise ValueError("count_real and count_complex draw no triple between them")
     rng = np.random.default_rng(seed)

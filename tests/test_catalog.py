@@ -1,4 +1,5 @@
 """Catalog entries: frozen values, defining-identity residuals, parameters."""
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,19 @@ def test_seeded_entries_satisfy_identity(key):
     rep = ek.pde_residual(b.system, sd.field, c, c0, spec, singular=b.singular)
     assert len(rep.residuals) == 40
     assert rep.max_residual <= 1e-7, (key, rep.max_residual)
+
+
+def test_has_seed_comes_from_the_builder_without_a_build(monkeypatch):
+    # no field of the entry holds it, and reading it assembles nothing, so
+    # quartic2b's build gate does not run
+    assert "has_seed" not in {f.name for f in dataclasses.fields(ek.CatalogEntry)}
+
+    def refuse(*args):
+        raise AssertionError("has_seed assembled a system")
+
+    monkeypatch.setattr(cat, "_assemble", refuse)
+    monkeypatch.setattr(cat, "pde_residual", refuse)
+    assert [k for k in ek.entry_ids() if ek.get_entry(k).has_seed] == SEEDED
 
 
 @pytest.mark.parametrize("key", ek.entry_ids())

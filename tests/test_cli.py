@@ -1,4 +1,6 @@
 """Command-line contract: exit codes, report schema, CSV shape, determinism."""
+import argparse
+import inspect
 import json
 import re
 import subprocess
@@ -7,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from extkit import cli
+from extkit import cli, verify
 
 STATE_Q1 = "0.6,0.4,0.9,-0.7"
 
@@ -436,3 +438,54 @@ def test_a_complex_value_is_not_serialized():
     for obj in (1 + 2j, {"K": [0.5, np.complex128(1j)]}):
         with pytest.raises(TypeError, match="cannot serialize complex"):
             cli._fmt_json(obj)
+
+
+def _subcommands() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _default_of(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_every_cli_default_is_the_library_value_it_mirrors(capsys):
+    # each default is declared once, so the parser holds the library's own object
+    subs = _subcommands()
+    for cmd in ("bracket", "rank"):
+        assert subs[cmd].get_default("h") is _default_of(verify.fd_gradient, "h")
+        assert subs[cmd].get_default("h") is _default_of(verify.bracket_sweep, "h")
+        assert subs[cmd].get_default("h") is _default_of(verify.state_ranks, "h")
+    assert subs["rank"].get_default("threshold") is _default_of(verify.state_ranks, "threshold")
+    assert subs["check-kn"].get_default("step") is _default_of(verify.first_order_residual,
+                                                               "step")
+    assert subs["check-pde"].get_default("tol") is verify.PDE_TOL
+    assert subs["extend"].get_default("tol") is subs["bracket"].get_default("tol")
+    # integrate's step and tolerance reach the report only through the config echo
+    code, out, _ = run(["integrate", *Q1_EXTEND_FLAGS, "--state", STATE_Q1,
+                        "--t-final", "0.01"], capsys)
+    echo = json.loads(out)["config_echo"]["integration"]
+    assert code == 0
+    assert echo["dt"] == _default_of(verify.integrate, "dt")
+    assert echo["tol"] == _default_of(verify.integrate, "tol")
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-pde", "--system", "quartic1"],
+    ["check-kn"],
+    ["extend", *Q1_EXTEND_FLAGS, "--state", STATE_Q1],
+    ["bracket", *Q1_EXTEND_FLAGS],
+    ["rank", *Q1_EXTEND_FLAGS],
+], ids=lambda argv: argv[0])
+def test_each_sampling_command_draws_the_count_its_help_names(argv, monkeypatch, capsys):
+    def sample_points(spec, singular=None):
+        raise _Drawn(spec.count)
+
+    monkeypatch.setattr(verify, "sample_points", sample_points)
+    with pytest.raises(_Drawn) as drawn:
+        cli.main(argv)
+    assert f"sample count (default {drawn.value.args[0]})" in _subcommands()[argv[0]].format_help()

@@ -283,3 +283,64 @@ def test_hessians_are_symmetric_to_rounding(key, built):
         for field in (b.system.hamiltonian, b.seed.field):
             hess = field.jet2(x).hess
             assert np.max(np.abs(hess - hess.T)) <= np.finfo(float).eps * np.max(np.abs(hess))
+
+
+ZERO_BASE = [0.0, 1.0]
+
+
+@pytest.mark.parametrize("e", [2.5, 1.5, 0.5, -0.5])
+def test_a_zero_base_takes_the_real_power_rule(e):
+    # x^e at x = 0 once went through exp(e log x) on jets and raised
+    # "logarithm evaluated at zero", naming neither the field nor the point.
+    # x^2.5 has finite derivatives there; x^1.5 has no second, x^0.5 no first,
+    # and x^-0.5 no value: each raises NonFiniteError naming both
+    f = ek.ScalarField(lambda c: c[0] ** e + c[1], 2, label="pw")
+    g = ek.ScalarField(lambda c: c[0] ** e + c[1], 2, label="pw")
+    g.value_grad([0.5, 1.0])
+    g.value_grad([0.5, 1.0])
+    assert g._kernel[1]  # compiled at a positive base, then run at zero
+    fails = {2.5: (), 1.5: ("jet2",), 0.5: ("jet1", "kernel", "jet2"),
+             -0.5: ("value", "jet1", "kernel", "jet2")}[e]
+    queries = {"value": lambda: f.value(ZERO_BASE), "jet1": lambda: f.jet1(ZERO_BASE),
+               "kernel": lambda: g.jet1(ZERO_BASE), "jet2": lambda: f.jet2(ZERO_BASE)}
+    for name, query in queries.items():
+        if name in fails:
+            with pytest.raises(ek.NonFiniteError, match=r"pw divides by zero at \[0\.0, 1\.0\]"):
+                query()
+        elif name == "value":
+            assert query() == 1.0
+        else:
+            j = query()
+            assert j.value == 1.0 and j.grad.tolist() == [0.0, 1.0]
+            assert j.hess is None or j.hess.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    # the cloud leaves the zero-base row to jet2 exactly where jet2 raises
+    pts = np.array([[0.5, 1.0]] * 40 + [ZERO_BASE])
+    value, grads, hessians, marked = f.jet2_cloud(pts)
+    assert not marked[:-1].any() and marked[-1] == ("jet2" in fails)
+    if not marked[-1]:
+        j = f.jet2(ZERO_BASE)
+        assert value[-1] == j.value and grads[-1].tolist() == j.grad.tolist()
+        assert hessians[-1].tolist() == j.hess.tolist()
+
+
+def test_arithmetic_on_a_handed_out_jet2_keeps_its_hessian():
+    # jet2 shows its Hessian as a (d, d) ndarray; the rules once zipped its
+    # rows as entries, so f.jet2(x) * f.jet2(x) for f = q p at (0.3, 0.7) had
+    # the Hessian (array([0.98, 1.4]), array([0.84, 0.42]))
+    x = [0.3, 0.7]
+    f = ek.ScalarField(lambda c: c[0] * c[1], 2)
+    j = f.jet2(x)
+    cases = {
+        "*": (j * j, lambda c: (c[0] * c[1]) * (c[0] * c[1])),
+        "+": (j + j * 2.0, lambda c: c[0] * c[1] + (c[0] * c[1]) * 2.0),
+        "-": (1.0 - (j - j * j), lambda c: 1.0 - (c[0] * c[1] - (c[0] * c[1]) * (c[0] * c[1]))),
+        "/": (j / (j + 1.0), lambda c: (c[0] * c[1]) / (c[0] * c[1] + 1.0)),
+        "chain": (jets.exp(-j) ** 2, lambda c: jets.exp(-(c[0] * c[1])) ** 2),
+    }
+    for name, (got, fn) in cases.items():
+        want = ek.ScalarField(fn, 2).jet2(x)
+        assert got.value == want.value, name
+        assert list(got.grad) == want.grad.tolist(), name
+        assert list(got.hess) == want.hess.ravel().tolist(), name
+    np.testing.assert_allclose(np.reshape(cases["*"][0].hess, (2, 2)),
+                               [[0.98, 0.84], [0.84, 0.18]], rtol=1e-15)

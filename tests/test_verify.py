@@ -276,6 +276,34 @@ def test_sample_spec_rejects_a_margin_or_seed_without_meaning(field, value):
         ek.SampleSpec(((0.0, 1.0),), 5, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"count": 2.5}, "count"),  # once drew 64 points: len(taken) never equalled 2.5
+    ({"count": True}, "count"),
+    ({"seed": 1.5}, "seed"),  # once numpy's TypeError from SeedSequence
+    ({"seed": True}, "seed"),
+])
+def test_sample_spec_refuses_bools_and_non_integer_counts(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ek.SampleSpec(((0.0, 1.0), (0.0, 1.0)), **{"count": 3, "seed": 1, **kwargs})
+
+
+def test_sample_spec_refuses_a_bool_margin_and_takes_numpy_integers():
+    with pytest.raises(ValueError, match="margin"):
+        ek.SampleSpec(((0.0, 1.0),), 3, 1, margin=True)
+    spec = ek.SampleSpec(((0.0, 1.0),), np.int64(3), np.int64(1))
+    assert len(ek.sample_points(spec)) == 3
+
+
+@pytest.mark.parametrize("stride", [2.5, True, 0])
+def test_conservation_report_refuses_a_stride_that_is_no_positive_integer(stride):
+    from extkit.verify import Trajectory
+
+    traj = Trajectory(np.linspace(0.0, 1.0, 5), np.zeros((5, 1)), "rk4")
+    with pytest.raises(ValueError, match="stride must be an integer"):
+        ek.conservation_report(traj, {"A": lambda y: float(y[0])}, stride=stride)
+    assert len(ek.conservation_report(traj, {"A": lambda y: 0.0}, np.int64(2)).times) == 3
+
+
 def test_recursion_sweep_shape():
     res = ek.recursion_closed_sweep(4, 20, 5, 123)
     assert set(res["per_n"]) == {1, 2, 3, 4}
