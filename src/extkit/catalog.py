@@ -33,7 +33,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .extension import ExtensionSeed
-from .jets import Jet, ScalarField, SingularPointError, cos, exp, log, sin, sqrt
+from .jets import (Jet, ScalarField, SingularPointError, _is_real, _real, _sign, cos, exp, log,
+                   sin, sqrt)
 from .poisson import HamiltonianSystem, PoissonStructure, canonical_structure
 from .verify import PDE_TOL, SampleSpec, pde_residual
 
@@ -63,9 +64,7 @@ def _positive(v):
 
 
 def _finite_num(v):
-    if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
-        return None
-    return "must be a finite real number"
+    return None if _is_real(v) else "must be a finite real number"
 
 
 def _finite_complex(v):
@@ -116,10 +115,10 @@ def build_function(spec) -> Callable:
     if kind == "zero":
         return lambda t: 0.0
     if kind == "const":
-        v = float(spec.get("value", 0.0))
+        v = _real(spec.get("value", 0.0), "value")
         return lambda t: v
     if kind == "poly":
-        coeffs = [float(a) for a in spec.get("coeffs", [])]
+        coeffs = [_real(a, "each of coeffs") for a in spec.get("coeffs", [])]
         if not coeffs:
             return lambda t: 0.0
 
@@ -130,9 +129,9 @@ def build_function(spec) -> Callable:
             return acc
 
         return poly
-    amp = float(spec.get("amplitude", 1.0))
-    freq = float(spec.get("frequency", 1.0))
-    phase = float(spec.get("phase", 0.0))
+    amp = _real(spec.get("amplitude", 1.0), "amplitude")
+    freq = _real(spec.get("frequency", 1.0), "frequency")
+    phase = _real(spec.get("phase", 0.0), "phase")
     osc = sin if kind == "sin" else cos
     return lambda t: amp * osc(freq * t + phase)
 
@@ -176,7 +175,10 @@ class CatalogEntry:
         for name, spec in self.params.items():
             v = overrides.get(name, spec.default)
             if spec.function:
-                v = build_function(v)
+                try:
+                    v = build_function(v)
+                except (TypeError, ValueError) as e:
+                    raise CatalogError(f"parameter '{name}' of entry '{self.key}': {e}") from None
             else:
                 msg = spec.check(v)
                 if msg:
@@ -493,8 +495,7 @@ def euler_local_seed_field(i1: float, i2: float, i3: float, c: float, c0: float,
     jets like every other field; points off the valid region raise a
     singular-point error.
     """
-    if branch not in (1, -1):
-        raise CatalogError("branch must be +1 or -1")
+    _sign(branch, "branch")
 
     def value(co):
         m1, m2, m3 = co

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, catalog, verify
 from .extension import Extension, ExtensionBuildError, ExtensionParams, build_extension
-from .jets import EvaluationError
+from .jets import EvaluationError, _integer, _real
 from .poisson import base_flow
 from .verify import RejectionError, SampleSpec
 
@@ -158,9 +158,11 @@ def _parse_param_flags(pairs: list[str] | None) -> dict:
 
 
 def _floats(value) -> tuple[float, ...]:
-    """A 'a,b,...' string or a list of numbers, as floats."""
-    items = value.split(",") if isinstance(value, str) else value
-    return tuple(float(v) for v in items)
+    """A 'a,b,...' string read by ``float``, or a list of numbers read by the
+    number rule (:func:`extkit.jets._real`), as floats."""
+    if isinstance(value, str):
+        return tuple(float(v) for v in value.split(","))
+    return tuple(map(_real, value))
 
 
 def _pair(value) -> tuple[float, float]:
@@ -172,13 +174,15 @@ def _box(value) -> tuple[tuple[float, float], ...]:
     return tuple(_pair(iv) for iv in value)
 
 
-def _pick(flag, section: dict, key: str, default, kind: Callable):
+def _pick(flag, section: dict, key: str, default, kind: Callable | None = None):
     """The flag, else the config value, else ``default``, read by ``kind``.
 
-    ``kind`` converts the picked value (``float``, ``int``, ``str``,
-    ``_floats``, ``_pair`` or ``_box``); a value it rejects is a
-    :class:`ConfigError` naming ``key``.  An absent value gives
-    ``default`` as it is.
+    ``kind`` converts the picked value (``_real``, the number rule's reader
+    of a real, or ``str``, ``_floats``, ``_pair`` or ``_box``); a value it
+    rejects is a :class:`ConfigError` naming ``key``.  Without a ``kind``
+    the value is passed on as it is: the integers count, seed, stride, m
+    and n, which the library checks by the number rule under those names.
+    An absent value gives ``default`` as it is.
     """
     if flag is not None:
         value = flag
@@ -187,7 +191,7 @@ def _pick(flag, section: dict, key: str, default, kind: Callable):
     else:
         return default
     try:
-        return kind(value)
+        return kind(value) if kind else value
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad value {value!r} for '{key}': {e}") from None
 
@@ -200,7 +204,7 @@ def _seed_value(flag, section: dict, default: int) -> int:
             return int(env)
         except ValueError:
             raise ConfigError(f"EXTKIT_SEED must be an integer, got {env!r}") from None
-    return _pick(flag, section, "seed", default, int)
+    return _pick(flag, section, "seed", default)
 
 
 class _Run:
@@ -229,15 +233,15 @@ class _Run:
         """The extension named by the flags and the config 'extension' section."""
         a, sec = self.args, self.section("extension")
         values = {key: _pick(flag, sec, key, None, kind) for key, flag, kind in (
-            ("c", a.c, float), ("c0", a.c0, float), ("C", a.big_c, float),
-            ("m", a.m, int), ("n", a.n, int))}
+            ("c", a.c, _real), ("c0", a.c0, _real), ("C", a.big_c, _real),
+            ("m", a.m, None), ("n", a.n, None))}
         missing = [key for key, v in values.items() if v is None]
         if missing:
             raise ConfigError(f"extension parameter(s) {missing} are required "
                               "(flags or config 'extension' section)")
         params = ExtensionParams(**values,
-                                 omega=_pick(a.omega, sec, "omega", 0.0, float),
-                                 offset=_pick(a.offset, sec, "offset", 0.0, float))
+                                 omega=_pick(a.omega, sec, "omega", 0.0, _real),
+                                 offset=_pick(a.offset, sec, "offset", 0.0, _real))
         self.echo["extension"] = dataclasses.asdict(params)
         return build_extension(self.built.system, self.built.seed, params)
 
@@ -258,7 +262,7 @@ class _Run:
             if missing:
                 raise ConfigError(f"an initial state is required (--state, or "
                                   f"config 'initial_state' keys {missing})")
-            values = (tuple(_pick(None, sec, key, None, float) for key in keys[:-1])
+            values = (tuple(_pick(None, sec, key, None, _real) for key in keys[:-1])
                       + _pick(None, sec, "base", None, _floats))
         dim = self.built.system.dim
         if len(values) != dim + (2 if extended else 0):
@@ -292,9 +296,9 @@ class _Run:
         samp = self.section("sampling")
         count = _SAMPLE_COUNTS[self.args.command]
         spec = SampleSpec(intervals=box,
-                          count=_pick(self.args.samples, samp, "count", count, int),
+                          count=_pick(self.args.samples, samp, "count", count),
                           seed=_seed_value(self.args.seed, samp, 1234),
-                          margin=_pick(self.args.margin, samp, "margin", margin, float))
+                          margin=_pick(self.args.margin, samp, "margin", margin, _real))
         self.echo["sampling"] = {"count": spec.count, "seed": spec.seed,
                                  "margin": spec.margin}
         return spec
@@ -381,7 +385,7 @@ def _cmd_check_pde(args) -> int:
     c, c0 = seed.meta["pair"]
     c = float(c) if args.c is None else args.c
     c0 = float(c0) if args.c0 is None else args.c0
-    run.echo.update(c=c, c0=c0, tol=args.tol)
+    run.echo.update(c=c, c0=c0, tol=_real(args.tol, "tol", "positive"))
     rep = verify.pde_residual(run.built.system, seed.field, c, c0, spec,
                               singular=run.built.singular)
     metrics: dict[str, Any] = {
@@ -413,7 +417,7 @@ def _cmd_check_kn(args) -> int:
     spec = run.sample_spec(0.0, box)
     run.echo["sampling"]["intervals"] = [list(iv) for iv in box]
     run.echo.update(c=args.c, c0=args.c0, sign=args.sign, branch=args.branch,
-                    step=args.step, tol=args.tol)
+                    step=args.step, tol=_real(args.tol, "tol", "positive"))
     rep = verify.first_order_residual(run.built.system, field, args.c, args.c0, args.sign,
                                       spec, step=args.step)
     metrics = {
@@ -435,7 +439,7 @@ def _cmd_extend(args) -> int:
     obs = ext.conserved_quantities()
     metrics: dict[str, Any] = {name: fn(state) for name, fn in obs.items() if name != "L"}
     states = run.extended_states()
-    run.echo["tol"] = args.tol
+    run.echo["tol"] = _real(args.tol, "tol", "positive")
     name = _integral_name(obs)
     worst, where, checked, skipped = verify.bracket_sweep(ext.structure(), obs["H"],
                                                           {name: obs[name]}, states)
@@ -451,7 +455,7 @@ def _cmd_bracket(args) -> int:
     run = _Run(args)
     ext = run.extension()
     states = run.extended_states()
-    run.echo.update(h=args.h, tol=args.tol)
+    run.echo.update(h=args.h, tol=_real(args.tol, "tol", "positive"))
     obs = ext.conserved_quantities()
     fns = {name: fn for name, fn in obs.items() if name not in ("H", "L")}
     worst, where, checked, skipped = verify.bracket_sweep(ext.structure(), obs["H"], fns,
@@ -482,8 +486,8 @@ def _cmd_rank(args) -> int:
     if missing:
         raise ConfigError(f"unknown field name(s) {missing}; "
                           f"known: {sorted(fields)}")
+    expect = _integer(args.expect, "expect", 0) if args.expect is not None else len(wanted)
     states = run.extended_states()
-    expect = args.expect if args.expect is not None else len(wanted)
     run.echo.update(fields=wanted, h=args.h, threshold=args.threshold, expect=expect)
     ranks, _, skipped = verify.state_ranks([fields[w] for w in wanted], states, h=args.h,
                                            threshold=args.threshold)
@@ -496,14 +500,15 @@ def _cmd_integrate(args) -> int:
     run = _Run(args)
     integ = run.section("integration")
     method = _pick(args.method, integ, "method", "rk4", str)
-    dt = _pick(args.dt, integ, "dt", verify.RK4_DT, float)
-    tol = _pick(args.tol, integ, "tol", verify.RKF45_TOL, float)
-    t_final = _pick(args.t_final, integ, "t_final", 10.0, float)
-    stride = _pick(args.stride, integ, "stride", 10, int)
+    dt = _pick(args.dt, integ, "dt", verify.RK4_DT, _real)
+    tol = _pick(args.tol, integ, "tol", verify.RKF45_TOL, _real)
+    t_final = _pick(args.t_final, integ, "t_final", 10.0, _real)
+    stride = _pick(args.stride, integ, "stride", 10)
     out = run.section("output")
     csv_path = _pick(args.csv, out, "csv", None, str)
 
-    any_flag = any(v is not None for v in (args.c, args.c0, args.big_c, args.m, args.n))
+    any_flag = any(v is not None for v in (args.c, args.c0, args.big_c, args.m, args.n,
+                                           args.omega, args.offset))
     ext = None
     if not args.base_only and (any_flag or "extension" in run.cfg):
         ext = run.extension()
@@ -512,7 +517,8 @@ def _cmd_integrate(args) -> int:
     observables = run.observables(ext)
     run.echo.update(integration={"method": method, "dt": dt, "tol": tol,
                                  "t_final": t_final, "stride": stride},
-                    initial_state=[float(v) for v in y0], drift_tol=args.drift_tol)
+                    initial_state=[float(v) for v in y0],
+                    drift_tol=_real(args.drift_tol, "drift_tol", "positive"))
 
     traj = verify.integrate(rhs, y0, t_final, method=method, dt=dt, tol=tol)
     rep = verify.conservation_report(traj, observables, stride=stride)
@@ -543,9 +549,9 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_gn_compare(args) -> int:
     seed = _seed_value(args.seed, {}, 7)
+    echo = {"n_max": args.n_max, "samples": args.samples, "complex_samples": args.complex_samples,
+            "seed": seed, "tol": _real(args.tol, "tol", "positive")}
     res = verify.recursion_closed_sweep(args.n_max, args.samples, args.complex_samples, seed)
-    echo = {"n_max": args.n_max, "samples": args.samples,
-            "complex_samples": args.complex_samples, "seed": seed, "tol": args.tol}
     metrics = {"max_rel_err": res["max_rel"],
                "per_index": {str(k): v for k, v in res["per_n"].items()}}
     return _finish("gn-compare", echo, metrics,

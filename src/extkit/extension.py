@@ -22,14 +22,13 @@ hence H unchanged.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import ScalarField
+from .jets import ScalarField, _integer, _real
 from .poisson import HamiltonianSystem, PoissonStructure, extend_structure, ham_field
 from .riccati import _POLE_TOL, PoleError, RiccatiParams, riccati_eval
 
@@ -77,13 +76,9 @@ class ExtensionParams:
         if self.c == 0.0 and self.c0 == 0.0:
             raise ValueError("extension constants c and c0 must not both vanish")
         for name in ("c", "c0", "C", "omega", "offset"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"extension parameter {name} must be a finite real number")
+            _real(getattr(self, name), f"extension parameter {name}")
         for name in ("m", "n"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValueError(f"index {name} must be a positive integer")
+            _integer(getattr(self, name), f"index {name}", 1)
         if self.c == 0.0 and self.C == 0.0 and self.omega != 0.0:
             raise ValueError("omega != 0 needs a profile that is not identically zero")
         # The profile's Riccati constants, validated here once rather than on
@@ -175,8 +170,7 @@ class DerivPair:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("DerivPair powers must be nonnegative integers")
+        _integer(n, "DerivPair power", 0)
         out = DerivPair(1.0, 0.0)
         for _ in range(n):
             out = out * self
@@ -188,11 +182,6 @@ def seed_pair(system: HamiltonianSystem, seed_field: ScalarField, x) -> tuple[De
     lval, v = ham_field(system, x)
     jg = seed_field.jet1(x)
     return DerivPair(jg.value, jg.grad @ np.array(v)), lval
-
-
-def _check_index(v, name: str):
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise ValueError(f"chain index {name} must be a positive integer, got {v!r}")
 
 
 def _recursion_chain(n_max: int, pair: DerivPair, lam) -> list:
@@ -270,7 +259,7 @@ def recursion_term(n: int, pair: DerivPair, lam) -> DerivPair:
     :func:`_recursion_chain`.  Agreement with
     :func:`recursion_term_closed` is part of the test surface.
     """
-    _check_index(n, "n")
+    _integer(n, "chain index n", 1)
     return _recursion_chain(n, pair, lam)[-1]
 
 
@@ -279,7 +268,7 @@ def recursion_term_closed(n: int, pair: DerivPair, lam) -> DerivPair:
 
     G_n = sum_k binom(n, 2k+1) (-2 lam)^k G^(2k+1) (X_L G)^(n-2k-1).
     """
-    _check_index(n, "n")
+    _integer(n, "chain index n", 1)
     return _closed_chain(n, pair, lam)[-1]
 
 
@@ -292,10 +281,9 @@ def power_coeffs(m: int, n: int, r: int, p_u: float, gam: float, lam) -> tuple:
       P = sum_j binom(r, 2j)   (m gam/n)^(2j)   p_u^(r-2j)   (-2 lam)^j
       D = sum_j binom(r, 2j+1) (m gam/n)^(2j+1) p_u^(r-2j-1) (-2 lam)^j / n
     """
-    _check_index(m, "m")
-    _check_index(n, "n")
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-        raise ValueError(f"operator power r must be a nonnegative integer, got {r!r}")
+    _integer(m, "chain index m", 1)
+    _integer(n, "chain index n", 1)
+    _integer(r, "operator power r", 0)
     if r > m:
         raise ValueError(f"operator power r = {r} exceeds the first index m = {m}")
     kg = m * gam / n

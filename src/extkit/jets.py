@@ -121,6 +121,42 @@ class NonFiniteError(EvaluationError):
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
+# The number rule: the one test of every integer, sign and finite-real argument
+# the package takes (indices, counts, seeds, strides, dimensions, steps,
+# tolerances, constants).  A bool is never a number, numpy integer and float
+# scalars are, and an integer argument refuses 2.0.  A refusal is a ValueError
+# "<name> must be ..., got <value>".  The tests are on exact types: they leave
+# out bool without a test of their own, and they are the cheapest form on the
+# hot path of K, where each power_coeffs call checks three integers.
+
+def _integer(value, name: str, least: int):
+    """``value``, once it is a Python or numpy integer of at least ``least``."""
+    if not (type(value) is int or isinstance(value, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
+def _sign(value, name: str):
+    """``value`` must be the integer +1 or -1."""
+    if not (type(value) is int or isinstance(value, np.integer)) or abs(value) != 1:
+        raise ValueError(f"{name} must be the integer +1 or -1, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a finite Python or numpy int or float."""
+    return ((type(value) in (int, float) or isinstance(value, (np.integer, np.floating)))
+            and math.isfinite(value))
+
+
+def _real(value, name: str = "value", bound: str = "") -> float:
+    """``value`` as a float, once :func:`_is_real` holds and, where ``bound``
+    is "positive" or "nonnegative", the value is."""
+    if not _is_real(value) or bound and (value <= 0 if bound == "positive" else value < 0):
+        what = f"finite and {bound}" if bound else "a finite real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return float(value)
+
+
 # The scalar dispatchers pick math or cmath by the argument's type.  On a
 # tape scalar they record a call to themselves, so a compiled kernel picks
 # on every call as the jet path does.
@@ -784,8 +820,7 @@ class ScalarField:
     def __post_init__(self):
         if self.codomain not in ("real", "complex"):
             raise ValueError(f"codomain must be 'real' or 'complex', got {self.codomain!r}")
-        if self.dim < 1:
-            raise ValueError("field dimension must be positive")
+        _integer(self.dim, "field dimension", 1)
 
     def _coords(self, x) -> list:
         """``x`` as a list of ``dim`` floats, else the dimension-mismatch error."""

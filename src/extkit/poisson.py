@@ -23,7 +23,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet, ScalarField, _seeds
+from .jets import Jet, ScalarField, _integer, _seeds
 
 __all__ = [
     "PoissonStructure",
@@ -62,6 +62,7 @@ class PoissonStructure:
     _norm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _integer(self.dim, "bivector dimension", 1)
         if (self.entries is None) == (self.const is None):
             raise ValueError("a Poisson structure needs exactly one of an entry rule "
                              "and a constant matrix")
@@ -160,7 +161,7 @@ class PoissonStructure:
 
 
 def canonical_structure(dim: int, label: str = "") -> PoissonStructure:
-    if dim % 2 != 0:
+    if _integer(dim, "canonical structure dimension", 1) % 2 != 0:
         raise ValueError("canonical structure needs an even dimension")
     half = dim // 2
     block = np.zeros((dim, dim))

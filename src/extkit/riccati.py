@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .jets import EvaluationError
+from .jets import EvaluationError, _real
 
 __all__ = ["PoleError", "tagged_trig", "RiccatiParams", "riccati_eval"]
 
@@ -63,8 +63,7 @@ class RiccatiParams:
         if self.c == 0.0 and self.C == 0.0:
             raise ValueError("Riccati coefficients c and C must not both vanish")
         for name in ("c", "C", "offset"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"Riccati parameter {name} must be finite")
+            _real(getattr(self, name), f"Riccati parameter {name}")
 
     @property
     def kappa(self) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .extension import DerivPair, _closed_chain, _recursion_chain
-from .jets import EvaluationError, ScalarField, sqrt
+from .jets import EvaluationError, ScalarField, _integer, _real, _sign, sqrt
 from .poisson import (HamiltonianSystem, PoissonStructure, apply_xl2, apply_xl2_cloud,
                       base_flow)
 
@@ -85,17 +85,6 @@ def _sweep(points: Sequence, fn: Callable) -> tuple[list, list, int]:
     return vals, kept, len(points) - len(kept)
 
 
-def _check_positive(value: float, name: str):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_integer(value, name: str, least: int):
-    """``value`` must be an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 class RejectionError(Exception):
     """Rejection sampling could not find enough admissible points."""
 
@@ -110,16 +99,14 @@ class SampleSpec:
     margin: float = 0.0
 
     def __post_init__(self):
-        _check_integer(self.count, "count", 1)
+        _integer(self.count, "count", 1)
         if not self.intervals:
             raise ValueError("sampling needs at least one interval")
         for lo, hi in self.intervals:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            if not _real(lo, "sampling interval bound") < _real(hi, "sampling interval bound"):
                 raise ValueError(f"bad sampling interval ({lo}, {hi})")
-        margin = self.margin
-        if isinstance(margin, bool) or not (math.isfinite(margin) and margin >= 0):
-            raise ValueError(f"sampling margin must be finite and nonnegative, got {margin!r}")
-        _check_integer(self.seed, "seed", 0)
+        _real(self.margin, "sampling margin", "nonnegative")
+        _integer(self.seed, "seed", 0)
 
 
 def sample_points(spec: SampleSpec,
@@ -233,9 +220,8 @@ def first_order_residual(system: HamiltonianSystem, field_g: ScalarField,
     radicand is negative for a real field, or where evaluation fails,
     are skipped and counted.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    _check_positive(step, "step")
+    _sign(sign, "sign")
+    _real(step, "step", "positive")
     rhs_fn = base_flow(system)
 
     def sides(x):
@@ -329,14 +315,14 @@ def integrate(rhs: Callable[[list], Sequence[float]], y0, t_final: float,
     if y0.ndim != 1:
         raise ValueError(f"y0 must be a flat vector, got shape {y0.shape}")
     y0 = y0.tolist()
-    _check_positive(t_final, "t_final")
-    _check_positive(dt, "dt")
+    _real(t_final, "t_final", "positive")
+    _real(dt, "dt", "positive")
     if method == "rk4":
         return _integrate_rk4(rhs, y0, t_final, dt)
     if method == "rkf45":
-        _check_positive(tol, "tol")
-        _check_positive(dt_min, "dt_min")
-        _check_positive(dt_max, "dt_max")
+        _real(tol, "tol", "positive")
+        _real(dt_min, "dt_min", "positive")
+        _real(dt_max, "dt_max", "positive")
         if dt_min > dt_max:
             raise ValueError(f"dt_min must not exceed dt_max, got {dt_min!r} > {dt_max!r}")
         return _integrate_rkf45(rhs, y0, t_final, dt, tol, dt_min, dt_max)
@@ -449,7 +435,7 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
     observables that share per-state work (the real and imaginary parts
     of a complex K) meet it while it is still memoised.
     """
-    _check_integer(stride, "stride", 1)
+    _integer(stride, "stride", 1)
     n = len(traj.states)
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
@@ -469,7 +455,7 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
 
 def fd_gradient(fn: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of a callable over flat vectors."""
-    _check_positive(h, "finite-difference step")
+    _real(h, "finite-difference step", "positive")
     x = np.asarray(x, dtype=float)
     out = []
     for i in range(len(x)):
@@ -556,7 +542,7 @@ def recursion_closed_sweep(n_max: int, count_real: int, count_complex: int,
     """
     for name, v, least in (("n_max", n_max, 1), ("count_real", count_real, 0),
                            ("count_complex", count_complex, 0), ("seed", seed, 0)):
-        _check_integer(v, name, least)
+        _integer(v, name, least)
     if count_real + count_complex == 0:
         raise ValueError("count_real and count_complex draw no triple between them")
     rng = np.random.default_rng(seed)

@@ -489,3 +489,26 @@ def test_each_sampling_command_draws_the_count_its_help_names(argv, monkeypatch,
     with pytest.raises(_Drawn) as drawn:
         cli.main(argv)
     assert f"sample count (default {drawn.value.args[0]})" in _subcommands()[argv[0]].format_help()
+
+
+@pytest.mark.parametrize("flag", ["--omega", "--offset"])
+def test_integrate_takes_a_lone_omega_or_offset_as_an_extension_flag(flag, capsys):
+    # both were once dropped: the base flow ran and the echo had no extension
+    code, out, err = run(["integrate", "--system", "quartic1", flag, "0.3",
+                          "--state", "0.9,-0.7", "--t-final", "0.01"], capsys)
+    assert_one_line_error(code, err, "['c', 'c0', 'C', 'm', 'n'] are required")
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec, needle", [
+    ({"kind": "poly", "coeffs": 5}, "not iterable"),
+    ({"kind": "sin", "amplitude": None}, "amplitude must be a finite real number, got None"),
+    ({"kind": "const", "value": True}, "value must be a finite real number, got True"),
+    ({"kind": "poly", "coeffs": ["abc"]}, "each of coeffs must be a finite real number"),
+], ids=["coeffs-not-a-list", "amplitude-null", "value-bool", "coeffs-string"])
+def test_a_function_spec_reads_its_numbers_by_the_rule(spec, needle, capsys):
+    # a TypeError traceback (exit 1), True taken as 1.0, or float()'s message naming nothing
+    code, out, err = run(["check-pde", "--system", "quartic1", "--samples", "5",
+                          "--param", f"f={json.dumps(spec)}"], capsys)
+    assert_one_line_error(code, err, "parameter 'f' of entry 'quartic1'", needle)
+    assert out == ""
