@@ -381,10 +381,10 @@ def _cmd_show(args) -> int:
 def _cmd_check_pde(args) -> int:
     run = _Run(args)
     seed = run.built.seed
-    spec = run.sample_spec(0.1, run.intervals(run.entry.default_box))
     c, c0 = seed.meta["pair"]
-    c = float(c) if args.c is None else args.c
-    c0 = float(c0) if args.c0 is None else args.c0
+    c = float(c) if args.c is None else _real(args.c, "c")
+    c0 = float(c0) if args.c0 is None else _real(args.c0, "c0")
+    spec = run.sample_spec(0.1, run.intervals(run.entry.default_box))
     run.echo.update(c=c, c0=c0, tol=_real(args.tol, "tol", "positive"))
     rep = verify.pde_residual(run.built.system, seed.field, c, c0, spec,
                               singular=run.built.singular)
@@ -412,19 +412,20 @@ def _cmd_check_kn(args) -> int:
     if builder is None:
         raise ConfigError(f"entry '{run.echo['system']}' serves no elliptic-integral "
                           "local seed; this check applies to euler_top")
-    field = builder(args.c, args.c0, branch=args.branch)
+    c, c0 = _real(args.c, "c"), _real(args.c0, "c0")
+    field = builder(c, c0, branch=args.branch)
     box = run.intervals(_KN_BOX)
     spec = run.sample_spec(0.0, box)
     run.echo["sampling"]["intervals"] = [list(iv) for iv in box]
-    run.echo.update(c=args.c, c0=args.c0, sign=args.sign, branch=args.branch,
+    run.echo.update(c=c, c0=c0, sign=args.sign, branch=args.branch,
                     step=args.step, tol=_real(args.tol, "tol", "positive"))
-    rep = verify.first_order_residual(run.built.system, field, args.c, args.c0, args.sign,
+    rep = verify.first_order_residual(run.built.system, field, c, c0, args.sign,
                                       spec, step=args.step)
     metrics = {
         "max_abs_residual": rep.max_abs,
         "max_rel_residual": rep.max_rel,
         "n_points": len(rep.rel_residuals),
-        "c": args.c, "c0": args.c0, "sign": args.sign, "branch": args.branch,
+        "c": c, "c0": c0, "sign": args.sign, "branch": args.branch,
         **_worst(rep.rel_residuals, rep.points),
     }
     return run.finish(metrics, [_gate("first_order_max_rel", rep.max_rel, args.tol)],
@@ -503,7 +504,7 @@ def _cmd_integrate(args) -> int:
     dt = _pick(args.dt, integ, "dt", verify.RK4_DT, _real)
     tol = _pick(args.tol, integ, "tol", verify.RKF45_TOL, _real)
     t_final = _pick(args.t_final, integ, "t_final", 10.0, _real)
-    stride = _pick(args.stride, integ, "stride", 10)
+    stride = _integer(_pick(args.stride, integ, "stride", 10), "stride", 1)
     out = run.section("output")
     csv_path = _pick(args.csv, out, "csv", None, str)
 

@@ -40,20 +40,22 @@ It generates one straight-line Python function over plain numbers from the
 ops and compiles it.  From then on ``value_grad`` runs that kernel, and
 ``fn`` no longer runs.  Constants reach the kernel by reference.  The
 scalar dispatchers (math or cmath) are recorded as calls, so the kernel
-still picks on each call.  Every other decision that depends on a value, a
-comparison or an ``isinstance`` test of a value, becomes a guard.  The
+still picks on each call.  A comparison on a value becomes a guard.  The
 kernel runs inside the same error mapping and finiteness checks as the jet
 path, so its values, gradients, errors and messages are bit for bit those
 of the jet path.
 
 The contract: ``fn`` is a pure function of its coordinates and of closure
-constants that are fixed once the field is built, and it does not branch on
-``type()`` of a value, which a tape scalar cannot answer truly.  A field
-stays on jets for good when its recording fails: ``fn`` calls ``float()``,
-``bool()``, ``complex()``, numpy or math on a value, or raises while
-recording.  So does a field whose guard fails: that call and every later
-one run on jets.  The kernel's guards hold a coordinate to the type it
-had when recorded, so a caller of ``value_grad`` hands it floats.
+constants that are fixed once the field is built.  A field stays on jets
+for good when its recording fails: ``fn`` tests the type of a value
+(``isinstance``), applies unary plus to one, calls ``float()``, ``bool()``,
+``complex()``, numpy or math on one, or raises while recording.  A tape
+records no type, so the jet rules test none on a value:
+:meth:`Jet.__pow__` asks ``type()`` of its base, which never consults a
+tape scalar.  Its sign guard cannot compare a complex one, so a field that
+takes a non-integer number power of a complex value stays on jets too, as
+does a field whose guard fails: that call and every later one run on jets.
+A caller of ``value_grad`` hands it floats, as when it was recorded.
 Reassigning ``fn`` drops the kernel.
 
 Second order runs over clouds of points.
@@ -68,13 +70,13 @@ interpreter ran as fast as the compiled source and a replay peaks below
 1 MiB, its recording included.  The tape is recorded at every call and
 not kept, for the same reason.  Each value the replay leaves at a point is
 the one ``jet2`` computes there, bit for bit: numpy does only the real
-arithmetic and complex + and -, complex * and / follow CPython's own
-formulas, and ``**`` and the dispatchers run as Python scalars, point by
-point (:meth:`_Tape.replay`).  A point where that cannot hold is marked,
-and its caller asks ``jet2`` there.  ``jet2`` and ``value`` run ``fn`` on
-jets and on numbers, and their values agree: a jet takes every power's
-value from ``**``, as a number does.  So ``pde_residual`` takes X_L^2 G,
-L and G at each unmarked point from the cloud.
+arithmetic and complex + and -, complex * follows CPython's own formula on
+the parts, and complex /, ``**`` and the dispatchers run through CPython,
+point by point (:meth:`_Tape.replay`).  A point where that cannot hold is
+marked, and its caller asks ``jet2`` there.  ``jet2`` and ``value`` run
+``fn`` on jets and on numbers, and their values agree: a jet takes every
+power's value from ``**``, as a number does.  So ``pde_residual`` takes
+X_L^2 G, L and G at each unmarked point from the cloud.
 """
 from __future__ import annotations
 
@@ -143,9 +145,13 @@ def _sign(value, name: str):
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a finite Python or numpy int or float."""
-    return ((type(value) in (int, float) or isinstance(value, (np.integer, np.floating)))
-            and math.isfinite(value))
+    """Whether ``value`` is a finite Python or numpy int or float; an int
+    too large for a float is not."""
+    try:
+        return ((type(value) in (int, float) or isinstance(value, (np.integer, np.floating)))
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def _real(value, name: str = "value", bound: str = "") -> float:
@@ -315,7 +321,7 @@ class Jet:
                 return Jet(v**n, (0.0,) * len(self.grad), None if h is None else (0.0,) * len(h))
             f2 = 0.0 if self._hess is None or n == 1 else n * (n - 1) * v ** (n - 2)
             return _chain(self, v**n, n * v ** (n - 1), f2)
-        if isinstance(v, complex) or v < 0.0:
+        if issubclass(type(v), complex) or v < 0.0:
             return _revalued(exp(e * log(self)), v**e)
         f2 = None if self._hess is None else e * (e - 1) * v ** (e - 2)
         return _chain(self, v**e, e * v ** (e - 1), f2)
@@ -418,7 +424,7 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
            "**": operator.pow}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
             "==": operator.eq, "!=": operator.ne}
-_UNARY = {"neg": "-{}", "pos": "+{}", "abs": "abs({})"}
+_UNARY = {"neg": "-{}", "abs": "abs({})"}
 # the constant types a cloud replay takes as operands, which numpy combines
 # with float64 and complex128 arrays as Python combines them with numbers
 _CLOUD_CONSTS = (bool, int, float, complex)
@@ -434,11 +440,10 @@ class _Tape:
     registers:
 
     - ``op`` in :data:`_BINARY`: register ``dest`` = ``a op b``;
-    - ``"neg"``, ``"pos"``, ``"abs"``: ``dest`` = ``op(a)``, ``b`` unused;
+    - ``"neg"``, ``"abs"``: ``dest`` = ``op(a)``, ``b`` unused;
     - ``"call"``: ``dest`` = ``b(a)``, ``b`` holding a scalar dispatcher;
     - ``op`` in :data:`_COMPARE`: a guard that ``a op b`` comes out as
-      ``dest``, the recorded outcome;
-    - ``"type"``: a guard that ``type(a) is b``; ``dest`` unused.
+      ``dest``, the recorded outcome.
 
     :meth:`compile` turns the ops into the source of a first-order kernel,
     and :meth:`replay` runs them over a cloud of points at once.
@@ -449,7 +454,6 @@ class _Tape:
         self.consts: list[int] = []
         self.ops: list[tuple] = []
         self._regs: dict[int, int] = {}
-        self._typed: set[int] = set()
 
     def const(self, obj) -> int:
         # vals keeps obj alive, so its id stays its own
@@ -475,12 +479,6 @@ class _Tape:
     def guard(self, op: str, a: int, b: int, outcome):
         """Replays go on only while ``a op b`` comes out as it did here."""
         self.ops.append((op, outcome, a, b))
-
-    def type_guard(self, var: "_Var") -> type:
-        if var.reg not in self._typed:
-            self._typed.add(var.reg)
-            self.ops.append(("type", None, var.reg, self.const(type(var.val))))
-        return type(var.val)
 
     def outputs(self, out, d: int, second_order: bool) -> tuple:
         """The registers of ``fn``'s result ``out``: its value's, then its
@@ -508,8 +506,6 @@ class _Tape:
             if op in _COMPARE:
                 test = f"r{a} {op} r{b}"
                 lines.append(f"if not ({test}): raise R" if dest else f"if {test}: raise R")
-            elif op == "type":
-                lines.append(f"if type(r{a}) is not r{b}: raise R")
             elif op == "call":
                 lines.append(f"r{dest} = r{b}(r{a})")
             elif op in _BINARY:
@@ -539,9 +535,10 @@ class _Tape:
 
         - numpy does real +, -, *, /, negation, abs and comparisons, and
           complex + and -, which match Python's float and complex rules;
-        - complex * and / follow CPython's own formulas on the parts;
-        - ``**``, abs of a complex value and every recorded call run through
-          the same Python scalar function, one point at a time.
+        - complex * follows CPython's own formula on the parts;
+        - complex /, ``**``, abs of a complex value and every recorded call
+          run through the same Python scalar function, one point at a time
+          (numpy's complex / rounds apart from CPython's).
 
         A point is marked (set in ``marked``) where the scalar run raises or
         leaves the tape: a zero divisor, an exception in a per-point call, a
@@ -556,7 +553,7 @@ class _Tape:
             if type(vals[r]) not in _CLOUD_CONSTS:
                 cplx[r] = None  # not an operand the replay can take
         for op, dest, a, b in ops:
-            if op == "type" or op in _COMPARE:
+            if op in _COMPARE:
                 continue
             if type(vals[dest]) not in (float, complex) or cplx[a] is None or (
                     op in _BINARY and cplx[b] is None):
@@ -574,7 +571,7 @@ class _Tape:
             last[a] = k
             if op in _BINARY or op in _COMPARE:
                 last[b] = k
-            if op != "type" and op not in _COMPARE:
+            if op not in _COMPARE:
                 last[dest] = k  # a result nothing reads is dropped at once
         drop = [[] for _ in ops]
         for r, k in last.items():
@@ -588,8 +585,6 @@ class _Tape:
                 x = regs[a]
                 if op in _COMPARE:
                     marked |= _COMPARE[op](x, regs[b]) != dest
-                elif op == "type":
-                    pass  # every register keeps its recorded type at unmarked points
                 elif op == "call":
                     regs[dest] = _each(regs[b], (x,), type(vals[dest]), marked)
                 elif op == "**":
@@ -603,13 +598,11 @@ class _Tape:
                     elif op == "*":
                         regs[dest] = _complex_mul(x, y, cplx[a], cplx[b])
                     elif op == "/":
-                        regs[dest] = _complex_div(x, y, cplx[a], cplx[b], marked)
+                        regs[dest] = _each(operator.truediv, (x, y), complex, marked)
                     else:
                         regs[dest] = _BINARY[op](x, y)
                 elif op == "neg":
                     regs[dest] = -x
-                elif op == "pos":
-                    regs[dest] = x
                 elif cplx[a]:
                     regs[dest] = _each(abs, (x,), float, marked)
                 else:
@@ -662,35 +655,16 @@ def _complex_mul(x, y, cx: bool, cy: bool) -> np.ndarray:
     return _to_complex(ar * br - ai * bi, ar * bi + ai * br)
 
 
-def _complex_div(x, y, cx: bool, cy: bool, marked: np.ndarray) -> np.ndarray:
-    """``x / y`` as CPython's ``_Py_c_quot`` forms it at each point (Smith's
-    algorithm); a zero divisor, ZeroDivisionError there, is marked."""
-    ar, ai = _parts(x, cx)
-    br, bi = _parts(y, cy)
-    abs_r, abs_i = np.abs(br), np.abs(bi)
-    by_real = abs_r >= abs_i
-    by_imag = ~by_real & (abs_i >= abs_r)
-    marked |= by_real & (abs_r == 0.0)
-    ratio = bi / br
-    denom = br + bi * ratio
-    ratio_i = br / bi
-    denom_i = br * ratio_i + bi
-    re = np.where(by_real, (ar + ai * ratio) / denom,
-                  np.where(by_imag, (ar * ratio_i + ai) / denom_i, np.nan))
-    im = np.where(by_real, (ai - ar * ratio) / denom,
-                  np.where(by_imag, (ai * ratio_i - ar) / denom_i, np.nan))
-    return _to_complex(re, im)
-
-
 class _Var:
     """A tape scalar: a number that records each operation made with it.
 
     Arithmetic with numbers and other tape scalars computes the result and
     records the operation, both operands in place.  A comparison records a
-    guard on its outcome, and so does a type test, through ``__class__``:
-    ``isinstance(v, complex)`` in :meth:`Jet.__pow__` or in ``fn`` becomes
-    the guard ``type(v) is ...``.  Anything that needs a plain number
-    (``float()``, ``bool()``, numpy, math) cannot be recorded.
+    guard on its outcome.  A type test cannot be recorded: ``__class__``,
+    which ``isinstance`` asks, raises, so that no test can read a tape
+    scalar as a plain number of the wrong type and fix a branch the kernel
+    would not guard.  Nor can unary plus or anything that needs a plain
+    number (``float()``, ``bool()``, numpy, math).
     """
 
     __slots__ = ("tape", "reg", "val")
@@ -704,16 +678,13 @@ class _Var:
 
     @property
     def __class__(self):
-        return self.tape.type_guard(self)
+        raise _Untraceable
 
     def call(self, fn) -> "_Var":
         return self.tape.emit("call", self.reg, self.tape.const(fn), fn(self.val))
 
     def __neg__(self):
         return self.tape.emit("neg", self.reg, None, -self.val)
-
-    def __pos__(self):
-        return self.tape.emit("pos", self.reg, None, +self.val)
 
     def __abs__(self):
         return self.tape.emit("abs", self.reg, None, abs(self.val))
@@ -778,10 +749,7 @@ def _record(fn, xs: list, second_order: bool) -> tuple:
     """A tape of one run of ``fn`` on jets seeded at ``xs`` whose values are
     tape scalars, and what the run returned."""
     tape = _Tape(xs)
-    zero = (0.0,) * (len(xs) ** 2) if second_order else None
-    seeds = [Jet(_Var(tape, i, v), row, zero)
-             for i, (v, row) in enumerate(zip(xs, _unit_rows(len(xs))))]
-    return tape, fn(seeds)
+    return tape, fn(_seeds([_Var(tape, i, v) for i, v in enumerate(xs)], second_order))
 
 
 def _compile_jet1(fn, xs: list, label: str):
@@ -803,7 +771,9 @@ class ScalarField:
     and the math functions exported by this module.  It must be a pure
     function of its coordinates and of closure constants fixed after
     construction: ``value_grad`` compiles it on its second call (module
-    notes).  ``singular`` is an optional predicate ``(point, margin) ->
+    notes).  A ``fn`` that tests the type of a value is not compiled:
+    ``value_grad`` runs it on jets at every call, and ``jet2_cloud`` marks
+    every row.  ``singular`` is an optional predicate ``(point, margin) ->
     bool`` declaring where the field must not be evaluated; it receives
     the point as a sequence of floats (a list, when this class asks).
     """

@@ -179,6 +179,18 @@ MARKED_CASES = {
     "flipped-guard": (branch_on_sign, None, [[0.5, 1.0], [-0.3, 1.0], [0.2, -1.0]], 1, None),
     "another-type": (lambda co: jets.sqrt(co[0]) * co[1], None,
                      [[0.5, 1.0], [-0.5, 1.0], [0.25, 3.0]], 1, complex),
+    # complex quotients, each with signed zeros among its operands and an
+    # exact zero divisor at the marked row; at [-0.9, 0.3] numpy's complex /
+    # rounds apart from CPython's
+    "complex-over-complex": (lambda co: (co[1] - 1j * co[1]) / (co[0] + 1j * co[0]), None,
+                             [[0.5, -0.0], [0.0, 1.0], [-0.9, 0.3]], 1,
+                             (ek.NonFiniteError, "f divides by zero at [0.0, 1.0]")),
+    "complex-over-real": (lambda co: (co[1] - 1j * co[1]) / co[0], None,
+                          [[-0.5, -0.0], [0.0, 1.0], [0.25, 0.0]], 1,
+                          (ek.NonFiniteError, "f divides by zero at [0.0, 1.0]")),
+    "real-over-complex": (lambda co: co[1] / (co[0] - 1j * co[0]), None,
+                          [[-0.5, -0.0], [0.0, 1.0], [0.25, 0.0]], 1,
+                          (ek.NonFiniteError, "f divides by zero at [0.0, 1.0]")),
 }
 
 
@@ -218,6 +230,55 @@ def test_a_recording_that_fails_marks_the_whole_cloud():
     points = [[0.2, 1.0], [0.4, 2.0], [-0.6, 1.5]]
     assert assert_parity(field, points).all()
     assert all(on_jets(field, x)[0] == "ok" for x in points)
+
+
+def type_test_on_a_value(co):
+    return co[0] * co[1] if isinstance(co[0].value, float) else co[1] - co[0]
+
+
+def plus_on_a_value(co):
+    return co[0] * co[1] if +co[0].value > 0 else co[1] - co[0]
+
+
+@pytest.mark.parametrize("fn", [type_test_on_a_value, plus_on_a_value])
+def test_a_field_that_tests_a_type_or_applies_plus_to_a_value_stays_on_jets(fn):
+    # a tape records neither, so the recording fails: value_grad runs fn on
+    # jets at every call, and the cloud leaves every row to jet2
+    field = ek.ScalarField(fn, 2, label="f")
+    points = [[0.3, 0.4], [0.5, -0.6], [0.7, 0.9]]
+    for k, x in enumerate(points):
+        value, grad = field.value_grad(x)
+        want = fn(jets._seeds(x))
+        assert type(value) is type(want.value)
+        assert np.array(value).tobytes() == np.array(want.value).tobytes()
+        assert np.array(grad).tobytes() == np.array(want.grad).tobytes()
+        assert field._kernel[1] is (None if k == 0 else False)
+    assert assert_parity(field, points).all()
+
+
+def every_op(co):
+    x, y = co
+    v = x.value
+    # each comparison is recorded as a guard; all six come out False here
+    if v < 0.0 or v <= 0.0 or not v > 0.0 or not v >= 0.0 or v == 1.0 or not v != 1.0:
+        return y
+    if abs(v - 1.0) < 0.25:
+        return x
+    return -(x * y) / (x + 1.0) - jets.exp(y) + x ** 2.5
+
+
+def test_the_tape_records_only_the_op_kinds_both_back_ends_run():
+    # the compiled kernel and the cloud replay each interpret every op kind:
+    # a kind added to the tape and one back end but not the other fails here
+    kinds = {*jets._BINARY, "neg", "abs", "call", *jets._COMPARE}
+    assert {*jets._BINARY, *jets._UNARY, "call", *jets._COMPARE} == kinds
+    for second_order in (False, True):
+        tape, _ = jets._record(every_op, [0.5, 0.3], second_order)
+        assert {op for op, *_ in tape.ops} == kinds
+    field = ek.ScalarField(every_op, 2, label="every_op")
+    points = boxed(np.random.default_rng(6), ((0.1, 0.7), (-1.0, 1.0)), 50).tolist()
+    assert callable(kernel_parity(field, points)._kernel[1])
+    assert not assert_parity(field, points).any()
 
 
 NUMPY_TWO = np.float64(2.0)

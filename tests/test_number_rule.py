@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import extkit as ek
-from extkit import cli, verify
+from extkit import cli, jets, verify
 from extkit.catalog import euler_local_seed_field
 from extkit.extension import DerivPair
 from extkit.riccati import RiccatiParams
@@ -260,4 +260,47 @@ def test_a_rank_expectation_must_be_a_nonnegative_integer(tmp_path, capsys):
                      "--report", str(report)])
     err = capsys.readouterr().err
     assert code == 2 and err == "error: expect must be an integer of at least 0, got -1\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--c", "--c0"])
+@pytest.mark.parametrize("argv", [["check-pde", "--system", "quartic1", "--samples", "5"],
+                                  ["check-kn", "--samples", "5"]],
+                         ids=["check-pde", "check-kn"])
+def test_a_seed_constant_override_must_be_a_finite_real(argv, flag, value, tmp_path, capsys):
+    # --c nan once read as a failed gate (exit 1)
+    report = tmp_path / "r.json"
+    code = cli.main([*argv, flag, value, "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"error: {flag[2:]} must be a finite real number, got {value}\n"
+    assert not report.exists()
+
+
+def test_an_int_too_large_for_a_float_is_not_a_finite_real(tmp_path, capsys):
+    # math.isfinite raises OverflowError on it, which once ended the CLI in a traceback
+    huge = 10**400
+    with pytest.raises(ValueError, match="dt must be a finite real number"):
+        jets._real(huge, "dt")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**Q1, **Q1_RUN, "integration": {"dt": huge}}))
+    report = tmp_path / "r.json"
+    code = cli.main([*INTEGRATE, "--config", str(cfg), "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: bad value") and err.count("\n") == 1
+    assert "for 'dt': value must be a finite real number" in err and not report.exists()
+
+
+def test_integrate_refuses_a_bad_stride_before_it_integrates(tmp_path, capsys, monkeypatch):
+    # "stride": 2.5 once ran the whole integration before conservation_report refused it
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before the stride was read")
+
+    monkeypatch.setattr(verify, "integrate", integrate)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**Q1, **Q1_RUN, "integration": {"stride": 2.5}}))
+    report = tmp_path / "r.json"
+    code = cli.main([*INTEGRATE, "--config", str(cfg), "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: stride must be an integer of at least 1, got 2.5\n"
     assert not report.exists()
