@@ -178,8 +178,9 @@ def _pick(flag, section: dict, key: str, default, kind: Callable | None = None):
     """The flag, else the config value, else ``default``, read by ``kind``.
 
     ``kind`` converts the picked value (``_real``, the number rule's reader
-    of a real, or ``str``, ``_floats``, ``_pair`` or ``_box``); a value it
-    rejects is a :class:`ConfigError` naming ``key``.  Without a ``kind``
+    of a real, which names ``key`` in its own error, or ``str``,
+    ``_floats``, ``_pair`` or ``_box``); a value they reject is a
+    :class:`ConfigError` naming ``key``.  Without a ``kind``
     the value is passed on as it is: the integers count, seed, stride, m
     and n, which the library checks by the number rule under those names.
     An absent value gives ``default`` as it is.
@@ -190,6 +191,8 @@ def _pick(flag, section: dict, key: str, default, kind: Callable | None = None):
         value = section[key]
     else:
         return default
+    if kind is _real:
+        return _real(value, key)
     try:
         return kind(value) if kind else value
     except (TypeError, ValueError) as e:

@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import ScalarField, _integer, _real
-from .poisson import HamiltonianSystem, PoissonStructure, extend_structure, ham_field
+from .poisson import (HamiltonianSystem, PoissonStructure, _plain_field, extend_structure,
+                      ham_field)
 from .riccati import _POLE_TOL, PoleError, RiccatiParams, riccati_eval
 
 __all__ = [
@@ -303,14 +304,19 @@ def extended_flow(system: HamiltonianSystem, params: ExtensionParams
 
     Acts on flat vectors (u, p_u, x), any float sequence, and returns a
     list; the base block is the rescaled base field -k^2 y'(u) pi grad L.
+    A list state takes its base block from the base system's
+    :func:`~extkit.poisson._plain_field` where that answers, and
+    :func:`ham_field` gives every other one and raises the errors.
     """
     k2 = params.k**2
     c0 = params.c0
     omega = params.omega
+    plain = _plain_field(system)
 
     def rhs(vec: Sequence[float]) -> list:
         gam, dgam, ddgam = profile_at(params, float(vec[0]))
-        lval, v = ham_field(system, vec[2:])
+        out = plain(vec[2:]) if type(vec) is list else None
+        lval, v = ham_field(system, vec[2:]) if out is None else out
         dpu = k2 * ddgam * lval - 2.0 * k2 * c0 * gam * dgam
         if omega != 0.0:
             dpu += 2.0 * omega * dgam / gam**3
@@ -407,7 +413,10 @@ class Extension:
         """Observables over flat extended vectors, for drift reports.
 
         Complex-valued integrals are split into real and imaginary
-        parts so every observable is real.
+        parts so every observable is real.  The two parts share one
+        evaluation of K: the last vector asked about, by its bytes, and
+        its K are kept, so a report that asks for both at each state
+        evaluates K once there.
         """
         ham = self.system.hamiltonian
         to_state = ExtendedState.from_vector
@@ -416,8 +425,16 @@ class Extension:
             "L": lambda vec: ham.value(vec[2:]),
         }
         if self.seed.field.codomain == "complex":
-            out["K_re"] = lambda vec: complex(self.integral(to_state(vec))).real
-            out["K_im"] = lambda vec: complex(self.integral(to_state(vec))).imag
+            last = [None, None]  # the last vector's bytes and its K
+
+            def k_at(vec) -> complex:
+                key = np.asarray(vec, dtype=float).tobytes()
+                if key != last[0]:
+                    last[:] = key, complex(self.integral(to_state(vec)))
+                return last[1]
+
+            out["K_re"] = lambda vec: k_at(vec).real
+            out["K_im"] = lambda vec: k_at(vec).imag
         else:
             out["K"] = lambda vec: float(self.integral(to_state(vec)))
         return out

@@ -854,8 +854,12 @@ class ScalarField:
             self._kernel = (fn, kernel)
         if kernel:
             try:
-                # the recording held the result to _sized
-                return self._finite_jet(xs, *self._run(xs, kernel, xs))
+                # the recording held the result to _sized; _finite_jet runs
+                # only for a plain number's None gradient or to name a fault
+                value, grad = self._run(xs, kernel, xs)
+                if grad is not None and cmath.isfinite(value) and all(map(cmath.isfinite, grad)):
+                    return value, grad
+                return self._finite_jet(xs, value, grad)
             except (_GuardFailed, TypeError):
                 # a decision went the other way, or a comparison met a
                 # complex value: this call and every later one run on jets

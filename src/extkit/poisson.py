@@ -14,11 +14,9 @@ operator is assembled exactly from second jets:
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain
-from operator import add, ge
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -80,21 +78,30 @@ class PoissonStructure:
     def _check_antisym(self, rows: list) -> list:
         """``rows``, entry values nested by row, once they are ``dim`` rows of
         ``dim`` and every |m + m^T| is within the tolerance scaled by
-        max(1, max |m|).  A NaN entry fails: its sum is NaN, which no bound
-        holds, where ``max`` would drop it.  An infinite entry fails: it makes
-        the bound infinite, which none is."""
+        max(1, max |m|), in one pass over the pairs i <= j.  A NaN or
+        infinite entry fails: its sum with its transpose is NaN or infinite,
+        which the running total keeps where a comparison would drop it."""
         d = self.dim
         try:
-            flat = list(chain.from_iterable(rows))
-            cols = list(zip(*rows))  # zip stops at the shortest row
+            if len(rows) != d or set(map(len, rows)) != {d}:
+                raise self._shape_error(rows)
         except TypeError:  # a row that is no sequence, such as one flat row
             raise self._shape_error(rows) from None
-        if len(rows) != d or len(flat) != d * d or len(cols) != d:
-            raise self._shape_error(rows)
-        bound = _ANTISYM_TOL * max(1.0, max(map(abs, flat)))
-        transposed = chain.from_iterable(cols)
-        if bound == math.inf or not all(map(partial(ge, bound),
-                                            map(abs, map(add, flat, transposed)))):
+        big = 1.0
+        worst = total = 0.0
+        for i, row in enumerate(rows):
+            for j in range(i, d):
+                a, b = row[j], rows[j][i]
+                s = abs(a + b)
+                total += s
+                if s > worst:
+                    worst = s
+                a, b = abs(a), abs(b)
+                if a > big:
+                    big = a
+                if b > big:
+                    big = b
+        if not (total < math.inf and worst <= _ANTISYM_TOL * big):
             raise ValueError(
                 f"bivector {self.label or ''} is not antisymmetric within {_ANTISYM_TOL:g}"
             )
@@ -152,6 +159,11 @@ class PoissonStructure:
         For a finite real gradient this is numpy's ``matrix(xs) @ grad``
         bit for bit: a row with one nonzero entry p at column j reads
         0.0 + p grad[j], and any other bivector goes through that product.
+        An entry rule keeps numpy's ``@`` rather than a Python sum: numpy
+        may round a row's dot product with fused multiply-adds (it does
+        for euler_top's 3 x 3 on x86-64 hosts), which a Python sum of
+        products does not reproduce, and flows compared against the
+        ndarray reference would drift apart in the last bits.
         """
         sparse = self._sparse
         if sparse is not None:
@@ -199,10 +211,53 @@ def ham_field(system: HamiltonianSystem, x) -> tuple[Any, list]:
     return lval, system.structure.contract(xs, grad)
 
 
+def _plain_field(system: HamiltonianSystem) -> Callable[[list], tuple | None]:
+    """``field(xs) -> (L, pi grad L)`` at a list of ``dim`` floats, from L's
+    compiled kernel and one contraction, the flows' fast path.
+
+    It answers None where :func:`ham_field` must: before L's kernel is
+    compiled or once ``fn`` was reassigned, on the singular set, where the
+    kernel raises (a failed guard, a division by zero, a wrong length), and
+    where the value or a gradient entry is not finite.  ``ham_field`` then
+    gives the value or raises its error, so no check is written twice.
+    Where it answers, the numbers are ``ham_field``'s bit for bit: the
+    kernel is what ``value_grad`` runs, and the contraction is
+    :meth:`PoissonStructure.contract`'s.
+    """
+    ham = system.hamiltonian
+    structure = system.structure
+    sparse = structure._sparse
+    isfinite = cmath.isfinite
+
+    def plain(xs: list):
+        fn, kernel = ham._kernel
+        try:
+            if not kernel or fn is not ham.fn or (ham.singular is not None
+                                                  and ham.singular(xs, 0.0)):
+                return None
+            lval, grad = kernel(xs)
+            if not (isfinite(lval) and grad is not None and all(map(isfinite, grad))):
+                return None
+        except Exception:  # ham_field raises it again, or maps it to its own error
+            return None
+        if sparse is not None:
+            return lval, [0.0 + p * grad[j] for j, p in sparse]
+        return lval, structure.contract(xs, grad)
+
+    return plain
+
+
 def base_flow(system: HamiltonianSystem) -> Callable[[Sequence[float]], list]:
     """Right-hand side ``x -> pi grad L`` for integrators: any float
-    sequence in, a list out."""
-    return lambda x: ham_field(system, x)[1]
+    sequence in, a list out.  A list goes by :func:`_plain_field` where
+    that answers, and every other point through :func:`ham_field`."""
+    plain = _plain_field(system)
+
+    def rhs(x):
+        out = plain(x) if type(x) is list else None
+        return (ham_field(system, x) if out is None else out)[1]
+
+    return rhs
 
 
 def bracket(structure: PoissonStructure, f: ScalarField, g: ScalarField, x):

@@ -30,14 +30,21 @@ class PoleError(EvaluationError):
     """Evaluation landed on a pole of T_kappa or of the Riccati solution."""
 
 
-def _sc(kappa: float, x: float) -> tuple[float, float]:
+def _tag(kappa: float) -> tuple | None:
+    """(sqrt |kappa|, sine, cosine) of the curvature ``kappa``: circular for
+    kappa > 0, hyperbolic for kappa < 0, and None for kappa = 0."""
     if kappa > 0.0:
-        r = math.sqrt(kappa)
-        return math.sin(r * x) / r, math.cos(r * x)
+        return math.sqrt(kappa), math.sin, math.cos
     if kappa < 0.0:
-        r = math.sqrt(-kappa)
-        return math.sinh(r * x) / r, math.cosh(r * x)
-    return x, 1.0
+        return math.sqrt(-kappa), math.sinh, math.cosh
+    return None
+
+
+def _sc(tag: tuple | None, x: float) -> tuple[float, float]:
+    if tag is None:
+        return x, 1.0
+    r, sin, cos = tag
+    return sin(r * x) / r, cos(r * x)
 
 
 def tagged_trig(kappa: float, x: float) -> tuple[float, float, float]:
@@ -45,7 +52,7 @@ def tagged_trig(kappa: float, x: float) -> tuple[float, float, float]:
 
     Raises :class:`PoleError` when ``x`` sits on a pole of T_kappa.
     """
-    s, c = _sc(kappa, x)
+    s, c = _sc(_tag(kappa), x)
     if abs(c) <= _POLE_TOL:
         raise PoleError(f"T_{kappa:g} has a pole at x = {x!r}")
     return s, c, s / c
@@ -64,6 +71,8 @@ class RiccatiParams:
             raise ValueError("Riccati coefficients c and C must not both vanish")
         for name in ("c", "C", "offset"):
             _real(getattr(self, name), f"Riccati parameter {name}")
+        # the curvature's tag, formed once here rather than on every evaluation
+        object.__setattr__(self, "_tag", None if self.c == 0.0 else _tag(self.kappa))
 
     @property
     def kappa(self) -> float:
@@ -77,12 +86,20 @@ def riccati_eval(params: RiccatiParams, u: float) -> tuple[float, float, float]:
 
     Returns ``(y, y', y'')`` with ``y'' = -2 c y y'`` (differentiate the
     equation once; C is constant).  Near a pole of the solution, points
-    within ``1e-12`` of the pole raise :class:`PoleError`.
+    within ``1e-12`` of the pole raise :class:`PoleError`.  The flows call
+    it at every stage, so it reads the curvature's tag (:func:`_tag`) from
+    ``params``, where it was formed once, and computes S and C inline, with
+    :func:`_sc`'s operations in its order.
     """
     du = u - params.offset
     if params.c == 0.0:
         return -params.C * du, -params.C, 0.0
-    s, c = _sc(params.kappa, params.c * du)
+    x = params.c * du
+    if params._tag is None:
+        s, c = x, 1.0
+    else:
+        r, sin, cos = params._tag
+        s, c = sin(r * x) / r, cos(r * x)
     if abs(s) <= _POLE_TOL:
         raise PoleError(f"Riccati solution has a pole at u = {params.offset!r}"
                         f" (+ period); got u = {u!r}")

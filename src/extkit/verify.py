@@ -251,7 +251,8 @@ class Trajectory:
 
 
 def _components(v, d: int) -> list:
-    """A right-hand side's output as a list of ``d`` numbers."""
+    """A right-hand side's output as a list of ``d`` numbers.  The steppers
+    call it only for an output that is not already a list of ``d``."""
     if type(v) is not list:
         v = np.asarray(v).tolist()
     if type(v) is not list or len(v) != d:
@@ -264,10 +265,18 @@ def _rk4_step(rhs, y: list, h: float) -> list:
     # y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) on arrays
     d = len(y)
     a = 0.5 * h
-    k1 = _components(rhs(y), d)
-    k2 = _components(rhs([yi + a * k for yi, k in zip(y, k1)]), d)
-    k3 = _components(rhs([yi + a * k for yi, k in zip(y, k2)]), d)
-    k4 = _components(rhs([yi + h * k for yi, k in zip(y, k3)]), d)
+    k1 = rhs(y)
+    if type(k1) is not list or len(k1) != d:
+        k1 = _components(k1, d)
+    k2 = rhs([yi + a * k for yi, k in zip(y, k1)])
+    if type(k2) is not list or len(k2) != d:
+        k2 = _components(k2, d)
+    k3 = rhs([yi + a * k for yi, k in zip(y, k2)])
+    if type(k3) is not list or len(k3) != d:
+        k3 = _components(k3, d)
+    k4 = rhs([yi + h * k for yi, k in zip(y, k3)])
+    if type(k4) is not list or len(k4) != d:
+        k4 = _components(k4, d)
     b = h / 6.0
     return [yi + b * (((p + 2.0 * q) + 2.0 * r) + s)
             for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]
@@ -383,11 +392,14 @@ def _integrate_rkf45(rhs, y0: list, t_final, dt, tol, dt_min, dt_max) -> Traject
         # each component as numpy evaluates the stages on arrays: the first
         # y + (h * a0) * k1, each later one by _fehlberg_sum
         try:
-            ks = [_components(rhs(y), d)]
             c = h * _FB[0][0]
-            ks.append(_components(rhs([yi + c * k for yi, k in zip(y, ks[0])]), d))
-            for row in _FB[1:]:
-                ks.append(_components(rhs(_fehlberg_sum(y, h, row, ks)), d))
+            ks = []
+            for i in range(6):
+                k = rhs(y if i == 0 else [yi + c * ki for yi, ki in zip(y, ks[0])] if i == 1
+                        else _fehlberg_sum(y, h, _FB[i - 1], ks))
+                if type(k) is not list or len(k) != d:
+                    k = _components(k, d)
+                ks.append(k)
         except EvaluationError as e:
             truncated, reason = True, f"flow evaluation failed at t = {t:.6g}: {e}"
             break

@@ -360,7 +360,7 @@ Q1_INITIAL = {"u": 0.6, "p_u": 0.4, "base": [0.9, -0.7]}
 @pytest.mark.parametrize("argv, doc, key", [
     (["check-pde"], {"system": "quartic1", "sampling": {"count": None}}, "count"),
     (["extend"], {"system": "quartic1", "extension": {**Q1_EXTENSION, "c": [1]},
-                  "initial_state": Q1_INITIAL}, "'c'"),
+                  "initial_state": Q1_INITIAL}, "error: c must be a finite real number"),
     (["check-pde"], {"system": "quartic1", "sampling": {"intervals": 5}}, "intervals"),
     (["integrate", "--base-only", "--t-final", "0.01"],
      {"system": "lotka_volterra", "initial_state": {"base": 3}}, "base"),

@@ -233,3 +233,62 @@ def test_a_sample_below_the_cloud_threshold_goes_point_by_point(count, calls, mo
     assert len(per_point) == count
     assert sorted(calls["jet2"]) == sorted(
         [built.system.hamiltonian.label, built.seed.field.label] * count)
+
+
+@pytest.mark.parametrize("key, make, state", [
+    ("quartic1", lambda b: ek.build_extension(
+        b.system, b.seed, ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=3, n=2)).flow(),
+     [0.6, 0.4, 0.9, -0.7]),
+    ("square_polar", lambda b: ek.build_extension(
+        b.system, b.seed, ek.ExtensionParams(c=1.0, c0=0.0, C=1.0, m=1, n=1)).flow(),
+     [0.6, 0.4, 1.0, 0.5, 0.3, -0.2]),
+    ("lotka_volterra", lambda b: ek.base_flow(b.system), [1.2, 0.8]),
+], ids=["quartic1-extended-rhs", "square_polar-extended-rhs", "lotka_volterra-base-flow"])
+def test_a_warm_list_state_call_runs_the_kernel_alone(key, make, state, calls):
+    # a list state goes straight to L's compiled kernel: no value_grad, no jets
+    built = ek.instantiate(key)
+    rhs = make(built)
+    rhs(list(state))
+    rhs([v * 1.01 for v in state])  # the jet path, then the recording
+    ham = built.system.hamiltonian
+    fn, kernel = ham._kernel
+    assert callable(kernel)
+    kernel_calls = []
+
+    def counted(xs):
+        kernel_calls.append(xs)
+        return kernel(xs)
+
+    ham._kernel = (fn, counted)
+    for name in ("value_grad", "jet1", "jet2", "value"):
+        calls[name].clear()
+    calls["riccati_eval"] = 0
+    out = rhs([v * 0.99 for v in state])
+    assert type(out) is list and np.all(np.isfinite(out))
+    assert len(kernel_calls) == 1
+    assert calls["riccati_eval"] == (0 if key == "lotka_volterra" else 1)
+    assert calls["value_grad"] == calls["jet1"] == calls["jet2"] == calls["value"] == []
+
+
+def test_a_complex_k_is_evaluated_once_per_state(monkeypatch):
+    # K_re and K_im of vortex_opposite read one evaluation of K at each state
+    built = ek.instantiate("vortex_opposite")
+    ext = ek.build_extension(built.system, built.seed,
+                             ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1))
+    evaluated = []
+    from_pair = extension._integral_from_pair
+
+    def counted(*args):
+        evaluated.append(args)
+        return from_pair(*args)
+
+    monkeypatch.setattr(extension, "_integral_from_pair", counted)
+    traj = ek.integrate(ext.flow(), [0.7, 0.3, 0.8, -0.4, 0.5, 0.9], 0.05, dt=1e-2)
+    obs = ext.conserved_quantities()
+    assert {"K_re", "K_im"} <= set(obs)
+    rep = ek.conservation_report(traj, obs)
+    assert len(evaluated) == len(traj.states) == len(rep.series["K_re"])
+    # the parts are those of K itself
+    k = [complex(ext.integral(ek.ExtendedState.from_vector(v))) for v in traj.states]
+    assert rep.series["K_re"].tolist() == [z.real for z in k]
+    assert rep.series["K_im"].tolist() == [z.imag for z in k]

@@ -179,8 +179,10 @@ CONFIG_KEYS = [
 
 @pytest.mark.parametrize("argv, doc, needle", [
     pytest.param(argv, {**Q1, **rest, section: {**rest.get(section, {}), key: value}},
-                 # a real is read where it is picked, an integer by the library's own check
-                 f"{key} must be an integer" if rule == "integer" else f"for '{key}'",
+                 # a real is read where it is picked, an integer by the library's own check;
+                 # both errors name the key once, as the number rule words them
+                 f"{key} must be an integer" if rule == "integer"
+                 else f"error: {key} must be a finite real number, got {value!r}\n",
                  id=f"{key}-{value!r}")
     for key, section, argv, rest, rule in CONFIG_KEYS for value in BAD[rule]])
 def test_the_cli_reads_config_numbers_by_the_rule(argv, doc, needle, tmp_path, capsys,
@@ -287,8 +289,25 @@ def test_an_int_too_large_for_a_float_is_not_a_finite_real(tmp_path, capsys):
     report = tmp_path / "r.json"
     code = cli.main([*INTEGRATE, "--config", str(cfg), "--report", str(report)])
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error: bad value") and err.count("\n") == 1
-    assert "for 'dt': value must be a finite real number" in err and not report.exists()
+    assert code == 2 and err == f"error: dt must be a finite real number, got {huge}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("section, key", [("integration", "dt"), ("integration", "tol"),
+                                          ("integration", "t_final"), ("extension", "omega"),
+                                          ("initial_state", "p_u")])
+@pytest.mark.parametrize("value", [math.nan, 10**400], ids=["nan", "int-too-large"])
+def test_a_refused_config_number_is_named_once(section, key, value, tmp_path, capsys):
+    # the line once read "bad value nan for 'dt': value must be ..., got nan",
+    # and printed a 401-digit integer twice
+    doc = {**Q1, **Q1_RUN}
+    doc[section] = {**doc.get(section, {}), key: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = cli.main(["integrate", "--config", str(cfg)])  # refused before it integrates
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"error: {key} must be a finite real number, got {value!r}\n"
+    assert err.count(repr(value)) == 1
 
 
 def test_integrate_refuses_a_bad_stride_before_it_integrates(tmp_path, capsys, monkeypatch):
