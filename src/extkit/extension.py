@@ -144,38 +144,13 @@ class ExtendedState:
 
 
 class DerivPair:
-    """A function value paired with its image under a fixed derivation.
-
-    Sums and Leibniz products keep both slots consistent, so polynomial
-    expressions in pairs carry exact first derivatives.
-    """
+    """A function value paired with its image under a fixed derivation."""
 
     __slots__ = ("value", "xl")
 
     def __init__(self, value, xl):
         self.value = value
         self.xl = xl
-
-    def __add__(self, o):
-        if isinstance(o, DerivPair):
-            return DerivPair(self.value + o.value, self.xl + o.xl)
-        return NotImplemented
-
-    def __mul__(self, o):
-        if isinstance(o, DerivPair):
-            return DerivPair(self.value * o.value, self.xl * o.value + self.value * o.xl)
-        if isinstance(o, (int, float, complex)):
-            return DerivPair(self.value * o, self.xl * o)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        _integer(n, "DerivPair power", 0)
-        out = DerivPair(1.0, 0.0)
-        for _ in range(n):
-            out = out * self
-        return out
 
 
 def seed_pair(system: HamiltonianSystem, seed_field: ScalarField, x) -> tuple[DerivPair, float]:
@@ -216,7 +191,7 @@ def _recursion_chain(n_max: int, pair: DerivPair, lam) -> list:
 
 
 def _pair_powers(value, xl, count: int) -> list:
-    # (value, xl) ** j for j < count, multiplied out as DerivPair.__pow__ does
+    # (value, xl) ** j for j < count, each a Leibniz product with (value, xl)
     out = [(1.0, 0.0)]
     for _ in range(count - 1):
         pv, px = out[-1]
@@ -227,8 +202,9 @@ def _pair_powers(value, xl, count: int) -> list:
 def _closed_chain(n_max: int, pair: DerivPair, lam) -> list:
     """G_1 ... G_{n_max} in closed form, from one table of powers.
 
-    Each term is formed with the operations, in the order, of the
-    DerivPair expression comb * (-2 lam)^k * pair**(2k+1) * xg**(n-2k-1).
+    Each term is formed with the operations, in the order, of the pair
+    expression comb * (-2 lam)^k * pair**(2k+1) * xg**(n-2k-1), with
+    Leibniz products and the powers of :func:`_pair_powers`.
     """
     w = -2.0 * lam
     g_pow = _pair_powers(pair.value, pair.xl, n_max + 1)
@@ -239,7 +215,7 @@ def _closed_chain(n_max: int, pair: DerivPair, lam) -> list:
         for k in range((n - 1) // 2 + 1):
             s = comb(n, 2 * k + 1) * w_pow[k]
             if isinstance(s, np.generic):
-                # numpy multiplies a DerivPair in its object loop, by s as a Python number
+                # as numpy's object loop, which hands a pair the factor as a Python number
                 s = s.item()
             gv, gx = g_pow[2 * k + 1]
             gv, gx = gv * s, gx * s
@@ -287,6 +263,11 @@ def power_coeffs(m: int, n: int, r: int, p_u: float, gam: float, lam) -> tuple:
     _integer(r, "operator power r", 0)
     if r > m:
         raise ValueError(f"operator power r = {r} exceeds the first index m = {m}")
+    return _cofactors(m, n, r, p_u, gam, lam)
+
+
+def _cofactors(m: int, n: int, r: int, p_u, gam, lam) -> tuple:
+    # power_coeffs with indices that are already known to be good
     kg = m * gam / n
     w = -2.0 * lam
     p_total = 0.0
@@ -326,53 +307,75 @@ def extended_flow(system: HamiltonianSystem, params: ExtensionParams
     return rhs
 
 
-def _integral_from_pair(params: ExtensionParams, pair: DerivPair, lval, u: float, p_u: float):
-    """The characteristic first integral K, from the seed pair (G, X_L G)
-    and the value of L at the base point, and from (u, p_u).
+def _chain_indices(params: ExtensionParams) -> tuple[int, int]:
+    """(s, r): K is built on the chain member G_r, with r = n for omega = 0,
+    and (s, r) = (m/2, n) for even m and (m, 2n) for odd m otherwise."""
+    if params.omega != 0.0 and params.m % 2:
+        return params.m, 2 * params.n
+    return params.m // 2, params.n
+
+
+def _integral_from_parts(params: ExtensionParams, chain: DerivPair, lam, gam, p_u):
+    """The characteristic first integral K from its two parts: the chain
+    member (G_r, X_L G_r) and lam = c L + c0, which depend on the base
+    point only, and the profile value gam = y(u) and p_u.
 
     For omega = 0 this is U_{m,n}^m (G_n).  For omega != 0 the even-index
     combination sum_j binom(s,j) (2 omega/y^2)^j U_{2s,r}^{2(s-j)} (G_r)
-    is used, with (s, r) = (m/2, n) for even m and (m, 2n) for odd m.
+    is used (see :func:`_chain_indices`).
     """
-    lam = params.c * lval + params.c0
-    gam, _, _ = profile_at(params, u)
     if params.omega == 0.0:
-        chain = recursion_term_closed(params.n, pair, lam)
-        p_c, d_c = power_coeffs(params.m, params.n, params.m, p_u, gam, lam)
+        p_c, d_c = _cofactors(params.m, params.n, params.m, p_u, gam, lam)
         return p_c * chain.value + d_c * chain.xl
-    if params.m % 2 == 0:
-        s, r = params.m // 2, params.n
-    else:
-        s, r = params.m, 2 * params.n
-    chain = recursion_term_closed(r, pair, lam)
+    s, r = _chain_indices(params)
     w = 2.0 * params.omega / gam**2
     total = 0.0
     for j in range(s + 1):
-        p_c, d_c = power_coeffs(2 * s, r, 2 * (s - j), p_u, gam, lam)
+        p_c, d_c = _cofactors(2 * s, r, 2 * (s - j), p_u, gam, lam)
         total = total + comb(s, j) * w**j * (p_c * chain.value + d_c * chain.xl)
     return total
 
 
-# At least 2d + 1 = 9, the distinct base points of one finite-difference
-# stencil on the largest catalog base (d = 4), and far below the hundreds
-# of base points one sampled gate visits.
+def _vector_parts(vec) -> tuple[float, float, np.ndarray]:
+    """(u, p_u, base coordinates) of a flat extended vector."""
+    vec = np.asarray(vec, dtype=float)
+    return float(vec[0]), float(vec[1]), vec[2:]
+
+
+# Entries kept by each memo of an Extension, the oldest dropped first:
+# base points with their chain member and lam, and, for a complex K, whole
+# vectors with their K.  At least 2 (d + 2) = 12, the points of one
+# central-difference stencil over (u, p_u, x) on the largest catalog base
+# (d = 4), which hold 2d + 1 = 9 distinct base points; and far below the
+# hundreds of points one sampled gate visits.
 SEED_PAIR_MEMO_SIZE = 32
+
+
+def _keep(memo: dict, key, value):
+    """``value``, stored under ``key`` after the oldest entry is dropped
+    from a full ``memo``."""
+    if len(memo) >= SEED_PAIR_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)
 class Extension:
     """A built extension: system, seed and constants, ready to evaluate.
 
-    K depends on the base point only through :func:`seed_pair`'s
-    (G, X_L G) and the value of L.  :meth:`integral` keeps these for the
-    last :data:`SEED_PAIR_MEMO_SIZE` distinct base points it was asked
-    about, keyed by the exact bytes of the base coordinates, and drops
-    the oldest first.  The bound covers the repeats within one
-    finite-difference stencil (u and p_u steps keep the base point, and
-    the real and imaginary parts of a complex K ask twice) but not a
-    repeated pass over a point cloud.  An evaluation error is not kept.
-    The instance is frozen, so the kept pairs cannot outlive the system
-    and seed they came from.
+    K is evaluated in two parts (:func:`_integral_from_parts`).  The base
+    point fixes the chain member (G_r, X_L G_r), formed from
+    :func:`seed_pair`'s (G, X_L G) by :func:`recursion_term_closed`, and
+    lam = c L + c0.  These are kept for the last
+    :data:`SEED_PAIR_MEMO_SIZE` distinct base points, keyed by the exact
+    bytes of the base coordinates.  (u, p_u) then costs one profile value
+    and the cofactor sums.  So a finite-difference stencil builds the
+    chain once per distinct base point: its u and p_u steps keep the base
+    point.  The bound covers one stencil but not a repeated pass over a
+    point cloud.  An evaluation error is not kept.  The instance is
+    frozen, so the kept parts cannot outlive the system and seed they
+    came from.
     """
 
     system: HamiltonianSystem
@@ -380,28 +383,39 @@ class Extension:
     params: ExtensionParams
     _seed_pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def hamiltonian(self, state: ExtendedState) -> float:
-        """H = p_u^2/2 - k^2 y' L + k^2 c0 y^2 + omega / y^2 at ``state``."""
+    def _base_part(self, base: np.ndarray) -> tuple[DerivPair, float]:
+        """The chain member (G_r, X_L G_r) and lam = c L + c0 at ``base``."""
+        key = base.tobytes()
+        hit = self._seed_pairs.get(key)
+        if hit is None:
+            params = self.params
+            pair, lval = seed_pair(self.system, self.seed.field, base)
+            lam = params.c * lval + params.c0
+            hit = _keep(self._seed_pairs, key,
+                        (recursion_term_closed(_chain_indices(params)[1], pair, lam), lam))
+        return hit
+
+    def _integral_at(self, u: float, p_u: float, base: np.ndarray):
+        chain, lam = self._base_part(base)
+        return _integral_from_parts(self.params, chain, lam, profile_at(self.params, u)[0], p_u)
+
+    def _hamiltonian_at(self, u: float, p_u: float, base: np.ndarray) -> float:
         params = self.params
-        gam, dgam, _ = profile_at(params, state.u)
-        lval = self.system.hamiltonian.value(state.base)
+        gam, dgam, _ = profile_at(params, u)
+        lval = self.system.hamiltonian.value(base)
         k2 = params.k**2
-        h = 0.5 * state.p_u**2 - k2 * dgam * lval + k2 * params.c0 * gam * gam
+        h = 0.5 * p_u**2 - k2 * dgam * lval + k2 * params.c0 * gam * gam
         if params.omega != 0.0:
             h += params.omega / gam**2
         return h
 
+    def hamiltonian(self, state: ExtendedState) -> float:
+        """H = p_u^2/2 - k^2 y' L + k^2 c0 y^2 + omega / y^2 at ``state``."""
+        return self._hamiltonian_at(state.u, state.p_u, state.base)
+
     def integral(self, state: ExtendedState):
-        """K at ``state``; see :func:`_integral_from_pair`."""
-        memo = self._seed_pairs
-        key = state.base.tobytes()
-        hit = memo.get(key)
-        if hit is None:
-            hit = seed_pair(self.system, self.seed.field, state.base)
-            if len(memo) >= SEED_PAIR_MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[key] = hit
-        return _integral_from_pair(self.params, *hit, state.u, state.p_u)
+        """K at ``state``; see :func:`_integral_from_parts`."""
+        return self._integral_at(state.u, state.p_u, state.base)
 
     def flow(self) -> Callable[[np.ndarray], np.ndarray]:
         return extended_flow(self.system, self.params)
@@ -412,31 +426,33 @@ class Extension:
     def conserved_quantities(self) -> dict[str, Callable[[np.ndarray], float]]:
         """Observables over flat extended vectors, for drift reports.
 
-        Complex-valued integrals are split into real and imaginary
-        parts so every observable is real.  The two parts share one
-        evaluation of K: the last vector asked about, by its bytes, and
-        its K are kept, so a report that asks for both at each state
-        evaluates K once there.
+        Each reads (u, p_u, base) from the vector, with the numbers of
+        :meth:`hamiltonian` and :meth:`integral`.  Complex-valued integrals
+        are split into real and imaginary parts so every observable is
+        real.  The two parts share one evaluation of K: the last
+        :data:`SEED_PAIR_MEMO_SIZE` vectors asked about, by their bytes,
+        and their K are kept, so the imaginary part's finite-difference
+        stencil reads the values of the real part's.
         """
         ham = self.system.hamiltonian
-        to_state = ExtendedState.from_vector
         out: dict[str, Callable[[np.ndarray], float]] = {
-            "H": lambda vec: self.hamiltonian(to_state(vec)),
+            "H": lambda vec: self._hamiltonian_at(*_vector_parts(vec)),
             "L": lambda vec: ham.value(vec[2:]),
         }
         if self.seed.field.codomain == "complex":
-            last = [None, None]  # the last vector's bytes and its K
+            kept: dict = {}
 
             def k_at(vec) -> complex:
                 key = np.asarray(vec, dtype=float).tobytes()
-                if key != last[0]:
-                    last[:] = key, complex(self.integral(to_state(vec)))
-                return last[1]
+                k = kept.get(key)
+                if k is None:
+                    k = _keep(kept, key, complex(self._integral_at(*_vector_parts(vec))))
+                return k
 
             out["K_re"] = lambda vec: k_at(vec).real
             out["K_im"] = lambda vec: k_at(vec).imag
         else:
-            out["K"] = lambda vec: float(self.integral(to_state(vec)))
+            out["K"] = lambda vec: float(self._integral_at(*_vector_parts(vec)))
         return out
 
 

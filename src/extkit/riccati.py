@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .jets import EvaluationError, _real
+from .jets import EvaluationError, NonFiniteError, _real
 
 __all__ = ["PoleError", "tagged_trig", "RiccatiParams", "riccati_eval"]
 
@@ -86,7 +86,9 @@ def riccati_eval(params: RiccatiParams, u: float) -> tuple[float, float, float]:
 
     Returns ``(y, y', y'')`` with ``y'' = -2 c y y'`` (differentiate the
     equation once; C is constant).  Near a pole of the solution, points
-    within ``1e-12`` of the pole raise :class:`PoleError`.  The flows call
+    within ``1e-12`` of the pole raise :class:`PoleError`, and a hyperbolic
+    profile so far out in u that sinh and cosh overflow raises
+    :class:`~extkit.jets.NonFiniteError`.  The flows call
     it at every stage, so it reads the curvature's tag (:func:`_tag`) from
     ``params``, where it was formed once, and computes S and C inline, with
     :func:`_sc`'s operations in its order.
@@ -99,7 +101,12 @@ def riccati_eval(params: RiccatiParams, u: float) -> tuple[float, float, float]:
         s, c = x, 1.0
     else:
         r, sin, cos = params._tag
-        s, c = sin(r * x) / r, cos(r * x)
+        try:
+            s, c = sin(r * x) / r, cos(r * x)
+        except OverflowError:
+            # sinh and cosh pass the largest float once |r x| exceeds about 710
+            raise NonFiniteError(f"Riccati solution overflows at u = {u!r}: "
+                                 f"sinh and cosh of {r * x!r}") from None
     if abs(s) <= _POLE_TOL:
         raise PoleError(f"Riccati solution has a pole at u = {params.offset!r}"
                         f" (+ period); got u = {u!r}")

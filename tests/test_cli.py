@@ -512,3 +512,14 @@ def test_a_function_spec_reads_its_numbers_by_the_rule(spec, needle, capsys):
                           "--param", f"f={json.dumps(spec)}"], capsys)
     assert_one_line_error(code, err, "parameter 'f' of entry 'quartic1'", needle)
     assert out == ""
+
+
+def test_integrate_truncates_where_the_profile_overflows(capsys):
+    # a hyperbolic profile far out in u: the run truncates and names u, no traceback
+    code, out, _ = run(["integrate", "--system", "quartic2a", "--c", "1", "--c0", "1",
+                        "--C", "-0.5", "--m", "1", "--n", "1", "--state", "1.0,0.0,1.0,-2.0",
+                        "--method", "rkf45", "--t-final", "0.2"], capsys)
+    assert code == 1
+    metrics = json.loads(out)["metrics"]
+    assert metrics["truncated"] is True
+    assert "Riccati solution overflows at u = " in metrics["truncation_reason"]

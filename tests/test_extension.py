@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 import extkit as ek
 from extkit.extension import (
-    DerivPair,
     _closed_chain,
     _recursion_chain,
     recursion_term,
     recursion_term_closed,
     seed_pair,
 )
+from reference import Pair, integral_from_pair
 
 
 def const_level_system(value=3.0):
@@ -82,8 +83,8 @@ def test_profile_at_degenerate_pair():
 
 
 def test_deriv_pair_leibniz():
-    a = DerivPair(2.0, 3.0)
-    b = DerivPair(-1.0, 4.0)
+    a = Pair(2.0, 3.0)
+    b = Pair(-1.0, 4.0)
     prod = a * b
     assert prod.value == -2.0
     assert prod.xl == 2.0 * 4.0 + 3.0 * (-1.0)
@@ -93,7 +94,7 @@ def test_deriv_pair_leibniz():
 
 def test_chain_elements_low_orders():
     g, w, lam = 0.7, -1.3, 0.4
-    pair = DerivPair(g, w)
+    pair = Pair(g, w)
     g2 = recursion_term(2, pair, lam)
     assert abs(g2.value - 2 * g * w) < 1e-14
     g3 = recursion_term(3, pair, lam)
@@ -107,7 +108,7 @@ def test_chain_recursion_matches_closed_form():
     for _ in range(100):
         g, w = rng.uniform(-2, 2, 2)
         lam = rng.uniform(-2, 2)
-        pair = DerivPair(g, w)
+        pair = Pair(g, w)
         for n in range(1, 9):
             a = recursion_term(n, pair, lam)
             b = recursion_term_closed(n, pair, lam)
@@ -125,7 +126,7 @@ def test_chain_defining_identity():
     h = 1e-6
 
     def gn(gv, wv, n):
-        return recursion_term_closed(n, DerivPair(gv, wv), lam).value
+        return recursion_term_closed(n, Pair(gv, wv), lam).value
 
     for n in (2, 3, 5):
         # advance (g, w) along the flow to second order in s
@@ -156,9 +157,9 @@ def test_power_coeffs_order_cap():
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: recursion_term(True, DerivPair(0.5, 0.3), 0.2), "chain index n"),
-    (lambda: recursion_term_closed(True, DerivPair(0.5, 0.3), 0.2), "chain index n"),
-    (lambda: recursion_term(2.0, DerivPair(0.5, 0.3), 0.2), "chain index n"),
+    (lambda: recursion_term(True, Pair(0.5, 0.3), 0.2), "chain index n"),
+    (lambda: recursion_term_closed(True, Pair(0.5, 0.3), 0.2), "chain index n"),
+    (lambda: recursion_term(2.0, Pair(0.5, 0.3), 0.2), "chain index n"),
     (lambda: ek.power_coeffs(True, 1, 1, 0.5, 0.3, 0.2), "chain index m"),
     (lambda: ek.power_coeffs(1, True, 1, 0.5, 0.3, 0.2), "chain index n"),
     (lambda: ek.power_coeffs(1, 1, True, 0.5, 0.3, 0.2), "operator power r"),
@@ -292,10 +293,10 @@ def test_cofactor_split_reassembles_shift_power(m, n):
     lam, p_u, gam = rng.uniform(-1.0, 1.0, 3)
     P, D = ek.power_coeffs(m, n, m, p_u, gam, lam)
     coef = m / n ** 2
-    cur = DerivPair(g, w)
+    cur = Pair(g, w)
     for _ in range(m):
         # U = p_u + coef gamma X, with X(value)=xl, X(xl) = -2 n^2 lam value
-        cur = DerivPair(p_u * cur.value + coef * gam * cur.xl,
+        cur = Pair(p_u * cur.value + coef * gam * cur.xl,
                         p_u * cur.xl + coef * gam * (-2 * n * n * lam) * cur.value)
     assembled = P * g + D * w
     assert abs(assembled - cur.value) <= 1e-10 * max(1.0, abs(cur.value))
@@ -315,23 +316,33 @@ BRACKET_CASES = [
 
 @pytest.mark.parametrize("key, consts, mn", BRACKET_CASES)
 def test_kept_seed_pairs_change_no_bit_of_k(key, consts, mn, monkeypatch):
-    # every K the bracket stencil asks for, K_re and K_im included, equals
-    # the original Extension.integral on a fresh instance, so with nothing
-    # kept, at the same state bit for bit
+    # every K the bracket stencil evaluates, and every value K_re and K_im
+    # return, equals K on a fresh instance, so with nothing kept, at the same
+    # point bit for bit; a stencil evaluates K once at each of its points
     built = ek.instantiate(key)
     params = ek.ExtensionParams(m=mn[0], n=mn[1], **consts)
     ext = ek.build_extension(built.system, built.seed, params)
     seen = []
-    integral = ek.Extension.integral
+    integral_at = ek.Extension._integral_at
 
-    def recorded(self, state):
-        out = integral(self, state)
-        seen.append((state, out))
+    def recorded(self, u, p_u, base):
+        out = integral_at(self, u, p_u, base)
+        seen.append(((u, p_u, base.copy()), out))
         return out
 
-    monkeypatch.setattr(ek.Extension, "integral", recorded)
+    monkeypatch.setattr(ek.Extension, "_integral_at", recorded)
     obs = ext.conserved_quantities()
-    ks = [obs[name] for name in obs if name.startswith("K")]
+    asked = []
+
+    def asking(name):
+        def k(vec):
+            out = obs[name](vec)
+            asked.append((name, vec, out))
+            return out
+
+        return k
+
+    ks = [asking(name) for name in obs if name.startswith("K")]
     structure = ext.structure()
     spec = ek.SampleSpec(((0.3, 1.2), (-1.0, 1.0)) + ek.get_entry(key).default_box,
                          count=4, seed=17, margin=0.1)
@@ -340,11 +351,18 @@ def test_kept_seed_pairs_change_no_bit_of_k(key, consts, mn, monkeypatch):
     for vec in ek.sample_points(spec, pred):
         for k in ks:
             ek.fd_bracket_normalized(structure, obs["H"], k, vec)
-    assert len(seen) == 4 * len(ks) * 2 * len(vec)
-    assert len({state.base.tobytes() for state, _ in seen}) < len(seen)
-    for state, got in seen:
-        want = integral(ek.Extension(built.system, built.seed, params), state)
-        assert type(got) is type(want) and got == want, (key, state.vector().tolist())
+    assert len(seen) == 4 * 2 * len(vec)
+    assert len(asked) == 4 * len(ks) * 2 * len(vec)
+    assert len({base.tobytes() for (_, _, base), _ in seen}) < len(seen)
+    for (u, p_u, base), got in seen:
+        fresh = ek.Extension(built.system, built.seed, params)
+        want = integral_at(fresh, u, p_u, base)
+        assert type(got) is type(want) and got == want, (key, u, p_u, base.tolist())
+    for name, vec, got in asked:
+        fresh = ek.Extension(built.system, built.seed, params)
+        z = fresh.integral(ek.ExtendedState.from_vector(vec))
+        want = {"K": float(z), "K_re": complex(z).real, "K_im": complex(z).imag}[name]
+        assert type(got) is type(want) and got == want, (key, name, vec.tolist())
 
 
 def test_failed_seed_pair_is_not_kept():
@@ -396,7 +414,7 @@ def ref_stream_mul(a: list, b: list) -> list:
     return out
 
 
-def ref_recursion_term(n: int, pair: DerivPair, lam) -> DerivPair:
+def ref_recursion_term(n: int, pair: Pair, lam) -> Pair:
     w = -2.0 * lam
     g_ext = []
     for i in range(n + 2):
@@ -409,11 +427,12 @@ def ref_recursion_term(n: int, pair: DerivPair, lam) -> DerivPair:
         a = ref_stream_mul(xg_stream, cur)
         b = ref_stream_mul(g_stream, cur[1:])
         cur = [a[k] + b[k] / i for k in range(len(b))]
-    return DerivPair(cur[0], cur[1])
+    return Pair(cur[0], cur[1])
 
 
-def ref_recursion_term_closed(n: int, pair: DerivPair, lam) -> DerivPair:
-    xg = DerivPair(pair.xl, -2.0 * lam * pair.value)
+def ref_recursion_term_closed(n: int, pair: Pair, lam) -> Pair:
+    pair = Pair(pair.value, pair.xl)
+    xg = Pair(pair.xl, -2.0 * lam * pair.value)
     total = None
     for k in range((n - 1) // 2 + 1):
         term = comb(n, 2 * k + 1) * (-2.0 * lam) ** k * pair ** (2 * k + 1) * xg ** (n - 2 * k - 1)
@@ -421,9 +440,10 @@ def ref_recursion_term_closed(n: int, pair: DerivPair, lam) -> DerivPair:
     return total
 
 
-def reversed_closed_chain(n_max: int, pair: DerivPair, lam) -> list:
+def reversed_closed_chain(n_max: int, pair: Pair, lam) -> list:
     # negative control: the closed form with its terms summed from the last k
-    xg = DerivPair(pair.xl, -2.0 * lam * pair.value)
+    pair = Pair(pair.value, pair.xl)
+    xg = Pair(pair.xl, -2.0 * lam * pair.value)
     chain = []
     for n in range(1, n_max + 1):
         total = None
@@ -439,7 +459,7 @@ def same_bits(x, y) -> bool:
     return type(x) is type(y) and x == y and repr(x) == repr(y)
 
 
-def chain_mismatches(chain_fn, ref_fn, n_max: int, pair: DerivPair, lam) -> list:
+def chain_mismatches(chain_fn, ref_fn, n_max: int, pair: Pair, lam) -> list:
     """Indices n where member n of ``chain_fn``'s chain differs from ``ref_fn(n)``."""
     chain = chain_fn(n_max, pair, lam)
     assert len(chain) == n_max
@@ -462,7 +482,7 @@ _numbers = st.one_of(_reals, st.builds(complex, _reals, _reals), _reals.map(np.f
 def test_chains_equal_the_per_index_algorithms_bit_for_bit(g, xg, lam, n_max):
     # real, complex and np.float64 entries, mixed freely, so that numpy scalars
     # meet Python numbers as in Extension.integral
-    pair = DerivPair(g, xg)
+    pair = Pair(g, xg)
     assert chain_mismatches(_recursion_chain, ref_recursion_term, n_max, pair, lam) == []
     assert chain_mismatches(_closed_chain, ref_recursion_term_closed, n_max, pair, lam) == []
 
@@ -471,7 +491,7 @@ def test_a_closed_form_summed_in_reverse_fails_the_bit_check():
     rng = np.random.default_rng(4)
     changed = 0
     for g, xg, lam in rng.uniform(-2.0, 2.0, size=(200, 3)).tolist():
-        pair = DerivPair(g, xg)
+        pair = Pair(g, xg)
         assert chain_mismatches(_closed_chain, ref_recursion_term_closed, 8, pair, lam) == []
         changed += len(chain_mismatches(reversed_closed_chain, ref_recursion_term_closed,
                                         8, pair, lam))
@@ -492,7 +512,7 @@ def ref_recursion_closed_sweep(n_max, count_real, count_complex, seed) -> dict:
     for n in range(1, n_max + 1):
         worst = 0.0
         for g, xg, lam in triples:
-            pair = DerivPair(g, xg)
+            pair = Pair(g, xg)
             a = ref_recursion_term(n, pair, lam)
             b = ref_recursion_term_closed(n, pair, lam)
             worst = max(worst, ek.verify._rel(a.value, b.value), ek.verify._rel(a.xl, b.xl))
@@ -515,3 +535,125 @@ def test_recursion_sweep_with_a_reversed_closed_form_differs(monkeypatch):
     monkeypatch.setattr(ek.verify, "_closed_chain", reversed_closed_chain)
     ref = ref_recursion_closed_sweep(8, 200, 50, 7)
     assert sweep_reprs(ek.recursion_closed_sweep(8, 200, 50, 7)) != sweep_reprs(ref)
+
+
+# K by parts against the one-pass reference (tests/reference.py): a real and a
+# complex seed, each under all four profile regimes.  Extension is built
+# directly, so (c, c0) need not be the seed's pair: the comparison is of the
+# arithmetic, which holds for any constants.
+PART_SEEDS = {"real": "quartic1", "complex": "vortex_opposite"}
+PART_REGIMES = {
+    "c=0": dict(c=0.0, C=1.0),
+    "kappa>0": dict(c=1.0, C=1.0),
+    "kappa<0": dict(c=1.0, C=-1.0),
+    "C=0": dict(c=1.0, C=0.0),
+}
+
+
+def stencil(vec, h=ek.verify.FD_STEP):
+    # the points of fd_gradient's central-difference stencil, in its order
+    points = []
+    for i in range(len(vec)):
+        for step in (h, -h):
+            p = vec.copy()
+            p[i] += step
+            points.append(p)
+    return points
+
+
+def evaluated(fn, *args):
+    try:
+        return fn(*args)
+    except ek.EvaluationError as e:
+        return type(e)
+
+
+def k_mismatches(ext, visits) -> list:
+    """The (name, point) visits whose K differs from the reference in type or value.
+
+    Each visit asks an observable (K, K_re or K_im) or ``integral`` of an
+    ExtendedState; the reference forms K at the point from nothing kept.
+    """
+    obs = ext.conserved_quantities()
+    bad = []
+    for name, p in visits:
+        if name == "integral":
+            got = evaluated(ext.integral, ek.ExtendedState.from_vector(p))
+        else:
+            got = evaluated(obs[name], p)
+        base = p[2:].copy()
+        want = evaluated(lambda: integral_from_pair(
+            ext.params, *seed_pair(ext.system, ext.seed.field, base), float(p[0]), float(p[1])))
+        if not isinstance(want, type):
+            want = {"integral": lambda z: z, "K": float, "K_re": lambda z: complex(z).real,
+                    "K_im": lambda z: complex(z).imag}[name](want)
+        if not (type(got) is type(want) and got == want):
+            bad.append((name, p.tolist()))
+    return bad
+
+
+def part_case(kind, regime, m, n, omega, offset):
+    built = ek.instantiate(PART_SEEDS[kind])
+    params = ek.ExtensionParams(c0=0.5, m=m, n=n, omega=omega, offset=offset,
+                                **PART_REGIMES[regime])
+    return built, ek.Extension(built.system, built.seed, params)
+
+
+def part_visits(kind, built, ext, seed, centres, shuffle):
+    names = ["K_re", "K_im"] if kind == "complex" else ["K"]
+    names.append("integral")
+    centre_points = conftest.sample_extended(PART_SEEDS[kind], centres, seed, margin=0.1,
+                                             system=built)
+    visits = [(name, p) for c in centre_points for p in stencil(c) for name in names]
+    visits += visits  # a second pass reads what the first one kept
+    if shuffle:
+        np.random.default_rng(seed).shuffle(visits)
+    return visits
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(PART_SEEDS)), st.sampled_from(sorted(PART_REGIMES)),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.25]),
+       st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=3),
+       st.booleans())
+def test_k_by_parts_is_the_reference_bit_for_bit(kind, regime, m, n, omega, offset, seed,
+                                                 centres, shuffle):
+    # up to three stencils (36 points on vortex_opposite) overflow the kept vectors,
+    # so kept base parts and vectors are dropped and formed again on the way
+    built, ext = part_case(kind, regime, m, n, omega, offset)
+    assert k_mismatches(ext, part_visits(kind, built, ext, seed, centres, shuffle)) == []
+
+
+def stale_lam(self, base):
+    # a faulty base part: the chain at this base point, but lam kept from the
+    # first base point this instance saw (under a key no base point has)
+    first = self._seed_pairs.setdefault("first lam", [])
+    pair, lval = seed_pair(self.system, self.seed.field, base)
+    if not first:
+        first.append(self.params.c * lval + self.params.c0)
+    r = ek.extension._chain_indices(self.params)[1]
+    return recursion_term_closed(r, pair, first[0]), first[0]
+
+
+def keyed_on_first_coordinate(self, base):
+    # a faulty base part: kept by the first base coordinate alone
+    memo = self._seed_pairs
+    key = base[:1].tobytes()
+    if key not in memo:
+        pair, lval = seed_pair(self.system, self.seed.field, base)
+        lam = self.params.c * lval + self.params.c0
+        memo[key] = recursion_term_closed(ek.extension._chain_indices(self.params)[1],
+                                          pair, lam), lam
+    return memo[key]
+
+
+@pytest.mark.parametrize("faulty", [stale_lam, keyed_on_first_coordinate])
+@pytest.mark.parametrize("kind", sorted(PART_SEEDS))
+def test_a_base_part_kept_wrongly_fails_the_bit_check(faulty, kind, monkeypatch):
+    built, ext = part_case(kind, "kappa>0", 3, 2, 0.0, 0.25)
+    visits = part_visits(kind, built, ext, 5, 2, False)
+    assert k_mismatches(ext, visits) == []
+    monkeypatch.setattr(ek.Extension, "_base_part", faulty)
+    built, ext = part_case(kind, "kappa>0", 3, 2, 0.0, 0.25)
+    assert k_mismatches(ext, visits) != []

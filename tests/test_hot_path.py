@@ -117,12 +117,15 @@ def test_entry_rule_bivector_calls_its_rule_once(key, state, calls):
     assert calls["jet1"] == [] and calls["jet2"] == []
 
 
-@pytest.mark.parametrize("key, consts, state, per_field", [
+BRACKET_STATES = [
     # 2 d + 1 distinct base points in a stencil over (u, p_u, x), d = dim x
     ("vortex_opposite", dict(c=0.0, c0=0.5, C=1.0, m=1, n=1),
      [0.7, 0.3, 0.8, -0.4, 0.5, 0.9], 9),
     ("quartic1", dict(c=1.0, c0=1.0, C=1.0, m=1, n=1), [0.6, 0.4, 0.9, -0.7], 5),
-])
+]
+
+
+@pytest.mark.parametrize("key, consts, state, per_field", BRACKET_STATES)
 def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_field, calls):
     # the u and p_u steps keep the base point, and K_im asks where K_re did
     built = ek.instantiate(key)
@@ -138,6 +141,63 @@ def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_
     ham, seed = built.system.hamiltonian.label, built.seed.field.label
     assert calls["value_grad"].count(ham) == calls["value_grad"].count(seed) == per_field
     assert len(calls["value_grad"]) == 2 * per_field and calls["jet2"] == []
+
+
+def bracket_counts(key, consts, state, monkeypatch) -> dict:
+    """Chain members built, (p_u, y) parts evaluated and ExtendedStates made
+    by the bracket of H with each part of K at one state."""
+    built = ek.instantiate(key)
+    ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
+    obs = ext.conserved_quantities()
+    seen = {"chain": 0, "parts": 0, "states": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            seen[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(extension, "recursion_term_closed",
+                        counting("chain", extension.recursion_term_closed))
+    monkeypatch.setattr(extension, "_integral_from_parts",
+                        counting("parts", extension._integral_from_parts))
+    monkeypatch.setattr(extension.ExtendedState, "__post_init__",
+                        counting("states", extension.ExtendedState.__post_init__))
+    for name in obs:
+        if name.startswith("K"):
+            ek.fd_bracket_normalized(ext.structure(), obs["H"], obs[name], np.array(state))
+    return seen
+
+
+@pytest.mark.parametrize("key, consts, state, bases", BRACKET_STATES)
+def test_one_bracket_state_builds_each_chain_once_and_k_once_per_point(
+        key, consts, state, bases, monkeypatch):
+    # K_re and K_im of a complex K share the stencil's 2 (d + 2) points
+    seen = bracket_counts(key, consts, state, monkeypatch)
+    assert seen == {"chain": bases, "parts": 2 * len(state), "states": 0}
+
+
+@pytest.mark.parametrize("key, consts, state, bases", BRACKET_STATES)
+def test_a_base_part_kept_per_vector_fails_the_count(key, consts, state, bases, monkeypatch):
+    # negative control: keyed on the whole vector, the base part is built at
+    # every stencil point, though the u and p_u steps keep the base point
+    kept = {}
+
+    def keyed_on_vector(self, u, p_u, base):
+        key = np.concatenate(([u, p_u], base)).tobytes()
+        if key not in kept:
+            pair, lval = extension.seed_pair(self.system, self.seed.field, base)
+            lam = self.params.c * lval + self.params.c0
+            r = extension._chain_indices(self.params)[1]
+            kept[key] = extension.recursion_term_closed(r, pair, lam), lam
+        chain, lam = kept[key]
+        gam = ek.profile_at(self.params, u)[0]
+        return extension._integral_from_parts(self.params, chain, lam, gam, p_u)
+
+    monkeypatch.setattr(ek.Extension, "_integral_at", keyed_on_vector)
+    seen = bracket_counts(key, consts, state, monkeypatch)
+    assert seen["chain"] == 2 * len(state) > bases
 
 
 @pytest.mark.parametrize("key, run", [
@@ -276,13 +336,13 @@ def test_a_complex_k_is_evaluated_once_per_state(monkeypatch):
     ext = ek.build_extension(built.system, built.seed,
                              ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1))
     evaluated = []
-    from_pair = extension._integral_from_pair
+    from_parts = extension._integral_from_parts
 
     def counted(*args):
         evaluated.append(args)
-        return from_pair(*args)
+        return from_parts(*args)
 
-    monkeypatch.setattr(extension, "_integral_from_pair", counted)
+    monkeypatch.setattr(extension, "_integral_from_parts", counted)
     traj = ek.integrate(ext.flow(), [0.7, 0.3, 0.8, -0.4, 0.5, 0.9], 0.05, dt=1e-2)
     obs = ext.conserved_quantities()
     assert {"K_re", "K_im"} <= set(obs)

@@ -1,5 +1,6 @@
 """Profile equation y' + c y^2 + C = 0 and the tagged trig helpers."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,3 +135,26 @@ def test_kappa_property():
     assert ek.RiccatiParams(2.0, 1.0).kappa == 0.5
     with pytest.raises(ValueError):
         _ = ek.RiccatiParams(0.0, 1.0).kappa
+
+
+@pytest.mark.parametrize("c, C, u", [(1.0, -0.5, 2000.0), (-1.0, 0.5, -1500.0),
+                                     (1.0, -1.0, 1e300)])
+def test_a_hyperbolic_profile_that_overflows_raises_a_typed_error(c, C, u):
+    # sinh and cosh overflow once |sqrt(-kappa) c (u - offset)| passes about 710,
+    # and stay finite below it
+    params = ek.RiccatiParams(c, C)
+    with pytest.raises(ek.NonFiniteError,
+                       match=f"^Riccati solution overflows at u = {re.escape(repr(u))}:"):
+        ek.riccati_eval(params, u)
+    assert all(map(math.isfinite, ek.riccati_eval(params, 700.0 / math.sqrt(-C / c) / c)))
+
+
+def test_an_overflowing_profile_truncates_an_integration():
+    # rkf45 runs u out along p_u until the profile overflows
+    built = ek.instantiate("quartic2a")
+    ext = ek.build_extension(built.system, built.seed,
+                             ek.ExtensionParams(c=1.0, c0=1.0, C=-0.5, m=1, n=1))
+    traj = ek.integrate(ext.flow(), [1.0, 0.0, 1.0, -2.0], 0.2, method="rkf45")
+    assert traj.truncated
+    assert re.fullmatch(r"flow evaluation failed at t = \S+: Riccati solution overflows "
+                        r"at u = \S+: sinh and cosh of \S+", traj.reason)
