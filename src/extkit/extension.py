@@ -29,8 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import ScalarField, _integer, _real
-from .poisson import (HamiltonianSystem, PoissonStructure, _plain_field, extend_structure,
-                      ham_field)
+from .poisson import HamiltonianSystem, PoissonStructure, extend_structure, ham_field
 from .riccati import _POLE_TOL, PoleError, RiccatiParams, riccati_eval
 
 __all__ = [
@@ -285,19 +284,16 @@ def extended_flow(system: HamiltonianSystem, params: ExtensionParams
 
     Acts on flat vectors (u, p_u, x), any float sequence, and returns a
     list; the base block is the rescaled base field -k^2 y'(u) pi grad L.
-    A list state takes its base block from the base system's
-    :func:`~extkit.poisson._plain_field` where that answers, and
-    :func:`ham_field` gives every other one and raises the errors.
+    Every state takes L and pi grad L from :func:`ham_field` at ``vec[2:]``
+    and the profile from :func:`profile_at`, which raise the errors.
     """
     k2 = params.k**2
     c0 = params.c0
     omega = params.omega
-    plain = _plain_field(system)
 
     def rhs(vec: Sequence[float]) -> list:
         gam, dgam, ddgam = profile_at(params, float(vec[0]))
-        out = plain(vec[2:]) if type(vec) is list else None
-        lval, v = ham_field(system, vec[2:]) if out is None else out
+        lval, v = ham_field(system, vec[2:])
         dpu = k2 * ddgam * lval - 2.0 * k2 * c0 * gam * dgam
         if omega != 0.0:
             dpu += 2.0 * omega * dgam / gam**3

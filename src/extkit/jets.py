@@ -813,10 +813,13 @@ class ScalarField:
     def _run(self, xs: list, fn, args: list):
         try:
             return fn(args)
-        except ZeroDivisionError:
-            raise NonFiniteError(f"{self.label or 'field'} divides by zero at {xs}") from None
-        except OverflowError:
-            raise NonFiniteError(f"{self.label or 'field'} overflows at {xs}") from None
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise self._non_finite(xs, exc) from None
+
+    def _non_finite(self, xs: list, exc: ArithmeticError) -> NonFiniteError:
+        """The error for a division by zero or an overflow ``exc`` at ``xs``."""
+        how = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows"
+        return NonFiniteError(f"{self.label or 'field'} {how} at {xs}")
 
     def _finite(self, xs: list, v):
         """``v`` itself if it is a finite number, else :class:`NonFiniteError`."""
@@ -842,10 +845,14 @@ class ScalarField:
         The one first-order entry point: ``xs`` is a list of ``dim``
         floats, taken as it is.  From the second call on it runs the
         compiled kernel while the field has one (see the module notes).
+        Every first-order request comes here, the flows' once per
+        right-hand side, so the kernel runs inline: the singular test,
+        the call and the finiteness test add no frame while they pass.
         """
         if len(xs) != self.dim:
             raise self._dim_error((len(xs),))
-        self._on_chart(xs)
+        if self.singular is not None and self.singular(xs, 0.0):
+            self._on_chart(xs)
         fn, kernel = self._kernel
         if fn is not self.fn:
             fn, kernel = self._kernel = (self.fn, None)
@@ -854,16 +861,20 @@ class ScalarField:
             self._kernel = (fn, kernel)
         if kernel:
             try:
-                # the recording held the result to _sized; _finite_jet runs
-                # only for a plain number's None gradient or to name a fault
-                value, grad = self._run(xs, kernel, xs)
-                if grad is not None and cmath.isfinite(value) and all(map(cmath.isfinite, grad)):
+                # the recording held the result to _sized.  A sum of finite
+                # numbers may overflow but a sum with a NaN or an infinity is
+                # never finite, so _finite_jet runs for a plain number's None
+                # gradient, to name a fault, or to clear an overflowing sum
+                value, grad = kernel(xs)
+                if grad is not None and cmath.isfinite(value + sum(grad)):
                     return value, grad
                 return self._finite_jet(xs, value, grad)
             except (_GuardFailed, TypeError):
                 # a decision went the other way, or a comparison met a
                 # complex value: this call and every later one run on jets
                 self._kernel = (fn, False)
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise self._non_finite(xs, exc) from None
         return self._result(xs, self._run(xs, fn, _seeds(xs)), False)[:2]
 
     def jet1(self, x) -> Jet:

@@ -14,7 +14,6 @@ operator is assembled exactly from second jets:
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -200,10 +199,14 @@ class HamiltonianSystem:
 
 
 def ham_field(system: HamiltonianSystem, x) -> tuple[Any, list]:
-    """L's value at ``x`` and the Hamiltonian vector field pi grad L there.
+    """L's value at ``x`` and the Hamiltonian vector field pi grad L there,
+    the one way every caller gets them.
 
     ``x`` is a list of floats, taken as it is, or any other coordinate
-    sequence; the field comes back as a list.
+    sequence, turned into one; the field comes back as a list.  L's value
+    and gradient come from :meth:`ScalarField.value_grad` (its compiled
+    kernel once warm), which raises every evaluation error, and the field
+    from :meth:`PoissonStructure.contract`.
     """
     ham = system.hamiltonian
     xs = x if type(x) is list else ham._coords(x)
@@ -211,51 +214,12 @@ def ham_field(system: HamiltonianSystem, x) -> tuple[Any, list]:
     return lval, system.structure.contract(xs, grad)
 
 
-def _plain_field(system: HamiltonianSystem) -> Callable[[list], tuple | None]:
-    """``field(xs) -> (L, pi grad L)`` at a list of ``dim`` floats, from L's
-    compiled kernel and one contraction, the flows' fast path.
-
-    It answers None where :func:`ham_field` must: before L's kernel is
-    compiled or once ``fn`` was reassigned, on the singular set, where the
-    kernel raises (a failed guard, a division by zero, a wrong length), and
-    where the value or a gradient entry is not finite.  ``ham_field`` then
-    gives the value or raises its error, so no check is written twice.
-    Where it answers, the numbers are ``ham_field``'s bit for bit: the
-    kernel is what ``value_grad`` runs, and the contraction is
-    :meth:`PoissonStructure.contract`'s.
-    """
-    ham = system.hamiltonian
-    structure = system.structure
-    sparse = structure._sparse
-    isfinite = cmath.isfinite
-
-    def plain(xs: list):
-        fn, kernel = ham._kernel
-        try:
-            if not kernel or fn is not ham.fn or (ham.singular is not None
-                                                  and ham.singular(xs, 0.0)):
-                return None
-            lval, grad = kernel(xs)
-            if not (isfinite(lval) and grad is not None and all(map(isfinite, grad))):
-                return None
-        except Exception:  # ham_field raises it again, or maps it to its own error
-            return None
-        if sparse is not None:
-            return lval, [0.0 + p * grad[j] for j, p in sparse]
-        return lval, structure.contract(xs, grad)
-
-    return plain
-
-
 def base_flow(system: HamiltonianSystem) -> Callable[[Sequence[float]], list]:
     """Right-hand side ``x -> pi grad L`` for integrators: any float
-    sequence in, a list out.  A list goes by :func:`_plain_field` where
-    that answers, and every other point through :func:`ham_field`."""
-    plain = _plain_field(system)
+    sequence in, a list out, by :func:`ham_field`."""
 
     def rhs(x):
-        out = plain(x) if type(x) is list else None
-        return (ham_field(system, x) if out is None else out)[1]
+        return ham_field(system, x)[1]
 
     return rhs
 

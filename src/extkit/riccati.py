@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 from .jets import EvaluationError, NonFiniteError, _real
 
-__all__ = ["PoleError", "tagged_trig", "RiccatiParams", "riccati_eval"]
+__all__ = ["PoleError", "RiccatiParams", "riccati_eval"]
 
 # Distance below which a trig denominator counts as an exact pole.
 _POLE_TOL = 1e-12
 
 
 class PoleError(EvaluationError):
-    """Evaluation landed on a pole of T_kappa or of the Riccati solution."""
+    """Evaluation landed on a pole of the Riccati solution or of omega / y^2."""
 
 
 def _tag(kappa: float) -> tuple | None:
@@ -38,24 +38,6 @@ def _tag(kappa: float) -> tuple | None:
     if kappa < 0.0:
         return math.sqrt(-kappa), math.sinh, math.cosh
     return None
-
-
-def _sc(tag: tuple | None, x: float) -> tuple[float, float]:
-    if tag is None:
-        return x, 1.0
-    r, sin, cos = tag
-    return sin(r * x) / r, cos(r * x)
-
-
-def tagged_trig(kappa: float, x: float) -> tuple[float, float, float]:
-    """S_kappa, C_kappa and T_kappa at ``x``.
-
-    Raises :class:`PoleError` when ``x`` sits on a pole of T_kappa.
-    """
-    s, c = _sc(_tag(kappa), x)
-    if abs(c) <= _POLE_TOL:
-        raise PoleError(f"T_{kappa:g} has a pole at x = {x!r}")
-    return s, c, s / c
 
 
 @dataclass(frozen=True)
@@ -90,8 +72,7 @@ def riccati_eval(params: RiccatiParams, u: float) -> tuple[float, float, float]:
     profile so far out in u that sinh and cosh overflow raises
     :class:`~extkit.jets.NonFiniteError`.  The flows call
     it at every stage, so it reads the curvature's tag (:func:`_tag`) from
-    ``params``, where it was formed once, and computes S and C inline, with
-    :func:`_sc`'s operations in its order.
+    ``params``, where it was formed once, and computes S and C inline.
     """
     du = u - params.offset
     if params.c == 0.0:

@@ -523,3 +523,37 @@ def test_integrate_truncates_where_the_profile_overflows(capsys):
     metrics = json.loads(out)["metrics"]
     assert metrics["truncated"] is True
     assert "Riccati solution overflows at u = " in metrics["truncation_reason"]
+
+
+# Inputs a command cannot start from: a config file that is missing, not JSON,
+# not an object or holds a section that is no object; a --param without "=";
+# no --system; an entry without the local seed check-kn needs; extension
+# flags with no initial state.  Each is a one-line config error.
+@pytest.mark.parametrize("argv, text, needle", [
+    (["check-pde", "--system", "quartic1"], None, "cannot read config file"),
+    (["check-pde", "--system", "quartic1"], "{not json", "config file is not valid JSON"),
+    (["check-pde", "--system", "quartic1"], "[1, 2]", "config document must be a JSON object"),
+    (["check-pde", "--system", "quartic1"], '{"sampling": 3}',
+     "config section 'sampling' must be an object"),
+    (["check-pde", "--system", "quartic1", "--param", "C1"], "",
+     "--param needs NAME=VALUE, got 'C1'"),
+    (["check-pde"], "", "--system is required"),
+    (["check-kn", "--system", "quartic1"], "",
+     "entry 'quartic1' serves no elliptic-integral local seed"),
+    (["integrate", *Q1_EXTEND_FLAGS], "",
+     "an initial state is required (--state, or config 'initial_state' keys "
+     "['u', 'p_u', 'base'])"),
+], ids=["config-missing", "config-not-json", "config-array", "config-section-not-object",
+        "param-without-equals", "no-system", "check-kn-without-local-seed",
+        "integrate-without-state"])
+def test_an_input_a_command_cannot_start_from_is_a_config_error(argv, text, needle, tmp_path,
+                                                                 capsys):
+    if text != "":
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        argv = [*argv, "--config", str(cfg)]
+    report = tmp_path / "r.json"
+    code, out, err = run([*argv, "--report", str(report)], capsys)
+    assert_one_line_error(code, err, needle)
+    assert out == "" and not report.exists()

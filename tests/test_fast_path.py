@@ -1,13 +1,17 @@
-"""The flows' plain-point fast path against the general way.
+"""The flows on a list state against the same flows on an ndarray state.
 
-On a list state, ``base_flow`` and ``extended_flow`` run L's compiled kernel
-and the bivector contraction directly (``poisson._plain_field``).  Every
-other state, and every point that field refers back, goes through
-``ham_field`` and ``profile_at``.  These tests hold a list-state call to
-the same right-hand side called on ``np.array(state)``, which always takes
-the general way: the same values bit for bit, or the same error class and
-message.
+``base_flow`` and ``extended_flow`` take L and pi grad L from ``ham_field``
+at every state, through ``ScalarField.value_grad`` and its compiled kernel.
+A state comes in as one of two input types: a list of floats, taken as it
+is, or any other sequence, which ``ScalarField._coords`` turns into one.
+These tests hold a list-state call to the same right-hand side called on
+``np.array(state)``: the same values bit for bit, or the same error class
+and message, also where the kernel cannot answer (no kernel yet, a
+reassigned ``fn``, the singular set, a failed guard, a kernel that raises,
+a non-finite value or gradient).
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -131,7 +135,7 @@ BUILT = {key: ek.instantiate(key) for key in ek.entry_ids()}
 
 
 def general(rhs):
-    """``rhs`` forced the general way: it sees an ndarray state."""
+    """``rhs`` on an ndarray state."""
     return lambda y: rhs(np.array(y))
 
 
@@ -168,23 +172,20 @@ def test_fast_and_general_trajectories_agree_bit_for_bit(key, method, t_final, d
         assert run(rhs, y0, t_final, method) == run(general(rhs), y0, t_final, method)
 
 
-def test_the_parity_check_sees_a_fast_path_off_by_one_rounding(monkeypatch):
-    # negative control: a fast path whose field is one rounding off
-    from extkit import poisson
+def test_the_parity_checks_see_an_ndarray_state_off_by_one_ulp(monkeypatch):
+    # negative control: only the ndarray side goes through _coords, here one
+    # ulp up in every coordinate.  One call shows it at once; a trajectory
+    # shows it where the change survives the step's rounding of the state,
+    # which it does not on every entry (quartic1's rk4 run keeps every bit)
+    coords = jets.ScalarField._coords
 
-    plain = poisson._plain_field
+    def off(self, x):
+        return [math.nextafter(v, math.inf) for v in coords(self, x)]
 
-    def perturbed(system):
-        field = plain(system)
-
-        def off(xs):
-            out = field(xs)
-            return None if out is None else (out[0], [w * (1.0 + 2.0**-52) for w in out[1]])
-
-        return off
-
-    monkeypatch.setattr(poisson, "_plain_field", perturbed)
-    system = BUILT["quartic1"].system
-    rhs = ek.base_flow(system)
-    y0 = [0.9, -0.7]
-    assert run(rhs, y0, 0.05) != run(general(rhs), y0, 0.05)
+    monkeypatch.setattr(jets.ScalarField, "_coords", off)
+    rhs = ek.base_flow(BUILT["quartic1"].system)
+    assert outcome(lambda: rhs([0.9, -0.7])) != outcome(lambda: rhs(np.array([0.9, -0.7])))
+    for key, method, t_final in [("square_polar", "rk4", 0.05), ("lotka_volterra", "rkf45", 0.2)]:
+        rhs = ek.base_flow(BUILT[key].system)
+        y0 = [(lo + hi) / 2 + 0.01 for lo, hi in ek.get_entry(key).default_box]
+        assert run(rhs, y0, t_final, method) != run(general(rhs), y0, t_final, method)

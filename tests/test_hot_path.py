@@ -304,8 +304,9 @@ def test_a_sample_below_the_cloud_threshold_goes_point_by_point(count, calls, mo
      [0.6, 0.4, 1.0, 0.5, 0.3, -0.2]),
     ("lotka_volterra", lambda b: ek.base_flow(b.system), [1.2, 0.8]),
 ], ids=["quartic1-extended-rhs", "square_polar-extended-rhs", "lotka_volterra-base-flow"])
-def test_a_warm_list_state_call_runs_the_kernel_alone(key, make, state, calls):
-    # a list state goes straight to L's compiled kernel: no value_grad, no jets
+def test_a_warm_list_state_call_runs_the_kernel_alone(key, make, state, calls, monkeypatch):
+    # a list state takes the one first-order path: one value_grad call, which
+    # runs L's compiled kernel once, and no jet is built
     built = ek.instantiate(key)
     rhs = make(built)
     rhs(list(state))
@@ -320,14 +321,22 @@ def test_a_warm_list_state_call_runs_the_kernel_alone(key, make, state, calls):
         return kernel(xs)
 
     ham._kernel = (fn, counted)
+    grads = []
+    init = jets.Jet.__init__
+
+    def counted_init(self, value, grad, hess=None):
+        grads.append(type(grad))
+        init(self, value, grad, hess)
+
+    monkeypatch.setattr(jets.Jet, "__init__", counted_init)
     for name in ("value_grad", "jet1", "jet2", "value"):
         calls[name].clear()
     calls["riccati_eval"] = 0
     out = rhs([v * 0.99 for v in state])
     assert type(out) is list and np.all(np.isfinite(out))
-    assert len(kernel_calls) == 1
+    assert calls["value_grad"] == [ham.label] and len(kernel_calls) == 1
     assert calls["riccati_eval"] == (0 if key == "lotka_volterra" else 1)
-    assert calls["value_grad"] == calls["jet1"] == calls["jet2"] == calls["value"] == []
+    assert calls["jet1"] == calls["jet2"] == calls["value"] == [] and grads == []
 
 
 def test_a_complex_k_is_evaluated_once_per_state(monkeypatch):

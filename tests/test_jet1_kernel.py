@@ -132,6 +132,19 @@ def test_kernel_raises_what_the_jet_path_raises(label, points, raised):
         f.jet1(points[-1])
 
 
+def test_a_finite_result_whose_entries_sum_past_the_largest_float_is_kept():
+    # value_grad first tests the sum of the value and gradient entries, which
+    # overflows here though every entry is finite: the entries are then tested
+    # one by one, and the result stands
+    field = ek.ScalarField(lambda co: 1e308 * co[0] + 1e308 * co[1], 2, label="wide")
+    points = [[0.5, -0.5], [0.25, -0.25], [0.75, -0.75], [0.9, 0.9]]
+    f = assert_parity(field, [np.array(p) for p in points])
+    assert callable(f._kernel[1])
+    assert f.value_grad([0.5, -0.5]) == (0.0, (1e308, 1e308))
+    with pytest.raises(ek.NonFiniteError, match="wide overflows"):
+        f.value_grad([0.9, 0.9])
+
+
 def test_log_at_zero_raises_from_the_kernel():
     f = assert_parity(ek.ScalarField(lambda co: jets.log(co[0]) * co[1], 2, label="lg"),
                       [[0.5, 2.0], [0.25, 3.0], [0.0, 1.0], [0.75, 1.0]])

@@ -28,43 +28,6 @@ WINDOWS = {
 }
 
 
-def test_tagged_trig_flat():
-    s, c, t = ek.tagged_trig(0.0, 1.7)
-    assert (s, c, t) == (1.7, 1.0, 1.7)
-
-
-def test_tagged_trig_round():
-    s, c, t = ek.tagged_trig(1.0, 0.4)
-    assert abs(s - math.sin(0.4)) < 1e-15
-    assert abs(c - math.cos(0.4)) < 1e-15
-    assert abs(t - math.tan(0.4)) < 1e-15
-
-
-def test_tagged_trig_hyperbolic_scaled():
-    # kappa = -4 rescales the argument by 2
-    s, c, t = ek.tagged_trig(-4.0, 0.3)
-    assert abs(s - math.sinh(0.6) / 2) < 1e-15
-    assert abs(c - math.cosh(0.6)) < 1e-15
-    assert abs(t - math.tanh(0.6) / 2) < 1e-15
-
-
-def test_tagged_trig_pythagorean_identity():
-    rng = np.random.default_rng(101)
-    for _ in range(200):
-        kappa = rng.uniform(-4.0, 4.0)
-        x = rng.uniform(-1.2, 1.2)
-        try:
-            s, c, _ = ek.tagged_trig(kappa, x)
-        except ek.PoleError:
-            continue
-        assert abs(c * c + kappa * s * s - 1.0) < 1e-12
-
-
-def test_tagged_trig_pole_raises():
-    with pytest.raises(ek.PoleError):
-        ek.tagged_trig(1.0, math.pi / 2)
-
-
 def test_profile_linear_case():
     y, yp, ypp = ek.riccati_eval(ek.RiccatiParams(0.0, 2.0), 3.0)
     assert (y, yp, ypp) == (-6.0, -2.0, 0.0)

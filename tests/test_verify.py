@@ -294,6 +294,28 @@ def test_sample_spec_refuses_a_bool_margin_and_takes_numpy_integers():
     assert len(ek.sample_points(spec)) == 3
 
 
+@pytest.mark.parametrize("intervals, needle", [
+    (((1.0, 0.0),), "bad sampling interval (1.0, 0.0)"),
+    (((0.0, 1.0), (0.5, 0.5)), "bad sampling interval (0.5, 0.5)"),
+    ((), "sampling needs at least one interval"),
+])
+def test_sample_spec_refuses_an_empty_or_reversed_interval(intervals, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        ek.SampleSpec(intervals, 5, 1)
+
+
+def test_integrate_refuses_an_unknown_method_before_any_step():
+    calls = []
+
+    def rhs(y):
+        calls.append(1)
+        return harmonic_rhs(y)
+
+    with pytest.raises(ValueError, match="unknown integration method 'rk5'"):
+        ek.integrate(rhs, np.array([1.0, 0.0]), 1.0, method="rk5")
+    assert calls == []
+
+
 @pytest.mark.parametrize("stride", [2.5, True, 0])
 def test_conservation_report_refuses_a_stride_that_is_no_positive_integer(stride):
     from extkit.verify import Trajectory
