@@ -300,6 +300,7 @@ def extended_flow(system: HamiltonianSystem, params: ExtensionParams
         scale = -k2 * dgam
         return [float(vec[1]), dpu, *[scale * w for w in v]]
 
+    rhs._flow = (system, params)  # what integrate's fused rk4 step is built from
     return rhs
 
 

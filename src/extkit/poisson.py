@@ -221,6 +221,7 @@ def base_flow(system: HamiltonianSystem) -> Callable[[Sequence[float]], list]:
     def rhs(x):
         return ham_field(system, x)[1]
 
+    rhs._flow = (system, None)  # what integrate's fused rk4 step is built from
     return rhs
 
 

@@ -21,6 +21,7 @@ from .extension import DerivPair, _closed_chain, _recursion_chain
 from .jets import EvaluationError, ScalarField, _integer, _real, _sign, sqrt
 from .poisson import (HamiltonianSystem, PoissonStructure, apply_xl2, apply_xl2_cloud,
                       base_flow)
+from .riccati import _POLE_TOL
 
 __all__ = [
     "RejectionError",
@@ -222,13 +223,13 @@ def first_order_residual(system: HamiltonianSystem, field_g: ScalarField,
     """
     _sign(sign, "sign")
     _real(step, "step", "positive")
-    rhs_fn = base_flow(system)
+    rk4 = _stepper(base_flow(system))
 
     def sides(x):
         g0 = field_g.value(x)
         xs = x.tolist()
-        xp = _rk4_step(rhs_fn, xs, step)
-        xm = _rk4_step(rhs_fn, xs, -step)
+        xp = rk4(xs, step)
+        xm = rk4(xs, -step)
         deriv = (field_g.value(xp) - field_g.value(xm)) / (2.0 * step)
         rad = -2.0 * (c * system.hamiltonian.value(x) + c0)
         if rad < 0 and field_g.codomain == "real":
@@ -282,6 +283,175 @@ def _rk4_step(rhs, y: list, h: float) -> list:
             for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
+def _stepper(rhs) -> Callable[[list, float], list]:
+    """The rk4 step ``(y, h) -> list`` taken for ``rhs``.
+
+    A library flow (:func:`~extkit.poisson.base_flow`,
+    :func:`~extkit.extension.extended_flow`, which name their system and
+    constants in ``rhs._flow``) gets its fused step (:func:`_fused_rk4`).
+    Where that step is in doubt or raises, the step is redone by
+    :func:`_rk4_step`, which then gives the result or raises the error; any
+    other callable gets :func:`_rk4_step` alone.
+    """
+    flow = getattr(rhs, "_flow", None)
+    fused = None if flow is None else _fused_rk4(*flow)
+    if fused is None:
+        return functools.partial(_rk4_step, rhs)
+
+    def step(y, h):
+        try:
+            out = fused(y, h)
+        except Exception:  # the general step redoes it: raises the flow's error, or recovers
+            out = None
+        return _rk4_step(rhs, y, h) if out is None else out
+
+    return step
+
+
+def _fused_rk4(system: HamiltonianSystem, params) -> Callable | None:
+    """The fused rk4 step of the base flow (``params`` None) or of the
+    extended flow of ``system``, or None where none is made: a bivector of
+    another dimension than L.
+
+    The step ``(y, h) -> list | None`` runs the four stages of
+    :func:`_rk4_step` as straight-line code over plain numbers, with the
+    right-hand side inlined at each: the profile of its regime as
+    :func:`~extkit.riccati.riccati_eval` forms it, a call of L's compiled
+    kernel (``ScalarField._kernel``) and the contraction, inline for a
+    sparse constant bivector and through ``PoissonStructure.contract`` for
+    any other.  Every operation is the general step's, in its order, so its
+    result is that step's bit for bit.  It returns None, deciding nothing,
+    where the general step may not return the same: L switched off its
+    kernel for good, a point on L's singular set, a profile or centrifugal
+    pole within ``_POLE_TOL``, or a value or gradient entry that is not a
+    finite real number.  A kernel not compiled yet, or dropped with a
+    reassigned ``fn``, is compiled first (:func:`_warm_kernel`), so a run
+    makes the same calls of the flow whether or not L was warm when it
+    began.
+    """
+    ham, structure = system.hamiltonian, system.structure
+    if structure.dim != ham.dim:
+        return None
+    consts = {"ham": ham, "structure": structure, "isfinite": math.isfinite,
+              "warm": _warm_kernel}
+    cols = None
+    if structure._sparse is not None:
+        cols = tuple(j for j, _ in structure._sparse)
+        consts.update((f"P{i}", p) for i, (_, p) in enumerate(structure._sparse))
+    regime = None
+    omega = params is not None and params.omega != 0.0
+    if params is not None:
+        # the constants extended_flow and riccati_eval form, formed the same way
+        k2 = params.k**2
+        consts.update(k2=k2, t2=2.0 * k2 * params.c0, nk2=-k2)
+        if omega:
+            consts.update(w2=2.0 * params.omega, tol=_POLE_TOL)
+        rp = params._riccati
+        if rp is None:
+            regime = "zero"
+        elif rp.c == 0.0:
+            regime = "linear"
+            consts.update(off=rp.offset, nC=-rp.C)
+        else:
+            regime = "flat" if rp._tag is None else "curved"
+            consts.update(off=rp.offset, rc=rp.c, nrc=-rp.c, m2c=-2.0 * rp.c, tol=_POLE_TOL)
+            if rp._tag is not None:
+                consts["r"], consts["sin"], consts["cos"] = rp._tag
+    return _step_maker((ham.dim, cols, regime, omega), tuple(consts))(**consts)
+
+
+def _warm_kernel(ham: ScalarField, xs: list):
+    """L's compiled kernel, compiled now if it is not yet: the one or two
+    ``value_grad`` calls at ``xs`` that the general step's first stages
+    would make (the first runs ``fn`` on jets, the second records it).
+    False when L stays on jets; an evaluation error is raised."""
+    for _ in range(2):
+        fn, kernel = ham._kernel
+        if fn is ham.fn and kernel is not None:
+            return kernel
+        ham.value_grad(xs)
+    fn, kernel = ham._kernel
+    return fn is ham.fn and kernel
+
+
+@functools.lru_cache(maxsize=64)
+def _step_maker(shape: tuple, names: tuple) -> Callable:
+    """``make(**constants) -> step`` for a flow of ``shape``, compiled once
+    per shape and constant names: (L's dimension, the sparse bivector's
+    column per row or None, the profile regime or None for the base flow,
+    whether omega != 0)."""
+    namespace: dict = {}
+    exec(compile(_step_source(shape, names), f"<fused rk4 step {shape}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _step_source(shape: tuple, names: tuple) -> str:
+    """The source of :func:`_step_maker`'s ``make``; see :func:`_fused_rk4`."""
+    d, cols, regime, omega = shape
+    base = 0 if regime is None else 2
+    n = base + d
+    grads = [f"G{j}" for j in range(d)]
+    lines = [f"{''.join(f'y{j}, ' for j in range(n))}= y",
+             "fn, kernel = ham._kernel",
+             "if fn is not ham.fn or kernel is None:",
+             f"    kernel = warm(ham, [{', '.join(f'y{j}' for j in range(base, n))}])",
+             "if not kernel:",
+             "    return None",
+             "sing = ham.singular",
+             "a = 0.5 * h"]
+    ins = [f"y{j}" for j in range(n)]
+    for s in range(1, 5):
+        out = [f"k{s}_{j}" for j in range(n)]
+        if regime is not None:
+            # profile_at(params, float(vec[0])), then riccati_eval's arithmetic
+            lines += {
+                "zero": ["g = dg = ddg = 0.0"],
+                "linear": [f"du = float({ins[0]}) - off", "g = nC * du", "dg = nC",
+                           "ddg = 0.0"],
+                "flat": [f"sv = rc * (float({ins[0]}) - off)", "cv = 1.0"],
+                "curved": [f"rx = r * (rc * (float({ins[0]}) - off))", "sv = sin(rx) / r",
+                         "cv = cos(rx)"],
+            }[regime]
+            if regime in ("flat", "curved"):
+                lines += ["if abs(sv) <= tol:", "    return None",
+                          "g = cv / sv", "dg = nrc / (sv * sv)", "ddg = m2c * g * dg"]
+            if omega:
+                lines += ["if abs(g) <= tol:", "    return None"]
+        # ham_field: L.value_grad's kernel call and checks, then the contraction
+        lines += [f"xs = [{', '.join(ins[base:])}]",
+                  "if sing is not None and sing(xs, 0.0):", "    return None",
+                  "lval, grad = kernel(xs)",
+                  f"{''.join(f'{g}, ' for g in grads)}= grad",
+                  # value_grad's test: the sum, and entry by entry where it overflows
+                  f"if not isfinite(lval + {' + '.join(grads)}) and not (isfinite(lval)"
+                  f"{''.join(f' and isfinite({g})' for g in grads)}):", "    return None"]
+        if cols is None:
+            pi_grad = [f"W{j}" for j in range(d)]
+            lines.append(f"{''.join(f'{w}, ' for w in pi_grad)}= structure.contract(xs, grad)")
+        else:
+            pi_grad = [f"(0.0 + P{i} * G{j})" for i, j in enumerate(cols)]
+        if regime is None:
+            lines += [f"{k} = {w}" for k, w in zip(out, pi_grad)]
+        else:
+            # extended_flow's p_u' and its rescaled base field
+            lines += ["dpu = k2 * ddg * lval - t2 * g * dg"]
+            if omega:
+                lines.append("dpu += w2 * dg / g ** 3")
+            lines += ["sc = nk2 * dg", f"{out[0]} = float({ins[1]})", f"{out[1]} = dpu"]
+            lines += [f"{k} = sc * {w}" for k, w in zip(out[2:], pi_grad)]
+        if s < 4:
+            step = "h" if s == 3 else "a"
+            ins = [f"z{j}" for j in range(n)]
+            lines += [f"z{j} = y{j} + {step} * k{s}_{j}" for j in range(n)]
+    lines += ["b = h / 6.0",
+              "return [" + ", ".join(f"y{j} + b * (((k1_{j} + 2.0 * k2_{j}) + 2.0 * k3_{j})"
+                                     f" + k4_{j})" for j in range(n)) + "]"]
+    return "\n".join([f"def make({', '.join(names)}):",
+                      "    def step(y, h):",
+                      *(f"        {line}" for line in lines),
+                      "    return step"])
+
+
 # Fehlberg 4(5) tableau.
 _FB = (
     (1 / 4,),
@@ -319,6 +489,17 @@ def integrate(rhs: Callable[[list], Sequence[float]], y0, t_final: float,
     ``n_forced`` the accepted steps whose error exceeded the tolerance
     once the step size had reached ``dt_min``.  A flow evaluation error
     or a non-finite state truncates the trajectory and records the reason.
+
+    ``rk4`` steps a library flow (``base_flow``, ``extended_flow``) by its
+    fused step (:func:`_fused_rk4`): the four stages in one generated
+    function that calls L's compiled kernel, compiling it first if need be,
+    and does not call ``rhs``.  On any doubt (L off its kernel for good, a
+    singular point, a pole, a non-finite or complex value, any exception)
+    the step is redone by the general step, which calls ``rhs``, so the
+    trajectory, its truncation and its reason are bit for bit what the
+    general step gives.  A wrapper that copies the flow's ``__dict__``
+    (``functools.wraps``) is stepped the same way, and is not called by rk4.
+    ``rkf45`` calls ``rhs`` at every stage.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
@@ -347,6 +528,7 @@ def _integrate_rk4(rhs, y0: list, t_final, dt) -> Trajectory:
     times = [0.0]
     states = np.empty((n_steps + 1, len(y0)))
     states[0] = y0
+    step = _stepper(rhs)
     y = y0
     t = 0.0
     truncated = False
@@ -354,7 +536,7 @@ def _integrate_rk4(rhs, y0: list, t_final, dt) -> Trajectory:
     for i in range(1, n_steps + 1):
         h = min(dt, t_final - t)
         try:
-            y = _rk4_step(rhs, y, h)
+            y = step(y, h)
         except EvaluationError as e:
             truncated, reason = True, f"flow evaluation failed at t = {t:.6g}: {e}"
             break

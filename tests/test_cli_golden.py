@@ -78,3 +78,12 @@ def test_readme_integrate_matches_golden(tmp_path, monkeypatch, capsysbinary):
         (GOLDEN / "integrate_vortex_opposite.json").read_bytes()
     assert (tmp_path / "trajectory.csv").read_bytes() == \
         (GOLDEN / "integrate_vortex_opposite.csv").read_bytes()
+
+
+def test_quartic2b_pole_run_matches_golden(capsysbinary):
+    # fixed-step rk4 crosses the pole of quartic2b.L and runs on until L
+    # overflows, so the drifts it reports hang on the last bit of every step
+    code = cli.main(["integrate", "--system", "quartic2b", *Q1_EXT,
+                     "--state", "0.6,0.4,1.0,0.5", "--t-final", "5"])
+    assert code == 1
+    assert capsysbinary.readouterr().out == (GOLDEN / "integrate_quartic2b_pole.json").read_bytes()

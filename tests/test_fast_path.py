@@ -8,7 +8,9 @@ These tests hold a list-state call to the same right-hand side called on
 ``np.array(state)``: the same values bit for bit, or the same error class
 and message, also where the kernel cannot answer (no kernel yet, a
 reassigned ``fn``, the singular set, a failed guard, a kernel that raises,
-a non-finite value or gradient).
+a non-finite value or gradient).  ``integrate``'s rk4 steps a list state
+by the flow's fused step (``verify._fused_rk4``), so the trajectory parity
+holds that step to the ndarray way too.
 """
 import math
 
@@ -18,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import extkit as ek
-from extkit import jets
+from extkit import jets, verify
 
 
 def outcome(call):
@@ -150,6 +152,15 @@ def run(rhs, y0, t_final, method="rk4"):
             t.states.tobytes())
 
 
+def probes(rhs, y0, t_final):
+    """One rk4 step of size 1 from each state of ``rhs``'s rk4 run to
+    ``t_final``.  A step that long moves the state further than its rounding,
+    so a last-bit change in one right-hand side shows in its result, where a
+    step of the run's size may round it away."""
+    states = ek.integrate(rhs, y0, t_final).states.tolist()
+    return [outcome(lambda: verify._rk4_step(rhs, y, 1.0)) for y in states]
+
+
 @pytest.mark.parametrize("key", list(BUILT))
 @pytest.mark.parametrize("method, t_final", [("rk4", 0.05), ("rkf45", 0.2)])
 @settings(max_examples=6, deadline=None)
@@ -170,13 +181,16 @@ def test_fast_and_general_trajectories_agree_bit_for_bit(key, method, t_final, d
         flows.append((ek.extended_flow(built.system, params), u + x))
     for rhs, y0 in flows:
         assert run(rhs, y0, t_final, method) == run(general(rhs), y0, t_final, method)
+        if method == "rk4":
+            assert probes(rhs, y0, t_final) == probes(general(rhs), y0, t_final)
 
 
 def test_the_parity_checks_see_an_ndarray_state_off_by_one_ulp(monkeypatch):
     # negative control: only the ndarray side goes through _coords, here one
     # ulp up in every coordinate.  One call shows it at once; a trajectory
     # shows it where the change survives the step's rounding of the state,
-    # which it does not on every entry (quartic1's rk4 run keeps every bit)
+    # which it does not on every entry (quartic1's rk4 run keeps every bit),
+    # and the probe steps along the run show it on every entry
     coords = jets.ScalarField._coords
 
     def off(self, x):
@@ -189,3 +203,10 @@ def test_the_parity_checks_see_an_ndarray_state_off_by_one_ulp(monkeypatch):
         rhs = ek.base_flow(BUILT[key].system)
         y0 = [(lo + hi) / 2 + 0.01 for lo, hi in ek.get_entry(key).default_box]
         assert run(rhs, y0, t_final, method) != run(general(rhs), y0, t_final, method)
+    for key in BUILT:
+        rhs = ek.base_flow(BUILT[key].system)
+        box = ek.get_entry(key).default_box
+        starts = ([(lo + hi) / 2 + 0.01 for lo, hi in box],
+                  [0.6 * lo + 0.4 * hi for lo, hi in box])
+        assert ([probes(rhs, y0, 0.05) for y0 in starts]
+                != [probes(general(rhs), y0, 0.05) for y0 in starts])

@@ -6,11 +6,13 @@ These count calls rather than time them, so a change that brings per-call
 set-up back into the extended flow, or recomputes K's base-point part
 within one bracket stencil, fails here, on any host.
 """
+import functools
+
 import numpy as np
 import pytest
 
 import extkit as ek
-from extkit import extension, jets, riccati
+from extkit import extension, jets, poisson, riccati
 
 
 @pytest.fixture
@@ -361,3 +363,85 @@ def test_a_complex_k_is_evaluated_once_per_state(monkeypatch):
     k = [complex(ext.integral(ek.ExtendedState.from_vector(v))) for v in traj.states]
     assert rep.series["K_re"].tolist() == [z.real for z in k]
     assert rep.series["K_im"].tolist() == [z.imag for z in k]
+
+
+# The flow cases of the benchmark (perfbench/benchlib/cases.py FLOW_CASES):
+# entry, extension constants or None for the base flow, and the start.
+FLOW_SHAPES = [
+    ("quartic1", dict(c=1.0, c0=1.0, C=1.0, m=3, n=2), [0.6, 0.4, 0.9, -0.7]),
+    ("quartic1", dict(c=1.0, c0=1.0, C=1.0, m=2, n=1, omega=0.3), [0.6, 0.4, 0.9, -0.7]),
+    ("vortex_opposite", dict(c=0.0, c0=0.5, C=1.0, m=1, n=1),
+     [0.7, 0.3, 0.8, -0.4, 0.5, 0.9]),
+    ("square_polar", dict(c=1.0, c0=0.0, C=1.0, m=1, n=1), [0.6, 0.4, 1.0, 0.5, 0.3, -0.2]),
+    ("lotka_volterra", None, [1.2, 0.8]),
+    ("euler_top", None, [0.5, 0.9, 0.7]),
+]
+
+
+def traced_flow(key, consts):
+    """A fresh system and its flow wrapped as the benchmark's tracer wraps it
+    (``functools.wraps``, which keeps the flow's ``_flow``), with the list of
+    states the wrapper was called on."""
+    system = ek.instantiate(key).system
+    flow = (ek.base_flow(system) if consts is None
+            else ek.extended_flow(system, ek.ExtensionParams(**consts)))
+    rhs_calls = []
+
+    @functools.wraps(flow)
+    def rhs(y):
+        rhs_calls.append(y)
+        return flow(y)
+
+    return system, rhs, rhs_calls
+
+
+@pytest.mark.parametrize("key, consts, state", FLOW_SHAPES,
+                         ids=["quartic1_m3n2", "quartic1_omega", "vortex_opposite",
+                              "square_polar", "lotka_volterra", "euler_top"])
+def test_a_warm_rk4_step_runs_the_kernel_four_times_and_nothing_else(key, consts, state,
+                                                                     calls, monkeypatch):
+    # integrate takes a library flow's fused step: its four stages call L's
+    # kernel and no rhs, ham_field, value_grad or riccati_eval
+    system, rhs, rhs_calls = traced_flow(key, consts)
+    rhs(list(state))
+    rhs([v * 1.01 for v in state])  # the jet path, then the recording
+    ham = system.hamiltonian
+    fn, kernel = ham._kernel
+    assert callable(kernel)
+    kernel_calls = []
+
+    def counted(xs):
+        kernel_calls.append(xs)
+        return kernel(xs)
+
+    ham._kernel = (fn, counted)
+    fields = []
+    for module in (poisson, extension):
+        original = module.ham_field
+        monkeypatch.setattr(module, "ham_field",
+                            lambda system, x, original=original: fields.append(x)
+                            or original(system, x))
+    rhs_calls.clear()
+    for name in ("value_grad", "jet1", "jet2", "value"):
+        calls[name].clear()
+    calls["riccati_eval"] = 0
+    traj = ek.integrate(rhs, state, 1e-3)  # one step of the default dt
+    assert traj.stats == {"n_steps": 1} and not traj.truncated
+    assert len(kernel_calls) == 4
+    assert rhs_calls == [] and fields == [] and calls["riccati_eval"] == 0
+    assert calls["value_grad"] == calls["jet1"] == calls["jet2"] == calls["value"] == []
+
+
+@pytest.mark.parametrize("key, consts, state", [FLOW_SHAPES[0], FLOW_SHAPES[-1]],
+                         ids=["quartic1_m3n2", "euler_top"])
+def test_a_run_calls_the_flow_alike_whether_l_starts_cold_or_warm(key, consts, state):
+    # the fused step compiles a cold kernel itself, so a traced pass over a
+    # fresh set-up counts what the next pass over the same set-up counts
+    system, rhs, rhs_calls = traced_flow(key, consts)
+    assert system.hamiltonian._kernel == (None, None)
+    runs = []
+    for _ in range(2):
+        traj = ek.integrate(rhs, state, 0.01)
+        runs.append((len(rhs_calls), traj.times.tobytes(), traj.states.tobytes()))
+    assert callable(system.hamiltonian._kernel[1])
+    assert runs[0] == runs[1] and runs[0][0] == 0
