@@ -39,7 +39,6 @@ __all__ = [
     "ExtendedState",
     "DerivPair",
     "seed_pair",
-    "recursion_term",
     "recursion_term_closed",
     "power_coeffs",
     "profile_at",
@@ -226,17 +225,6 @@ def _closed_chain(n_max: int, pair: DerivPair, lam) -> list:
                 value, xl = value + tv, xl + tx
         chain.append(DerivPair(value, xl))
     return chain
-
-
-def recursion_term(n: int, pair: DerivPair, lam) -> DerivPair:
-    """n-th member of the seed chain, evaluated by direct recursion.
-
-    Returns the value and first derivative of the chain member; see
-    :func:`_recursion_chain`.  Agreement with
-    :func:`recursion_term_closed` is part of the test surface.
-    """
-    _integer(n, "chain index n", 1)
-    return _recursion_chain(n, pair, lam)[-1]
 
 
 def recursion_term_closed(n: int, pair: DerivPair, lam) -> DerivPair:

@@ -14,6 +14,7 @@ operator is assembled exactly from second jets:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -28,8 +29,6 @@ __all__ = [
     "HamiltonianSystem",
     "ham_field",
     "base_flow",
-    "bracket",
-    "apply_xl",
     "apply_xl2",
     "apply_xl2_cloud",
     "extend_structure",
@@ -37,6 +36,36 @@ __all__ = [
 ]
 
 _ANTISYM_TOL = 1e-14
+
+
+@functools.lru_cache(maxsize=64)
+def _exactly_antisymmetric(d: int) -> Callable[[list], bool]:
+    """``test(rows)``, true when ``rows`` is a list of ``d`` lists of ``d``
+    entries whose diagonal entries are ``== 0.0``, whose entries below the
+    diagonal equal the negated entries above, and whose entries above have
+    a finite sum (so none is NaN or infinite).  Such rows pass
+    :meth:`PoissonStructure._within_tolerance` too: each |m + m^T| is zero.
+    The test is straight-line code, compiled once per dimension; it may
+    raise on entries it cannot compare or sum."""
+    rows = [f"r{i}" for i in range(d)]
+    a = [[f"a{i}_{j}" for j in range(d)] for i in range(d)]
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    tests = ([f"{a[i][i]} == 0.0" for i in range(d)]
+             + [f"{a[j][i]} == -{a[i][j]}" for i, j in upper]
+             + [f"isfinite({' + '.join(a[i][j] for i, j in upper)})"] * bool(upper))
+    src = "\n".join([
+        "def test(rows):",
+        "    if type(rows) is not list:",
+        "        return False",
+        f"    {''.join(f'{r}, ' for r in rows)}= rows",
+        f"    if {' or '.join(f'type({r}) is not list' for r in rows)}:",
+        "        return False",
+        *(f"    {''.join(f'{e}, ' for e in a[i])}= {r}" for i, r in enumerate(rows)),
+        f"    return {' and '.join(tests)}",
+    ])
+    namespace = {"isfinite": math.isfinite}
+    exec(compile(src, f"<antisymmetry test of {d} rows>", "exec"), namespace)
+    return namespace["test"]
 
 
 @dataclass
@@ -77,9 +106,26 @@ class PoissonStructure:
     def _check_antisym(self, rows: list) -> list:
         """``rows``, entry values nested by row, once they are ``dim`` rows of
         ``dim`` and every |m + m^T| is within the tolerance scaled by
-        max(1, max |m|), in one pass over the pairs i <= j.  A NaN or
-        infinite entry fails: its sum with its transpose is NaN or infinite,
-        which the running total keeps where a comparison would drop it."""
+        max(1, max |m|), else the ValueError that names the fault.
+
+        Rows that are exactly antisymmetric are accepted by one generated
+        test (:func:`_exactly_antisymmetric`), which the flows' entry rules
+        pass at every call.  Any other input, and any input on which that
+        test raises, goes to :meth:`_within_tolerance`, the one judge of
+        tolerance, NaN, infinity, shape and type.
+        """
+        try:
+            if _exactly_antisymmetric(self.dim)(rows):
+                return rows
+        except Exception:  # whatever the test cannot read, the judge rules on
+            pass
+        return self._within_tolerance(rows)
+
+    def _within_tolerance(self, rows) -> list:
+        """:meth:`_check_antisym` in one pass over the pairs i <= j.  A NaN
+        or infinite entry fails: its sum with its transpose is NaN or
+        infinite, which the running total keeps where a comparison would
+        drop it."""
         d = self.dim
         try:
             if len(rows) != d or set(map(len, rows)) != {d}:
@@ -156,19 +202,25 @@ class PoissonStructure:
         """pi grad at the coordinate list ``xs``, as a list.
 
         For a finite real gradient this is numpy's ``matrix(xs) @ grad``
-        bit for bit: a row with one nonzero entry p at column j reads
-        0.0 + p grad[j], and any other bivector goes through that product.
-        An entry rule keeps numpy's ``@`` rather than a Python sum: numpy
-        may round a row's dot product with fused multiply-adds (it does
-        for euler_top's 3 x 3 on x86-64 hosts), which a Python sum of
-        products does not reproduce, and flows compared against the
-        ndarray reference would drift apart in the last bits.
+        bit for bit: a row with one nonzero entry p at column j reads 0.0 +
+        p grad[j], and any other bivector goes through numpy's product.  An
+        entry rule's rows pass :meth:`_check_antisym` by its exact test
+        when they are exactly antisymmetric, as the catalog's are.  It
+        keeps numpy's product rather than a Python sum: numpy may round a
+        row's dot product with fused multiply-adds (it does for euler_top's
+        3 x 3 on x86-64 hosts), which a Python sum of products does not
+        reproduce, and flows compared against the ndarray reference would
+        drift apart in the last bits.  From two rows on the product is
+        ``ndarray.dot`` on the gradient tuple, which reads what ``@`` reads
+        (a test pins it) without building an array of the gradient first;
+        one row keeps ``@``, whose sum starts from +0.0 where ``dot`` keeps
+        the sign of a zero product.
         """
         sparse = self._sparse
         if sparse is not None:
             return [0.0 + p * grad[j] for j, p in sparse]
         m = self.const if self.entries is None else self._at(xs)
-        return (m @ np.array(grad)).tolist()
+        return (m.dot(grad) if self.dim > 1 else m @ np.array(grad)).tolist()
 
 
 def canonical_structure(dim: int, label: str = "") -> PoissonStructure:
@@ -223,18 +275,6 @@ def base_flow(system: HamiltonianSystem) -> Callable[[Sequence[float]], list]:
 
     rhs._flow = (system, None)  # what integrate's fused rk4 step is built from
     return rhs
-
-
-def bracket(structure: PoissonStructure, f: ScalarField, g: ScalarField, x):
-    """{F, G} = grad F . pi grad G at ``x``."""
-    gf = f.jet1(x).grad
-    gg = g.jet1(x).grad
-    return gf @ structure.matrix(x) @ gg
-
-
-def apply_xl(system: HamiltonianSystem, f: ScalarField, x):
-    """X_L F = {F, L} at ``x``."""
-    return f.jet1(x).grad @ np.array(ham_field(system, x)[1])
 
 
 def _xl2(grad_l, hess_l, grad_f, hess_f, pi, dpi_grad_l) -> np.ndarray:

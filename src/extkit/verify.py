@@ -48,11 +48,12 @@ _TINY = 1e-12
 # and the benchmark (20 000 steps), and 48 MB of stored states for six
 # coordinates.
 RK4_MAX_STEPS = 1_000_000
-# The fewest points pde_residual evaluates in one cloud pass.  Recording a
-# tape and replaying it costs about 0.9-12 ms whatever the size of the cloud
-# (quartic1 to vortex_equal), and one point by apply_xl2 0.1-0.25 ms, so the
-# pass breaks even at 12-50 points; 32 keeps the worst loss on either side
-# of the threshold near 4 ms.
+# The fewest points pde_residual evaluates in one cloud pass.  Recording,
+# pruning and replaying the tapes of L and G cost about 0.5-3.5 ms whatever
+# the size of the cloud (quartic1 to vortex_equal), plus 0.4-6 us a point,
+# and one point by apply_xl2 40-140 us, so the pass breaks even at 11-29
+# points (best of 7 on a shared 2-vCPU Linux host); 32 keeps the worst loss
+# on either side of the threshold under 2 ms (quartic2b at 31 points).
 CLOUD_MIN_POINTS = 32
 # Defaults the command line shares: the finite-difference step and rank
 # threshold of the bracket and rank checks, the step of the first-order

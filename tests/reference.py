@@ -1,14 +1,23 @@
-"""Reference algorithms that the library's evaluation of K must equal bit
-for bit.
+"""Reference algorithms that the tests hold the library to.
 
 :class:`Pair` is :class:`~extkit.extension.DerivPair` with sums and
 Leibniz products, so polynomial expressions in pairs carry exact first
 derivatives.  The library multiplies pairs out on tuples; this arithmetic
-serves the reference algorithms of the tests.
+serves the reference algorithms of the tests, and the library's
+evaluation of K must equal :func:`integral_from_pair` bit for bit.
+
+:func:`bracket` and :func:`apply_xl` are the first-order bracket and
+derivation by their definitions, for checks of the catalog's identities.
+:func:`check_antisym` is the one-pass tolerance check that
+``PoissonStructure._check_antisym`` must agree with, result or message.
 """
+import math
 from math import comb
 
+import numpy as np
+
 from extkit.extension import DerivPair, power_coeffs, profile_at, recursion_term_closed
+from extkit.poisson import ham_field
 
 
 class Pair(DerivPair):
@@ -62,3 +71,43 @@ def integral_from_pair(params, pair: DerivPair, lval, u: float, p_u: float):
         p_c, d_c = power_coeffs(2 * s, r, 2 * (s - j), p_u, gam, lam)
         total = total + comb(s, j) * w**j * (p_c * chain.value + d_c * chain.xl)
     return total
+
+
+def bracket(structure, f, g, x):
+    """{F, G} = grad F . pi grad G at ``x``."""
+    return f.jet1(x).grad @ structure.matrix(x) @ g.jet1(x).grad
+
+
+def apply_xl(system, f, x):
+    """X_L F = {F, L} at ``x``."""
+    return f.jet1(x).grad @ np.array(ham_field(system, x)[1])
+
+
+def check_antisym(structure, rows):
+    """``rows`` once they are ``structure.dim`` rows of as many entries and
+    every |m + m^T| is within 1e-14 scaled by max(1, max |m|), in one pass
+    over the pairs i <= j, else the library's ValueError: the check as one
+    loop, for every input."""
+    d = structure.dim
+    try:
+        if len(rows) != d or set(map(len, rows)) != {d}:
+            raise structure._shape_error(rows)
+    except TypeError:
+        raise structure._shape_error(rows) from None
+    big = 1.0
+    worst = total = 0.0
+    for i, row in enumerate(rows):
+        for j in range(i, d):
+            a, b = row[j], rows[j][i]
+            s = abs(a + b)
+            total += s
+            if s > worst:
+                worst = s
+            a, b = abs(a), abs(b)
+            if a > big:
+                big = a
+            if b > big:
+                big = b
+    if not (total < math.inf and worst <= 1e-14 * big):
+        raise ValueError(f"bivector {structure.label or ''} is not antisymmetric within 1e-14")
+    return rows

@@ -31,3 +31,12 @@ def test_the_package_lists_no_public_name_by_hand():
     written |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert written & set(extkit.__all__) == set()
+
+
+@pytest.mark.parametrize("module, name", [
+    ("extkit.extension", "recursion_term"), ("extkit.poisson", "bracket"),
+    ("extkit.poisson", "apply_xl")])
+def test_names_only_the_tests_used_are_gone_from_the_library(module, name):
+    # they live in tests/reference.py, or the tests call _recursion_chain
+    assert not hasattr(importlib.import_module(module), name)
+    assert name not in extkit.__all__

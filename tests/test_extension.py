@@ -12,7 +12,6 @@ import extkit as ek
 from extkit.extension import (
     _closed_chain,
     _recursion_chain,
-    recursion_term,
     recursion_term_closed,
     seed_pair,
 )
@@ -95,9 +94,9 @@ def test_deriv_pair_leibniz():
 def test_chain_elements_low_orders():
     g, w, lam = 0.7, -1.3, 0.4
     pair = Pair(g, w)
-    g2 = recursion_term(2, pair, lam)
+    g2 = _recursion_chain(2, pair, lam)[-1]
     assert abs(g2.value - 2 * g * w) < 1e-14
-    g3 = recursion_term(3, pair, lam)
+    g3 = _recursion_chain(3, pair, lam)[-1]
     expect = 3 * g * w * w - 2 * lam * g ** 3
     assert abs(g3.value - expect) < 1e-13
 
@@ -110,7 +109,7 @@ def test_chain_recursion_matches_closed_form():
         lam = rng.uniform(-2, 2)
         pair = Pair(g, w)
         for n in range(1, 9):
-            a = recursion_term(n, pair, lam)
+            a = _recursion_chain(n, pair, lam)[-1]
             b = recursion_term_closed(n, pair, lam)
             scale = max(abs(b.value), abs(b.xl), 1e-12)
             worst = max(worst, abs(a.value - b.value) / scale,
@@ -157,15 +156,12 @@ def test_power_coeffs_order_cap():
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: recursion_term(True, Pair(0.5, 0.3), 0.2), "chain index n"),
     (lambda: recursion_term_closed(True, Pair(0.5, 0.3), 0.2), "chain index n"),
-    (lambda: recursion_term(2.0, Pair(0.5, 0.3), 0.2), "chain index n"),
     (lambda: ek.power_coeffs(True, 1, 1, 0.5, 0.3, 0.2), "chain index m"),
     (lambda: ek.power_coeffs(1, True, 1, 0.5, 0.3, 0.2), "chain index n"),
     (lambda: ek.power_coeffs(1, 1, True, 0.5, 0.3, 0.2), "operator power r"),
     (lambda: ek.power_coeffs(2, 1, 1.0, 0.5, 0.3, 0.2), "operator power r"),
-], ids=["recursion-bool", "closed-bool", "recursion-float", "m-bool", "n-bool", "r-bool",
-        "r-float"])
+], ids=["closed-bool", "m-bool", "n-bool", "r-bool", "r-float"])
 def test_chain_indices_refuse_bools_and_floats(call, name):
     # True once passed as the index 1: power_coeffs(True, 1, True, ...) gave (0.5, 0.3)
     with pytest.raises(ValueError, match=name):

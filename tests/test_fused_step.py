@@ -304,3 +304,38 @@ def test_the_first_order_residual_takes_the_same_steps(monkeypatch):
     assert sum(answered) >= 30  # two steps a point, once L's kernel is warm
     monkeypatch.setattr(verify, "_fused_rk4", lambda system, params: None)
     assert fused == report()
+
+
+@pytest.mark.parametrize("key", ["lotka_volterra", "euler_top"])
+def test_a_warm_entry_rule_step_runs_no_general_step_and_no_tolerance_loop(key, monkeypatch):
+    # the benchmark's trace cannot see inside the fused step, so this count is
+    # the guard that the entry-rule flows keep both off the rk4 hot path
+    built = BUILT[key]
+    rhs = ek.base_flow(built.system)
+    y = [0.7 * lo + 0.3 * hi for lo, hi in ek.get_entry(key).default_box]
+    step = verify._stepper(rhs)
+    y = step(y, 1e-3)  # compiles L's kernel
+    calls = {"general": 0, "loop": 0}
+    general, loop = verify._rk4_step, ek.PoissonStructure._within_tolerance
+
+    def counted_general(*args):
+        calls["general"] += 1
+        return general(*args)
+
+    def counted_loop(self, rows):
+        calls["loop"] += 1
+        return loop(self, rows)
+
+    monkeypatch.setattr(verify, "_rk4_step", counted_general)
+    monkeypatch.setattr(ek.PoissonStructure, "_within_tolerance", counted_loop)
+    for _ in range(3):
+        y = step(y, 1e-3)
+    assert calls == {"general": 0, "loop": 0}
+    # control: a bivector off antisymmetry by one part in 1e15 takes the loop
+    # at every contraction, four a step
+    rule = built.system.structure.entries
+    monkeypatch.setattr(built.system.structure, "entries", lambda co: [
+        [v * (1.0 + 1e-15) if i > j else v for j, v in enumerate(row)]
+        for i, row in enumerate(rule(co))])
+    step(y, 1e-3)
+    assert calls == {"general": 0, "loop": 4}

@@ -80,7 +80,6 @@ SITES = [
     ("recursion_closed_sweep.seed", "integer", lambda v: _sweep(seed=v), "seed"),
     ("ExtensionParams.m", "integer", lambda v: _extension(m=v), "index m"),
     ("ExtensionParams.n", "integer", lambda v: _extension(n=v), "index n"),
-    ("recursion_term.n", "integer", lambda v: ek.recursion_term(v, PAIR, 0.2), "chain index n"),
     ("recursion_term_closed.n", "integer", lambda v: ek.recursion_term_closed(v, PAIR, 0.2),
      "chain index n"),
     ("power_coeffs.m", "integer", lambda v: _power(m=v), "chain index m"),

@@ -4,10 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import extkit as ek
 from extkit import jets
-from extkit.poisson import apply_xl, apply_xl2, base_flow, bracket, jacobi_residual
+from extkit.poisson import apply_xl2, base_flow, jacobi_residual
+from reference import apply_xl, bracket, check_antisym
 
 
 def harmonic():
@@ -287,3 +290,114 @@ def test_spectral_norm_of_a_constant_bivector_is_computed_once(monkeypatch):
     for x in ([1.5, -2.0], [0.5, 3.0]):
         m = rule.matrix(np.array(x))
         assert rule.spectral_norm(m) == norm(m, 2)
+
+
+ENTRY = st.one_of(
+    st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300, math.inf, math.nan]), st.integers(-3, 3),
+    st.complex_numbers(max_magnitude=4.0))
+
+
+@st.composite
+def entry_rows(draw):
+    """``(d, rows)``: d in 1..4, and rows exactly antisymmetric, within the
+    tolerance, beyond it or drawn freely, of floats, ints, complexes, NaN or
+    infinity, as nested lists, tuples or ndarrays, or of the wrong shape."""
+    d = draw(st.integers(1, 4))
+    m = [[draw(ENTRY) for _ in range(d)] for _ in range(d)]
+    how = draw(st.sampled_from(["exact", "within", "beyond", "free"]))
+    if how != "free":
+        scale = {"exact": 0.0, "within": 1e-15, "beyond": 1e-12}[how]
+        for i in range(d):
+            m[i][i] = draw(st.sampled_from([0.0, -0.0, scale]))
+            for j in range(i + 1, d):
+                m[j][i] = -m[i][j] * (1.0 + draw(st.sampled_from([0.0, scale, -scale])))
+    shape = draw(st.sampled_from(["lists"] * 4 + ["tuples", "ndarray", "row arrays",
+                                                  "short row", "extra row", "flat"]))
+    if shape == "tuples":
+        return d, tuple(tuple(row) for row in m)
+    if shape == "ndarray":
+        return d, np.array(m)
+    if shape == "row arrays":
+        return d, [np.array(row) for row in m]
+    if shape == "short row":
+        m[draw(st.integers(0, d - 1))].pop()
+    elif shape == "extra row":
+        m.append([0.0] * d)
+    elif shape == "flat":
+        return d, [v for row in m for v in row]
+    return d, m
+
+
+def antisym_outcome(check, structure, rows):
+    """``("ok", rows returned as they came)`` or ``("raised", class, message)``."""
+    try:
+        out = check(structure, rows)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok", out is rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=entry_rows())
+def test_the_exact_accept_gives_what_the_one_loop_check_gives(case):
+    d, rows = case
+    structure = ek.PoissonStructure(d, entries=lambda co: rows, label="drawn")
+    with np.errstate(all="ignore"):
+        got = antisym_outcome(ek.PoissonStructure._check_antisym, structure, rows)
+        want = antisym_outcome(check_antisym, structure, rows)
+    assert got == want
+
+
+@pytest.mark.parametrize("rows, exact", [
+    ([[0.0, 1.5, -2.0], [-1.5, 0.0, 0.25], [2.0, -0.25, -0.0]], True),
+    ([[0, 2], [-2, 0]], True),
+    ([[0.0, 1.0], [-1.0 - 1e-15, 0.0]], False),  # within the tolerance: the loop's
+    ((([0.0, 1.0]), ([-1.0, 0.0])), False),  # a tuple of rows: the loop's
+    ([[0.0, 1j], [-1j, 0.0]], False),  # no finite real sum: the loop's
+    ([[0.0, math.inf], [-math.inf, 0.0]], False),
+], ids=["floats", "ints", "within", "tuple", "complex", "inf"])
+def test_only_exactly_antisymmetric_nested_lists_pass_the_exact_test(rows, exact):
+    d = len(rows)
+    try:
+        passed = bool(ek.poisson._exactly_antisymmetric(d)(rows))
+    except TypeError:
+        passed = False
+    assert passed is exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(2, 6), data=st.data())
+def test_dot_on_a_gradient_tuple_is_numpys_matrix_product(d, data):
+    # contract takes ndarray.dot for @ from two rows on: pinned here, real and
+    # complex, signed zeros included
+    number = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0]))
+    m = np.array([[data.draw(number) for _ in range(d)] for _ in range(d)])
+    grad = tuple(data.draw(st.one_of(number, st.complex_numbers(max_magnitude=1e6)))
+                 for _ in range(d))
+    want = m @ np.array(grad)
+    got = m.dot(grad)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("key", ["lotka_volterra", "euler_top"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_contract_is_the_matrix_product_of_an_entry_rule(key, data):
+    built = ek.instantiate(key)
+    structure = built.system.structure
+    xs = [data.draw(st.floats(lo, hi)) for lo, hi in ek.get_entry(key).default_box]
+    grad = tuple(data.draw(st.floats(-1e3, 1e3)) for _ in xs)
+    got = structure.contract(xs, grad)
+    want = (structure.matrix(xs) @ np.array(grad)).tolist()
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert [type(v) for v in got] == [float] * len(xs)
+
+
+def test_one_row_keeps_the_sum_from_plus_zero():
+    # for one row, dot keeps the sign of -2.0 * 0.0 where @ adds it to +0.0
+    one = ek.PoissonStructure(1, entries=lambda co: [[-0.0]])
+    m = np.array([[-2.0]])
+    assert (m @ np.array((0.0,))).tobytes() != m.dot((0.0,)).tobytes()
+    got = one.contract([0.5], (3.0,))
+    assert np.array(got).tobytes() == (one.matrix([0.5]) @ np.array((3.0,))).tobytes()
