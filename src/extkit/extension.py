@@ -152,10 +152,15 @@ class DerivPair:
 
 
 def seed_pair(system: HamiltonianSystem, seed_field: ScalarField, x) -> tuple[DerivPair, float]:
-    """(G, X_L G) as a pair at ``x``, plus the value of L there."""
-    lval, v = ham_field(system, x)
-    jg = seed_field.jet1(x)
-    return DerivPair(jg.value, jg.grad @ np.array(v)), lval
+    """(G, X_L G) as a pair at ``x``, plus the value of L there.
+
+    ``x`` becomes one list of floats, which L and G both read through
+    :meth:`ScalarField.value_grad`.
+    """
+    xs = system.hamiltonian._coords(x)
+    lval, v = ham_field(system, xs)
+    value, grad = seed_field.value_grad(xs)
+    return DerivPair(value, np.array(grad) @ np.array(v)), lval
 
 
 def _recursion_chain(n_max: int, pair: DerivPair, lam) -> list:
@@ -197,19 +202,20 @@ def _pair_powers(value, xl, count: int) -> list:
     return out
 
 
-def _closed_chain(n_max: int, pair: DerivPair, lam) -> list:
-    """G_1 ... G_{n_max} in closed form, from one table of powers.
+def _closed_chain(n_max: int, pair: DerivPair, lam, first: int = 1) -> list:
+    """G_first ... G_{n_max} in closed form, from one table of powers.
 
     Each term is formed with the operations, in the order, of the pair
     expression comb * (-2 lam)^k * pair**(2k+1) * xg**(n-2k-1), with
-    Leibniz products and the powers of :func:`_pair_powers`.
+    Leibniz products and the powers of :func:`_pair_powers`.  Each member
+    reads the tables alone, so it comes out the same whatever ``first``.
     """
     w = -2.0 * lam
     g_pow = _pair_powers(pair.value, pair.xl, n_max + 1)
     xg_pow = _pair_powers(pair.xl, w * pair.value, n_max)
     w_pow = [w**k for k in range((n_max + 1) // 2)]
     chain = []
-    for n in range(1, n_max + 1):
+    for n in range(first, n_max + 1):
         for k in range((n - 1) // 2 + 1):
             s = comb(n, 2 * k + 1) * w_pow[k]
             if isinstance(s, np.generic):
@@ -233,7 +239,7 @@ def recursion_term_closed(n: int, pair: DerivPair, lam) -> DerivPair:
     G_n = sum_k binom(n, 2k+1) (-2 lam)^k G^(2k+1) (X_L G)^(n-2k-1).
     """
     _integer(n, "chain index n", 1)
-    return _closed_chain(n, pair, lam)[-1]
+    return _closed_chain(n, pair, lam, n)[0]
 
 
 def power_coeffs(m: int, n: int, r: int, p_u: float, gam: float, lam) -> tuple:
@@ -352,15 +358,17 @@ class Extension:
     K is evaluated in two parts (:func:`_integral_from_parts`).  The base
     point fixes the chain member (G_r, X_L G_r), formed from
     :func:`seed_pair`'s (G, X_L G) by :func:`recursion_term_closed`, and
-    lam = c L + c0.  These are kept for the last
+    lam = c L + c0.  These are kept, with L's value, for the last
     :data:`SEED_PAIR_MEMO_SIZE` distinct base points, keyed by the exact
     bytes of the base coordinates.  (u, p_u) then costs one profile value
     and the cofactor sums.  So a finite-difference stencil builds the
     chain once per distinct base point: its u and p_u steps keep the base
-    point.  The bound covers one stencil but not a repeated pass over a
-    point cloud.  An evaluation error is not kept.  The instance is
-    frozen, so the kept parts cannot outlive the system and seed they
-    came from.
+    point.  H reads L from a kept base part where there is one, and calls
+    L's ``value`` otherwise; the two agree bit for bit, as ``value`` and
+    ``value_grad`` do.  The bound covers one stencil but not a repeated
+    pass over a point cloud.  An evaluation error is not kept.  The
+    instance is frozen, so the kept parts cannot outlive the system and
+    seed they came from.
     """
 
     system: HamiltonianSystem
@@ -368,8 +376,8 @@ class Extension:
     params: ExtensionParams
     _seed_pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _base_part(self, base: np.ndarray) -> tuple[DerivPair, float]:
-        """The chain member (G_r, X_L G_r) and lam = c L + c0 at ``base``."""
+    def _base_part(self, base: np.ndarray) -> tuple[DerivPair, float, float]:
+        """The chain member (G_r, X_L G_r), lam = c L + c0 and L at ``base``."""
         key = base.tobytes()
         hit = self._seed_pairs.get(key)
         if hit is None:
@@ -377,17 +385,18 @@ class Extension:
             pair, lval = seed_pair(self.system, self.seed.field, base)
             lam = params.c * lval + params.c0
             hit = _keep(self._seed_pairs, key,
-                        (recursion_term_closed(_chain_indices(params)[1], pair, lam), lam))
+                        (recursion_term_closed(_chain_indices(params)[1], pair, lam), lam, lval))
         return hit
 
     def _integral_at(self, u: float, p_u: float, base: np.ndarray):
-        chain, lam = self._base_part(base)
+        chain, lam, _ = self._base_part(base)
         return _integral_from_parts(self.params, chain, lam, profile_at(self.params, u)[0], p_u)
 
     def _hamiltonian_at(self, u: float, p_u: float, base: np.ndarray) -> float:
         params = self.params
         gam, dgam, _ = profile_at(params, u)
-        lval = self.system.hamiltonian.value(base)
+        hit = self._seed_pairs.get(base.tobytes())
+        lval = self.system.hamiltonian.value(base) if hit is None else hit[2]
         k2 = params.k**2
         h = 0.5 * p_u**2 - k2 * dgam * lval + k2 * params.c0 * gam * gam
         if params.omega != 0.0:

@@ -78,8 +78,8 @@ coordinate that is not a float sends the field to jets the same way.
 Reassigning ``fn`` drops the kernel.
 
 Second order runs over clouds of points.
-``jet2_cloud`` records ``fn``'s second-order jet once, at one point of a
-cloud of B points, and replays the ops over all of them at once: each
+``jet2_cloud`` records ``fn``'s second-order jet once, at one point of the
+first cloud of B points, and replays the ops over all of them at once: each
 tape temporary becomes an ndarray of shape (B,), dropped after its last
 use.  The replay interprets the ops and compiles nothing.  A Hessian tape
 is about d times longer than a gradient tape: square_polar.L's has some
@@ -87,7 +87,12 @@ is about d times longer than a gradient tape: square_polar.L's has some
 peaked near 3.7 MiB and raised the peak memory of the sampled-gates
 benchmark by 5.5 %, while at B = 300 the interpreter ran as fast as the
 compiled source and a replay peaks below 1 MiB, its recording included.
-The tape is recorded at every call and not kept, for the same reason.
+The checked and pruned ops are kept on the field, a list of tuples, and
+every later cloud of the same ``fn`` replays them: reassigning ``fn`` drops
+them, as it drops the kernel, and a recording that fails is not kept.  A
+later cloud gets the numbers a recording of its own would give: a row whose
+branch differs from the recorded one fails a guard and is marked, as any
+row of the first cloud can.
 Each value the replay leaves at a point is the one ``jet2`` computes
 there, bit for bit: numpy does only the real arithmetic and complex + and
 -, complex * follows CPython's own formula on the parts, and complex /,
@@ -640,14 +645,16 @@ class _Tape:
         exec(compile(src, f"<jet1 kernel of {label or 'field'}>", "exec"), namespace)
         return namespace["make"](_GuardFailed, *(self.vals[i] for i in self.consts))
 
-    def replay(self, cols: list, wanted: list, marked: np.ndarray) -> list:
-        """The registers ``wanted`` over a cloud of points, one ndarray each,
-        from the ops :meth:`pruned` leaves.
+    def replay(self, wanted: list) -> Callable[[list, np.ndarray], list]:
+        """``run(cols, marked)``: the registers ``wanted`` over a cloud of
+        points, one ndarray each, from the ops :meth:`pruned` leaves.
 
-        ``cols[i]`` holds coordinate ``i`` at every point.  Each result
-        register becomes an ndarray over the cloud, of the type it had here,
-        and is dropped after its last use.  Every value at a point left
-        unmarked is the one the scalar run makes there, bit for bit:
+        The types are checked, the ops pruned and the frees scheduled here,
+        once, and ``run`` serves any number of clouds.  ``cols[i]`` holds
+        coordinate ``i`` at every point.  Each result register becomes an
+        ndarray over the cloud, of the type it had here, and is dropped
+        after its last use.  Every value at a point left unmarked is the one
+        the scalar run makes there, bit for bit:
 
         - numpy does real +, -, *, /, negation, abs and comparisons, and
           complex + and -, which match Python's float and complex rules;
@@ -656,11 +663,13 @@ class _Tape:
           run through the same Python scalar function, one point at a time
           (numpy's complex / rounds apart from CPython's).
 
-        A point is marked (set in ``marked``) where the scalar run raises or
-        leaves the tape: a zero divisor, an exception in a per-point call, a
-        guard that comes out the other way, or a result of another type than
-        recorded.  Its values are then meaningless.  A tape holding a value
-        the replay cannot keep as an array raises :class:`_Untraceable`.
+        ``run`` marks a point (sets it in ``marked``) where the scalar run
+        raises or leaves the tape: a zero divisor, an exception in a
+        per-point call, a guard that comes out the other way, or a result of
+        another type than recorded.  Its values are then meaningless.  No
+        value of the recording reaches a result: each register ``run`` reads
+        is a coordinate, a constant or an earlier op's.  A tape holding a
+        value the replay cannot keep as an array raises :class:`_Untraceable`.
         """
         vals = self.vals
         ops = self.ops
@@ -695,39 +704,43 @@ class _Tape:
             if r not in keep:
                 drop[k].append(r)
 
-        regs = list(vals)
-        regs[:len(cols)] = cols
-        with np.errstate(all="ignore"):
-            for (op, dest, a, b), gone in zip(ops, drop):
-                x = regs[a]
-                if op in _COMPARE:
-                    marked |= _COMPARE[op](x, regs[b]) != dest
-                elif op == "call":
-                    regs[dest] = _each(regs[b], (x,), type(vals[dest]), marked)
-                elif op == "**":
-                    regs[dest] = _each(operator.pow, (x, regs[b]), type(vals[dest]), marked)
-                elif op in _BINARY:
-                    y = regs[b]
-                    if not (cplx[a] or cplx[b]):
-                        if op == "/":
-                            marked |= y == 0
-                        regs[dest] = _BINARY[op](x, y)
-                    elif op == "*":
-                        regs[dest] = _complex_mul(x, y, cplx[a], cplx[b])
-                    elif op == "/":
-                        regs[dest] = _each(operator.truediv, (x, y), complex, marked)
+        def run(cols: list, marked: np.ndarray) -> list:
+            regs = list(vals)
+            regs[:len(cols)] = cols
+            with np.errstate(all="ignore"):
+                for (op, dest, a, b), gone in zip(ops, drop):
+                    x = regs[a]
+                    if op in _COMPARE:
+                        marked |= _COMPARE[op](x, regs[b]) != dest
+                    elif op == "call":
+                        regs[dest] = _each(regs[b], (x,), type(vals[dest]), marked)
+                    elif op == "**":
+                        regs[dest] = _each(operator.pow, (x, regs[b]), type(vals[dest]), marked)
+                    elif op in _BINARY:
+                        y = regs[b]
+                        if not (cplx[a] or cplx[b]):
+                            if op == "/":
+                                marked |= y == 0
+                            regs[dest] = _BINARY[op](x, y)
+                        elif op == "*":
+                            regs[dest] = _complex_mul(x, y, cplx[a], cplx[b])
+                        elif op == "/":
+                            regs[dest] = _each(operator.truediv, (x, y), complex, marked)
+                        else:
+                            regs[dest] = _BINARY[op](x, y)
+                    elif op == "neg":
+                        regs[dest] = -x
+                    elif cplx[a]:
+                        regs[dest] = _each(abs, (x,), float, marked)
                     else:
-                        regs[dest] = _BINARY[op](x, y)
-                elif op == "neg":
-                    regs[dest] = -x
-                elif cplx[a]:
-                    regs[dest] = _each(abs, (x,), float, marked)
-                else:
-                    regs[dest] = np.abs(x)
-                for r in gone:
-                    regs[r] = None
-        n = len(marked)
-        return [regs[r] if type(regs[r]) is np.ndarray else np.full(n, regs[r]) for r in wanted]
+                        regs[dest] = np.abs(x)
+                    for r in gone:
+                        regs[r] = None
+            n = len(marked)
+            return [regs[r] if type(regs[r]) is np.ndarray else np.full(n, regs[r])
+                    for r in wanted]
+
+        return run
 
 
 def _each(fn, args: tuple, kind: type, marked: np.ndarray) -> np.ndarray:
@@ -903,6 +916,9 @@ class ScalarField:
     # (fn, kernel): kernel is None before the second value_grad call of that fn,
     # False once the field stays on jets, else the compiled kernel
     _kernel: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # (fn, run): run is the kept cloud replay of that fn's second-order tape
+    # (_Tape.replay), None before a recording of it succeeds
+    _cloud: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.codomain not in ("real", "complex"):
@@ -1019,9 +1035,10 @@ class ScalarField:
         the replay of the tape cannot stand in for ``jet2`` (see
         :meth:`_Tape.replay`), or where ``jet2`` would find a non-finite
         number.  ``jet2`` there returns or raises what it does.  The tape is
-        recorded at the first row off the singular set, once per call; a
+        recorded at the first row off the singular set of the first cloud,
+        and its replay kept for every later cloud of the same ``fn``; a
         recording that fails, or where ``fn`` returns a plain number, marks
-        every row.
+        every row and is not kept.
         """
         pts = np.asarray(points, dtype=float)
         d = self.dim
@@ -1043,11 +1060,15 @@ class ScalarField:
         if not len(clear):
             return blank
         try:
-            tape, out = _record(self.fn, rows[clear[0]], True)
-            value, grad, hess = tape.outputs(out, d, True)
-            if grad is None:  # a plain number: every row goes to jet2
-                raise _Untraceable
-            cols = tape.replay(list(np.ascontiguousarray(pts.T)), [value, *grad, *hess], marked)
+            fn, run = self._cloud
+            if fn is not self.fn or run is None:
+                tape, out = _record(self.fn, rows[clear[0]], True)
+                value, grad, hess = tape.outputs(out, d, True)
+                if grad is None:  # a plain number: every row goes to jet2
+                    raise _Untraceable
+                run = tape.replay([value, *grad, *hess])
+                self._cloud = (self.fn, run)
+            cols = run(list(np.ascontiguousarray(pts.T)), marked)
             value = cols[0]
             grads = np.stack(cols[1:d + 1], axis=1)
             hessians = np.stack(cols[d + 1:], axis=1).reshape(n, d, d)

@@ -48,12 +48,14 @@ _TINY = 1e-12
 # and the benchmark (20 000 steps), and 48 MB of stored states for six
 # coordinates.
 RK4_MAX_STEPS = 1_000_000
-# The fewest points pde_residual evaluates in one cloud pass.  Recording,
-# pruning and replaying the tapes of L and G cost about 0.5-3.5 ms whatever
-# the size of the cloud (quartic1 to vortex_equal), plus 0.4-6 us a point,
-# and one point by apply_xl2 40-140 us, so the pass breaks even at 11-29
-# points (best of 7 on a shared 2-vCPU Linux host); 32 keeps the worst loss
-# on either side of the threshold under 2 ms (quartic2b at 31 points).
+# The fewest points pde_residual evaluates in one cloud pass.  A field's first
+# pass records and prunes the tapes of L and G and replays them, about
+# 0.5-3.5 ms whatever the size of the cloud (quartic1 to vortex_equal), plus
+# 0.4-6 us a point, and one point by apply_xl2 costs 40-140 us, so that pass
+# breaks even at 11-29 points (best of 7 on a shared 2-vCPU Linux host); 32
+# keeps the worst loss on either side of the threshold under 2 ms (quartic2b
+# at 31 points).  Later passes replay the kept tapes, 0.14-1.4 ms fixed, and
+# break even at 3-11 points.
 CLOUD_MIN_POINTS = 32
 # Defaults the command line shares: the finite-difference step and rank
 # threshold of the bracket and rank checks, the step of the first-order
@@ -664,9 +666,16 @@ def fd_gradient(fn: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
 
 def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
                           x: np.ndarray, h: float = FD_STEP) -> float:
-    """|{F, G}| scaled by the gradient sizes and the bivector norm."""
-    gf = fd_gradient(f, x, h)
+    """|{F, G}| scaled by the gradient sizes and the bivector norm.
+
+    G's gradient is formed before F's.  Neither reads the other, so the
+    order leaves the result alone (where both raise, G's error is the one
+    raised); but with F = H and G = K of an
+    :class:`~extkit.extension.Extension`, K's stencil keeps the base parts
+    whose L values H's stencil then reads.
+    """
     gg = fd_gradient(g, x, h)
+    gf = fd_gradient(f, x, h)
     pi = structure.matrix(x)
     val = abs(gf @ pi @ gg)
     scale = float(np.linalg.norm(gf) * structure.spectral_norm(pi) * np.linalg.norm(gg))

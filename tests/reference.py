@@ -73,6 +73,17 @@ def integral_from_pair(params, pair: DerivPair, lval, u: float, p_u: float):
     return total
 
 
+def hamiltonian_from_value(params, lval, u: float, p_u: float):
+    """H = p_u^2/2 - k^2 y' L + k^2 c0 y^2 + omega / y^2 from the value of L
+    at the base point and (u, p_u)."""
+    gam, dgam, _ = profile_at(params, u)
+    k2 = params.k**2
+    h = 0.5 * p_u**2 - k2 * dgam * lval + k2 * params.c0 * gam * gam
+    if params.omega != 0.0:
+        h += params.omega / gam**2
+    return h
+
+
 def bracket(structure, f, g, x):
     """{F, G} = grad F . pi grad G at ``x``."""
     return f.jet1(x).grad @ structure.matrix(x) @ g.jet1(x).grad

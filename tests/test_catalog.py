@@ -433,8 +433,9 @@ def test_boolean_number_parameters_rejected(key, name):
         ek.instantiate(key, {name: True})
 
 
+# the last has C2 != 0 and c != 1 together, as the terms c**2 C2 C3 of L need
 QUARTIC2B_PARAMS = [{}, {"C1": 2.0, "C2": 0.5}, {"C1": -1.5, "C2": 1.0, "C3": 0.3},
-                    {"c": 2.0, "c0": -0.5}]
+                    {"c": 2.0, "c0": -0.5}, {"C2": 0.5, "c": 2.0}]
 
 
 @pytest.mark.parametrize("params", QUARTIC2B_PARAMS)

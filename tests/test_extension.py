@@ -15,7 +15,7 @@ from extkit.extension import (
     recursion_term_closed,
     seed_pair,
 )
-from reference import Pair, integral_from_pair
+from reference import Pair, hamiltonian_from_value, integral_from_pair
 
 
 def const_level_system(value=3.0):
@@ -357,7 +357,8 @@ def test_kept_seed_pairs_change_no_bit_of_k(key, consts, mn, monkeypatch):
     for name, vec, got in asked:
         fresh = ek.Extension(built.system, built.seed, params)
         z = fresh.integral(ek.ExtendedState.from_vector(vec))
-        want = {"K": float(z), "K_re": complex(z).real, "K_im": complex(z).imag}[name]
+        want = {"K": float, "K_re": lambda z: complex(z).real,
+                "K_im": lambda z: complex(z).imag}[name](z)
         assert type(got) is type(want) and got == want, (key, name, vec.tolist())
 
 
@@ -565,24 +566,31 @@ def evaluated(fn, *args):
 
 
 def k_mismatches(ext, visits) -> list:
-    """The (name, point) visits whose K differs from the reference in type or value.
+    """The (name, point) visits whose K or H differs from the reference in
+    type or value.
 
-    Each visit asks an observable (K, K_re or K_im) or ``integral`` of an
-    ExtendedState; the reference forms K at the point from nothing kept.
+    Each visit asks an observable (K, K_re, K_im or H), or ``integral`` or
+    ``hamiltonian`` of an ExtendedState; the reference forms K or H at the
+    point from nothing kept.
     """
     obs = ext.conserved_quantities()
+    as_asked = {"integral": lambda z: z, "K": float, "K_re": lambda z: complex(z).real,
+                "K_im": lambda z: complex(z).imag, "H": lambda h: h, "hamiltonian": lambda h: h}
     bad = []
     for name, p in visits:
-        if name == "integral":
-            got = evaluated(ext.integral, ek.ExtendedState.from_vector(p))
+        if name in ("integral", "hamiltonian"):
+            got = evaluated(getattr(ext, name), ek.ExtendedState.from_vector(p))
         else:
             got = evaluated(obs[name], p)
-        base = p[2:].copy()
-        want = evaluated(lambda: integral_from_pair(
-            ext.params, *seed_pair(ext.system, ext.seed.field, base), float(p[0]), float(p[1])))
+        base, u, p_u = p[2:].copy(), float(p[0]), float(p[1])
+        if name in ("H", "hamiltonian"):
+            want = evaluated(lambda: hamiltonian_from_value(
+                ext.params, ext.system.hamiltonian.value(base), u, p_u))
+        else:
+            want = evaluated(lambda: integral_from_pair(
+                ext.params, *seed_pair(ext.system, ext.seed.field, base), u, p_u))
         if not isinstance(want, type):
-            want = {"integral": lambda z: z, "K": float, "K_re": lambda z: complex(z).real,
-                    "K_im": lambda z: complex(z).imag}[name](want)
+            want = as_asked[name](want)
         if not (type(got) is type(want) and got == want):
             bad.append((name, p.tolist()))
     return bad
@@ -597,7 +605,7 @@ def part_case(kind, regime, m, n, omega, offset):
 
 def part_visits(kind, built, ext, seed, centres, shuffle):
     names = ["K_re", "K_im"] if kind == "complex" else ["K"]
-    names.append("integral")
+    names += ["integral", "H", "hamiltonian"]
     centre_points = conftest.sample_extended(PART_SEEDS[kind], centres, seed, margin=0.1,
                                              system=built)
     visits = [(name, p) for c in centre_points for p in stencil(c) for name in names]
@@ -629,7 +637,7 @@ def stale_lam(self, base):
     if not first:
         first.append(self.params.c * lval + self.params.c0)
     r = ek.extension._chain_indices(self.params)[1]
-    return recursion_term_closed(r, pair, first[0]), first[0]
+    return recursion_term_closed(r, pair, first[0]), first[0], lval
 
 
 def keyed_on_first_coordinate(self, base):
@@ -640,11 +648,24 @@ def keyed_on_first_coordinate(self, base):
         pair, lval = seed_pair(self.system, self.seed.field, base)
         lam = self.params.c * lval + self.params.c0
         memo[key] = recursion_term_closed(ek.extension._chain_indices(self.params)[1],
-                                          pair, lam), lam
+                                          pair, lam), lam, lval
     return memo[key]
 
 
-@pytest.mark.parametrize("faulty", [stale_lam, keyed_on_first_coordinate])
+def stale_l(self, base):
+    # a faulty base part: chain and lam right, under the right key, but L kept
+    # from the first base point this instance saw, so only H reads it wrong
+    first = self._seed_pairs.setdefault("first L", [])
+    pair, lval = seed_pair(self.system, self.seed.field, base)
+    if not first:
+        first.append(lval)
+    lam = self.params.c * lval + self.params.c0
+    r = ek.extension._chain_indices(self.params)[1]
+    return ek.extension._keep(self._seed_pairs, base.tobytes(),
+                              (recursion_term_closed(r, pair, lam), lam, first[0]))
+
+
+@pytest.mark.parametrize("faulty", [stale_lam, keyed_on_first_coordinate, stale_l])
 @pytest.mark.parametrize("kind", sorted(PART_SEEDS))
 def test_a_base_part_kept_wrongly_fails_the_bit_check(faulty, kind, monkeypatch):
     built, ext = part_case(kind, "kappa>0", 3, 2, 0.0, 0.25)

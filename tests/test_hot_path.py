@@ -143,6 +143,13 @@ def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_
     ham, seed = built.system.hamiltonian.label, built.seed.field.label
     assert calls["value_grad"].count(ham) == calls["value_grad"].count(seed) == per_field
     assert len(calls["value_grad"]) == 2 * per_field and calls["jet2"] == []
+    # K's stencil goes first and keeps L at each base point, where H's reads
+    # it; control: H's stencil alone, on a fresh instance, calls L's value at
+    # each of its 2 (d + 2) points
+    assert calls["value"] == []
+    ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
+    ek.fd_gradient(ext.conserved_quantities()["H"], np.array(state))
+    assert calls["value"] == [ham] * 2 * len(state)
 
 
 def bracket_counts(key, consts, state, monkeypatch) -> dict:

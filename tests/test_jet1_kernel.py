@@ -110,6 +110,36 @@ def test_kernel_matches_the_jet_path_on_every_catalog_field(key, field, box, dat
             assert callable(f._kernel[1]), field.label
 
 
+HAMILTONIANS = [(ek.instantiate(key).system.hamiltonian, ek.get_entry(key).default_box)
+                for key in ek.entry_ids()]
+
+
+def value_outcome(call):
+    """``("ok", type, bytes)`` of a value, or ``("raised", class, message)``."""
+    try:
+        v = call()
+    except ek.EvaluationError as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok", type(v), np.array(v).tobytes())
+
+
+@pytest.mark.parametrize("field, box", HAMILTONIANS, ids=[f.label for f, _ in HAMILTONIANS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_value_is_value_grads_value_on_every_catalog_hamiltonian(field, box, data):
+    # H takes L from value where K kept no base part, and from value_grad's
+    # value where it kept one: the same bits and type, or the same error, on
+    # the jet path, at the recording and on the kernel, zeros included
+    points = [list(p) for p in data.draw(boxed_points(box, 4))]
+    points += [[0.0 if k == i else v for k, v in enumerate(p)]
+               for p in points for i in range(len(p))]
+    f = dataclasses.replace(field)
+    for xs in points:
+        assert value_outcome(lambda: f.value(xs)) == \
+            value_outcome(lambda: f.value_grad(xs)[0]), (field.label, xs)
+    assert f._kernel[1] is not None
+
+
 def field_by_label(label):
     return next(f for _, f, _ in FIELDS if f.label == label)
 

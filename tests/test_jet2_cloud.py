@@ -232,6 +232,63 @@ def test_a_recording_that_fails_marks_the_whole_cloud():
     assert all(on_jets(field, x)[0] == "ok" for x in points)
 
 
+def counting_recordings(monkeypatch) -> list:
+    """The ``fn`` of each second-order recording made from here on."""
+    seen = []
+    record = jets._record
+
+    def counted(fn, xs, second_order):
+        if second_order:
+            seen.append(fn)
+        return record(fn, xs, second_order)
+
+    monkeypatch.setattr(jets, "_record", counted)
+    return seen
+
+
+def test_a_gates_pass_records_each_second_order_tape_once(monkeypatch):
+    # the pde gates of the benchmark, L and G of each entry, twice over, each
+    # pass on its own sample: only the first pass records, once per field
+    cases = []
+    for key in PDE_ENTRIES:
+        b = ek.instantiate(key)
+        system = dataclasses.replace(b.system, hamiltonian=dataclasses.replace(b.system.hamiltonian))
+        cases.append((key, system, dataclasses.replace(b.seed.field), b.seed.meta["pair"]))
+    seen = counting_recordings(monkeypatch)
+    for seed in (1, 2):
+        for key, system, g, (c, c0) in cases:
+            spec = ek.SampleSpec(intervals=ek.get_entry(key).default_box, count=40, seed=seed)
+            ek.pde_residual(system, g, c, c0, spec)
+        assert seen == [f.fn for _, system, g, _ in cases for f in (system.hamiltonian, g)]
+
+
+def test_a_kept_replay_leaves_the_rows_off_its_recorded_branch_to_jet2():
+    field = ek.ScalarField(branch_on_sign, 2, label="f")
+    assert assert_parity(field, [[0.5, 1.0], [-0.3, 1.0]]).tolist() == [False, True]
+    # recorded where q > 0, so on a later cloud the rows where q < 0 are
+    # marked; a recording at this cloud's first row marks the others
+    points = [[-0.2, 1.0], [0.4, 2.0], [-0.7, 0.5]]
+    assert assert_parity(field, points).tolist() == [True, False, True]
+    assert assert_parity(dataclasses.replace(field), points).tolist() == [False, True, False]
+
+
+def test_a_failed_recording_is_retried_and_a_new_fn_drops_the_kept_replay(monkeypatch):
+    seen = counting_recordings(monkeypatch)
+    field = ek.ScalarField(lambda co: co[1] / co[0], 2, label="f")
+    points = [[0.0, 1.0], [0.5, 1.0], [0.25, 2.0]]
+    # the recording divides by zero at the first row: every row is marked,
+    # and nothing is kept
+    assert assert_parity(field, points).all()
+    assert field._cloud == (None, None)
+    # the next call records again, and keeps what it recorded
+    assert assert_parity(field, points[1:] + points[:1]).tolist() == [False, False, True]
+    assert assert_parity(field, points).tolist() == [True, False, False]
+    assert len(seen) == 2
+    field.fn = branch_on_sign
+    assert not assert_parity(field, points[1:]).any()
+    assert seen[2:] == [branch_on_sign]
+
+
 def type_test_on_a_value(co):
     return co[0] * co[1] if isinstance(co[0].value, float) else co[1] - co[0]
 

@@ -85,6 +85,29 @@ def test_jet_exponent_power():
     assert abs(j.grad[1] - v * math.log(1.5)) < 1e-12
 
 
+@pytest.mark.parametrize("fn, point, z, dz, w, dw", [
+    # (x - 2)^0.5 y at x = 0.5: a negative base
+    (lambda c: (c[0] - 2.0) ** 0.5 * c[1], [0.5, 1.5], -1.5, [1.0, 0.0], 1.5, [0.0, 1.0]),
+    # (x + i y)^0.5: a complex base
+    (lambda c: (c[0] + 1j * c[1]) ** 0.5, [0.6, -0.8], 0.6 - 0.8j, [1.0, 1j], 1.0, [0.0, 0.0]),
+], ids=["negative", "complex"])
+def test_a_non_integer_power_of_a_negative_or_complex_base_has_the_closed_form_jet(
+        fn, point, z, dz, w, dw):
+    # such a power takes its derivatives from exp(e log v): for f = z^e w,
+    # the gradient is e z^(e-1) dz w + z^e dw and the Hessian
+    # e (e-1) z^(e-2) dz dz^T w + e z^(e-1) (dz dw^T + dw dz^T)
+    e = 0.5
+    dz, dw = np.array(dz), np.array(dw)
+    root = complex(z) ** e
+    grad = e * root / z * dz * w + root * dw
+    hess = (e * (e - 1) * root / z**2 * np.outer(dz, dz) * w
+            + e * root / z * (np.outer(dz, dw) + np.outer(dw, dz)))
+    j = ek.ScalarField(fn, 2, codomain="complex").jet2(np.array(point))
+    assert j.value == root * w
+    np.testing.assert_allclose(j.grad, grad, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(j.hess, hess, rtol=1e-14, atol=1e-15)
+
+
 def test_complex_codomain_field():
     f = ek.ScalarField(lambda x: jets.exp(1j * x[0]), dim=1, codomain="complex")
     j = f.jet1(np.array([0.5]))

@@ -179,6 +179,26 @@ def test_extend_structure_entries():
     np.testing.assert_allclose(dm[0][2, 3], 0.0)
 
 
+def test_extend_structure_entries_is_the_block_sum_on_a_3d_rule():
+    # on a 2-d base a column j - 2 reads j + 2 modulo 4; on euler_top's 3-d
+    # rule every entry of the extended bivector and of its gradients must sit
+    # in the block sum (0 1; -1 0) + pi
+    st = ek.instantiate("euler_top").system.structure
+    ext = ek.extend_structure(st)
+    x = np.array([0.4, -1.3, 0.5, -0.9, 0.7])
+    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    pi, dpi = st.matrix_with_grads(x[2:])
+    want = np.zeros((5, 5))
+    want[:2, :2] = block
+    want[2:, 2:] = pi
+    assert ext.matrix(x).tolist() == want.tolist()
+    m, dm = ext.matrix_with_grads(x)
+    assert m.tolist() == want.tolist()
+    want_d = np.zeros((5, 5, 5))
+    want_d[2:, 2:, 2:] = dpi
+    assert dm.shape == want_d.shape and dm.tolist() == want_d.tolist()
+
+
 def test_system_dim_consistency():
     f = ek.ScalarField(lambda x: x[0], dim=3)
     with pytest.raises(ValueError):

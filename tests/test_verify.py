@@ -348,6 +348,29 @@ def test_fd_gradient_rejects_a_step_that_is_not_finite_and_positive(h):
         ek.verify.fd_gradient(lambda v: float(v[0]), np.array([1.0, 2.0]), h)
 
 
+def test_state_ranks_reads_rank_0_where_every_gradient_vanishes():
+    states = [np.array([0.3, -0.2]), np.array([1.0, 2.0])]
+    assert ek.verify.state_ranks([lambda v: 1.5, lambda v: -2.0], states)[0] == [0, 0]
+    # control: one field that moves gives rank 1
+    assert ek.verify.state_ranks([lambda v: 1.5, lambda v: float(v[0])], states)[0] == [1, 1]
+
+
+@pytest.mark.parametrize("c0, kept", [(-0.125, 5), (0.125, 0)], ids=["radicand-1/4",
+                                                                     "radicand--1/4"])
+def test_first_order_residual_keeps_a_real_point_whose_radicand_is_in_0_1(c0, kept):
+    # L = q p / 2 gives X_L q = q / 2; with (c, c0) = (0, -1/8) the radicand
+    # -2 (c L + c0) is 1/4 at every point and G = q solves the first-order
+    # identity there, while (0, 1/8) makes it -1/4, which a real field skips
+    system = ek.HamiltonianSystem(ek.canonical_structure(2),
+                                  ek.ScalarField(lambda co: 0.5 * co[0] * co[1], 2))
+    g = ek.ScalarField(lambda co: co[0], 2)
+    spec = ek.SampleSpec(((0.5, 1.5), (-1.0, 1.0)), count=5, seed=1)
+    rep = ek.first_order_residual(system, g, 0.0, c0, 1, spec)
+    assert len(rep.rel_residuals) == kept and rep.skipped == 5 - kept
+    if kept:
+        assert rep.max_rel <= 1e-8
+
+
 def test_first_order_residual_rejects_a_zero_step():
     built = ek.instantiate("euler_top")
     field = built.meta["local_seed_builder"](0.0, -0.5)
