@@ -31,19 +31,18 @@ coordinate sequence, with the gradient handed back as an ndarray of
 shape ``(dim,)``; ``jet2`` adds the Hessian as one of shape
 ``(dim, dim)``.  An ndarray is complex when any entry turned complex.
 
-``value_grad`` compiles.  Its first call runs ``fn`` on jets.  Its second
-call runs ``fn`` once more on jets whose values are tape scalars, so the
-unchanged jet rules record every scalar operation in order, as structured
-ops (operation, destination register, operand registers) on a tape in the
-sense of Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 3 and 6.
-It generates one straight-line Python function over plain numbers from the
-ops and compiles it.  From then on ``value_grad`` runs that kernel, and
-``fn`` no longer runs.  Constants reach the kernel by reference.  The
-scalar dispatchers (math or cmath) are recorded as calls, so the kernel
-still picks on each call.  A comparison on a value becomes a guard.  The
-kernel runs inside the same error mapping and finiteness checks as the jet
-path, so its values, gradients, errors and messages are bit for bit those
-of the jet path.
+``value_grad`` compiles.  Its first call runs ``fn`` on jets whose values
+are tape scalars, so the unchanged jet rules record every scalar operation
+in order, as structured ops (operation, destination register, operand
+registers) on a tape in the sense of Griewank & Walther, *Evaluating
+Derivatives*, 2008, ch. 3 and 6.  It generates one straight-line Python
+function over plain numbers from the ops and compiles it.  That call and
+every later one run the kernel, and ``fn`` no longer runs.  Constants reach
+the kernel by reference.  The scalar dispatchers (math or cmath) are
+recorded as calls, so the kernel still picks on each call.  A comparison
+on a value becomes a guard.  The kernel runs inside the same error mapping
+and finiteness checks as the jet path, so its values, gradients, errors and
+messages are bit for bit those of the jet path.
 
 The kernel and the cloud replay below run the ops :meth:`_Tape.pruned`
 leaves, a common-subexpression and dead-code pass in the sense of Griewank
@@ -67,12 +66,15 @@ The contract: ``fn`` is a pure function of its coordinates and of closure
 constants that are fixed once the field is built.  A field stays on jets
 for good when its recording fails: ``fn`` tests the type of a value
 (``isinstance``), applies unary plus to one, calls ``float()``, ``bool()``,
-``complex()``, numpy or math on one, or raises while recording.  A tape
-records no type, so the jet rules test none on a value:
-:meth:`Jet.__pow__` asks ``type()`` of its base, which never consults a
-tape scalar.  Its sign guard cannot compare a complex one, so a field that
-takes a non-integer number power of a complex value stays on jets too, as
-does a field whose guard fails: that call and every later one run on jets.
+``complex()``, numpy or math on one, or raises while recording.  The
+recording is made at the first point asked, so a ``fn`` that raises there
+runs on jets from that call on; the singular test comes first, so a point
+on the declared singular set records nothing.  A tape records no type, so
+the jet rules test none on a value: :meth:`Jet.__pow__` asks ``type()`` of
+its base, which never consults a tape scalar.  Its sign guard cannot
+compare a complex one, so a field that takes a non-integer number power of
+a complex value stays on jets too, as does a field whose guard fails: that
+call and every later one run on jets.
 A caller of ``value_grad`` hands it floats, as when it was recorded; a
 coordinate that is not a float sends the field to jets the same way.
 Reassigning ``fn`` drops the kernel.
@@ -900,7 +902,7 @@ class ScalarField:
     jets, interchangeably) and combines them with ordinary arithmetic
     and the math functions exported by this module.  It must be a pure
     function of its coordinates and of closure constants fixed after
-    construction: ``value_grad`` compiles it on its second call (module
+    construction: ``value_grad`` compiles it on its first call (module
     notes).  A ``fn`` that tests the type of a value is not compiled:
     ``value_grad`` runs it on jets at every call, and ``jet2_cloud`` marks
     every row.  ``singular`` is an optional predicate ``(point, margin) ->
@@ -913,8 +915,8 @@ class ScalarField:
     codomain: str = "real"
     singular: Callable[[Sequence[float], float], bool] | None = None
     label: str = ""
-    # (fn, kernel): kernel is None before the second value_grad call of that fn,
-    # False once the field stays on jets, else the compiled kernel
+    # (fn, kernel) after the first value_grad call of fn: kernel is the
+    # compiled kernel, or False once the field stays on jets
     _kernel: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # (fn, run): run is the kept cloud replay of that fn's second-order tape
     # (_Tape.replay), None before a recording of it succeeds
@@ -976,8 +978,9 @@ class ScalarField:
         """Value and gradient tuple at the coordinate list ``xs``.
 
         The one first-order entry point: ``xs`` is a list of ``dim``
-        floats, taken as it is.  From the second call on it runs the
-        compiled kernel while the field has one (see the module notes).
+        floats, taken as it is.  The first call of each ``fn`` records and
+        compiles it, and every call runs the kernel while the field has one
+        (see the module notes).
         Every first-order request comes here, the flows' once per
         right-hand side, so the kernel runs inline: the singular test,
         the call and the finiteness test add no frame while they pass.
@@ -988,10 +991,7 @@ class ScalarField:
             self._on_chart(xs)
         fn, kernel = self._kernel
         if fn is not self.fn:
-            fn, kernel = self._kernel = (self.fn, None)
-        elif kernel is None:
-            kernel = _compile_jet1(fn, xs, self.label)
-            self._kernel = (fn, kernel)
+            fn, kernel = self._kernel = (self.fn, _compile_jet1(self.fn, xs, self.label))
         if kernel:
             try:
                 # the recording held the result to _sized.  A sum of finite

@@ -257,7 +257,7 @@ def ham_field(system: HamiltonianSystem, x) -> tuple[Any, list]:
     ``x`` is a list of floats, taken as it is, or any other coordinate
     sequence, turned into one; the field comes back as a list.  L's value
     and gradient come from :meth:`ScalarField.value_grad` (its compiled
-    kernel once warm), which raises every evaluation error, and the field
+    kernel), which raises every evaluation error, and the field
     from :meth:`PoissonStructure.contract`.
     """
     ham = system.hamiltonian

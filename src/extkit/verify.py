@@ -328,15 +328,15 @@ def _fused_rk4(system: HamiltonianSystem, params) -> Callable | None:
     kernel for good, a point on L's singular set, a profile or centrifugal
     pole within ``_POLE_TOL``, or a value or gradient entry that is not a
     finite real number.  A kernel not compiled yet, or dropped with a
-    reassigned ``fn``, is compiled first (:func:`_warm_kernel`), so a run
+    reassigned ``fn``, is compiled first by the one ``value_grad`` call at
+    the state that the general step's first stage would make, so a run
     makes the same calls of the flow whether or not L was warm when it
     began.
     """
     ham, structure = system.hamiltonian, system.structure
     if structure.dim != ham.dim:
         return None
-    consts = {"ham": ham, "structure": structure, "isfinite": math.isfinite,
-              "warm": _warm_kernel}
+    consts = {"ham": ham, "structure": structure, "isfinite": math.isfinite}
     cols = None
     if structure._sparse is not None:
         cols = tuple(j for j, _ in structure._sparse)
@@ -363,20 +363,6 @@ def _fused_rk4(system: HamiltonianSystem, params) -> Callable | None:
     return _step_maker((ham.dim, cols, regime, omega), tuple(consts))(**consts)
 
 
-def _warm_kernel(ham: ScalarField, xs: list):
-    """L's compiled kernel, compiled now if it is not yet: the one or two
-    ``value_grad`` calls at ``xs`` that the general step's first stages
-    would make (the first runs ``fn`` on jets, the second records it).
-    False when L stays on jets; an evaluation error is raised."""
-    for _ in range(2):
-        fn, kernel = ham._kernel
-        if fn is ham.fn and kernel is not None:
-            return kernel
-        ham.value_grad(xs)
-    fn, kernel = ham._kernel
-    return fn is ham.fn and kernel
-
-
 @functools.lru_cache(maxsize=64)
 def _step_maker(shape: tuple, names: tuple) -> Callable:
     """``make(**constants) -> step`` for a flow of ``shape``, compiled once
@@ -395,9 +381,9 @@ def _step_source(shape: tuple, names: tuple) -> str:
     n = base + d
     grads = [f"G{j}" for j in range(d)]
     lines = [f"{''.join(f'y{j}, ' for j in range(n))}= y",
-             "fn, kernel = ham._kernel",
-             "if fn is not ham.fn or kernel is None:",
-             f"    kernel = warm(ham, [{', '.join(f'y{j}' for j in range(base, n))}])",
+             "if ham._kernel[0] is not ham.fn:",
+             f"    ham.value_grad([{', '.join(f'y{j}' for j in range(base, n))}])",
+             "kernel = ham._kernel[1]",
              "if not kernel:",
              "    return None",
              "sing = ham.singular",
@@ -676,7 +662,11 @@ def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
     """
     gg = fd_gradient(g, x, h)
     gf = fd_gradient(f, x, h)
-    pi = structure.matrix(x)
+    return _normalized_bracket(structure, structure.matrix(x), gf, gg)
+
+
+def _normalized_bracket(structure: PoissonStructure, pi, gf, gg) -> float:
+    """|gf . pi . gg| scaled by the sizes of the gradients and the bivector ``pi``."""
     val = abs(gf @ pi @ gg)
     scale = float(np.linalg.norm(gf) * structure.spectral_norm(pi) * np.linalg.norm(gg))
     return val / (scale + _TINY)
@@ -686,16 +676,27 @@ def bracket_sweep(structure: PoissonStructure, h_fn: Callable, fns: dict[str, Ca
                   states: Sequence[np.ndarray], h: float = FD_STEP) -> tuple:
     """Largest :func:`fd_bracket_normalized` {H, F} over the states, for each named F.
 
-    Each (F, state) bracket is one point of :func:`_sweep`.  Returns the
-    worst value (inf if no bracket was checked), the (name, state) it came
-    from (None if no bracket is positive), and the counts of brackets
-    checked and skipped.
+    At each state every F's gradient is formed in name order, then H's once,
+    as :func:`fd_bracket_normalized` orders them.  An (F, state) bracket is
+    skipped where F, H or the bivector raises :class:`EvaluationError`.
+    Returns the worst value (inf if no bracket was checked), the (name,
+    state) it came from (None if no bracket is positive), and the counts of
+    brackets checked and skipped.
     """
-    vals, kept, skipped = _sweep([(name, x) for x in states for name in fns], lambda p:
-                                 fd_bracket_normalized(structure, h_fn, fns[p[0]], p[1], h))
-    worst, where = max(((v, p) for v, p in zip(vals, kept) if v > 0), key=lambda vp: vp[0],
-                       default=(0.0 if vals else math.inf, None))
-    return worst, where, len(vals), skipped
+    def brackets_at(x) -> list:
+        """(value, (name, x)) for each F whose gradient forms at ``x``; where
+        H's gradient or the bivector raises, the error skips them all."""
+        grads, names, _ = _sweep(list(fns), lambda name: fd_gradient(fns[name], x, h))
+        if not names:
+            return []
+        gf, pi = fd_gradient(h_fn, x, h), structure.matrix(x)
+        return [(_normalized_bracket(structure, pi, gf, gg), (name, x))
+                for gg, name in zip(grads, names)]
+
+    found = [vp for row in _sweep(states, brackets_at)[0] for vp in row]
+    worst, where = max((vp for vp in found if vp[0] > 0), key=lambda vp: vp[0],
+                       default=(0.0 if found else math.inf, None))
+    return worst, where, len(found), len(states) * len(fns) - len(found)
 
 
 def state_ranks(fns: Sequence[Callable], states: Sequence[np.ndarray],

@@ -108,8 +108,7 @@ CASES = {
 def test_a_list_state_gets_what_the_general_way_gives(case):
     system, params, good, bad, raises, after_warm, compiled = CASES[case]
     rhs = ek.base_flow(system) if params is None else ek.extended_flow(system, params)
-    for _ in range(2):  # the jet path, then the recording
-        rhs(list(good))
+    rhs(list(good))  # the recording
     assert callable(system.hamiltonian._kernel[1]) is compiled
     if after_warm is not None:
         after_warm(system)

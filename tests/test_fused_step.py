@@ -65,9 +65,8 @@ def first_difference(rhs, fused, y, h, steps, probe=1.0):
 
 
 def warm(rhs, y):
-    """Two calls, so L's kernel is compiled: the jet path, then the recording."""
-    for _ in range(2):
-        rhs(list(y))
+    """One call, so L's kernel is compiled: the recording."""
+    rhs(list(y))
 
 
 def flow_params(data):

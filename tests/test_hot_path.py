@@ -152,6 +152,35 @@ def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_
     assert calls["value"] == [ham] * 2 * len(state)
 
 
+def test_a_bracket_sweep_forms_h_s_gradient_once_per_state(monkeypatch):
+    # K_re and K_im each take H's bracket, but the sweep evaluates H at the
+    # 2 (d + 2) points of one stencil per state; control: a bracket per
+    # (K part, state) pair forms H's stencil once per part
+    key, consts, state, _ = BRACKET_STATES[0]
+    built = ek.instantiate(key)
+    states = [np.array(state), 1.01 * np.array(state)]
+    runs = []
+    at = extension.Extension._hamiltonian_at
+    monkeypatch.setattr(extension.Extension, "_hamiltonian_at",
+                        lambda self, *args: runs.append(args) or at(self, *args))
+
+    def h_runs(pairwise: bool) -> int:
+        ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
+        obs = ext.conserved_quantities()
+        ks = {name: fn for name, fn in obs.items() if name.startswith("K")}
+        runs.clear()
+        if pairwise:
+            for x in states:
+                for k in ks.values():
+                    ek.fd_bracket_normalized(ext.structure(), obs["H"], k, x)
+        else:
+            assert ek.bracket_sweep(ext.structure(), obs["H"], ks, states)[2:] == (4, 0)
+        return len(runs)
+
+    assert h_runs(False) == 2 * len(state) * len(states) == 24
+    assert h_runs(True) == 48
+
+
 def bracket_counts(key, consts, state, monkeypatch) -> dict:
     """Chain members built, (p_u, y) parts evaluated and ExtendedStates made
     by the bracket of H with each part of K at one state."""
@@ -215,7 +244,7 @@ def test_a_base_part_kept_per_vector_fails_the_count(key, consts, state, bases, 
     ("lotka_volterra", lambda b: ek.base_flow(b.system)),
 ], ids=["quartic1-extended-rhs", "lotka_volterra-base-flow"])
 def test_a_warm_flow_call_runs_no_jet_arithmetic(key, run, monkeypatch):
-    # from its second call on, value_grad replays a compiled kernel over
+    # from its first call on, value_grad replays a compiled kernel over
     # plain numbers: L's fn does not run, and no jet is built at all
     built = ek.instantiate(key)
     ham = built.system.hamiltonian
@@ -230,8 +259,7 @@ def test_a_warm_flow_call_runs_no_jet_arithmetic(key, run, monkeypatch):
     state = {"quartic1": [0.6, 0.4, 0.9, -0.7], "lotka_volterra": [1.2, 0.8]}[key]
     rhs = run(built)
     x = np.array(state)
-    rhs(x)
-    rhs(x * 1.01)  # warm-up: the jet path, then the recording
+    rhs(x)  # warm-up: the recording
     fn_calls.clear()
     grads = []
     init = jets.Jet.__init__
@@ -318,8 +346,7 @@ def test_a_warm_list_state_call_runs_the_kernel_alone(key, make, state, calls, m
     # runs L's compiled kernel once, and no jet is built
     built = ek.instantiate(key)
     rhs = make(built)
-    rhs(list(state))
-    rhs([v * 1.01 for v in state])  # the jet path, then the recording
+    rhs(list(state))  # the recording
     ham = built.system.hamiltonian
     fn, kernel = ham._kernel
     assert callable(kernel)
@@ -410,8 +437,7 @@ def test_a_warm_rk4_step_runs_the_kernel_four_times_and_nothing_else(key, consts
     # integrate takes a library flow's fused step: its four stages call L's
     # kernel and no rhs, ham_field, value_grad or riccati_eval
     system, rhs, rhs_calls = traced_flow(key, consts)
-    rhs(list(state))
-    rhs([v * 1.01 for v in state])  # the jet path, then the recording
+    rhs(list(state))  # the recording
     ham = system.hamiltonian
     fn, kernel = ham._kernel
     assert callable(kernel)

@@ -1,6 +1,6 @@
 """The compiled first-order kernel of ``ScalarField.jet1`` against the jet path.
 
-From its second call on, ``jet1`` replays a tape of the scalar operations
+From its first call on, ``jet1`` replays a tape of the scalar operations
 that one run of the field's ``fn`` on jets made.  These tests hold it to the
 jet path bit for bit: values, gradients, error classes and messages, on
 every catalog field and on the data-dependent decisions a tape has to guard.
@@ -37,9 +37,17 @@ def catalog_fields():
 FIELDS = catalog_fields()
 
 
+def jets_only(field):
+    """A copy of ``field`` that holds no kernel and never records one: its
+    ``value_grad`` runs ``fn`` on jets at every call."""
+    f = dataclasses.replace(field)
+    f._kernel = (f.fn, False)
+    return f
+
+
 def on_jets(field, x):
-    """What the jet path gives at ``x``: the first call of a fresh copy of the field."""
-    return dataclasses.replace(field).jet1(x)
+    """What the jet path gives at ``x``."""
+    return jets_only(field).jet1(x)
 
 
 def outcome(call):
@@ -68,9 +76,10 @@ def assert_same(got, want):
 
 def assert_parity(field, points):
     """Call ``jet1`` of a fresh copy of ``field`` at each point in turn, and
-    hold every call to the jet path at the same point.  While the copy has a
-    kernel, its raw output must also equal ``fn``'s on seeded jets entry by
-    entry, each of the same Python type."""
+    hold every call, the first (the recording) included, to the jet path at
+    the same point.  While the copy has a kernel, its raw output must also
+    equal ``fn``'s on seeded jets entry by entry, each of the same Python
+    type."""
     f = dataclasses.replace(field)
     for x in points:
         got = outcome(lambda: f.jet1(x))
@@ -110,6 +119,33 @@ def test_kernel_matches_the_jet_path_on_every_catalog_field(key, field, box, dat
             assert callable(f._kernel[1]), field.label
 
 
+@pytest.mark.parametrize("key, field, box", FIELDS, ids=[f.label for _, f, _ in FIELDS])
+def test_the_first_call_of_a_fresh_copy_runs_the_kernel_on_every_catalog_field(key, field,
+                                                                                box):
+    # the recording and the kernel's first run are one call: at the first
+    # point a fresh copy is asked, it already gives the jet path's bits
+    rng = np.random.default_rng(7)
+    x = next(x for x in (np.array([rng.uniform(a, b) for a, b in box]) for _ in range(50))
+             if outcome(lambda: on_jets(field, x))[0] == "ok")
+    f = assert_parity(field, [x])
+    assert callable(f._kernel[1]), field.label
+
+
+def test_the_jet_path_reference_runs_fn_at_every_call_and_holds_no_kernel():
+    # negative control: a fresh copy runs fn once, to record it, and its
+    # kernel from then on; the reference runs fn on jets at every call
+    fn, calls = counted(lambda co: co[0] * jets.sin(co[1]))
+    field = ek.ScalarField(fn, 2, label="ref")
+    ref, fresh = jets_only(field), dataclasses.replace(field)
+    points = [[0.3, 0.4], [0.5, -0.6], [0.7, 0.9]]
+    for x in points:
+        ref.jet1(x)
+    assert len(calls) == 3 and ref._kernel == (fn, False)
+    for x in points:
+        fresh.jet1(x)
+    assert len(calls) == 4 and callable(fresh._kernel[1])
+
+
 HAMILTONIANS = [(ek.instantiate(key).system.hamiltonian, ek.get_entry(key).default_box)
                 for key in ek.entry_ids()]
 
@@ -134,9 +170,10 @@ def test_value_is_value_grads_value_on_every_catalog_hamiltonian(field, box, dat
     points += [[0.0 if k == i else v for k, v in enumerate(p)]
                for p in points for i in range(len(p))]
     f = dataclasses.replace(field)
-    for xs in points:
-        assert value_outcome(lambda: f.value(xs)) == \
-            value_outcome(lambda: f.value_grad(xs)[0]), (field.label, xs)
+    for g in (f, jets_only(field)):
+        for xs in points:
+            assert value_outcome(lambda: g.value(xs)) == \
+                value_outcome(lambda: g.value_grad(xs)[0]), (field.label, xs)
     assert f._kernel[1] is not None
 
 
@@ -198,7 +235,6 @@ def test_parity_check_fails_on_a_closure_constant_changed_after_compiling():
     scale = [2.0]
     f = ek.ScalarField(lambda co: scale[0] * co[0] * co[1], 2, label="scaled")
     f.jet1([0.3, 0.4])
-    f.jet1([0.3, 0.4])
     scale[0] = 3.0
     with pytest.raises(AssertionError):
         assert_same(outcome(lambda: f.jet1([0.5, 0.6])),
@@ -225,15 +261,16 @@ def test_power_sign_guard_sends_the_field_to_jets_for_good():
     fn, calls = counted(root)
     f = ek.ScalarField(fn, 1, label="root")
     ref = ek.ScalarField(root, 1, label="root")
-    for x in (0.3, 0.4):
-        assert_same(outcome(lambda: f.jet1([x])), outcome(lambda: on_jets(ref, [x])))
-    assert callable(f._kernel[1]) and len(calls) == 2  # jets, then the recording
+    assert_same(outcome(lambda: f.jet1([0.3])), outcome(lambda: on_jets(ref, [0.3])))
+    assert callable(f._kernel[1]) and len(calls) == 1  # the recording, then its kernel
+    assert_same(outcome(lambda: f.jet1([0.4])), outcome(lambda: on_jets(ref, [0.4])))
+    assert len(calls) == 1
     j = f.jet1([-0.2])
     assert type(j.value) is complex
     assert_same(("ok", j.value, j.grad), outcome(lambda: on_jets(ref, [-0.2])))
-    assert len(calls) == 3  # the guard failed and this call ran on jets
+    assert len(calls) == 2  # the guard failed and this call ran on jets
     assert_same(outcome(lambda: f.jet1([0.5])), outcome(lambda: on_jets(ref, [0.5])))
-    assert len(calls) == 4 and f._kernel[1] is False
+    assert len(calls) == 3 and f._kernel[1] is False
 
 
 def branch_on_sign(co):
@@ -264,7 +301,6 @@ def test_decisions_on_values_match_the_jet_path_at_every_call(fn, points, compil
 
 def test_reassigning_fn_drops_the_kernel():
     f = ek.ScalarField(lambda co: co[0] * co[1], 2, label="swap")
-    f.jet1([0.3, 0.4])
     f.jet1([0.3, 0.4])
     assert callable(f._kernel[1])
     f.fn = lambda co: co[0] - co[1]

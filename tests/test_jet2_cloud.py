@@ -20,6 +20,7 @@ from extkit import jets, verify
 from extkit.poisson import apply_xl2, apply_xl2_cloud, base_flow
 from test_jet1_kernel import FIELDS, boxed_points
 from test_jet1_kernel import assert_parity as kernel_parity
+from test_jet1_kernel import on_jets as on_first_order_jets
 
 PDE_ENTRIES = ["quartic1", "quartic2a", "quartic2b", "square_polar", "vortex_equal",
                "vortex_opposite"]
@@ -130,8 +131,8 @@ POWER_FORMS = {
 
 @pytest.mark.parametrize("form", POWER_FORMS)
 def test_every_path_takes_a_power_s_value_from_pow(form):
-    # value, jet1 (jet path, then kernel), jet2 and the cloud's value column
-    # agree bit for bit and in type
+    # value, jet1 (the kernel, and the jet path), jet2 and the cloud's value
+    # column agree bit for bit and in type
     fn, box = POWER_FORMS[form]
     field = ek.ScalarField(fn, 2, label="power")
     points = boxed(np.random.default_rng(3), box)
@@ -139,7 +140,8 @@ def test_every_path_takes_a_power_s_value_from_pow(form):
     assert not marked.any()
     for got, x in zip(cloud.tolist(), points):
         want = field.value(x)
-        for v in (got, field.jet1(x).value, field.jet2(x).value):
+        for v in (got, field.jet1(x).value, on_first_order_jets(field, x).value,
+                  field.jet2(x).value):
             assert type(v) is type(want), (form, x)
             assert np.array(v).tobytes() == np.array(want).tobytes(), (form, x)
     assert callable(field._kernel[1])
@@ -299,17 +301,18 @@ def plus_on_a_value(co):
 
 @pytest.mark.parametrize("fn", [type_test_on_a_value, plus_on_a_value])
 def test_a_field_that_tests_a_type_or_applies_plus_to_a_value_stays_on_jets(fn):
-    # a tape records neither, so the recording fails: value_grad runs fn on
-    # jets at every call, and the cloud leaves every row to jet2
+    # a tape records neither, so the recording at the first call fails:
+    # value_grad runs fn on jets at that call and every later one, and the
+    # cloud leaves every row to jet2
     field = ek.ScalarField(fn, 2, label="f")
     points = [[0.3, 0.4], [0.5, -0.6], [0.7, 0.9]]
-    for k, x in enumerate(points):
+    for x in points:
         value, grad = field.value_grad(x)
         want = fn(jets._seeds(x))
         assert type(value) is type(want.value)
         assert np.array(value).tobytes() == np.array(want.value).tobytes()
         assert np.array(grad).tobytes() == np.array(want.grad).tobytes()
-        assert field._kernel[1] is (None if k == 0 else False)
+        assert field._kernel == (fn, False)
     assert assert_parity(field, points).all()
 
 

@@ -175,6 +175,38 @@ def test_fd_bracket_normalized_scale_invariance():
     assert abs(raw - scaled) <= 1e-6 * max(raw, scaled)
 
 
+def refusing(where, fn):
+    """``fn``, raising SingularPointError at every ``y`` where ``where(y)``."""
+    def wrapped(y):
+        if where(y):
+            raise ek.SingularPointError("refused")
+        return fn(y)
+
+    return wrapped
+
+
+def test_bracket_sweep_gives_what_fd_bracket_normalized_gives_pair_by_pair():
+    # H refuses the first state and b the second: a state H refuses skips
+    # each of its pairs, and one F refuses skips its pair alone
+    structure = ek.canonical_structure(2)
+    h_fn = refusing(lambda y: y[0] < -0.5, lambda y: 0.5 * (y[0] ** 2 + y[1] ** 2) + y[0] ** 3)
+    fns = {"a": lambda y: y[0] * y[1], "b": refusing(lambda y: y[1] > 1.0, lambda y: y[1]),
+           "c": lambda y: y[0] ** 2 + y[1] ** 2}
+    states = [np.array(s) for s in ([-0.8, 0.3], [0.4, 1.2], [0.6, -0.2], [0.1, 0.5])]
+    vals, kept = [], []
+    for x in states:
+        for name, fn in fns.items():
+            try:
+                vals.append(ek.fd_bracket_normalized(structure, h_fn, fn, x))
+            except ek.EvaluationError:
+                continue
+            kept.append((name, x))
+    worst, where, checked, skipped = ek.bracket_sweep(structure, h_fn, fns, states)
+    assert (checked, skipped) == (len(vals), 12 - len(vals)) == (8, 4)
+    i = vals.index(max(vals))
+    assert worst == vals[i] and where[0] == kept[i][0] and where[1] is kept[i][1]
+
+
 def test_independence_rank_detects_dependence():
     states = [np.array([0.3, 1.2]), np.array([-0.7, 0.4]), np.array([1.1, -0.9])]
     f1 = lambda y: float(y[0])
