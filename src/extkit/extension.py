@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import ScalarField, _integer, _real
-from .poisson import HamiltonianSystem, PoissonStructure, extend_structure, ham_field
+from .poisson import HamiltonianSystem, PoissonStructure, _dot, extend_structure, ham_field
 from .riccati import _POLE_TOL, PoleError, RiccatiParams, riccati_eval
 
 __all__ = [
@@ -155,12 +155,14 @@ def seed_pair(system: HamiltonianSystem, seed_field: ScalarField, x) -> tuple[De
     """(G, X_L G) as a pair at ``x``, plus the value of L there.
 
     ``x`` becomes one list of floats, which L and G both read through
-    :meth:`ScalarField.value_grad`.
+    :meth:`ScalarField.value_grad`.  X_L G is grad G . pi grad L, summed
+    left to right from 0.0 (:func:`~extkit.poisson._dot`), so it rounds
+    the same whatever the host's BLAS kernel.
     """
     xs = system.hamiltonian._coords(x)
     lval, v = ham_field(system, xs)
     value, grad = seed_field.value_grad(xs)
-    return DerivPair(value, np.array(grad) @ np.array(v)), lval
+    return DerivPair(value, _dot(grad, v)), lval
 
 
 def _recursion_chain(n_max: int, pair: DerivPair, lam) -> list:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -38,21 +39,37 @@ __all__ = [
 _ANTISYM_TOL = 1e-14
 
 
+def _dot(a, b, total=0.0):
+    """``total + a[0] * b[0] + a[1] * b[1] + ...``, added left to right.
+
+    Every contraction whose value a report prints is formed this way, of
+    elementwise IEEE products and sums, on plain numbers or on (B,) columns
+    alike, so it rounds the same on every host and for every cloud size.
+    numpy's products (``@``, ``dot``, ``matmul``, ``einsum``) hand the sum to
+    the BLAS kernel the host picks, which may add in another order or fuse a
+    multiply with an add.
+    """
+    return functools.reduce(operator.add, map(operator.mul, a, b), total)
+
+
 @functools.lru_cache(maxsize=64)
 def _exactly_antisymmetric(d: int) -> Callable[[list], bool]:
     """``test(rows)``, true when ``rows`` is a list of ``d`` lists of ``d``
     entries whose diagonal entries are ``== 0.0``, whose entries below the
-    diagonal equal the negated entries above, and whose entries above have
-    a finite sum (so none is NaN or infinite).  Such rows pass
-    :meth:`PoissonStructure._within_tolerance` too: each |m + m^T| is zero.
-    The test is straight-line code, compiled once per dimension; it may
-    raise on entries it cannot compare or sum."""
+    diagonal equal the negated entries above, and whose diagonal and upper
+    entries, added to 0.0, give a finite Python float: so none is NaN or
+    infinite, and each is a float or a number, such as an int, that float
+    arithmetic takes in as a float (a numpy scalar or a complex is not).
+    Such rows pass :meth:`PoissonStructure._within_tolerance` too: each
+    |m + m^T| is zero.  The test is straight-line code, compiled once per
+    dimension; it may raise on entries it cannot compare or sum."""
     rows = [f"r{i}" for i in range(d)]
     a = [[f"a{i}_{j}" for j in range(d)] for i in range(d)]
     upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    summed = " + ".join(["0.0"] + [a[i][i] for i in range(d)] + [a[i][j] for i, j in upper])
     tests = ([f"{a[i][i]} == 0.0" for i in range(d)]
              + [f"{a[j][i]} == -{a[i][j]}" for i, j in upper]
-             + [f"isfinite({' + '.join(a[i][j] for i, j in upper)})"] * bool(upper))
+             + [f"type(total := {summed}) is float", "isfinite(total)"])
     src = "\n".join([
         "def test(rows):",
         "    if type(rows) is not list:",
@@ -81,11 +98,16 @@ class PoissonStructure:
     entries: Callable[[list], Any] | None = None
     const: np.ndarray | None = None
     label: str = ""
+    # a constant bivector's rows, as lists of floats; else None
+    _rows: list | None = field(default=None, init=False, repr=False, compare=False)
     # for a constant bivector whose rows each hold at most one nonzero
     # entry, (column, entry) per row; else None
     _sparse: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # a constant bivector's spectral norm, once asked for
     _norm: float | None = field(default=None, init=False, repr=False, compare=False)
+    # for the block sum made by extend_structure, the base structure
+    _base: "PoissonStructure | None" = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         _integer(self.dim, "bivector dimension", 1)
@@ -97,7 +119,7 @@ class PoissonStructure:
             if self.const.shape != (self.dim, self.dim):
                 raise ValueError(f"constant bivector {self.label or ''} has the wrong shape "
                                  f"{self.const.shape}, not ({self.dim}, {self.dim})")
-            rows = self._check_antisym(self.const.tolist())
+            rows = self._rows = self._check_antisym(self.const.tolist())
             self.const.setflags(write=False)
             nonzero = [[(j, v) for j, v in enumerate(row) if v != 0.0] for row in rows]
             if all(len(row) <= 1 for row in nonzero):
@@ -169,16 +191,57 @@ class PoissonStructure:
 
     def _at(self, xs: list) -> np.ndarray:
         """The entry rule's bivector at the coordinate list ``xs``."""
-        return np.array(self._check_antisym(self.entries(xs)), dtype=float)
+        return np.array(self._rows_at(xs), dtype=float)
+
+    def _rows_at(self, xs: list) -> list:
+        """The entry rule's rows at the coordinate list ``xs``: as the rule
+        gives them where they pass :func:`_exactly_antisymmetric`, as the
+        catalog's do, else as lists of floats once :meth:`_within_tolerance`,
+        the judge of every other input, has accepted them."""
+        rows = self.entries(xs)
+        try:
+            if _exactly_antisymmetric(self.dim)(rows):
+                return rows
+        except Exception:  # whatever the test cannot read, the judge rules on
+            pass
+        return np.array(self._within_tolerance(rows), dtype=float).tolist()
 
     def spectral_norm(self, m) -> float:
-        """The spectral norm of ``m``, a value of :meth:`matrix`.  A constant
-        bivector's is computed once; an entry rule's at every call."""
-        if self.const is None:
-            return np.linalg.norm(np.asarray(m, dtype=float), 2)
-        if self._norm is None:
-            self._norm = np.linalg.norm(self.const, 2)
-        return self._norm
+        """The spectral norm of ``m``, a value of :meth:`matrix`, in closed
+        form wherever one applies, read from its diagonal and upper entries:
+
+        - a constant bivector whose rows each hold at most one nonzero
+          entry: the largest |entry|;
+        - the block sum made by :func:`extend_structure`: max(1, the base
+          structure's norm of the base block);
+        - one or two coordinates: |m_00| or |m_01|;
+        - three: sqrt(m_01^2 + m_02^2 + m_12^2), the length of the axial
+          vector, with the entries scaled by a power of two first, which
+          changes no bit unless a square would over- or underflow.
+
+        Any other bivector (none in the catalog) takes LAPACK's
+        ``np.linalg.norm(m, 2)``.  A constant bivector's norm is computed
+        once; an entry rule's at every call.
+        """
+        if self._norm is not None:
+            return self._norm
+        if self._sparse is not None:
+            norm = max(abs(p) for _, p in self._sparse)
+        elif self._base is not None:
+            norm = max(1.0, self._base.spectral_norm(np.asarray(m, dtype=float)[2:, 2:]))
+        elif self.dim <= 2:
+            norm = abs(float(m[0][-1]))
+        elif self.dim == 3:
+            upper = [float(m[0][1]), float(m[0][2]), float(m[1][2])]
+            # scaled by a power of two, exactly, so that no square over- or underflows
+            e = math.frexp(max(map(abs, upper)))[1]
+            a, b, c = (math.ldexp(v, -e) for v in upper)
+            norm = math.ldexp(math.sqrt(a * a + b * b + c * c), e)
+        else:
+            norm = float(np.linalg.norm(np.asarray(m, dtype=float), 2))
+        if self.const is not None:
+            self._norm = norm
+        return norm
 
     def matrix_with_grads(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Bivector and its entry derivatives.
@@ -201,26 +264,22 @@ class PoissonStructure:
     def contract(self, xs: list, grad) -> list:
         """pi grad at the coordinate list ``xs``, as a list.
 
-        For a finite real gradient this is numpy's ``matrix(xs) @ grad``
-        bit for bit: a row with one nonzero entry p at column j reads 0.0 +
-        p grad[j], and any other bivector goes through numpy's product.  An
-        entry rule's rows pass :meth:`_check_antisym` by its exact test
-        when they are exactly antisymmetric, as the catalog's are.  It
-        keeps numpy's product rather than a Python sum: numpy may round a
-        row's dot product with fused multiply-adds (it does for euler_top's
-        3 x 3 on x86-64 hosts), which a Python sum of products does not
-        reproduce, and flows compared against the ndarray reference would
-        drift apart in the last bits.  From two rows on the product is
-        ``ndarray.dot`` on the gradient tuple, which reads what ``@`` reads
-        (a test pins it) without building an array of the gradient first;
-        one row keeps ``@``, whose sum starts from +0.0 where ``dot`` keeps
-        the sign of a zero product.
+        Each row i is :func:`_dot` of the bivector's row and ``grad``, 0.0 +
+        m_i0 grad[0] + m_i1 grad[1] + ..., added left to right with its zero
+        products kept: an entry rule's rows from :meth:`_rows_at`, a dense
+        constant bivector's from its matrix.  A constant bivector whose rows
+        each hold at most one nonzero entry p, at column j, gives 0.0 + p
+        grad[j], which for a finite gradient is the same sum bit for bit:
+        its zero products leave a sum from +0.0 as it is.  No numpy product
+        is used, so no flow drifts with the host's BLAS kernel, and the
+        fused rk4 step (:func:`~extkit.verify._fused_rk4`) forms the same
+        sums inline.
         """
         sparse = self._sparse
         if sparse is not None:
             return [0.0 + p * grad[j] for j, p in sparse]
-        m = self.const if self.entries is None else self._at(xs)
-        return (m.dot(grad) if self.dim > 1 else m @ np.array(grad)).tolist()
+        rows = self._rows if self.entries is None else self._rows_at(xs)
+        return [_dot(row, grad) for row in rows]
 
 
 def canonical_structure(dim: int, label: str = "") -> PoissonStructure:
@@ -277,23 +336,39 @@ def base_flow(system: HamiltonianSystem) -> Callable[[Sequence[float]], list]:
     return rhs
 
 
-def _xl2(grad_l, hess_l, grad_f, hess_f, pi, dpi_grad_l) -> np.ndarray:
-    """X_L^2 F over a stack of B points, from the gradients (B, d) and
-    Hessians (B, d, d) of L and F, the bivector (d, d) or (B, d, d), and
-    ``dpi_grad_l[b, i, k]`` = sum_j d_k pi_ij(b) d_j L(b) as (B, d, d).
+def _xl2(grad_l, hess_l, grad_f, hess_f, pi: list, dpi_grad_l: list | None) -> np.ndarray:
+    """X_L^2 F over a cloud of B points, from the gradients (B, d) and
+    Hessians (B, d, d) of L and F, the bivector ``pi`` as d rows of floats,
+    and ``dpi_grad_l[i][k]`` = sum_j d_k pi_ij d_j L, also d rows of floats,
+    or None for a constant bivector; both are shared by the whole cloud.
 
-    Every product is one stacked ``np.matmul``, which forms each point's
-    result as numpy's ``@`` forms it for that point alone.
+    With v = pi grad L and J v = (dpi grad L) v + pi (hess L v), this is
+    v . (hess F v) + (J v) . grad F.  Each entry of each factor is a
+    :func:`_dot` over (B,) columns, one sum continuing the other where
+    two add up, and a zero entry of ``pi`` or ``dpi_grad_l`` adds no
+    product: for finite columns that is the same sum bit for bit.  So a
+    point's value is the same in any cloud, a cloud of one point
+    (:func:`apply_xl2`) included, and on any host.
     """
-    v = np.matmul(pi, grad_l[:, :, None])
-    jac = dpi_grad_l + np.matmul(pi, hess_l)
-    vt = v.transpose(0, 2, 1)
-    jv = np.matmul(jac, v).transpose(0, 2, 1)
-    return (np.matmul(np.matmul(vt, hess_f), v) + np.matmul(jv, grad_f[:, :, None]))[:, 0, 0]
+    def apply(m, cols, totals=None):  # m cols, added on to ``totals`` where given
+        return [functools.reduce(operator.add, (p * c for p, c in zip(row, cols) if p != 0.0),
+                                 0.0 if totals is None else totals[i])
+                for i, row in enumerate(m)]
+
+    gl, gf = np.ascontiguousarray(grad_l.T), np.ascontiguousarray(grad_f.T)
+    hl, hf = (np.ascontiguousarray(h.transpose(1, 2, 0)) for h in (hess_l, hess_f))
+    v = apply(pi, gl)
+    hv = [_dot(row, v) for row in hl]
+    jv = apply(pi, hv, None if dpi_grad_l is None else apply(dpi_grad_l, v))
+    return _dot(jv, gf, _dot(v, [_dot(row, v) for row in hf]))
 
 
-def _dpi_grad(dpi: np.ndarray, grad_l: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,j->ik", dpi, grad_l)
+def _dpi_grad(dpi: np.ndarray, grad_l: np.ndarray) -> list:
+    """``[i][k]`` = sum_j dpi[k, i, j] grad_l[j], each a :func:`_dot` over j,
+    as d rows of numbers."""
+    g = grad_l.tolist()
+    per_k = dpi.tolist()
+    return [[_dot(per_k[k][i], g) for k in range(len(g))] for i in range(len(g))]
 
 
 def apply_xl2(system: HamiltonianSystem, f: ScalarField, x):
@@ -301,9 +376,11 @@ def apply_xl2(system: HamiltonianSystem, f: ScalarField, x):
     cloud of one point."""
     jl = system.hamiltonian.jet2(x)
     jf = f.jet2(x)
-    pi, dpi = system.structure.matrix_with_grads(x)
-    return _xl2(jl.grad[None], jl.hess[None], jf.grad[None], jf.hess[None], pi,
-                _dpi_grad(dpi, jl.grad)[None])[0]
+    structure = system.structure
+    pi, dpi = structure.matrix_with_grads(x)
+    dpi_grad_l = None if structure.const is not None else _dpi_grad(dpi, jl.grad)
+    return _xl2(jl.grad[None], jl.hess[None], jf.grad[None], jf.hess[None], pi.tolist(),
+                dpi_grad_l)[0]
 
 
 def apply_xl2_cloud(system: HamiltonianSystem, f: ScalarField, points) -> tuple:
@@ -327,9 +404,8 @@ def apply_xl2_cloud(system: HamiltonianSystem, f: ScalarField, points) -> tuple:
     l_vals, grad_l, hess_l, marked = ham.jet2_cloud(pts)
     f_vals, grad_f, hess_f, marked_f = f.jet2_cloud(pts)
     marked |= marked_f
-    dpi_grad_l = np.zeros((n, d, d), dtype=grad_l.dtype)
     with np.errstate(all="ignore"):
-        xl2 = _xl2(grad_l, hess_l, grad_f, hess_f, structure.const, dpi_grad_l)
+        xl2 = _xl2(grad_l, hess_l, grad_f, hess_f, structure._rows, None)
     return xl2, marked, l_vals, f_vals
 
 
@@ -337,35 +413,33 @@ def extend_structure(structure: PoissonStructure) -> PoissonStructure:
     """Append a canonical pair ``(u, p_u)`` ahead of the base coordinates.
 
     The result acts on ``(u, p_u, x_1 .. x_n)`` as the direct sum of the
-    2x2 block ((0, 1), (-1, 0)) and the base bivector.
+    2x2 block ((0, 1), (-1, 0)) and the base bivector, which it keeps for
+    :meth:`PoissonStructure.spectral_norm`.
     """
     n = structure.dim
+    label = f"extended({structure.label})" if structure.label else "extended"
     if structure.const is not None:
         big = np.zeros((n + 2, n + 2))
         big[0, 1] = 1.0
         big[1, 0] = -1.0
         big[2:, 2:] = structure.const
-        return PoissonStructure(
-            dim=n + 2, const=big,
-            label=f"extended({structure.label})" if structure.label else "extended",
-        )
+        extended = PoissonStructure(dim=n + 2, const=big, label=label)
+    else:
+        base_entries = structure.entries
 
-    base_entries = structure.entries
+        def entries(coords: list):
+            base = base_entries(coords[2:])
+            rows = [[0.0] * (n + 2) for _ in range(n + 2)]
+            rows[0][1] = 1.0
+            rows[1][0] = -1.0
+            for i in range(n):
+                for j in range(n):
+                    rows[i + 2][j + 2] = base[i][j]
+            return rows
 
-    def entries(coords: list):
-        base = base_entries(coords[2:])
-        rows = [[0.0] * (n + 2) for _ in range(n + 2)]
-        rows[0][1] = 1.0
-        rows[1][0] = -1.0
-        for i in range(n):
-            for j in range(n):
-                rows[i + 2][j + 2] = base[i][j]
-        return rows
-
-    return PoissonStructure(
-        dim=n + 2, entries=entries,
-        label=f"extended({structure.label})" if structure.label else "extended",
-    )
+        extended = PoissonStructure(dim=n + 2, entries=entries, label=label)
+    extended._base = structure
+    return extended
 
 
 def jacobi_residual(structure: PoissonStructure, x) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .extension import DerivPair, _closed_chain, _recursion_chain
 from .jets import EvaluationError, ScalarField, _integer, _real, _sign, sqrt
-from .poisson import (HamiltonianSystem, PoissonStructure, apply_xl2, apply_xl2_cloud,
-                      base_flow)
+from .poisson import (HamiltonianSystem, PoissonStructure, _dot, _exactly_antisymmetric,
+                      apply_xl2, apply_xl2_cloud, base_flow)
 from .riccati import _POLE_TOL
 
 __all__ = [
@@ -50,12 +50,13 @@ _TINY = 1e-12
 RK4_MAX_STEPS = 1_000_000
 # The fewest points pde_residual evaluates in one cloud pass.  A field's first
 # pass records and prunes the tapes of L and G and replays them, about
-# 0.5-3.5 ms whatever the size of the cloud (quartic1 to vortex_equal), plus
-# 0.4-6 us a point, and one point by apply_xl2 costs 40-140 us, so that pass
-# breaks even at 11-29 points (best of 7 on a shared 2-vCPU Linux host); 32
-# keeps the worst loss on either side of the threshold under 2 ms (quartic2b
-# at 31 points).  Later passes replay the kept tapes, 0.14-1.4 ms fixed, and
-# break even at 3-11 points.
+# 0.6-7 ms for a cloud of 16 points (quartic1 to square_polar), and one point
+# by apply_xl2 on fresh fields costs 80-380 us, its fixed-order sums over
+# (1,) arrays included, so that pass breaks even at 8-20 points (best of 5 on
+# a shared 2-vCPU Linux host).  Later passes replay the kept tapes, 0.14-1.4
+# ms fixed, and break even at fewer points still.  32 is the break-even of
+# the first pass as it was when apply_xl2 cost 40-140 us a point; the
+# benchmark's tracer test pins the point-by-point path at 20 points.
 CLOUD_MIN_POINTS = 32
 # Defaults the command line shares: the finite-difference step and rank
 # threshold of the bracket and rank checks, the step of the first-order
@@ -320,27 +321,37 @@ def _fused_rk4(system: HamiltonianSystem, params) -> Callable | None:
     :func:`_rk4_step` as straight-line code over plain numbers, with the
     right-hand side inlined at each: the profile of its regime as
     :func:`~extkit.riccati.riccati_eval` forms it, a call of L's compiled
-    kernel (``ScalarField._kernel``) and the contraction, inline for a
-    sparse constant bivector and through ``PoissonStructure.contract`` for
-    any other.  Every operation is the general step's, in its order, so its
-    result is that step's bit for bit.  It returns None, deciding nothing,
-    where the general step may not return the same: L switched off its
-    kernel for good, a point on L's singular set, a profile or centrifugal
-    pole within ``_POLE_TOL``, or a value or gradient entry that is not a
-    finite real number.  A kernel not compiled yet, or dropped with a
-    reassigned ``fn``, is compiled first by the one ``value_grad`` call at
-    the state that the general step's first stage would make, so a run
-    makes the same calls of the flow whether or not L was warm when it
-    began.
+    kernel (``ScalarField._kernel``) and the contraction as
+    ``PoissonStructure.contract`` sums it, row by row from 0.0.  A constant
+    bivector's entries are constants of the step.  An entry rule is read
+    from ``structure.entries`` at each step, so a reassigned rule is the one
+    called, and its rows at each stage must pass the exact test
+    :func:`~extkit.poisson._exactly_antisymmetric`.  Every operation is the
+    general step's, in its order, so its result is that step's bit for bit.
+    It returns None, deciding nothing, where the general step may not
+    return the same: L switched off its kernel for good, a point on L's
+    singular set, a profile or centrifugal pole within ``_POLE_TOL``, a
+    value or gradient entry that is not a finite real number, or rows that
+    fail the exact test (the general step's contraction has them judged by
+    ``PoissonStructure._within_tolerance``).  A kernel not compiled yet, or
+    dropped with a reassigned ``fn``, is compiled first by the one
+    ``value_grad`` call at the state that the general step's first stage
+    would make, so a run makes the same calls of the flow whether or not L
+    was warm when it began.
     """
     ham, structure = system.hamiltonian, system.structure
     if structure.dim != ham.dim:
         return None
     consts = {"ham": ham, "structure": structure, "isfinite": math.isfinite}
-    cols = None
     if structure._sparse is not None:
         cols = tuple(j for j, _ in structure._sparse)
         consts.update((f"P{i}", p) for i, (_, p) in enumerate(structure._sparse))
+    elif structure.entries is None:
+        cols = "dense"
+        consts["dense"] = structure._rows
+    else:
+        cols = "rule"
+        consts["exact"] = _exactly_antisymmetric(ham.dim)
     regime = None
     omega = params is not None and params.omega != 0.0
     if params is not None:
@@ -367,8 +378,9 @@ def _fused_rk4(system: HamiltonianSystem, params) -> Callable | None:
 def _step_maker(shape: tuple, names: tuple) -> Callable:
     """``make(**constants) -> step`` for a flow of ``shape``, compiled once
     per shape and constant names: (L's dimension, the sparse bivector's
-    column per row or None, the profile regime or None for the base flow,
-    whether omega != 0)."""
+    column per row, or "dense" for another constant bivector and "rule" for
+    an entry rule, the profile regime or None for the base flow, whether
+    omega != 0)."""
     namespace: dict = {}
     exec(compile(_step_source(shape, names), f"<fused rk4 step {shape}>", "exec"), namespace)
     return namespace["make"]
@@ -387,6 +399,7 @@ def _step_source(shape: tuple, names: tuple) -> str:
              "if not kernel:",
              "    return None",
              "sing = ham.singular",
+             *["rule = structure.entries"] * (cols == "rule"),
              "a = 0.5 * h"]
     ins = [f"y{j}" for j in range(n)]
     for s in range(1, 5):
@@ -414,9 +427,15 @@ def _step_source(shape: tuple, names: tuple) -> str:
                   # value_grad's test: the sum, and entry by entry where it overflows
                   f"if not isfinite(lval + {' + '.join(grads)}) and not (isfinite(lval)"
                   f"{''.join(f' and isfinite({g})' for g in grads)}):", "    return None"]
-        if cols is None:
-            pi_grad = [f"W{j}" for j in range(d)]
-            lines.append(f"{''.join(f'{w}, ' for w in pi_grad)}= structure.contract(xs, grad)")
+        # the contraction, as PoissonStructure.contract sums each row
+        if cols in ("rule", "dense"):
+            entries = [[f"a{i}_{j}" for j in range(d)] for i in range(d)]
+            if cols == "rule":
+                lines += ["rows = rule(xs)", "if not exact(rows):", "    return None"]
+            lines.append("".join(f"({''.join(f'{e}, ' for e in row)}), " for row in entries)
+                         + ("= rows" if cols == "rule" else "= dense"))
+            pi_grad = ["(0.0" + "".join(f" + {e} * {g}" for e, g in zip(row, grads)) + ")"
+                       for row in entries]
         else:
             pi_grad = [f"(0.0 + P{i} * G{j})" for i, j in enumerate(cols)]
         if regime is None:
@@ -666,10 +685,27 @@ def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
 
 
 def _normalized_bracket(structure: PoissonStructure, pi, gf, gg) -> float:
-    """|gf . pi . gg| scaled by the sizes of the gradients and the bivector ``pi``."""
-    val = abs(gf @ pi @ gg)
-    scale = float(np.linalg.norm(gf) * structure.spectral_norm(pi) * np.linalg.norm(gg))
+    """|gf . pi gg| / (|gf| |pi| |gg| + 1e-12), for gradients and the
+    bivector ``pi`` as ndarrays.
+
+    pi gg is summed by rows as :meth:`PoissonStructure.contract` sums them,
+    and gf . (pi gg) and each |g|^2 = 0.0 + (re^2 + im^2) + ... the same
+    way (:func:`~extkit.poisson._dot`), the roots taken by ``math.sqrt``;
+    |pi| is :meth:`PoissonStructure.spectral_norm`.  No sum is left to
+    numpy's products, so the value rounds the same on every host.
+    """
+    gf, gg = gf.tolist(), gg.tolist()
+    val = abs(_dot(gf, [_dot(row, gg) for row in pi.tolist()]))
+    scale = _norm(gf) * structure.spectral_norm(pi) * _norm(gg)
     return val / (scale + _TINY)
+
+
+def _norm(g: list) -> float:
+    """The 2-norm of a list of real or complex numbers: the square root of
+    0.0 + (re_0^2 + im_0^2) + (re_1^2 + im_1^2) + ..., added left to right
+    (for a real number, re^2 + 0.0 is re^2 bit for bit)."""
+    return math.sqrt(functools.reduce(operator.add,
+                                      (v.real * v.real + v.imag * v.imag for v in g), 0.0))
 
 
 def bracket_sweep(structure: PoissonStructure, h_fn: Callable, fns: dict[str, Callable],

@@ -180,6 +180,28 @@ def test_first_integral_lowest_index():
     assert abs(k - expect) < 1e-14
 
 
+@pytest.mark.parametrize("key", ["quartic1", "quartic2b", "square_polar", "vortex_equal",
+                                 "vortex_opposite"])
+def test_seed_pair_sums_x_l_g_left_to_right(key):
+    # X_L G = grad G . pi grad L, each product added left to right from 0.0,
+    # bit for bit, for real and complex seeds: a BLAS dot may round otherwise
+    built = ek.instantiate(key)
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(40):
+        x = [rng.uniform(lo, hi) for lo, hi in ek.get_entry(key).default_box]
+        if built.singular is not None and built.singular(x, 0.1):
+            continue
+        pair, _ = seed_pair(built.system, built.seed.field, np.array(x))
+        grad = built.seed.field.value_grad(x)[1]
+        total = 0.0
+        for g, v in zip(grad, ek.ham_field(built.system, x)[1]):
+            total = total + g * v
+        assert type(pair.xl) is type(total) and pair.xl == total
+        checked += 1
+    assert checked >= 20
+
+
 def test_centrifugal_integral_even_reduction():
     # omega != 0, m=2, n=1 reduces to s=1, r=1:
     # K = U^2(G_1) + (2 omega / gamma^2) G_1

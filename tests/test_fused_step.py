@@ -8,6 +8,7 @@ other step to ``_rk4_step``.  These tests hold each fused step to the general
 step bit for bit, each run of ``integrate`` to the same run on a callable that
 is not a library flow, and show that the comparisons see a one-ulp change.
 """
+import itertools
 import math
 import re
 
@@ -114,6 +115,40 @@ def test_signed_zeros_at_rest_are_the_general_steps(params, y):
     rhs = ek.base_flow(system) if params is None else ek.extended_flow(system, params)
     warm(rhs, [0.5] * len(y))
     assert first_difference(rhs, verify._fused_rk4(system, params), y, 1e-3, 3) is None
+
+
+def test_signed_zeros_at_rest_on_an_entry_rule_are_the_general_steps():
+    # at rest every product in an entry rule's contraction is a signed zero.
+    # On the Euler top two of each row's products differ in sign; on the
+    # rule pi_01 = q with L = p - q, at q = -0.0, both of the first row's
+    # are -0.0, and only the sum from +0.0 gives that entry's sign
+    scaled = ek.HamiltonianSystem(
+        ek.PoissonStructure(2, entries=lambda co: [[0.0, co[0]], [-1.0 * co[0], 0.0]]),
+        ek.ScalarField(lambda co: co[1] - co[0], 2))
+    params = ek.ExtensionParams(c=1.0, c0=0.5, C=1.0, m=1, n=1)
+    for system in (BUILT["euler_top"].system, scaled):
+        for base in itertools.product([0.0, -0.0], repeat=system.dim):
+            for p, y in ((None, list(base)), (params, [0.5, -0.0, *base])):
+                rhs = ek.base_flow(system) if p is None else ek.extended_flow(system, p)
+                warm(rhs, [0.5] * len(y))
+                assert first_difference(rhs, verify._fused_rk4(system, p), y, 1e-3, 3) is None
+
+
+def test_a_dense_constant_bivector_is_fused_bit_for_bit():
+    # no catalog bivector is constant with two nonzero entries in a row: its
+    # rows are constants of the step, summed as contract sums them
+    dense = np.array([[0.0, 1.0, 2.0, -0.5], [-1.0, 0.0, 0.75, 3.0],
+                      [-2.0, -0.75, 0.0, 1.25], [0.5, -3.0, -1.25, 0.0]])
+    system = ek.HamiltonianSystem(
+        ek.PoissonStructure(4, const=dense),
+        ek.ScalarField(lambda co: 0.5 * (co[0] * co[0] + co[1] * co[1]) + co[2] * co[3], 4))
+    params = ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=2, n=1)
+    for p, y in ((None, [0.3, -0.7, 1.1, 0.4]), (params, [0.6, 0.4, 0.3, -0.7, 1.1, 0.4])):
+        rhs = ek.base_flow(system) if p is None else ek.extended_flow(system, p)
+        warm(rhs, y)
+        fused = verify._fused_rk4(system, p)
+        assert fused(y, 1e-3) is not None
+        assert first_difference(rhs, fused, y, 0.05, 20) is None
 
 
 def test_a_gradient_whose_entries_sum_past_the_largest_float_is_fused():
@@ -308,33 +343,35 @@ def test_the_first_order_residual_takes_the_same_steps(monkeypatch):
 @pytest.mark.parametrize("key", ["lotka_volterra", "euler_top"])
 def test_a_warm_entry_rule_step_runs_no_general_step_and_no_tolerance_loop(key, monkeypatch):
     # the benchmark's trace cannot see inside the fused step, so this count is
-    # the guard that the entry-rule flows keep both off the rk4 hot path
+    # the guard that the entry-rule flows keep the general step, the tolerance
+    # loop and the ndarray contraction off the rk4 hot path
     built = BUILT[key]
     rhs = ek.base_flow(built.system)
     y = [0.7 * lo + 0.3 * hi for lo, hi in ek.get_entry(key).default_box]
     step = verify._stepper(rhs)
     y = step(y, 1e-3)  # compiles L's kernel
-    calls = {"general": 0, "loop": 0}
-    general, loop = verify._rk4_step, ek.PoissonStructure._within_tolerance
+    calls = dict.fromkeys(["general", "loop", "contract", "at"], 0)
 
-    def counted_general(*args):
-        calls["general"] += 1
-        return general(*args)
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
 
-    def counted_loop(self, rows):
-        calls["loop"] += 1
-        return loop(self, rows)
+        return call
 
-    monkeypatch.setattr(verify, "_rk4_step", counted_general)
-    monkeypatch.setattr(ek.PoissonStructure, "_within_tolerance", counted_loop)
+    monkeypatch.setattr(verify, "_rk4_step", counted("general", verify._rk4_step))
+    for name, attr in (("loop", "_within_tolerance"), ("contract", "contract"), ("at", "_at")):
+        monkeypatch.setattr(ek.PoissonStructure, attr,
+                            counted(name, getattr(ek.PoissonStructure, attr)))
     for _ in range(3):
         y = step(y, 1e-3)
-    assert calls == {"general": 0, "loop": 0}
-    # control: a bivector off antisymmetry by one part in 1e15 takes the loop
-    # at every contraction, four a step
+    assert calls == {"general": 0, "loop": 0, "contract": 0, "at": 0}
+    # control: a rule assigned after the stepper was built, off antisymmetry by
+    # one part in 1e15, is the one the step reads: it fails the exact test, so
+    # the general step redoes the step, and its four contractions take the loop
     rule = built.system.structure.entries
     monkeypatch.setattr(built.system.structure, "entries", lambda co: [
         [v * (1.0 + 1e-15) if i > j else v for j, v in enumerate(row)]
         for i, row in enumerate(rule(co))])
     step(y, 1e-3)
-    assert calls == {"general": 0, "loop": 4}
+    assert calls == {"general": 1, "loop": 4, "contract": 4, "at": 0}

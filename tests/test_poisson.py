@@ -1,4 +1,5 @@
 """Poisson structures, derivations along the flow, structure extension."""
+import itertools
 import math
 import re
 
@@ -289,8 +290,8 @@ def test_antisymmetry_tolerance_still_scales_with_the_largest_finite_entry(route
 
 
 def test_spectral_norm_of_a_constant_bivector_is_computed_once(monkeypatch):
-    st = ek.canonical_structure(4)
-    want = np.linalg.norm(st.const, 2)
+    # a sparse constant's norm is its largest |entry|, in closed form; a dense
+    # 4 x 4 constant has none and takes LAPACK's, once
     norms = []
     norm = np.linalg.norm
 
@@ -299,17 +300,50 @@ def test_spectral_norm_of_a_constant_bivector_is_computed_once(monkeypatch):
         return norm(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counted)
+    dense = np.array([[0.0, 1.0, 2.0, -0.5], [-1.0, 0.0, 0.75, 3.0],
+                      [-2.0, -0.75, 0.0, 1.25], [0.5, -3.0, -1.25, 0.0]])
     f = ek.ScalarField(lambda co: co[0] * co[2] + co[1], 4)
     g = ek.ScalarField(lambda co: co[3] * co[3] - co[1] * co[0], 4)
-    for x in ([0.1, 0.2, 0.3, 0.4], [0.5, -0.6, 0.7, 0.8], [1.0, 0.5, -0.25, 2.0]):
-        ek.fd_bracket_normalized(st, f, g, np.array(x))
+    for st_, lapack_calls in ((ek.canonical_structure(4), 0),
+                              (ek.PoissonStructure(4, const=dense), 1)):
+        for x in ([0.1, 0.2, 0.3, 0.4], [0.5, -0.6, 0.7, 0.8], [1.0, 0.5, -0.25, 2.0]):
+            ek.fd_bracket_normalized(st_, f, g, np.array(x))
+        assert norms.count(2) == lapack_calls
+        assert st_.spectral_norm(st_.const) == norm(st_.const, 2)
     assert norms.count(2) == 1
-    assert st.spectral_norm(st.const) == want
-    # an entry rule's bivector changes from point to point: its norm is taken each call
+    # an entry rule's bivector changes from point to point: its norm is taken
+    # each call, |m_01| for two coordinates, with no call of LAPACK
     rule = ek.PoissonStructure(2, entries=plane_entries)
     for x in ([1.5, -2.0], [0.5, 3.0]):
         m = rule.matrix(np.array(x))
-        assert rule.spectral_norm(m) == norm(m, 2)
+        assert rule.spectral_norm(m) == abs(m[0, 1]) == norm(m, 2)
+    assert norms.count(2) == 1
+
+
+def antisymmetric(d, data):
+    scale = data.draw(st.sampled_from([1.0, 1e-200, 1e200]), label="scale")
+    upper = {(i, j): scale * data.draw(st.floats(-1e3, 1e3))
+             for i in range(d) for j in range(i + 1, d)}
+    return [[upper[i, j] if i < j else -upper[j, i] if i > j else 0.0 for j in range(d)]
+            for i in range(d)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_form_spectral_norms_are_lapacks_to_rounding(d, data):
+    # the closed forms of entry rules with 1-3 coordinates and of their
+    # extensions, against LAPACK's largest singular value, also where the
+    # squares of the entries would over- or underflow
+    rows = antisymmetric(d, data)
+    rule = ek.PoissonStructure(d, entries=lambda co: rows)
+    extended = ek.extend_structure(rule)
+    for structure in (rule, extended):
+        m = structure.matrix(np.zeros(structure.dim))
+        want = np.linalg.norm(m, 2)
+        assert abs(structure.spectral_norm(m) - want) <= 1e-15 * want
+    m = extended.matrix(np.zeros(d + 2))
+    assert extended.spectral_norm(m) == max(1.0, rule.spectral_norm(m[2:, 2:]))
 
 
 ENTRY = st.one_of(
@@ -376,7 +410,10 @@ def test_the_exact_accept_gives_what_the_one_loop_check_gives(case):
     ((([0.0, 1.0]), ([-1.0, 0.0])), False),  # a tuple of rows: the loop's
     ([[0.0, 1j], [-1j, 0.0]], False),  # no finite real sum: the loop's
     ([[0.0, math.inf], [-math.inf, 0.0]], False),
-], ids=["floats", "ints", "within", "tuple", "complex", "inf"])
+    # numpy scalars: a sum of products with them would not be a float's
+    ([[0.0, np.float64(1.5)], [np.float64(-1.5), 0.0]], False),
+    ([[np.float32(0.0), 1.5], [-1.5, 0.0]], False),
+], ids=["floats", "ints", "within", "tuple", "complex", "inf", "float64", "float32-diagonal"])
 def test_only_exactly_antisymmetric_nested_lists_pass_the_exact_test(rows, exact):
     d = len(rows)
     try:
@@ -386,38 +423,89 @@ def test_only_exactly_antisymmetric_nested_lists_pass_the_exact_test(rows, exact
     assert passed is exact
 
 
-@settings(max_examples=300, deadline=None)
-@given(d=st.integers(2, 6), data=st.data())
-def test_dot_on_a_gradient_tuple_is_numpys_matrix_product(d, data):
-    # contract takes ndarray.dot for @ from two rows on: pinned here, real and
-    # complex, signed zeros included
-    number = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0]))
-    m = np.array([[data.draw(number) for _ in range(d)] for _ in range(d)])
-    grad = tuple(data.draw(st.one_of(number, st.complex_numbers(max_magnitude=1e6)))
-                 for _ in range(d))
-    want = m @ np.array(grad)
-    got = m.dot(grad)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def left_to_right(rows, grad, start=(0.0,)):
+    """Each row's sum of products with ``grad``, added left to right from
+    ``start`` (from the first product where ``start`` is empty)."""
+    out = []
+    for row in rows:
+        terms = list(start) + [r * g for r, g in zip(row, grad)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        out.append(total)
+    return out
+
+
+def bits(values):
+    return [type(v) for v in values], np.array(values, dtype=complex).tobytes()
+
+
+SIGNED = st.sampled_from([0.0, -0.0])
 
 
 @pytest.mark.parametrize("key", ["lotka_volterra", "euler_top"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_contract_is_the_matrix_product_of_an_entry_rule(key, data):
-    built = ek.instantiate(key)
-    structure = built.system.structure
-    xs = [data.draw(st.floats(lo, hi)) for lo, hi in ek.get_entry(key).default_box]
-    grad = tuple(data.draw(st.floats(-1e3, 1e3)) for _ in xs)
+    # the product summed left to right from +0.0 over the rule's rows, bit for
+    # bit, for real gradients with signed zeros and for complex ones
+    structure = ek.instantiate(key).system.structure
+    box = ek.get_entry(key).default_box
+    xs = [data.draw(st.one_of(st.floats(lo, hi), SIGNED) if lo < 0 < hi else st.floats(lo, hi))
+          for lo, hi in box]
+    number = st.one_of(st.floats(-1e3, 1e3), SIGNED)
+    if data.draw(st.booleans(), label="complex"):
+        number = st.one_of(number, st.complex_numbers(max_magnitude=1e3),
+                           st.builds(complex, SIGNED, SIGNED))
+    grad = tuple(data.draw(number) for _ in xs)
     got = structure.contract(xs, grad)
-    want = (structure.matrix(xs) @ np.array(grad)).tolist()
-    assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert [type(v) for v in got] == [float] * len(xs)
+    assert bits(got) == bits(left_to_right(structure.entries(xs), grad))
+    if all(type(g) is float for g in grad):
+        assert [type(v) for v in got] == [float] * len(xs)
+
+
+@pytest.mark.parametrize("rule", [
+    lambda co: ((0.0, co[0]), (-co[0], 0.0)),
+    lambda co: np.array([[0.0, co[0]], [-co[0], 0.0]], dtype=np.float32),
+    lambda co: [[np.float32(0.0), co[0]], [-co[0], 0.0]],
+    lambda co: [[0.0, co[0]], [-co[0] * (1.0 + 2e-16), 0.0]],
+], ids=["tuples", "float32-array", "float32-entry", "within-tolerance"])
+def test_contract_sums_rows_the_exact_test_refuses_as_floats(rule):
+    # rows the exact test refuses are judged by the tolerance loop and summed
+    # as matrix(xs) holds them, as floats
+    structure = ek.PoissonStructure(2, entries=rule)
+    for xs in ([0.3, -1.7], [1.0 / 3.0, 2.0]):
+        grad = (0.1, -2.0 / 7.0)
+        got = structure.contract(xs, grad)
+        assert bits(got) == bits(left_to_right(structure.matrix(xs).tolist(), grad))
+        assert [type(v) for v in got] == [float, float]
+
+
+def test_contract_parity_fails_on_a_reordered_sum():
+    # negative control: a row summed as r1 g1 + r0 g0 + r2 g2 is the same
+    # product in exact arithmetic; on euler_top, whose rows each hold one
+    # zero, the comparison above sees it at signed zeros
+    structure = ek.instantiate("euler_top").system.structure
+    values = [0.0, -0.0, 1.5, -0.5]
+    differ = 0
+    for xs in itertools.product(values, repeat=3):
+        xs = list(xs)
+        rows = structure.entries(xs)
+        swapped = [[row[1], row[0], *row[2:]] for row in rows]
+        for grad in itertools.product(values, repeat=3):
+            got = structure.contract(xs, grad)
+            assert bits(got) == bits(left_to_right(rows, grad))
+            want = left_to_right(swapped, [grad[1], grad[0], *grad[2:]], start=())
+            differ += bits(got) != bits(want)
+    assert differ > 0
 
 
 def test_one_row_keeps_the_sum_from_plus_zero():
-    # for one row, dot keeps the sign of -2.0 * 0.0 where @ adds it to +0.0
+    # -0.0 * 3.0 is -0.0, and the sum from +0.0 makes it +0.0, as the sparse
+    # path's 0.0 + p * grad[j] does; a complex product's zeros likewise
     one = ek.PoissonStructure(1, entries=lambda co: [[-0.0]])
-    m = np.array([[-2.0]])
-    assert (m @ np.array((0.0,))).tobytes() != m.dot((0.0,)).tobytes()
-    got = one.contract([0.5], (3.0,))
-    assert np.array(got).tobytes() == (one.matrix([0.5]) @ np.array((3.0,))).tobytes()
+    sparse = ek.PoissonStructure(1, const=np.array([[-0.0]]))
+    for grad in ((3.0,), (-0.0,), (complex(-0.0, -2.0),)):
+        want = [0.0 + -0.0 * grad[0]]
+        assert bits(one.contract([0.5], grad)) == bits(sparse.contract([0.5], grad)) == bits(want)
+    assert bits(one.contract([0.5], (3.0,))) == bits([0.0]) != bits([-0.0 * 3.0])

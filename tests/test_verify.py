@@ -175,6 +175,34 @@ def test_fd_bracket_normalized_scale_invariance():
     assert abs(raw - scaled) <= 1e-6 * max(raw, scaled)
 
 
+def left_to_right(a, b):
+    total = 0.0
+    for x, y in zip(a, b):
+        total = total + x * y
+    return total
+
+
+@pytest.mark.parametrize("key", ["quartic1", "vortex_opposite", "euler_top"])
+def test_the_normalized_bracket_is_a_fixed_order_sum(key):
+    # |gf . pi gg| / (|gf| |pi| |gg| + 1e-12) with each sum added left to
+    # right from 0.0 and the roots by math.sqrt, bit for bit: a BLAS dot or
+    # norm may round otherwise, and the bracket gates print this number
+    from extkit import verify
+
+    structure = ek.extend_structure(ek.instantiate(key).system.structure)
+    rng = np.random.default_rng(8)
+    box = ((0.3, 1.2), (-1.0, 1.0)) + ek.get_entry(key).default_box
+    for _ in range(40):
+        x = np.array([rng.uniform(lo, hi) for lo, hi in box])
+        gf, gg = rng.uniform(-2.0, 2.0, (2, len(x)))
+        pi = structure.matrix(x)
+        pi_gg = [left_to_right(row, gg.tolist()) for row in pi.tolist()]
+        scale = (math.sqrt(left_to_right(gf.tolist(), gf.tolist()))
+                 * structure.spectral_norm(pi) * math.sqrt(left_to_right(gg.tolist(), gg.tolist())))
+        want = abs(left_to_right(gf.tolist(), pi_gg)) / (scale + 1e-12)
+        assert verify._normalized_bracket(structure, pi, gf, gg) == want
+
+
 def refusing(where, fn):
     """``fn``, raising SingularPointError at every ``y`` where ``where(y)``."""
     def wrapped(y):
