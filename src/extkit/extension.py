@@ -22,6 +22,7 @@ hence H unchanged.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Sequence
@@ -154,12 +155,13 @@ class DerivPair:
 def seed_pair(system: HamiltonianSystem, seed_field: ScalarField, x) -> tuple[DerivPair, float]:
     """(G, X_L G) as a pair at ``x``, plus the value of L there.
 
-    ``x`` becomes one list of floats, which L and G both read through
+    ``x`` is a list of floats, taken as it is, or any other coordinate
+    sequence, turned into one; L and G both read that list through
     :meth:`ScalarField.value_grad`.  X_L G is grad G . pi grad L, summed
     left to right from 0.0 (:func:`~extkit.poisson._dot`), so it rounds
     the same whatever the host's BLAS kernel.
     """
-    xs = system.hamiltonian._coords(x)
+    xs = x if type(x) is list else system.hamiltonian._coords(x)
     lval, v = ham_field(system, xs)
     value, grad = seed_field.value_grad(xs)
     return DerivPair(value, _dot(grad, v)), lval
@@ -329,28 +331,100 @@ def _integral_from_parts(params: ExtensionParams, chain: DerivPair, lam, gam, p_
     return total
 
 
+def _hamiltonian_from_parts(params: ExtensionParams, profile, lval, p_u) -> float:
+    """H = p_u^2/2 - k^2 y' L + k^2 c0 y^2 + omega / y^2 from the profile
+    (y, y', y'') at u, the value of L at the base point and p_u."""
+    gam, dgam, _ = profile
+    k2 = params.k**2
+    h = 0.5 * p_u**2 - k2 * dgam * lval + k2 * params.c0 * gam * gam
+    if params.omega != 0.0:
+        h += params.omega / gam**2
+    return h
+
+
 def _vector_parts(vec) -> tuple[float, float, np.ndarray]:
     """(u, p_u, base coordinates) of a flat extended vector."""
     vec = np.asarray(vec, dtype=float)
     return float(vec[0]), float(vec[1]), vec[2:]
 
 
-# Entries kept by each memo of an Extension, the oldest dropped first:
-# base points with their chain member and lam, and, for a complex K, whole
-# vectors with their K.  At least 2 (d + 2) = 12, the points of one
-# central-difference stencil over (u, p_u, x) on the largest catalog base
-# (d = 4), which hold 2d + 1 = 9 distinct base points; and far below the
-# hundreds of points one sampled gate visits.
-SEED_PAIR_MEMO_SIZE = 32
+# How a K observable gives K's value at a point: a real K as a float, a
+# complex one as the real and imaginary parts of a complex.
+_K_PARTS = {"K": float, "K_re": lambda k: complex(k).real, "K_im": lambda k: complex(k).imag}
 
 
-def _keep(memo: dict, key, value):
-    """``value``, stored under ``key`` after the oldest entry is dropped
-    from a full ``memo``."""
-    if len(memo) >= SEED_PAIR_MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
+class _Stencil:
+    """H and K at the points of one central-difference stencil, by parts.
+
+    The points are :func:`~extkit.verify.fd_gradient`'s at the flat vector
+    x = (u, p_u, base) with step h, in its order: x + h e_0, x - h e_0,
+    x + h e_1, ...  Their 2 (d + 2) coordinate vectors hold three values
+    of u and 2d + 1 base points.  The profile is formed once per value of
+    u, and once per base point either the base part
+    (:meth:`Extension._base_part`, for K) or L's ``value`` (for H where no
+    base part is kept), each when the first point that reads it is
+    evaluated.  A part that raises is not kept.  So each point is evaluated
+    as the observables evaluate one vector, in their order (K: base part,
+    then profile; H: profile, then L), and every value and every error is
+    theirs, at the same point; H never evaluates G.
+    """
+
+    def __init__(self, ext: "Extension", x: np.ndarray, h):
+        xs, up, down = x.tolist(), (x + h).tolist(), (x - h).tolist()
+        base, p_u = xs[2:], xs[1]
+        self.ext = ext
+        self.u = (xs[0], up[0], down[0])
+        self.bases = [base] + [base[:j] + [s[j + 2]] + base[j + 1:]
+                               for j in range(len(base)) for s in (up, down)]
+        # (index of u, p_u, index of the base point) at each point
+        self.points = ([(1, p_u, 0), (2, p_u, 0), (0, up[1], 0), (0, down[1], 0)]
+                       + [(0, p_u, b) for b in range(1, len(self.bases))])
+        self.profiles = [None] * 3
+        self.parts = [None] * len(self.bases)
+        self.lvals = [None] * len(self.bases)
+        self.kept: dict = {}
+
+    def _profile(self, i: int) -> tuple:
+        y = self.profiles[i]
+        if y is None:
+            y = self.profiles[i] = profile_at(self.ext.params, self.u[i])
+        return y
+
+    def _part(self, b: int) -> tuple:
+        part = self.parts[b]
+        if part is None:
+            part = self.parts[b] = self.ext._base_part(self.bases[b])
+        return part
+
+    def _l(self, b: int):
+        # L from the kept base part, which agrees with L's value bit for bit
+        part = self.parts[b]
+        if part is not None:
+            return part[2]
+        lval = self.lvals[b]
+        if lval is None:
+            lval = self.lvals[b] = self.ext.system.hamiltonian.value(self.bases[b])
+        return lval
+
+    def _integral(self, i: int, p_u, b: int):
+        chain, lam, _ = self._part(b)
+        return _integral_from_parts(self.ext.params, chain, lam, self._profile(i)[0], p_u)
+
+    def values(self, name: str) -> list:
+        """The values at the points of the observable ``name``: "H", "K",
+        "K_re" or "K_im", K's parts reading one evaluation of K."""
+        vals = self.kept.get(name)
+        if vals is None:
+            if name == "H":
+                params = self.ext.params
+                vals = [_hamiltonian_from_parts(params, self._profile(i), self._l(b), p_u)
+                        for i, p_u, b in self.points]
+            elif name == "integral":
+                vals = [self._integral(i, p_u, b) for i, p_u, b in self.points]
+            else:
+                vals = list(map(_K_PARTS[name], self.values("integral")))
+            self.kept[name] = vals
+        return vals
 
 
 @dataclass(frozen=True)
@@ -360,50 +434,59 @@ class Extension:
     K is evaluated in two parts (:func:`_integral_from_parts`).  The base
     point fixes the chain member (G_r, X_L G_r), formed from
     :func:`seed_pair`'s (G, X_L G) by :func:`recursion_term_closed`, and
-    lam = c L + c0.  These are kept, with L's value, for the last
-    :data:`SEED_PAIR_MEMO_SIZE` distinct base points, keyed by the exact
-    bytes of the base coordinates.  (u, p_u) then costs one profile value
-    and the cofactor sums.  So a finite-difference stencil builds the
-    chain once per distinct base point: its u and p_u steps keep the base
-    point.  H reads L from a kept base part where there is one, and calls
-    L's ``value`` otherwise; the two agree bit for bit, as ``value`` and
-    ``value_grad`` do.  The bound covers one stencil but not a repeated
-    pass over a point cloud.  An evaluation error is not kept.  The
-    instance is frozen, so the kept parts cannot outlive the system and
-    seed they came from.
+    lam = c L + c0 (:meth:`_base_part`, which also gives L's value); (u,
+    p_u) adds one profile value and the cofactor sums.  H is formed from
+    the profile, L's value and p_u (:func:`_hamiltonian_from_parts`).
+
+    At one vector each is formed from nothing kept.  Over the points of a
+    central-difference stencil, the observables of
+    :meth:`conserved_quantities` form H and K together (:class:`_Stencil`):
+    one profile per distinct u and one base part per distinct base point,
+    so one bracket state builds the chain 2d + 1 times and evaluates the
+    profile 3 times.  The last stencil is kept, keyed by the exact bytes of
+    its centre and its step, so H and every part of K at one state read
+    one pass.  An evaluation error is not kept.  The instance is frozen, so
+    the kept stencil cannot outlive the system and seed it came from.
     """
 
     system: HamiltonianSystem
     seed: ExtensionSeed
     params: ExtensionParams
-    _seed_pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the last stencil formed: [(centre bytes, step), _Stencil]
+    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False,
+                        compare=False)
 
-    def _base_part(self, base: np.ndarray) -> tuple[DerivPair, float, float]:
+    def _base_part(self, base) -> tuple[DerivPair, float, float]:
         """The chain member (G_r, X_L G_r), lam = c L + c0 and L at ``base``."""
-        key = base.tobytes()
-        hit = self._seed_pairs.get(key)
-        if hit is None:
-            params = self.params
-            pair, lval = seed_pair(self.system, self.seed.field, base)
-            lam = params.c * lval + params.c0
-            hit = _keep(self._seed_pairs, key,
-                        (recursion_term_closed(_chain_indices(params)[1], pair, lam), lam, lval))
-        return hit
+        params = self.params
+        pair, lval = seed_pair(self.system, self.seed.field, base)
+        lam = params.c * lval + params.c0
+        return recursion_term_closed(_chain_indices(params)[1], pair, lam), lam, lval
 
     def _integral_at(self, u: float, p_u: float, base: np.ndarray):
         chain, lam, _ = self._base_part(base)
         return _integral_from_parts(self.params, chain, lam, profile_at(self.params, u)[0], p_u)
 
     def _hamiltonian_at(self, u: float, p_u: float, base: np.ndarray) -> float:
-        params = self.params
-        gam, dgam, _ = profile_at(params, u)
-        hit = self._seed_pairs.get(base.tobytes())
-        lval = self.system.hamiltonian.value(base) if hit is None else hit[2]
-        k2 = params.k**2
-        h = 0.5 * p_u**2 - k2 * dgam * lval + k2 * params.c0 * gam * gam
-        if params.omega != 0.0:
-            h += params.omega / gam**2
-        return h
+        return _hamiltonian_from_parts(self.params, profile_at(self.params, u),
+                                       self.system.hamiltonian.value(base), p_u)
+
+    def _kept_stencil(self, x: np.ndarray, h) -> _Stencil:
+        """The stencil at ``x`` with step ``h``: the kept one where its key
+        is (x's bytes, h), else a new one, kept in its place."""
+        key = (x.tobytes(), h)
+        last = self._last
+        if last[0] != key:
+            last[:] = key, _Stencil(self, x, h)
+        return last[1]
+
+    def _stencil_values(self, name: str, x: np.ndarray, h) -> list | None:
+        """The observable ``name`` at the stencil points of ``x`` and ``h``,
+        or None, for the point by point path, where x is not one flat
+        extended vector."""
+        if x.shape != (self.system.dim + 2,):
+            return None
+        return self._kept_stencil(x, h).values(name)
 
     def hamiltonian(self, state: ExtendedState) -> float:
         """H = p_u^2/2 - k^2 y' L + k^2 c0 y^2 + omega / y^2 at ``state``."""
@@ -420,15 +503,19 @@ class Extension:
         return extend_structure(self.system.structure)
 
     def conserved_quantities(self) -> dict[str, Callable[[np.ndarray], float]]:
-        """Observables over flat extended vectors, for drift reports.
+        """Observables over flat extended vectors, for drift reports and
+        finite-difference gradients.
 
         Each reads (u, p_u, base) from the vector, with the numbers of
         :meth:`hamiltonian` and :meth:`integral`.  Complex-valued integrals
         are split into real and imaginary parts so every observable is
-        real.  The two parts share one evaluation of K: the last
-        :data:`SEED_PAIR_MEMO_SIZE` vectors asked about, by their bytes,
-        and their K are kept, so the imaginary part's finite-difference
-        stencil reads the values of the real part's.
+        real; at one vector the two share one evaluation of K, the last
+        vector's, kept by its bytes.  H and the K observables carry their
+        stencil, ``fn._stencil = (fn, values)``, which
+        :func:`~extkit.verify.fd_gradient` reads in place of calling ``fn``
+        at each point: H and K at all the points of a stencil from one pass
+        by parts (:class:`_Stencil`), bit for bit the values and errors of
+        ``fn`` at each point.
         """
         ham = self.system.hamiltonian
         out: dict[str, Callable[[np.ndarray], float]] = {
@@ -436,19 +523,21 @@ class Extension:
             "L": lambda vec: ham.value(vec[2:]),
         }
         if self.seed.field.codomain == "complex":
-            kept: dict = {}
+            last: list = [None, None]
 
             def k_at(vec) -> complex:
                 key = np.asarray(vec, dtype=float).tobytes()
-                k = kept.get(key)
-                if k is None:
-                    k = _keep(kept, key, complex(self._integral_at(*_vector_parts(vec))))
-                return k
+                if last[0] != key:
+                    last[:] = key, complex(self._integral_at(*_vector_parts(vec)))
+                return last[1]
 
             out["K_re"] = lambda vec: k_at(vec).real
             out["K_im"] = lambda vec: k_at(vec).imag
         else:
             out["K"] = lambda vec: float(self._integral_at(*_vector_parts(vec)))
+        for name, fn in out.items():
+            if name != "L":
+                fn._stencil = (fn, functools.partial(self._stencil_values, name))
         return out
 
 

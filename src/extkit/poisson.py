@@ -336,51 +336,51 @@ def base_flow(system: HamiltonianSystem) -> Callable[[Sequence[float]], list]:
     return rhs
 
 
-def _xl2(grad_l, hess_l, grad_f, hess_f, pi: list, dpi_grad_l: list | None) -> np.ndarray:
-    """X_L^2 F over a cloud of B points, from the gradients (B, d) and
-    Hessians (B, d, d) of L and F, the bivector ``pi`` as d rows of floats,
-    and ``dpi_grad_l[i][k]`` = sum_j d_k pi_ij d_j L, also d rows of floats,
-    or None for a constant bivector; both are shared by the whole cloud.
+def _xl2(gl, hl, gf, hf, pi: list, dpi_grad_l: list | None):
+    """X_L^2 F from the gradient entries ``gl[k]`` and Hessian entries
+    ``hl[j][k]`` of L, ``gf`` and ``hf`` of F, each a number at one point or
+    a (B,) column over a cloud of B points; the bivector ``pi`` as d rows of
+    floats, and ``dpi_grad_l[i][k]`` = sum_j d_k pi_ij d_j L, also d rows of
+    numbers, or None for a constant bivector.
 
     With v = pi grad L and J v = (dpi grad L) v + pi (hess L v), this is
     v . (hess F v) + (J v) . grad F.  Each entry of each factor is a
-    :func:`_dot` over (B,) columns, one sum continuing the other where
-    two add up, and a zero entry of ``pi`` or ``dpi_grad_l`` adds no
-    product: for finite columns that is the same sum bit for bit.  So a
-    point's value is the same in any cloud, a cloud of one point
-    (:func:`apply_xl2`) included, and on any host.
+    :func:`_dot`, one sum continuing the other where two add up, and a zero
+    entry of ``pi`` or ``dpi_grad_l`` adds no product: for finite entries
+    that is the same sum bit for bit.  Every operation is elementwise IEEE
+    arithmetic, so a point's value is the same in any cloud and on plain
+    numbers (:func:`apply_xl2`), and on any host.
     """
     def apply(m, cols, totals=None):  # m cols, added on to ``totals`` where given
         return [functools.reduce(operator.add, (p * c for p, c in zip(row, cols) if p != 0.0),
                                  0.0 if totals is None else totals[i])
                 for i, row in enumerate(m)]
 
-    gl, gf = np.ascontiguousarray(grad_l.T), np.ascontiguousarray(grad_f.T)
-    hl, hf = (np.ascontiguousarray(h.transpose(1, 2, 0)) for h in (hess_l, hess_f))
     v = apply(pi, gl)
     hv = [_dot(row, v) for row in hl]
     jv = apply(pi, hv, None if dpi_grad_l is None else apply(dpi_grad_l, v))
     return _dot(jv, gf, _dot(v, [_dot(row, v) for row in hf]))
 
 
-def _dpi_grad(dpi: np.ndarray, grad_l: np.ndarray) -> list:
+def _dpi_grad(dpi: np.ndarray, grad_l: list) -> list:
     """``[i][k]`` = sum_j dpi[k, i, j] grad_l[j], each a :func:`_dot` over j,
     as d rows of numbers."""
-    g = grad_l.tolist()
     per_k = dpi.tolist()
-    return [[_dot(per_k[k][i], g) for k in range(len(g))] for i in range(len(g))]
+    return [[_dot(per_k[k][i], grad_l) for k in range(len(grad_l))]
+            for i in range(len(grad_l))]
 
 
 def apply_xl2(system: HamiltonianSystem, f: ScalarField, x):
-    """X_L(X_L F) at ``x``, exact through second jets: :func:`_xl2` on a
-    cloud of one point."""
+    """X_L(X_L F) at ``x``, exact through second jets: :func:`_xl2` on the
+    plain numbers of one point, which give the cloud's row bit for bit."""
     jl = system.hamiltonian.jet2(x)
     jf = f.jet2(x)
     structure = system.structure
     pi, dpi = structure.matrix_with_grads(x)
-    dpi_grad_l = None if structure.const is not None else _dpi_grad(dpi, jl.grad)
-    return _xl2(jl.grad[None], jl.hess[None], jf.grad[None], jf.hess[None], pi.tolist(),
-                dpi_grad_l)[0]
+    grad_l = jl.grad.tolist()
+    dpi_grad_l = None if structure.const is not None else _dpi_grad(dpi, grad_l)
+    return _xl2(grad_l, jl.hess.tolist(), jf.grad.tolist(), jf.hess.tolist(), pi.tolist(),
+                dpi_grad_l)
 
 
 def apply_xl2_cloud(system: HamiltonianSystem, f: ScalarField, points) -> tuple:
@@ -404,8 +404,11 @@ def apply_xl2_cloud(system: HamiltonianSystem, f: ScalarField, points) -> tuple:
     l_vals, grad_l, hess_l, marked = ham.jet2_cloud(pts)
     f_vals, grad_f, hess_f, marked_f = f.jet2_cloud(pts)
     marked |= marked_f
+    # the entries as (B,) columns: gradients (d, B), Hessians (d, d, B)
+    gl, gf = (np.ascontiguousarray(g.T) for g in (grad_l, grad_f))
+    hl, hf = (np.ascontiguousarray(h.transpose(1, 2, 0)) for h in (hess_l, hess_f))
     with np.errstate(all="ignore"):
-        xl2 = _xl2(grad_l, hess_l, grad_f, hess_f, structure._rows, None)
+        xl2 = _xl2(gl, hl, gf, hf, structure._rows, None)
     return xl2, marked, l_vals, f_vals
 
 
@@ -446,9 +449,15 @@ def jacobi_residual(structure: PoissonStructure, x) -> float:
     """Max over index triples of the cyclic Jacobi combination.
 
     sum_l (pi_il d_l pi_jk + pi_jl d_l pi_ki + pi_kl d_l pi_ij) vanishes
-    identically for a Poisson bivector.
+    identically for a Poisson bivector.  Each a_ijk = sum_l pi_il d_l pi_jk
+    is a :func:`_dot` over l, and the combination is (a_ijk + a_kij) +
+    a_jki, so the value rounds the same on every host.
     """
     pi, dpi = structure.matrix_with_grads(x)
-    a = np.einsum("il,ljk->ijk", pi, dpi)
-    total = a + a.transpose(1, 2, 0) + a.transpose(2, 0, 1)
-    return float(np.max(np.abs(total)))
+    rows = pi.tolist()
+    # per (j, k): d_l pi_jk over l
+    cols = np.ascontiguousarray(dpi.transpose(1, 2, 0)).tolist()
+    a = [[[_dot(row, col) for col in per_j] for per_j in cols] for row in rows]
+    r = range(len(rows))
+    return float(np.max(np.abs([(a[i][j][k] + a[k][i][j]) + a[j][k][i]
+                                for i in r for j in r for k in r])))

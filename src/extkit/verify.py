@@ -51,12 +51,13 @@ RK4_MAX_STEPS = 1_000_000
 # The fewest points pde_residual evaluates in one cloud pass.  A field's first
 # pass records and prunes the tapes of L and G and replays them, about
 # 0.6-7 ms for a cloud of 16 points (quartic1 to square_polar), and one point
-# by apply_xl2 on fresh fields costs 80-380 us, its fixed-order sums over
-# (1,) arrays included, so that pass breaks even at 8-20 points (best of 5 on
-# a shared 2-vCPU Linux host).  Later passes replay the kept tapes, 0.14-1.4
-# ms fixed, and break even at fewer points still.  32 is the break-even of
-# the first pass as it was when apply_xl2 cost 40-140 us a point; the
-# benchmark's tracer test pins the point-by-point path at 20 points.
+# by apply_xl2 on fresh fields cost 80-380 us while its fixed-order sums ran
+# over (1,) arrays, so that pass broke even at 8-20 points (best of 5 on a
+# shared 2-vCPU Linux host); on plain numbers a warm point costs 40-160 us
+# (quartic1 to vortex_equal, best of 7).  Later passes replay the kept tapes,
+# 0.14-1.4 ms fixed.  32 is the break-even of the first pass as it was when
+# apply_xl2 cost 40-140 us a point; the benchmark's tracer test pins the
+# point-by-point path at 20 points.
 CLOUD_MIN_POINTS = 32
 # Defaults the command line shares: the finite-difference step and rank
 # threshold of the bracket and rank checks, the step of the first-order
@@ -655,18 +656,39 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
     return ConservationReport(traj.times[idx], states, series, drifts)
 
 
-def fd_gradient(fn: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a callable over flat vectors."""
-    _real(h, "finite-difference step", "positive")
-    x = np.asarray(x, dtype=float)
-    out = []
+def _stencil_points(x: np.ndarray, h):
+    """The points of :func:`fd_gradient`'s stencil, each a new array, in
+    its order: x + h e_0, x - h e_0, x + h e_1, ..."""
     for i in range(len(x)):
         xp = x.copy()
-        xm = x.copy()
         xp[i] += h
+        yield xp
+        xm = x.copy()
         xm[i] -= h
-        out.append((fn(xp) - fn(xm)) / (2.0 * h))
-    return np.array(out)
+        yield xm
+
+
+def fd_gradient(fn: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of a callable over flat vectors.
+
+    Entry i is (v+ - v-) / (2.0 * h), with v+ and v- the values at
+    x + h e_i and x - h e_i.  The values are ``fn``'s at each point, asked
+    in the order x + h e_0, x - h e_0, x + h e_1, ..., or, where ``fn``
+    carries a stencil, the stencil's.  A stencil is the marker
+    ``fn._stencil = (fn, values)``: ``values(x, h)`` gives the values at
+    all the points in that order, bit for bit ``fn``'s, or None to leave
+    them to ``fn``.  H and K of
+    :meth:`~extkit.extension.Extension.conserved_quantities` carry one,
+    which forms them by parts in one pass.  The marker must name ``fn``
+    itself, so a wrapper, even one that copies ``fn``'s attributes
+    (``functools.wraps``), is called at each point.
+    """
+    _real(h, "finite-difference step", "positive")
+    x = np.asarray(x, dtype=float)
+    mark = getattr(fn, "_stencil", None)
+    values = mark[1](x, h) if type(mark) is tuple and mark[0] is fn else None
+    values = iter(map(fn, _stencil_points(x, h)) if values is None else values)
+    return np.array([(vp - vm) / (2.0 * h) for vp, vm in zip(values, values)])
 
 
 def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
@@ -676,8 +698,8 @@ def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
     G's gradient is formed before F's.  Neither reads the other, so the
     order leaves the result alone (where both raise, G's error is the one
     raised); but with F = H and G = K of an
-    :class:`~extkit.extension.Extension`, K's stencil keeps the base parts
-    whose L values H's stencil then reads.
+    :class:`~extkit.extension.Extension`, K's stencil is formed first and
+    kept, and H's reads its profiles and the L values of its base parts.
     """
     gg = fd_gradient(g, x, h)
     gf = fd_gradient(f, x, h)

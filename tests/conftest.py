@@ -25,3 +25,16 @@ def sample_extended(key, count, seed, u_range=(0.3, 1.2), pu_range=(-1.0, 1.0),
         out.append(np.concatenate([
             [rng.uniform(*u_range), rng.uniform(*pu_range)], base]))
     return out
+
+
+# The bracket cases of the benchmark's gates workload
+# (perfbench/benchlib/cases.py BRACKET_CASES): (entry, constants, (m, n)).
+BRACKET_CASES = [
+    ("quartic1", dict(c=1.0, c0=1.0, C=1.0), (1, 1)),
+    ("quartic1", dict(c=1.0, c0=1.0, C=1.0), (3, 2)),
+    ("quartic1", dict(c=1.0, c0=1.0, C=1.0, omega=0.3), (2, 1)),
+    ("quartic2a", dict(c=1.0, c0=1.0, C=-1.0), (2, 1)),
+    ("square_polar", dict(c=1.0, c0=0.0, C=1.0), (1, 1)),
+    ("vortex_opposite", dict(c=0.0, c0=0.5, C=1.0), (1, 1)),
+    ("vortex_opposite", dict(c=0.0, c0=0.5, C=1.0, omega=0.2), (1, 1)),
+]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import conftest
 import extkit as ek
+from extkit import extension
 from extkit.extension import (
     _closed_chain,
     _recursion_chain,
@@ -320,95 +321,85 @@ def test_cofactor_split_reassembles_shift_power(m, n):
     assert abs(assembled - cur.value) <= 1e-10 * max(1.0, abs(cur.value))
 
 
-# the bracket cases of the benchmark's gates workload: (entry, constants, (m, n))
-BRACKET_CASES = [
-    ("quartic1", dict(c=1.0, c0=1.0, C=1.0), (1, 1)),
-    ("quartic1", dict(c=1.0, c0=1.0, C=1.0), (3, 2)),
-    ("quartic1", dict(c=1.0, c0=1.0, C=1.0, omega=0.3), (2, 1)),
-    ("quartic2a", dict(c=1.0, c0=1.0, C=-1.0), (2, 1)),
-    ("square_polar", dict(c=1.0, c0=0.0, C=1.0), (1, 1)),
-    ("vortex_opposite", dict(c=0.0, c0=0.5, C=1.0), (1, 1)),
-    ("vortex_opposite", dict(c=0.0, c0=0.5, C=1.0, omega=0.2), (1, 1)),
-]
-
-
-@pytest.mark.parametrize("key, consts, mn", BRACKET_CASES)
+@pytest.mark.parametrize("key, consts, mn", conftest.BRACKET_CASES)
 def test_kept_seed_pairs_change_no_bit_of_k(key, consts, mn, monkeypatch):
-    # every K the bracket stencil evaluates, and every value K_re and K_im
-    # return, equals K on a fresh instance, so with nothing kept, at the same
-    # point bit for bit; a stencil evaluates K once at each of its points
+    # every value of K the bracket stencils give, K_re's and K_im's, equals K
+    # on a fresh instance, so with nothing kept, at the same point bit for
+    # bit; a stencil evaluates K once at each of its points
     built = ek.instantiate(key)
     params = ek.ExtensionParams(m=mn[0], n=mn[1], **consts)
     ext = ek.build_extension(built.system, built.seed, params)
     seen = []
-    integral_at = ek.Extension._integral_at
-
-    def recorded(self, u, p_u, base):
-        out = integral_at(self, u, p_u, base)
-        seen.append(((u, p_u, base.copy()), out))
-        return out
-
-    monkeypatch.setattr(ek.Extension, "_integral_at", recorded)
+    parts = extension._integral_from_parts
+    monkeypatch.setattr(extension, "_integral_from_parts",
+                        lambda *args: seen.append(args) or parts(*args))
     obs = ext.conserved_quantities()
-    asked = []
-
-    def asking(name):
-        def k(vec):
-            out = obs[name](vec)
-            asked.append((name, vec, out))
-            return out
-
-        return k
-
-    ks = [asking(name) for name in obs if name.startswith("K")]
+    ks = [name for name in obs if name.startswith("K")]
     structure = ext.structure()
     spec = ek.SampleSpec(((0.3, 1.2), (-1.0, 1.0)) + ek.get_entry(key).default_box,
                          count=4, seed=17, margin=0.1)
     sing = built.singular
     pred = None if sing is None else (lambda vec, margin: sing(vec[2:], margin))
+    asked = []
     for vec in ek.sample_points(spec, pred):
-        for k in ks:
-            ek.fd_bracket_normalized(structure, obs["H"], k, vec)
+        for name in ks:
+            ek.fd_bracket_normalized(structure, obs["H"], obs[name], vec)
+            asked.append((name, vec, ext._last[1].values(name)))
     assert len(seen) == 4 * 2 * len(vec)
-    assert len(asked) == 4 * len(ks) * 2 * len(vec)
-    assert len({base.tobytes() for (_, _, base), _ in seen}) < len(seen)
-    for (u, p_u, base), got in seen:
-        fresh = ek.Extension(built.system, built.seed, params)
-        want = integral_at(fresh, u, p_u, base)
-        assert type(got) is type(want) and got == want, (key, u, p_u, base.tolist())
+    as_asked = {"K": float, "K_re": lambda z: complex(z).real,
+                "K_im": lambda z: complex(z).imag}
     for name, vec, got in asked:
-        fresh = ek.Extension(built.system, built.seed, params)
-        z = fresh.integral(ek.ExtendedState.from_vector(vec))
-        want = {"K": float, "K_re": lambda z: complex(z).real,
-                "K_im": lambda z: complex(z).imag}[name](z)
-        assert type(got) is type(want) and got == want, (key, name, vec.tolist())
+        assert len(got) == 2 * len(vec)
+        for p, value in zip(stencil(vec), got):
+            fresh = ek.Extension(built.system, built.seed, params)
+            want = as_asked[name](fresh.integral(ek.ExtendedState.from_vector(p)))
+            assert type(value) is type(want) and value == want, (key, name, p.tolist())
 
 
 def test_failed_seed_pair_is_not_kept():
     built = ek.instantiate("vortex_opposite")
     ext = ek.build_extension(built.system, built.seed,
                              ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1))
-    # y2 = 0 lies on the singular set of L and G
+    obs = ext.conserved_quantities()
+    # y2 = 0 lies on the singular set of L and G: the stencil's last point,
+    # at y2 = h - h, raises there at every ask, as the point by point path does
+    h = ek.verify.FD_STEP
+    x = np.array([0.7, 0.3, 0.8, -0.4, 0.5, h])
+    for _ in range(3):
+        with pytest.raises(ek.SingularPointError) as kept:
+            ek.fd_gradient(obs["K_re"], x)
+        with pytest.raises(ek.SingularPointError) as per_point:
+            ek.fd_gradient(lambda v: obs["K_re"](v), x)
+        assert str(kept.value) == str(per_point.value)
+    # the parts before it are kept, and no part or value of K after it
+    stencil_kept = ext._last[1]
+    assert stencil_kept.parts[-1] is None and None not in stencil_kept.parts[:-1]
+    assert stencil_kept.kept == {}
     state = ek.ExtendedState(0.7, 0.3, np.array([0.8, -0.4, 0.5, 0.0]))
     for _ in range(3):
         with pytest.raises(ek.SingularPointError):
             ext.integral(state)
-    assert ext._seed_pairs == {}
 
 
-def test_kept_seed_pairs_stay_within_the_bound():
+def test_an_extension_keeps_its_last_stencil_alone():
     built = ek.instantiate("quartic1")
     ext = ek.build_extension(built.system, built.seed,
                              ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=1, n=1))
-    bound = ek.extension.SEED_PAIR_MEMO_SIZE
-    assert 9 <= bound <= 100
-    states = [ek.ExtendedState(0.6, 0.4, np.array([0.1 + 0.01 * i, -0.7]))
-              for i in range(3 * bound)]
-    for i, state in enumerate(states):
-        ext.integral(state)
-        assert len(ext._seed_pairs) == min(i + 1, bound)
-    # the newest base points are the ones kept
-    assert list(ext._seed_pairs) == [s.base.tobytes() for s in states[-bound:]]
+    obs = ext.conserved_quantities()
+    h = ek.verify.FD_STEP
+    states = [np.array([0.6, 0.4, 0.1 + 0.01 * i, -0.7]) for i in range(3)]
+    for x in states:
+        ek.fd_gradient(obs["K"], x)
+        assert ext._last[0] == (x.tobytes(), h)
+    kept = ext._last[1]
+    # H at the same centre and step reads the kept stencil; another step,
+    # or another centre, forms a new one in its place
+    ek.fd_gradient(obs["H"], states[-1], np.float64(h))
+    assert ext._last[1] is kept and set(kept.kept) == {"integral", "K", "H"}
+    ek.fd_gradient(obs["H"], states[-1], 2 * h)
+    assert ext._last[0] == (states[-1].tobytes(), 2 * h) and ext._last[1] is not kept
+    ek.fd_gradient(obs["K"], states[0])
+    assert ext._last[0] == (states[0].tobytes(), h)
 
 
 def test_extension_is_frozen():
@@ -587,33 +578,60 @@ def evaluated(fn, *args):
         return type(e)
 
 
+AS_ASKED = {"integral": lambda z: z, "K": float, "K_re": lambda z: complex(z).real,
+            "K_im": lambda z: complex(z).imag, "H": lambda h: h, "hamiltonian": lambda h: h}
+
+
+def reference(ext, name, p):
+    """K or H at ``p`` as ``name`` gives it, formed from nothing kept, or
+    the type of the evaluation error raised."""
+    base, u, p_u = p[2:].copy(), float(p[0]), float(p[1])
+    if name in ("H", "hamiltonian"):
+        want = evaluated(lambda: hamiltonian_from_value(
+            ext.params, ext.system.hamiltonian.value(base), u, p_u))
+    else:
+        want = evaluated(lambda: integral_from_pair(
+            ext.params, *seed_pair(ext.system, ext.seed.field, base), u, p_u))
+    return want if isinstance(want, type) else AS_ASKED[name](want)
+
+
+def same_values(got, want) -> bool:
+    return type(got) is type(want) and got == want
+
+
 def k_mismatches(ext, visits) -> list:
     """The (name, point) visits whose K or H differs from the reference in
     type or value.
 
     Each visit asks an observable (K, K_re, K_im or H), or ``integral`` or
-    ``hamiltonian`` of an ExtendedState; the reference forms K or H at the
-    point from nothing kept.
+    ``hamiltonian`` of an ExtendedState, at one point, or, for a name
+    "stencil <observable>", the observable's stencil values at the points
+    of fd_gradient's stencil about the point; the reference forms K or H at
+    each point from nothing kept.  A stencil must give the reference's
+    values, or raise the error of its first point that raises.
     """
     obs = ext.conserved_quantities()
-    as_asked = {"integral": lambda z: z, "K": float, "K_re": lambda z: complex(z).real,
-                "K_im": lambda z: complex(z).imag, "H": lambda h: h, "hamiltonian": lambda h: h}
     bad = []
     for name, p in visits:
-        if name in ("integral", "hamiltonian"):
-            got = evaluated(getattr(ext, name), ek.ExtendedState.from_vector(p))
+        if name.startswith("stencil "):
+            name = name.split()[1]
+            got = evaluated(obs[name]._stencil[1], p, ek.verify.FD_STEP)
+            want = []
+            for q in stencil(p):
+                w = reference(ext, name, q)
+                if isinstance(w, type):
+                    want = w
+                    break
+                want.append(w)
+            ok = (got is want if isinstance(want, type) else type(got) is list
+                  and len(got) == len(want) and all(map(same_values, got, want)))
         else:
-            got = evaluated(obs[name], p)
-        base, u, p_u = p[2:].copy(), float(p[0]), float(p[1])
-        if name in ("H", "hamiltonian"):
-            want = evaluated(lambda: hamiltonian_from_value(
-                ext.params, ext.system.hamiltonian.value(base), u, p_u))
-        else:
-            want = evaluated(lambda: integral_from_pair(
-                ext.params, *seed_pair(ext.system, ext.seed.field, base), u, p_u))
-        if not isinstance(want, type):
-            want = as_asked[name](want)
-        if not (type(got) is type(want) and got == want):
+            if name in ("integral", "hamiltonian"):
+                got = evaluated(getattr(ext, name), ek.ExtendedState.from_vector(p))
+            else:
+                got = evaluated(obs[name], p)
+            ok = same_values(got, reference(ext, name, p))
+        if not ok:
             bad.append((name, p.tolist()))
     return bad
 
@@ -631,6 +649,9 @@ def part_visits(kind, built, ext, seed, centres, shuffle):
     centre_points = conftest.sample_extended(PART_SEEDS[kind], centres, seed, margin=0.1,
                                              system=built)
     visits = [(name, p) for c in centre_points for p in stencil(c) for name in names]
+    # K's stencil first, so H's reads the L values of its base parts
+    visits += [(f"stencil {name}", c) for c in centre_points
+               for name in names if name[0] in "KH"]
     visits += visits  # a second pass reads what the first one kept
     if shuffle:
         np.random.default_rng(seed).shuffle(visits)
@@ -645,46 +666,57 @@ def part_visits(kind, built, ext, seed, centres, shuffle):
        st.booleans())
 def test_k_by_parts_is_the_reference_bit_for_bit(kind, regime, m, n, omega, offset, seed,
                                                  centres, shuffle):
-    # up to three stencils (36 points on vortex_opposite) overflow the kept vectors,
-    # so kept base parts and vectors are dropped and formed again on the way
+    # up to three stencils about different centres, so a kept stencil is
+    # dropped and formed again on the way
     built, ext = part_case(kind, regime, m, n, omega, offset)
     assert k_mismatches(ext, part_visits(kind, built, ext, seed, centres, shuffle)) == []
 
 
-def stale_lam(self, base):
+def stale_lam():
     # a faulty base part: the chain at this base point, but lam kept from the
-    # first base point this instance saw (under a key no base point has)
-    first = self._seed_pairs.setdefault("first lam", [])
-    pair, lval = seed_pair(self.system, self.seed.field, base)
-    if not first:
-        first.append(self.params.c * lval + self.params.c0)
-    r = ek.extension._chain_indices(self.params)[1]
-    return recursion_term_closed(r, pair, first[0]), first[0], lval
+    # first base point asked
+    first = []
 
-
-def keyed_on_first_coordinate(self, base):
-    # a faulty base part: kept by the first base coordinate alone
-    memo = self._seed_pairs
-    key = base[:1].tobytes()
-    if key not in memo:
+    def base_part(self, base):
         pair, lval = seed_pair(self.system, self.seed.field, base)
+        if not first:
+            first.append(self.params.c * lval + self.params.c0)
+        r = extension._chain_indices(self.params)[1]
+        return recursion_term_closed(r, pair, first[0]), first[0], lval
+
+    return base_part
+
+
+def keyed_on_first_coordinate():
+    # a faulty base part: kept by the first base coordinate alone
+    memo = {}
+
+    def base_part(self, base):
+        key = np.asarray(base, dtype=float)[:1].tobytes()
+        if key not in memo:
+            pair, lval = seed_pair(self.system, self.seed.field, base)
+            lam = self.params.c * lval + self.params.c0
+            memo[key] = recursion_term_closed(extension._chain_indices(self.params)[1],
+                                              pair, lam), lam, lval
+        return memo[key]
+
+    return base_part
+
+
+def stale_l():
+    # a faulty base part: chain and lam right, but L kept from the first base
+    # point asked, so only H's stencil, which reads L from K's, is wrong
+    first = []
+
+    def base_part(self, base):
+        pair, lval = seed_pair(self.system, self.seed.field, base)
+        if not first:
+            first.append(lval)
         lam = self.params.c * lval + self.params.c0
-        memo[key] = recursion_term_closed(ek.extension._chain_indices(self.params)[1],
-                                          pair, lam), lam, lval
-    return memo[key]
+        r = extension._chain_indices(self.params)[1]
+        return recursion_term_closed(r, pair, lam), lam, first[0]
 
-
-def stale_l(self, base):
-    # a faulty base part: chain and lam right, under the right key, but L kept
-    # from the first base point this instance saw, so only H reads it wrong
-    first = self._seed_pairs.setdefault("first L", [])
-    pair, lval = seed_pair(self.system, self.seed.field, base)
-    if not first:
-        first.append(lval)
-    lam = self.params.c * lval + self.params.c0
-    r = ek.extension._chain_indices(self.params)[1]
-    return ek.extension._keep(self._seed_pairs, base.tobytes(),
-                              (recursion_term_closed(r, pair, lam), lam, first[0]))
+    return base_part
 
 
 @pytest.mark.parametrize("faulty", [stale_lam, keyed_on_first_coordinate, stale_l])
@@ -693,6 +725,6 @@ def test_a_base_part_kept_wrongly_fails_the_bit_check(faulty, kind, monkeypatch)
     built, ext = part_case(kind, "kappa>0", 3, 2, 0.0, 0.25)
     visits = part_visits(kind, built, ext, 5, 2, False)
     assert k_mismatches(ext, visits) == []
-    monkeypatch.setattr(ek.Extension, "_base_part", faulty)
+    monkeypatch.setattr(ek.Extension, "_base_part", faulty())
     built, ext = part_case(kind, "kappa>0", 3, 2, 0.0, 0.25)
     assert k_mismatches(ext, visits) != []

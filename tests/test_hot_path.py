@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import extkit as ek
-from extkit import extension, jets, poisson, riccati
+from extkit import extension, jets, poisson, riccati, verify
 
 
 @pytest.fixture
@@ -129,7 +129,7 @@ BRACKET_STATES = [
 
 @pytest.mark.parametrize("key, consts, state, per_field", BRACKET_STATES)
 def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_field, calls):
-    # the u and p_u steps keep the base point, and K_im asks where K_re did
+    # the u and p_u steps keep the base point, and K_im and H read K_re's stencil
     built = ek.instantiate(key)
     ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
     obs = ext.conserved_quantities()
@@ -144,41 +144,74 @@ def test_one_bracket_state_computes_each_seed_pair_once(key, consts, state, per_
     assert calls["value_grad"].count(ham) == calls["value_grad"].count(seed) == per_field
     assert len(calls["value_grad"]) == 2 * per_field and calls["jet2"] == []
     # K's stencil goes first and keeps L at each base point, where H's reads
-    # it; control: H's stencil alone, on a fresh instance, calls L's value at
-    # each of its 2 (d + 2) points
+    # it; H's stencil alone, on a fresh instance, calls L's value once at each
+    # base point, and control: point by point, at each of its 2 (d + 2) points
     assert calls["value"] == []
     ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
-    ek.fd_gradient(ext.conserved_quantities()["H"], np.array(state))
+    h_obs = ext.conserved_quantities()["H"]
+    ek.fd_gradient(h_obs, np.array(state))
+    assert calls["value"] == [ham] * per_field
+    assert calls["value_grad"] == [ham, seed] * per_field  # H's stencil never evaluates G
+    calls["value"].clear()
+    ek.fd_gradient(lambda vec: h_obs(vec), np.array(state))
     assert calls["value"] == [ham] * 2 * len(state)
 
 
+@pytest.mark.parametrize("key, consts, state, per_field", BRACKET_STATES)
+def test_one_bracket_state_runs_the_profile_three_times(key, consts, state, per_field, calls,
+                                                        monkeypatch):
+    # a stencil holds three values of u and 2 d + 1 base points, and H, K_re
+    # and K_im read one pass over it: per state, riccati_eval runs 3 times and
+    # seed_pair 2 d + 1 times, whether the brackets are taken one K part at a
+    # time or by bracket_sweep
+    built = ek.instantiate(key)
+    ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
+    obs = ext.conserved_quantities()
+    ks = {name: fn for name, fn in obs.items() if name.startswith("K")}
+    pairs = []
+    seed_pair = extension.seed_pair
+    monkeypatch.setattr(extension, "seed_pair", lambda *args: pairs.append(1) or seed_pair(*args))
+    structure = ext.structure()
+    states = [np.array(state), 1.01 * np.array(state)]
+    calls["riccati_eval"] = 0
+    for k in ks.values():
+        ek.fd_bracket_normalized(structure, obs["H"], k, states[0])
+    assert (calls["riccati_eval"], len(pairs)) == (3, per_field)
+    assert ek.bracket_sweep(structure, obs["H"], ks, states[1:])[2:] == (len(ks), 0)
+    assert (calls["riccati_eval"], len(pairs)) == (6, 2 * per_field)
+
+
 def test_a_bracket_sweep_forms_h_s_gradient_once_per_state(monkeypatch):
-    # K_re and K_im each take H's bracket, but the sweep evaluates H at the
-    # 2 (d + 2) points of one stencil per state; control: a bracket per
-    # (K part, state) pair forms H's stencil once per part
+    # K_re and K_im each take H's bracket, but the sweep forms H's gradient
+    # once per state; control: a bracket per (K part, state) pair forms it
+    # once per part.  Either way H's values are formed once per stencil point.
     key, consts, state, _ = BRACKET_STATES[0]
     built = ek.instantiate(key)
     states = [np.array(state), 1.01 * np.array(state)]
-    runs = []
-    at = extension.Extension._hamiltonian_at
-    monkeypatch.setattr(extension.Extension, "_hamiltonian_at",
-                        lambda self, *args: runs.append(args) or at(self, *args))
+    grads, runs = [], []
+    fd_gradient = verify.fd_gradient
+    monkeypatch.setattr(verify, "fd_gradient",
+                        lambda fn, *args: grads.append(fn) or fd_gradient(fn, *args))
+    formula = extension._hamiltonian_from_parts
+    monkeypatch.setattr(extension, "_hamiltonian_from_parts",
+                        lambda *args: runs.append(args) or formula(*args))
 
-    def h_runs(pairwise: bool) -> int:
+    def h_runs(pairwise: bool) -> tuple:
         ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
         obs = ext.conserved_quantities()
         ks = {name: fn for name, fn in obs.items() if name.startswith("K")}
+        grads.clear()
         runs.clear()
         if pairwise:
             for x in states:
                 for k in ks.values():
-                    ek.fd_bracket_normalized(ext.structure(), obs["H"], k, x)
+                    verify.fd_bracket_normalized(ext.structure(), obs["H"], k, x)
         else:
-            assert ek.bracket_sweep(ext.structure(), obs["H"], ks, states)[2:] == (4, 0)
-        return len(runs)
+            assert verify.bracket_sweep(ext.structure(), obs["H"], ks, states)[2:] == (4, 0)
+        return grads.count(obs["H"]), len(runs)
 
-    assert h_runs(False) == 2 * len(state) * len(states) == 24
-    assert h_runs(True) == 48
+    assert h_runs(False) == (len(states), 2 * len(state) * len(states)) == (2, 24)
+    assert h_runs(True) == (4, 24)
 
 
 def bracket_counts(key, consts, state, monkeypatch) -> dict:
@@ -218,22 +251,14 @@ def test_one_bracket_state_builds_each_chain_once_and_k_once_per_point(
 
 @pytest.mark.parametrize("key, consts, state, bases", BRACKET_STATES)
 def test_a_base_part_kept_per_vector_fails_the_count(key, consts, state, bases, monkeypatch):
-    # negative control: keyed on the whole vector, the base part is built at
-    # every stencil point, though the u and p_u steps keep the base point
-    kept = {}
+    # negative control: formed at each point, the base part is built at every
+    # stencil point, though the u and p_u steps keep the base point
+    def per_point(self, i, p_u, b):
+        chain, lam, _ = self.ext._base_part(self.bases[b])
+        gam = self._profile(i)[0]
+        return extension._integral_from_parts(self.ext.params, chain, lam, gam, p_u)
 
-    def keyed_on_vector(self, u, p_u, base):
-        key = np.concatenate(([u, p_u], base)).tobytes()
-        if key not in kept:
-            pair, lval = extension.seed_pair(self.system, self.seed.field, base)
-            lam = self.params.c * lval + self.params.c0
-            r = extension._chain_indices(self.params)[1]
-            kept[key] = extension.recursion_term_closed(r, pair, lam), lam
-        chain, lam = kept[key]
-        gam = ek.profile_at(self.params, u)[0]
-        return extension._integral_from_parts(self.params, chain, lam, gam, p_u)
-
-    monkeypatch.setattr(ek.Extension, "_integral_at", keyed_on_vector)
+    monkeypatch.setattr(extension._Stencil, "_integral", per_point)
     seen = bracket_counts(key, consts, state, monkeypatch)
     assert seen["chain"] == 2 * len(state) > bases
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extkit as ek
-from extkit import jets, verify
+from extkit import jets, poisson, verify
 from extkit.poisson import apply_xl2, apply_xl2_cloud, base_flow
 from test_jet1_kernel import FIELDS, boxed_points
 from test_jet1_kernel import assert_parity as kernel_parity
@@ -84,6 +84,38 @@ def test_catalog_fields_replay_a_300_point_cloud_with_no_marks():
         lo, hi = np.array(box).T
         points = lo + rng.uniform(size=(300, len(lo))) * (hi - lo)
         assert_marked_only_where_jet2_raises(field, points, assert_parity(field, points))
+
+
+def xl2_on_columns(system, field, x):
+    """X_L^2 F at ``x`` as a cloud of one point: ``_xl2`` over (1,) columns."""
+    jl, jf = system.hamiltonian.jet2(x), field.jet2(x)
+    structure = system.structure
+    pi, dpi = structure.matrix_with_grads(x)
+    dpi_grad_l = None if structure.const is not None else poisson._dpi_grad(dpi, jl.grad.tolist())
+    gl, gf = jl.grad[:, None], jf.grad[:, None]
+    hl, hf = jl.hess[:, :, None], jf.hess[:, :, None]
+    return poisson._xl2(gl, hl, gf, hf, pi.tolist(), dpi_grad_l)[0]
+
+
+@pytest.mark.parametrize("key, field, box", FIELDS, ids=[f.label for _, f, _ in FIELDS])
+def test_apply_xl2_on_plain_numbers_is_the_cloud_row(key, field, box, built):
+    # apply_xl2 forms X_L^2 F on the numbers of one point: bit for bit, and of
+    # one dtype, the row of a cloud of that point alone and, where the
+    # bivector is constant, the row of the whole cloud
+    system = built[key].system
+    lo, hi = np.array(box).T
+    points = lo + np.random.default_rng(31).uniform(size=(12, len(lo))) * (hi - lo)
+    rows, marked, _, _ = apply_xl2_cloud(system, field, points)
+    assert marked.all() == (system.structure.const is None), field.label
+    for i, x in enumerate(points):
+        try:
+            got = np.array(apply_xl2(system, field, x))
+        except ek.EvaluationError:
+            assert marked[i]
+            continue
+        for want in [xl2_on_columns(system, field, x)] + ([] if marked[i] else [rows[i]]):
+            assert got.dtype == np.array(want).dtype, (field.label, x)
+            assert got.tobytes() == np.array(want).tobytes(), (field.label, x)
 
 
 @pytest.mark.parametrize("key", PDE_ENTRIES)

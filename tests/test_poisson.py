@@ -157,6 +157,57 @@ def test_jacobi_residual_catches_violation():
     assert jacobi_residual(st, np.array([1.0, 2.0, 3.0])) > 0.1
 
 
+def jacobi_left_to_right(structure, x, order=lambda d: range(d)):
+    """The residual with each sum over l added from 0.0 in ``order(d)``
+    (left to right by default), one product at a time."""
+    pi, dpi = structure.matrix_with_grads(x)
+    d = structure.dim
+
+    def a(i, j, k):
+        total = 0.0
+        for m in order(d):
+            total = total + float(pi[i, m]) * float(dpi[m, j, k])
+        return total
+
+    return max(abs((a(i, j, k) + a(k, i, j)) + a(j, k, i))
+               for i, j, k in itertools.product(range(d), repeat=3))
+
+
+def dense_rule(seed, d=4):
+    """An antisymmetric entry rule linear in the coordinates, every entry
+    above the diagonal nonzero: not Poisson, so its residual is no zero."""
+    coef = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(d, d, d)).tolist()
+
+    def entries(co):
+        rows = [[0.0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                rows[i][j] = sum(c * v for c, v in zip(coef[i][j], co))
+                rows[j][i] = -rows[i][j]
+        return rows
+
+    return ek.PoissonStructure(d, entries=entries)
+
+
+def test_jacobi_residual_sums_each_contraction_left_to_right(built):
+    rng = np.random.default_rng(8)
+    const = rng.uniform(-1.0, 1.0, size=(4, 4))
+    cases = [(built["euler_top"].system.structure, ((-1.0, 1.0),) * 3),
+             (ek.extend_structure(built["lotka_volterra"].system.structure), ((0.2, 2.0),) * 4),
+             (dense_rule(3), ((-2.0, 2.0),) * 4),
+             (ek.PoissonStructure(4, const=const - const.T), ((-1.0, 1.0),) * 4)]
+    reordered = 0
+    for structure, box in cases:
+        lo, hi = np.array(box).T
+        for x in lo + rng.uniform(size=(30, len(lo))) * (hi - lo):
+            got = jacobi_residual(structure, x)
+            want = jacobi_left_to_right(structure, x)
+            assert type(got) is float and repr(got) == repr(want), (structure.label, x)
+            # control: the same sums from the last l give other bits somewhere
+            reordered += want != jacobi_left_to_right(structure, x, lambda d: reversed(range(d)))
+    assert reordered > 0
+
+
 def test_extend_structure_constant():
     st = ek.canonical_structure(2)
     ext = ek.extend_structure(st)
