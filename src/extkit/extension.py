@@ -22,7 +22,6 @@ hence H unchanged.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Sequence
@@ -342,89 +341,146 @@ def _hamiltonian_from_parts(params: ExtensionParams, profile, lval, p_u) -> floa
     return h
 
 
-def _vector_parts(vec) -> tuple[float, float, np.ndarray]:
-    """(u, p_u, base coordinates) of a flat extended vector."""
-    vec = np.asarray(vec, dtype=float)
-    return float(vec[0]), float(vec[1]), vec[2:]
-
-
 # How a K observable gives K's value at a point: a real K as a float, a
 # complex one as the real and imaginary parts of a complex.
 _K_PARTS = {"K": float, "K_re": lambda k: complex(k).real, "K_im": lambda k: complex(k).imag}
 
 
+class _Point:
+    """H, L and K by parts at one flat vector (u, p_u, base): the one-point
+    form of the evaluation, of which a :class:`_Stencil` shares one per
+    distinct value of u and base point.
+
+    Its parts are the profile at u and, at the base point, the base part
+    (:meth:`Extension._base_part`) or, until K asks for that, L's
+    ``value``.  Each is formed when first read and is not kept where it
+    raises.  The base point is a list of its own: a view of the caller's
+    vector would let a write to it reach the parts not formed yet.
+    """
+
+    __slots__ = ("ext", "u", "p_u", "base", "y", "part", "k")
+
+    def __init__(self, ext: "Extension", u, p_u, base: list):
+        self.ext, self.u, self.p_u, self.base = ext, u, p_u, base
+        self.y = self.part = self.k = None
+
+    def profile(self) -> tuple:
+        if self.y is None:
+            self.y = profile_at(self.ext.params, self.u)
+        return self.y
+
+    def base_part(self) -> tuple:
+        part = self.part
+        if part is None or part[0] is None:
+            part = self.part = self.ext._base_part(self.base)
+        return part
+
+    def l_value(self):
+        # L from the base part, which agrees with L's value bit for bit, else
+        # from L's value, kept as a part (None, None, L) until K asks
+        if self.part is None:
+            self.part = (None, None, self.ext.system.hamiltonian.value(self.base))
+        return self.part[2]
+
+    def hamiltonian(self) -> float:
+        return _hamiltonian_by_parts(self, self.p_u, self)
+
+    def integral(self):
+        """K here, formed once."""
+        if self.k is None:
+            self.k = _integral_by_parts(self, self.p_u, self)
+        return self.k
+
+
+def _hamiltonian_by_parts(at_u: _Point, p_u, at_base: _Point) -> float:
+    """H with the profile of ``at_u`` and L of ``at_base``, the profile
+    formed first."""
+    return _hamiltonian_from_parts(at_u.ext.params, at_u.profile(), at_base.l_value(), p_u)
+
+
+def _integral_by_parts(at_u: _Point, p_u, at_base: _Point):
+    """K with the profile of ``at_u`` and the base part of ``at_base``, the
+    base part formed first."""
+    chain, lam, _ = at_base.base_part()
+    return _integral_from_parts(at_u.ext.params, chain, lam, at_u.profile()[0], p_u)
+
+
 class _Stencil:
-    """H and K at the points of one central-difference stencil, by parts.
+    """H, L and K by parts at the points of one central-difference stencil.
 
     The points are :func:`~extkit.verify.fd_gradient`'s at the flat vector
     x = (u, p_u, base) with step h, in its order: x + h e_0, x - h e_0,
-    x + h e_1, ...  Their 2 (d + 2) coordinate vectors hold three values
-    of u and 2d + 1 base points.  The profile is formed once per value of
-    u, and once per base point either the base part
-    (:meth:`Extension._base_part`, for K) or L's ``value`` (for H where no
-    base part is kept), each when the first point that reads it is
-    evaluated.  A part that raises is not kept.  So each point is evaluated
-    as the observables evaluate one vector, in their order (K: base part,
-    then profile; H: profile, then L), and every value and every error is
-    theirs, at the same point; H never evaluates G.
+    x + h e_1, ...  Their 2 (d + 2) coordinate vectors hold three values of
+    u and 2d + 1 base points, and share one :class:`_Point` for each, so the
+    profile is formed once per value of u, and the base part or L's value
+    once per base point, each when the first point that reads it is
+    evaluated.  So each point is evaluated as each observable alone would
+    evaluate it at one vector, in its order (K: base part, then profile; H:
+    profile, then L), and every value and every error is that
+    evaluation's; H and L never evaluate G, and L never the profile.
     """
+
+    __slots__ = ("points", "kept")
 
     def __init__(self, ext: "Extension", x: np.ndarray, h):
         xs, up, down = x.tolist(), (x + h).tolist(), (x - h).tolist()
         base, p_u = xs[2:], xs[1]
-        self.ext = ext
-        self.u = (xs[0], up[0], down[0])
-        self.bases = [base] + [base[:j] + [s[j + 2]] + base[j + 1:]
-                               for j in range(len(base)) for s in (up, down)]
-        # (index of u, p_u, index of the base point) at each point
-        self.points = ([(1, p_u, 0), (2, p_u, 0), (0, up[1], 0), (0, down[1], 0)]
-                       + [(0, p_u, b) for b in range(1, len(self.bases))])
-        self.profiles = [None] * 3
-        self.parts = [None] * len(self.bases)
-        self.lvals = [None] * len(self.bases)
+        centre = _Point(ext, xs[0], p_u, base)
+        # (point of its u, p_u, point of its base point) at each point
+        self.points = ([(_Point(ext, up[0], p_u, base), p_u, centre),
+                        (_Point(ext, down[0], p_u, base), p_u, centre),
+                        (centre, up[1], centre), (centre, down[1], centre)]
+                       + [(centre, p_u,
+                           _Point(ext, xs[0], p_u, [*base[:j], s[j + 2], *base[j + 1:]]))
+                          for j in range(len(base)) for s in (up, down)])
         self.kept: dict = {}
 
-    def _profile(self, i: int) -> tuple:
-        y = self.profiles[i]
-        if y is None:
-            y = self.profiles[i] = profile_at(self.ext.params, self.u[i])
-        return y
-
-    def _part(self, b: int) -> tuple:
-        part = self.parts[b]
-        if part is None:
-            part = self.parts[b] = self.ext._base_part(self.bases[b])
-        return part
-
-    def _l(self, b: int):
-        # L from the kept base part, which agrees with L's value bit for bit
-        part = self.parts[b]
-        if part is not None:
-            return part[2]
-        lval = self.lvals[b]
-        if lval is None:
-            lval = self.lvals[b] = self.ext.system.hamiltonian.value(self.bases[b])
-        return lval
-
-    def _integral(self, i: int, p_u, b: int):
-        chain, lam, _ = self._part(b)
-        return _integral_from_parts(self.ext.params, chain, lam, self._profile(i)[0], p_u)
-
     def values(self, name: str) -> list:
-        """The values at the points of the observable ``name``: "H", "K",
-        "K_re" or "K_im", K's parts reading one evaluation of K."""
+        """The values at the points of the observable ``name``: "H", "L",
+        "K", "K_re", "K_im" or "integral" (K as it is), K's parts reading one
+        evaluation of K."""
         vals = self.kept.get(name)
         if vals is None:
             if name == "H":
-                params = self.ext.params
-                vals = [_hamiltonian_from_parts(params, self._profile(i), self._l(b), p_u)
-                        for i, p_u, b in self.points]
+                vals = [_hamiltonian_by_parts(*point) for point in self.points]
+            elif name == "L":
+                vals = [at_base.l_value() for _, _, at_base in self.points]
             elif name == "integral":
-                vals = [self._integral(i, p_u, b) for i, p_u, b in self.points]
+                vals = [_integral_by_parts(*point) for point in self.points]
             else:
                 vals = list(map(_K_PARTS[name], self.values("integral")))
             self.kept[name] = vals
         return vals
+
+
+# Each observable's value at one vector, from its _Point.
+_AT_POINT = {"H": _Point.hamiltonian, "L": _Point.l_value,
+             **{name: lambda one, part=part: part(one.integral())
+                for name, part in _K_PARTS.items()}}
+
+
+class _Observable:
+    """H, L, K, K_re or K_im of an extension, over flat extended vectors.
+
+    Called, it evaluates one vector; :meth:`at_stencil` gives its values at
+    the points of a central-difference stencil, for
+    :func:`~extkit.verify.fd_gradient`.  Both read the extension's one kept
+    evaluation by parts (:meth:`Extension._kept_evaluation`).
+    """
+
+    __slots__ = ("ext", "name", "_at_point")
+
+    def __init__(self, ext: "Extension", name: str):
+        self.ext, self.name, self._at_point = ext, name, _AT_POINT[name]
+
+    def __call__(self, vec) -> float:
+        return self._at_point(self.ext._kept_evaluation(np.asarray(vec, dtype=float), None))
+
+    def at_stencil(self, x: np.ndarray, h) -> list:
+        """The values at x + h e_0, x - h e_0, x + h e_1, ..., bit for bit the
+        observable's at each of those points, or the error of the first
+        point that raises."""
+        return self.ext._kept_evaluation(x, h).values(self.name)
 
 
 @dataclass(frozen=True)
@@ -438,21 +494,24 @@ class Extension:
     p_u) adds one profile value and the cofactor sums.  H is formed from
     the profile, L's value and p_u (:func:`_hamiltonian_from_parts`).
 
-    At one vector each is formed from nothing kept.  Over the points of a
-    central-difference stencil, the observables of
-    :meth:`conserved_quantities` form H and K together (:class:`_Stencil`):
-    one profile per distinct u and one base part per distinct base point,
-    so one bracket state builds the chain 2d + 1 times and evaluates the
-    profile 3 times.  The last stencil is kept, keyed by the exact bytes of
-    its centre and its step, so H and every part of K at one state read
-    one pass.  An evaluation error is not kept.  The instance is frozen, so
-    the kept stencil cannot outlive the system and seed it came from.
+    Every value of H, L and K comes from one evaluation by parts, at one
+    vector (:class:`_Point`) or at the points of a central-difference
+    stencil (:class:`_Stencil`, which shares one :class:`_Point` per
+    distinct u and per distinct base point): one profile per distinct u
+    and one base part (or, where K is not asked, one L value) per distinct
+    base point.  So H, L and K at one state form the profile once and L
+    once, and one bracket state builds the chain 2d + 1 times and evaluates
+    the profile 3 times.  The last evaluation is kept, keyed by the exact
+    bytes of its vector and its step (None for one vector), so every
+    observable asked at the same vector, or the same stencil, reads one
+    pass.  An evaluation error is not kept.  The instance is frozen, so the
+    kept evaluation cannot outlive the system and seed it came from.
     """
 
     system: HamiltonianSystem
     seed: ExtensionSeed
     params: ExtensionParams
-    # the last stencil formed: [(centre bytes, step), _Stencil]
+    # the last evaluation: [(vector bytes, step or None), _Point or _Stencil]
     _last: list = field(default_factory=lambda: [None, None], init=False, repr=False,
                         compare=False)
 
@@ -463,38 +522,27 @@ class Extension:
         lam = params.c * lval + params.c0
         return recursion_term_closed(_chain_indices(params)[1], pair, lam), lam, lval
 
-    def _integral_at(self, u: float, p_u: float, base: np.ndarray):
-        chain, lam, _ = self._base_part(base)
-        return _integral_from_parts(self.params, chain, lam, profile_at(self.params, u)[0], p_u)
-
-    def _hamiltonian_at(self, u: float, p_u: float, base: np.ndarray) -> float:
-        return _hamiltonian_from_parts(self.params, profile_at(self.params, u),
-                                       self.system.hamiltonian.value(base), p_u)
-
-    def _kept_stencil(self, x: np.ndarray, h) -> _Stencil:
-        """The stencil at ``x`` with step ``h``: the kept one where its key
-        is (x's bytes, h), else a new one, kept in its place."""
+    def _kept_evaluation(self, x: np.ndarray, h) -> _Point | _Stencil:
+        """The evaluation by parts at the flat vector ``x`` (``h`` None) or
+        at its stencil with step ``h``: the kept one where its key is (x's
+        bytes, h), else a new one, kept in its place."""
         key = (x.tobytes(), h)
         last = self._last
         if last[0] != key:
-            last[:] = key, _Stencil(self, x, h)
+            if h is None:
+                xs = x.tolist()
+                last[:] = key, _Point(self, xs[0], xs[1], xs[2:])
+            else:
+                last[:] = key, _Stencil(self, x, h)
         return last[1]
-
-    def _stencil_values(self, name: str, x: np.ndarray, h) -> list | None:
-        """The observable ``name`` at the stencil points of ``x`` and ``h``,
-        or None, for the point by point path, where x is not one flat
-        extended vector."""
-        if x.shape != (self.system.dim + 2,):
-            return None
-        return self._kept_stencil(x, h).values(name)
 
     def hamiltonian(self, state: ExtendedState) -> float:
         """H = p_u^2/2 - k^2 y' L + k^2 c0 y^2 + omega / y^2 at ``state``."""
-        return self._hamiltonian_at(state.u, state.p_u, state.base)
+        return self._kept_evaluation(state.vector(), None).hamiltonian()
 
     def integral(self, state: ExtendedState):
         """K at ``state``; see :func:`_integral_from_parts`."""
-        return self._integral_at(state.u, state.p_u, state.base)
+        return self._kept_evaluation(state.vector(), None).integral()
 
     def flow(self) -> Callable[[np.ndarray], np.ndarray]:
         return extended_flow(self.system, self.params)
@@ -503,42 +551,21 @@ class Extension:
         return extend_structure(self.system.structure)
 
     def conserved_quantities(self) -> dict[str, Callable[[np.ndarray], float]]:
-        """Observables over flat extended vectors, for drift reports and
-        finite-difference gradients.
+        """H, L and K as observables over flat extended vectors, for drift
+        reports and finite-difference gradients.
 
         Each reads (u, p_u, base) from the vector, with the numbers of
-        :meth:`hamiltonian` and :meth:`integral`.  Complex-valued integrals
-        are split into real and imaginary parts so every observable is
-        real; at one vector the two share one evaluation of K, the last
-        vector's, kept by its bytes.  H and the K observables carry their
-        stencil, ``fn._stencil = (fn, values)``, which
-        :func:`~extkit.verify.fd_gradient` reads in place of calling ``fn``
-        at each point: H and K at all the points of a stencil from one pass
-        by parts (:class:`_Stencil`), bit for bit the values and errors of
-        ``fn`` at each point.
+        :meth:`hamiltonian`, L's ``value`` and :meth:`integral`.  A complex
+        K is split into its real and imaginary parts, K_re and K_im, so every
+        observable is real.  Each is an :class:`_Observable`: called at one
+        vector, or asked for a stencil's values
+        (:meth:`_Observable.at_stencil`), all of them read the extension's
+        one evaluation by parts (:meth:`_kept_evaluation`), bit for bit their
+        values and errors at each point.
         """
-        ham = self.system.hamiltonian
-        out: dict[str, Callable[[np.ndarray], float]] = {
-            "H": lambda vec: self._hamiltonian_at(*_vector_parts(vec)),
-            "L": lambda vec: ham.value(vec[2:]),
-        }
-        if self.seed.field.codomain == "complex":
-            last: list = [None, None]
-
-            def k_at(vec) -> complex:
-                key = np.asarray(vec, dtype=float).tobytes()
-                if last[0] != key:
-                    last[:] = key, complex(self._integral_at(*_vector_parts(vec)))
-                return last[1]
-
-            out["K_re"] = lambda vec: k_at(vec).real
-            out["K_im"] = lambda vec: k_at(vec).imag
-        else:
-            out["K"] = lambda vec: float(self._integral_at(*_vector_parts(vec)))
-        for name, fn in out.items():
-            if name != "L":
-                fn._stencil = (fn, functools.partial(self._stencil_values, name))
-        return out
+        names = ["H", "L", *(["K_re", "K_im"] if self.seed.field.codomain == "complex"
+                             else ["K"])]
+        return {name: _Observable(self, name) for name in names}
 
 
 def build_extension(system: HamiltonianSystem, seed: ExtensionSeed,

@@ -125,23 +125,26 @@ class PoissonStructure:
             if all(len(row) <= 1 for row in nonzero):
                 self._sparse = tuple(row[0] if row else (0, 0.0) for row in nonzero)
 
-    def _check_antisym(self, rows: list) -> list:
+    def _check_antisym(self, rows: list, floats: bool = False) -> list:
         """``rows``, entry values nested by row, once they are ``dim`` rows of
         ``dim`` and every |m + m^T| is within the tolerance scaled by
         max(1, max |m|), else the ValueError that names the fault.
 
         Rows that are exactly antisymmetric are accepted by one generated
         test (:func:`_exactly_antisymmetric`), which the flows' entry rules
-        pass at every call.  Any other input, and any input on which that
-        test raises, goes to :meth:`_within_tolerance`, the one judge of
-        tolerance, NaN, infinity, shape and type.
+        pass at every call, and come back as they are.  Any other input, and
+        any input on which that test raises, goes to
+        :meth:`_within_tolerance`, the one judge of tolerance, NaN, infinity,
+        shape and type; with ``floats`` the rows it accepts come back as
+        lists of floats.
         """
         try:
             if _exactly_antisymmetric(self.dim)(rows):
                 return rows
         except Exception:  # whatever the test cannot read, the judge rules on
             pass
-        return self._within_tolerance(rows)
+        rows = self._within_tolerance(rows)
+        return np.array(rows, dtype=float).tolist() if floats else rows
 
     def _within_tolerance(self, rows) -> list:
         """:meth:`_check_antisym` in one pass over the pairs i <= j.  A NaN
@@ -187,28 +190,21 @@ class PoissonStructure:
         """The bivector evaluated at ``x``."""
         if self.const is not None:
             return self.const
-        return self._at(np.asarray(x, dtype=float).tolist())
-
-    def _at(self, xs: list) -> np.ndarray:
-        """The entry rule's bivector at the coordinate list ``xs``."""
-        return np.array(self._rows_at(xs), dtype=float)
+        return np.array(self._rows_at(np.asarray(x, dtype=float).tolist()), dtype=float)
 
     def _rows_at(self, xs: list) -> list:
-        """The entry rule's rows at the coordinate list ``xs``: as the rule
-        gives them where they pass :func:`_exactly_antisymmetric`, as the
-        catalog's do, else as lists of floats once :meth:`_within_tolerance`,
-        the judge of every other input, has accepted them."""
-        rows = self.entries(xs)
-        try:
-            if _exactly_antisymmetric(self.dim)(rows):
-                return rows
-        except Exception:  # whatever the test cannot read, the judge rules on
-            pass
-        return np.array(self._within_tolerance(rows), dtype=float).tolist()
+        """The bivector's rows at the coordinate list ``xs``: a constant
+        bivector's kept rows, else the entry rule's, checked by
+        :meth:`_check_antisym`: as the rule gives them where they are exactly
+        antisymmetric, as the catalog's are, else as lists of floats."""
+        if self.entries is None:
+            return self._rows
+        return self._check_antisym(self.entries(xs), floats=True)
 
     def spectral_norm(self, m) -> float:
-        """The spectral norm of ``m``, a value of :meth:`matrix`, in closed
-        form wherever one applies, read from its diagonal and upper entries:
+        """The spectral norm of ``m``, the bivector at a point as
+        :meth:`matrix` or :meth:`_rows_at` gives it, in closed form wherever
+        one applies, read from its diagonal and upper entries:
 
         - a constant bivector whose rows each hold at most one nonzero
           entry: the largest |entry|;
@@ -266,20 +262,18 @@ class PoissonStructure:
 
         Each row i is :func:`_dot` of the bivector's row and ``grad``, 0.0 +
         m_i0 grad[0] + m_i1 grad[1] + ..., added left to right with its zero
-        products kept: an entry rule's rows from :meth:`_rows_at`, a dense
-        constant bivector's from its matrix.  A constant bivector whose rows
-        each hold at most one nonzero entry p, at column j, gives 0.0 + p
-        grad[j], which for a finite gradient is the same sum bit for bit:
-        its zero products leave a sum from +0.0 as it is.  No numpy product
-        is used, so no flow drifts with the host's BLAS kernel, and the
-        fused rk4 step (:func:`~extkit.verify._fused_rk4`) forms the same
-        sums inline.
+        products kept, over the rows of :meth:`_rows_at`.  A constant
+        bivector whose rows each hold at most one nonzero entry p, at column
+        j, gives 0.0 + p grad[j], which for a finite gradient is the same sum
+        bit for bit: its zero products leave a sum from +0.0 as it is.  No
+        numpy product is used, so no flow drifts with the host's BLAS
+        kernel, and the fused rk4 step (:func:`~extkit.verify._fused_rk4`)
+        forms the same sums inline.
         """
         sparse = self._sparse
         if sparse is not None:
             return [0.0 + p * grad[j] for j, p in sparse]
-        rows = self._rows if self.entries is None else self._rows_at(xs)
-        return [_dot(row, grad) for row in rows]
+        return [_dot(row, grad) for row in self._rows_at(xs)]
 
 
 def canonical_structure(dim: int, label: str = "") -> PoissonStructure:

@@ -316,7 +316,8 @@ def _stepper(rhs) -> Callable[[list, float], list]:
 def _fused_rk4(system: HamiltonianSystem, params) -> Callable | None:
     """The fused rk4 step of the base flow (``params`` None) or of the
     extended flow of ``system``, or None where none is made: a bivector of
-    another dimension than L.
+    another dimension than L, or a constant one with two nonzero entries in
+    a row (none in the catalog).
 
     The step ``(y, h) -> list | None`` runs the four stages of
     :func:`_rk4_step` as straight-line code over plain numbers, with the
@@ -324,9 +325,9 @@ def _fused_rk4(system: HamiltonianSystem, params) -> Callable | None:
     :func:`~extkit.riccati.riccati_eval` forms it, a call of L's compiled
     kernel (``ScalarField._kernel``) and the contraction as
     ``PoissonStructure.contract`` sums it, row by row from 0.0.  A constant
-    bivector's entries are constants of the step.  An entry rule is read
-    from ``structure.entries`` at each step, so a reassigned rule is the one
-    called, and its rows at each stage must pass the exact test
+    bivector's nonzero entries are constants of the step.  An entry rule is
+    read from ``structure.entries`` at each step, so a reassigned rule is the
+    one called, and its rows at each stage must pass the exact test
     :func:`~extkit.poisson._exactly_antisymmetric`.  Every operation is the
     general step's, in its order, so its result is that step's bit for bit.
     It returns None, deciding nothing, where the general step may not
@@ -348,8 +349,7 @@ def _fused_rk4(system: HamiltonianSystem, params) -> Callable | None:
         cols = tuple(j for j, _ in structure._sparse)
         consts.update((f"P{i}", p) for i, (_, p) in enumerate(structure._sparse))
     elif structure.entries is None:
-        cols = "dense"
-        consts["dense"] = structure._rows
+        return None
     else:
         cols = "rule"
         consts["exact"] = _exactly_antisymmetric(ham.dim)
@@ -379,9 +379,8 @@ def _fused_rk4(system: HamiltonianSystem, params) -> Callable | None:
 def _step_maker(shape: tuple, names: tuple) -> Callable:
     """``make(**constants) -> step`` for a flow of ``shape``, compiled once
     per shape and constant names: (L's dimension, the sparse bivector's
-    column per row, or "dense" for another constant bivector and "rule" for
-    an entry rule, the profile regime or None for the base flow, whether
-    omega != 0)."""
+    column per row or "rule" for an entry rule, the profile regime or None
+    for the base flow, whether omega != 0)."""
     namespace: dict = {}
     exec(compile(_step_source(shape, names), f"<fused rk4 step {shape}>", "exec"), namespace)
     return namespace["make"]
@@ -429,12 +428,11 @@ def _step_source(shape: tuple, names: tuple) -> str:
                   f"if not isfinite(lval + {' + '.join(grads)}) and not (isfinite(lval)"
                   f"{''.join(f' and isfinite({g})' for g in grads)}):", "    return None"]
         # the contraction, as PoissonStructure.contract sums each row
-        if cols in ("rule", "dense"):
+        if cols == "rule":
             entries = [[f"a{i}_{j}" for j in range(d)] for i in range(d)]
-            if cols == "rule":
-                lines += ["rows = rule(xs)", "if not exact(rows):", "    return None"]
-            lines.append("".join(f"({''.join(f'{e}, ' for e in row)}), " for row in entries)
-                         + ("= rows" if cols == "rule" else "= dense"))
+            lines += ["rows = rule(xs)", "if not exact(rows):", "    return None",
+                      "".join(f"({''.join(f'{e}, ' for e in row)}), " for row in entries)
+                      + "= rows"]
             pi_grad = ["(0.0" + "".join(f" + {e} * {g}" for e, g in zip(row, grads)) + ")"
                        for row in entries]
         else:
@@ -635,8 +633,9 @@ def conservation_report(traj: Trajectory, observables: dict[str, Callable],
     subsamples the stored states, which the report keeps with their
     times; the final state is always included.
     The states are walked once, every observable evaluated at each, so
-    observables that share per-state work (the real and imaginary parts
-    of a complex K) meet it while it is still memoised.
+    the observables of :meth:`~extkit.extension.Extension.conserved_quantities`
+    read one evaluation by parts per state, which their extension keeps
+    until another vector is asked.
     """
     _integer(stride, "stride", 1)
     n = len(traj.states)
@@ -673,21 +672,19 @@ def fd_gradient(fn: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
 
     Entry i is (v+ - v-) / (2.0 * h), with v+ and v- the values at
     x + h e_i and x - h e_i.  The values are ``fn``'s at each point, asked
-    in the order x + h e_0, x - h e_0, x + h e_1, ..., or, where ``fn``
-    carries a stencil, the stencil's.  A stencil is the marker
-    ``fn._stencil = (fn, values)``: ``values(x, h)`` gives the values at
-    all the points in that order, bit for bit ``fn``'s, or None to leave
-    them to ``fn``.  H and K of
-    :meth:`~extkit.extension.Extension.conserved_quantities` carry one,
-    which forms them by parts in one pass.  The marker must name ``fn``
-    itself, so a wrapper, even one that copies ``fn``'s attributes
-    (``functools.wraps``), is called at each point.
+    in the order x + h e_0, x - h e_0, x + h e_1, ..., or, where the type
+    of ``fn`` has an ``at_stencil`` method, ``fn.at_stencil(x, h)``: the
+    values at all the points in that order, bit for bit ``fn``'s.  The
+    observables of :meth:`~extkit.extension.Extension.conserved_quantities`
+    have one, which forms H, L and K by parts in one pass.  The method is
+    looked up on the type, so a wrapper, even one that copies ``fn``'s
+    attributes (``functools.wraps``), is called at each point.
     """
     _real(h, "finite-difference step", "positive")
     x = np.asarray(x, dtype=float)
-    mark = getattr(fn, "_stencil", None)
-    values = mark[1](x, h) if type(mark) is tuple and mark[0] is fn else None
-    values = iter(map(fn, _stencil_points(x, h)) if values is None else values)
+    at_stencil = getattr(type(fn), "at_stencil", None)
+    values = iter(map(fn, _stencil_points(x, h)) if at_stencil is None
+                  else at_stencil(fn, x, h))
     return np.array([(vp - vm) / (2.0 * h) for vp, vm in zip(values, values)])
 
 
@@ -703,12 +700,13 @@ def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
     """
     gg = fd_gradient(g, x, h)
     gf = fd_gradient(f, x, h)
-    return _normalized_bracket(structure, structure.matrix(x), gf, gg)
+    pi = structure._rows_at(np.asarray(x, dtype=float).tolist())
+    return _normalized_bracket(structure, pi, gf, gg)
 
 
-def _normalized_bracket(structure: PoissonStructure, pi, gf, gg) -> float:
-    """|gf . pi gg| / (|gf| |pi| |gg| + 1e-12), for gradients and the
-    bivector ``pi`` as ndarrays.
+def _normalized_bracket(structure: PoissonStructure, pi: list, gf, gg) -> float:
+    """|gf . pi gg| / (|gf| |pi| |gg| + 1e-12), for gradients as ndarrays and
+    the bivector's rows ``pi`` (:meth:`PoissonStructure._rows_at`).
 
     pi gg is summed by rows as :meth:`PoissonStructure.contract` sums them,
     and gf . (pi gg) and each |g|^2 = 0.0 + (re^2 + im^2) + ... the same
@@ -717,7 +715,7 @@ def _normalized_bracket(structure: PoissonStructure, pi, gf, gg) -> float:
     numpy's products, so the value rounds the same on every host.
     """
     gf, gg = gf.tolist(), gg.tolist()
-    val = abs(_dot(gf, [_dot(row, gg) for row in pi.tolist()]))
+    val = abs(_dot(gf, [_dot(row, gg) for row in pi]))
     scale = _norm(gf) * structure.spectral_norm(pi) * _norm(gg)
     return val / (scale + _TINY)
 
@@ -747,7 +745,8 @@ def bracket_sweep(structure: PoissonStructure, h_fn: Callable, fns: dict[str, Ca
         grads, names, _ = _sweep(list(fns), lambda name: fd_gradient(fns[name], x, h))
         if not names:
             return []
-        gf, pi = fd_gradient(h_fn, x, h), structure.matrix(x)
+        gf = fd_gradient(h_fn, x, h)
+        pi = structure._rows_at(np.asarray(x, dtype=float).tolist())
         return [(_normalized_bracket(structure, pi, gf, gg), (name, x))
                 for gg, name in zip(grads, names)]
 

@@ -5,6 +5,8 @@ Leibniz products, so polynomial expressions in pairs carry exact first
 derivatives.  The library multiplies pairs out on tuples; this arithmetic
 serves the reference algorithms of the tests, and the library's
 evaluation of K must equal :func:`integral_from_pair` bit for bit.
+:func:`observable` is each observable of ``Extension.conserved_quantities``
+at one vector from these, with nothing kept.
 
 :func:`bracket` and :func:`apply_xl` are the first-order bracket and
 derivation by their definitions, for checks of the catalog's identities.
@@ -16,7 +18,8 @@ from math import comb
 
 import numpy as np
 
-from extkit.extension import DerivPair, power_coeffs, profile_at, recursion_term_closed
+from extkit.extension import (DerivPair, power_coeffs, profile_at, recursion_term_closed,
+                              seed_pair)
 from extkit.poisson import ham_field
 
 
@@ -82,6 +85,30 @@ def hamiltonian_from_value(params, lval, u: float, p_u: float):
     if params.omega != 0.0:
         h += params.omega / gam**2
     return h
+
+
+# K as each K observable gives it: a real K as a float, a complex one split
+K_PARTS = {"K": float, "K_re": lambda k: complex(k).real, "K_im": lambda k: complex(k).imag,
+           "integral": lambda k: k}
+
+
+def observable(ext, name, vec):
+    """H, L, K, K_re, K_im or K as it is ("integral") of the extension
+    ``ext`` at the flat vector ``vec``, every part formed again, each asked
+    in the order the observable asks for it: H the profile, then L's value;
+    L its value alone; K the seed pair with L's value
+    (:func:`~extkit.extension.seed_pair`), then :func:`integral_from_pair`,
+    which forms the profile.  So the value, or the first error raised, is
+    the observable's."""
+    vec = np.asarray(vec, dtype=float)
+    u, p_u, base = float(vec[0]), float(vec[1]), vec[2:]
+    if name == "L":
+        return ext.system.hamiltonian.value(base)
+    if name == "H":
+        profile_at(ext.params, u)
+        return hamiltonian_from_value(ext.params, ext.system.hamiltonian.value(base), u, p_u)
+    pair, lval = seed_pair(ext.system, ext.seed.field, base)
+    return K_PARTS[name](integral_from_pair(ext.params, pair, lval, u, p_u))
 
 
 def bracket(structure, f, g, x):

@@ -16,7 +16,7 @@ from extkit.extension import (
     recursion_term_closed,
     seed_pair,
 )
-from reference import Pair, hamiltonian_from_value, integral_from_pair
+from reference import Pair, observable
 
 
 def const_level_system(value=3.0):
@@ -362,23 +362,28 @@ def test_failed_seed_pair_is_not_kept():
                              ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1))
     obs = ext.conserved_quantities()
     # y2 = 0 lies on the singular set of L and G: the stencil's last point,
-    # at y2 = h - h, raises there at every ask, as the point by point path does
+    # at y2 = h - h, raises there at every ask, the error K raises there
+    # from nothing kept
     h = ek.verify.FD_STEP
     x = np.array([0.7, 0.3, 0.8, -0.4, 0.5, h])
+    with pytest.raises(ek.SingularPointError) as per_point:
+        observable(ext, "K_re", stencil(x)[-1])
     for _ in range(3):
         with pytest.raises(ek.SingularPointError) as kept:
             ek.fd_gradient(obs["K_re"], x)
-        with pytest.raises(ek.SingularPointError) as per_point:
-            ek.fd_gradient(lambda v: obs["K_re"](v), x)
         assert str(kept.value) == str(per_point.value)
     # the parts before it are kept, and no part or value of K after it
+    assert ext._last[0] == (x.tobytes(), h)
     stencil_kept = ext._last[1]
-    assert stencil_kept.parts[-1] is None and None not in stencil_kept.parts[:-1]
+    parts = [at_base.part for _, _, at_base in stencil_kept.points]
+    assert parts[-1] is None and None not in parts[:-1]
     assert stencil_kept.kept == {}
+    # so too at one vector: no base part and no K is kept
     state = ek.ExtendedState(0.7, 0.3, np.array([0.8, -0.4, 0.5, 0.0]))
     for _ in range(3):
         with pytest.raises(ek.SingularPointError):
             ext.integral(state)
+        assert ext._last[1].part is None and ext._last[1].k is None
 
 
 def test_an_extension_keeps_its_last_stencil_alone():
@@ -400,6 +405,23 @@ def test_an_extension_keeps_its_last_stencil_alone():
     assert ext._last[0] == (states[-1].tobytes(), 2 * h) and ext._last[1] is not kept
     ek.fd_gradient(obs["K"], states[0])
     assert ext._last[0] == (states[0].tobytes(), h)
+
+
+def test_a_write_to_a_vector_does_not_reach_its_kept_evaluation():
+    # H at x keeps x's evaluation, whose base part is formed only when K is
+    # asked; a write to x in between must not reach it, so K at a copy of x
+    # as it was is the reference's
+    built = ek.instantiate("quartic1")
+    ext = ek.build_extension(built.system, built.seed,
+                             ek.ExtensionParams(c=1.0, c0=1.0, C=1.0, m=3, n=2))
+    obs = ext.conserved_quantities()
+    x = np.array([0.6, 0.4, 0.9, -0.7])
+    was = x.copy()
+    obs["H"](x)
+    x[2:] = [0.2, 0.3]
+    got = obs["K"](was)
+    assert ext._last[0] == (was.tobytes(), None)
+    assert repr(got) == repr(observable(ext, "K", was))
 
 
 def test_extension_is_frozen():
@@ -578,21 +600,10 @@ def evaluated(fn, *args):
         return type(e)
 
 
-AS_ASKED = {"integral": lambda z: z, "K": float, "K_re": lambda z: complex(z).real,
-            "K_im": lambda z: complex(z).imag, "H": lambda h: h, "hamiltonian": lambda h: h}
-
-
 def reference(ext, name, p):
-    """K or H at ``p`` as ``name`` gives it, formed from nothing kept, or
-    the type of the evaluation error raised."""
-    base, u, p_u = p[2:].copy(), float(p[0]), float(p[1])
-    if name in ("H", "hamiltonian"):
-        want = evaluated(lambda: hamiltonian_from_value(
-            ext.params, ext.system.hamiltonian.value(base), u, p_u))
-    else:
-        want = evaluated(lambda: integral_from_pair(
-            ext.params, *seed_pair(ext.system, ext.seed.field, base), u, p_u))
-    return want if isinstance(want, type) else AS_ASKED[name](want)
+    """K, H or L at ``p`` as ``name`` gives it, formed from nothing kept
+    (``reference.observable``), or the type of the evaluation error raised."""
+    return evaluated(observable, ext, "H" if name == "hamiltonian" else name, p)
 
 
 def same_values(got, want) -> bool:
@@ -600,22 +611,22 @@ def same_values(got, want) -> bool:
 
 
 def k_mismatches(ext, visits) -> list:
-    """The (name, point) visits whose K or H differs from the reference in
-    type or value.
+    """The (name, point) visits whose K, H or L differs from the reference
+    in type or value.
 
-    Each visit asks an observable (K, K_re, K_im or H), or ``integral`` or
-    ``hamiltonian`` of an ExtendedState, at one point, or, for a name
-    "stencil <observable>", the observable's stencil values at the points
-    of fd_gradient's stencil about the point; the reference forms K or H at
-    each point from nothing kept.  A stencil must give the reference's
-    values, or raise the error of its first point that raises.
+    Each visit asks an observable (K, K_re, K_im, H or L), or ``integral``
+    or ``hamiltonian`` of an ExtendedState, at one point, or, for a name
+    "stencil <observable>", the observable's values at the points of
+    fd_gradient's stencil about the point (``at_stencil``); the reference
+    forms each value from nothing kept.  A stencil must give the
+    reference's values, or raise the error of its first point that raises.
     """
     obs = ext.conserved_quantities()
     bad = []
     for name, p in visits:
         if name.startswith("stencil "):
             name = name.split()[1]
-            got = evaluated(obs[name]._stencil[1], p, ek.verify.FD_STEP)
+            got = evaluated(obs[name].at_stencil, p, ek.verify.FD_STEP)
             want = []
             for q in stencil(p):
                 w = reference(ext, name, q)
@@ -645,13 +656,13 @@ def part_case(kind, regime, m, n, omega, offset):
 
 def part_visits(kind, built, ext, seed, centres, shuffle):
     names = ["K_re", "K_im"] if kind == "complex" else ["K"]
-    names += ["integral", "H", "hamiltonian"]
+    names += ["integral", "H", "hamiltonian", "L"]
     centre_points = conftest.sample_extended(PART_SEEDS[kind], centres, seed, margin=0.1,
                                              system=built)
     visits = [(name, p) for c in centre_points for p in stencil(c) for name in names]
-    # K's stencil first, so H's reads the L values of its base parts
+    # K's stencil first, so H's and L's read the L values of its base parts
     visits += [(f"stencil {name}", c) for c in centre_points
-               for name in names if name[0] in "KH"]
+               for name in names if name[0] in "KHL"]
     visits += visits  # a second pass reads what the first one kept
     if shuffle:
         np.random.default_rng(seed).shuffle(visits)
@@ -705,7 +716,7 @@ def keyed_on_first_coordinate():
 
 def stale_l():
     # a faulty base part: chain and lam right, but L kept from the first base
-    # point asked, so only H's stencil, which reads L from K's, is wrong
+    # point asked, so only H and L, which read L from K's base parts, are wrong
     first = []
 
     def base_part(self, base):

@@ -13,6 +13,7 @@ import pytest
 
 import extkit as ek
 from extkit import extension, jets, poisson, riccati, verify
+from reference import observable
 
 
 @pytest.fixture
@@ -81,6 +82,29 @@ def test_one_extended_rhs_call(key, consts, state, calls):
     # the counter itself sees a construction
     ek.RiccatiParams(1.0, 1.0)
     assert calls["riccati_params"] == 1
+
+
+@pytest.mark.parametrize("key, consts, state", CASES)
+def test_one_state_s_observables_form_the_profile_once_and_l_s_value_once(
+        key, consts, state, calls):
+    # H, L and K (or K_re and K_im) at one vector, as a drift report asks
+    # them, read one evaluation by parts: one profile, one L value for H and
+    # L, and one base part for K, whose seed pair reads L and G through
+    # value_grad; another vector forms them again
+    built = ek.instantiate(key)
+    ext = ek.build_extension(built.system, built.seed, ek.ExtensionParams(**consts))
+    obs = ext.conserved_quantities()
+    ham, seed = built.system.hamiltonian.label, built.seed.field.label
+    for x in (np.array(state), 1.01 * np.array(state)):
+        for name in ("value_grad", "jet1", "jet2", "value"):
+            calls[name].clear()
+        calls["riccati_eval"] = 0
+        got = [fn(x) for fn in obs.values()]
+        assert calls["riccati_eval"] == 1
+        assert calls["value"] == [ham] and calls["value_grad"] == [ham, seed]
+        assert calls["jet1"] == calls["jet2"] == []
+        want = [observable(ext, name, x) for name in obs]
+        assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
 
 
 def test_zero_profile_builds_no_riccati_constants(calls):
@@ -253,12 +277,12 @@ def test_one_bracket_state_builds_each_chain_once_and_k_once_per_point(
 def test_a_base_part_kept_per_vector_fails_the_count(key, consts, state, bases, monkeypatch):
     # negative control: formed at each point, the base part is built at every
     # stencil point, though the u and p_u steps keep the base point
-    def per_point(self, i, p_u, b):
-        chain, lam, _ = self.ext._base_part(self.bases[b])
-        gam = self._profile(i)[0]
-        return extension._integral_from_parts(self.ext.params, chain, lam, gam, p_u)
+    def per_point(at_u, p_u, at_base):
+        chain, lam, _ = at_base.ext._base_part(at_base.base)
+        gam = at_u.profile()[0]
+        return extension._integral_from_parts(at_u.ext.params, chain, lam, gam, p_u)
 
-    monkeypatch.setattr(extension._Stencil, "_integral", per_point)
+    monkeypatch.setattr(extension, "_integral_by_parts", per_point)
     seen = bracket_counts(key, consts, state, monkeypatch)
     assert seen["chain"] == 2 * len(state) > bases
 

@@ -1,12 +1,13 @@
-"""H and K over a finite-difference stencil, from one pass by parts.
+"""H, L and K over a finite-difference stencil, from one pass by parts.
 
-``fd_gradient`` takes the values of the observables that
-``Extension.conserved_quantities`` marks from their stencil
-(``extension._Stencil``): one profile per distinct u and one base part per
-distinct base point, kept for the last (centre, step) of each extension.
-Every gradient it forms that way must be the one the same observable gives
-point by point, through a plain ``lambda v: obs(v)``, bit for bit, or the
-same error with the same message.
+``fd_gradient`` takes the values of the observables of
+``Extension.conserved_quantities`` at a stencil's points from their
+``at_stencil`` (``extension._Stencil``): one profile per distinct u and one
+base part per distinct base point, kept for the last (centre, step) of each
+extension.  Every gradient it forms that way must be the one formed point by
+point from nothing kept (``reference.observable``), bit for bit, or the same
+error with the same message; and so must every value an observable gives at
+one vector, from the same evaluation in its one-point form.
 """
 import functools
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import conftest
 import extkit as ek
 from extkit import extension
+from reference import observable
 
 FD_STEP = ek.verify.FD_STEP
 STEPS = [FD_STEP, 1e-4, 2.5e-6]
@@ -32,36 +34,44 @@ REGIMES = {
 
 
 def outcome(fn):
-    """``fn()``'s gradient as (dtype, bytes), or its error as (class, message)."""
+    """``fn()``'s gradient as (dtype, bytes), or its value as (type, repr),
+    or its error as (class, message)."""
     try:
-        grad = fn()
+        got = fn()
     except Exception as e:  # every error must match, whatever its class
         return type(e), str(e)
-    return grad.dtype.str, grad.tobytes()
+    if isinstance(got, np.ndarray):
+        return got.dtype.str, got.tobytes()
+    return type(got), repr(got)
 
 
 def mismatches(ext, asks) -> list:
-    """The (name, centre, step) asks where fd_gradient on the marked
-    observable differs from fd_gradient on a plain wrapper of it."""
+    """The (name, centre, step) asks where fd_gradient on the observable,
+    or for a step of None its value at the centre, differs from the
+    reference's, formed point by point from nothing kept."""
     obs = ext.conserved_quantities()
     bad = []
     for name, x, h in asks:
         fn = obs[name]
-        got = outcome(lambda: ek.fd_gradient(fn, x, h))
-        want = outcome(lambda: ek.fd_gradient(lambda v: fn(v), x, h))
+        if h is None:
+            got, want = outcome(lambda: fn(x)), outcome(lambda: observable(ext, name, x))
+        else:
+            got = outcome(lambda: ek.fd_gradient(fn, x, h))
+            want = outcome(lambda: ek.fd_gradient(lambda v: observable(ext, name, v), x, h))
         if got != want:
             bad.append((name, x.tolist(), h))
     return bad
 
 
 def asks_at(ext, x, x_same_u, h, h_other, order) -> list:
-    """The marked observables, those ``order`` names first, at (x, h), then
-    at (x, another step) and then at (another centre with x's u, that step):
-    a stencil kept under a key that leaves out the step, or all but u, is
-    read where it does not apply."""
-    names = [name for name in ext.conserved_quantities() if name != "L"]
+    """The observables, those ``order`` names first, at (x, h), at x alone
+    (step None), at (x, another step), and at (another centre with x's u,
+    that step) and that centre alone: an evaluation kept under a key that
+    leaves out the step, or all but u, is read where it does not apply."""
+    names = list(ext.conserved_quantities())
     names = [names[i % len(names)] for i in order] + names
-    return [(name, y, s) for y, s in ((x, h), (x, h_other), (x_same_u, h_other))
+    return [(name, y, s) for y, s in ((x, h), (x, None), (x, h_other), (x_same_u, h_other),
+                                      (x_same_u, None))
             for name in names]
 
 
@@ -92,29 +102,37 @@ def cases(draw, built):
     bases = [[draw(st.floats(lo, hi) | near([0.0], h)) for lo, hi in box] for _ in range(2)]
     p_us = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
     x, x_same_u = (np.array([u, p_u, *base]) for p_u, base in zip(p_us, bases))
-    order = draw(st.lists(st.integers(0, 2), max_size=3))
+    order = draw(st.lists(st.integers(0, 3), max_size=3))
     return built[key], params, x, x_same_u, h, h_other, order
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_a_marked_observable_s_gradient_is_the_per_point_gradient(built, data):
+def test_an_observable_s_gradient_is_the_per_point_gradient(built, data):
     entry, params, x, x_same_u, h, h_other, order = data.draw(cases(built))
     ext = ek.Extension(entry.system, entry.seed, params)
     assert mismatches(ext, asks_at(ext, x, x_same_u, h, h_other, order)) == []
     assert ext._last[0] is not None  # the stencil path was taken
 
 
+def evaluation(ext, x, h):
+    """A new evaluation by parts at ``x`` (``h`` None) or at its stencil."""
+    if h is None:
+        xs = x.tolist()
+        return extension._Point(ext, xs[0], xs[1], xs[2:])
+    return extension._Stencil(ext, x, h)
+
+
 def keyed(key):
-    """A faulty ``Extension._kept_stencil`` that keeps the last stencil
+    """A faulty ``Extension._kept_evaluation`` that keeps the last evaluation
     under ``key(x, h)``."""
-    def kept_stencil(self, x, h):
+    def kept_evaluation(self, x, h):
         last = self._last
         if last[0] != key(x, h):
-            last[:] = key(x, h), extension._Stencil(self, x, h)
+            last[:] = key(x, h), evaluation(self, x, h)
         return last[1]
 
-    return kept_stencil
+    return kept_evaluation
 
 
 STATES = {
@@ -138,7 +156,7 @@ def test_a_stencil_kept_under_a_short_key_fails_the_check(key, fault, built, mon
     x_same_u[1:] *= 1.01
     asks = asks_at(ext(), x, x_same_u, FD_STEP, 1e-4, [])
     assert mismatches(ext(), asks) == []
-    monkeypatch.setattr(ek.Extension, "_kept_stencil", keyed(fault))
+    monkeypatch.setattr(ek.Extension, "_kept_evaluation", keyed(fault))
     assert mismatches(ext(), asks) != []
 
 
@@ -158,46 +176,51 @@ def test_h_and_k_of_two_extensions_share_no_stencil(key, built, monkeypatch):
         return h_ext.conserved_quantities(), k_ext.conserved_quantities()
 
     def h_after_k() -> bool:
-        # H's gradient after K's, against H point by point
+        # H's gradient after K's, against H point by point from nothing kept
         h_obs, k_obs = pair()
         for name in k_obs:
             if name.startswith("K"):
                 ek.fd_gradient(k_obs[name], x)
         got = ek.fd_gradient(h_obs["H"], x)
-        return got.tobytes() == ek.fd_gradient(lambda v: h_obs["H"](v), x).tobytes()
+        h_ext = h_obs["H"].ext
+        return got.tobytes() == ek.fd_gradient(lambda v: observable(h_ext, "H", v), x).tobytes()
 
     assert h_after_k()
     # control: one stencil kept for every extension, under the right key
     shared = [None, None]
 
-    def kept_stencil(self, x, h):
+    def kept_evaluation(self, x, h):
         if shared[0] != (x.tobytes(), h):
-            shared[:] = (x.tobytes(), h), extension._Stencil(self, x, h)
+            shared[:] = (x.tobytes(), h), evaluation(self, x, h)
         return shared[1]
 
-    monkeypatch.setattr(ek.Extension, "_kept_stencil", kept_stencil)
+    monkeypatch.setattr(ek.Extension, "_kept_evaluation", kept_evaluation)
     assert not h_after_k()
 
 
 @pytest.mark.parametrize("key", sorted(STATES))
 def test_a_wrapper_takes_the_per_point_path(key, built):
-    # functools.wraps copies the marker, which names the wrapped observable
+    # fd_gradient looks at_stencil up on the observable's type, so a wrapper,
+    # one made by functools.wraps too, is called at each point, and each call
+    # evaluates that one vector
     consts, state = STATES[key]
     ext = ek.build_extension(built[key].system, built[key].seed, ek.ExtensionParams(**consts))
     obs = ext.conserved_quantities()
     x = np.array(state)
-    for name in ("H", *(n for n in obs if n.startswith("K"))):
+    for name, fn in obs.items():
         seen = []
 
-        @functools.wraps(obs[name])
-        def wrapper(vec, fn=obs[name]):
+        @functools.wraps(fn)
+        def wrapper(vec, fn=fn):
             seen.append(vec)
             return fn(vec)
 
-        assert wrapper._stencil[0] is obs[name]
-        assert ek.fd_gradient(wrapper, x).tobytes() == ek.fd_gradient(obs[name], x).tobytes()
-        assert len(seen) == 2 * len(x)
-    assert ext._last[0] == (x.tobytes(), FD_STEP)
+        assert wrapper.__wrapped__ is fn and not hasattr(type(wrapper), "at_stencil")
+        got = ek.fd_gradient(wrapper, x).tobytes()
+        assert len(seen) == 2 * len(x) and ext._last[0] == (seen[-1].tobytes(), None)
+        assert got == ek.fd_gradient(lambda v: observable(ext, name, v), x).tobytes()
+        assert got == ek.fd_gradient(fn, x).tobytes()
+        assert ext._last[0] == (x.tobytes(), FD_STEP)
     # a wrapper alone forms no stencil
     fresh = ek.build_extension(built[key].system, built[key].seed, ek.ExtensionParams(**consts))
     ek.fd_gradient(functools.wraps(fresh.conserved_quantities()["H"])(lambda v: 0.0), x)
