@@ -132,11 +132,6 @@ class ExtendedState:
     def __post_init__(self):
         self.base = np.asarray(self.base, dtype=float)
 
-    @classmethod
-    def from_vector(cls, vec) -> "ExtendedState":
-        vec = np.asarray(vec, dtype=float)
-        return cls(u=float(vec[0]), p_u=float(vec[1]), base=vec[2:].copy())
-
     def vector(self) -> np.ndarray:
         return np.concatenate(([self.u, self.p_u], self.base))
 

@@ -690,34 +690,26 @@ def fd_gradient(fn: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
 
 def fd_bracket_normalized(structure: PoissonStructure, f: Callable, g: Callable,
                           x: np.ndarray, h: float = FD_STEP) -> float:
-    """|{F, G}| scaled by the gradient sizes and the bivector norm.
+    """|{F, G}| scaled by the gradient sizes and the bivector norm:
+    |gf . pi gg| / (|gf| |pi| |gg| + 1e-12), with gf and gg the
+    :func:`fd_gradient` of F and G and pi the bivector's rows at ``x``.
 
     G's gradient is formed before F's.  Neither reads the other, so the
     order leaves the result alone (where both raise, G's error is the one
     raised); but with F = H and G = K of an
     :class:`~extkit.extension.Extension`, K's stencil is formed first and
     kept, and H's reads its profiles and the L values of its base parts.
-    """
-    gg = fd_gradient(g, x, h)
-    gf = fd_gradient(f, x, h)
-    pi = structure._rows_at(np.asarray(x, dtype=float).tolist())
-    return _normalized_bracket(structure, pi, gf, gg)
-
-
-def _normalized_bracket(structure: PoissonStructure, pi: list, gf, gg) -> float:
-    """|gf . pi gg| / (|gf| |pi| |gg| + 1e-12), for gradients as ndarrays and
-    the bivector's rows ``pi`` (:meth:`PoissonStructure._rows_at`).
-
     pi gg is summed by rows as :meth:`PoissonStructure.contract` sums them,
     and gf . (pi gg) and each |g|^2 = 0.0 + (re^2 + im^2) + ... the same
     way (:func:`~extkit.poisson._dot`), the roots taken by ``math.sqrt``;
     |pi| is :meth:`PoissonStructure.spectral_norm`.  No sum is left to
     numpy's products, so the value rounds the same on every host.
     """
-    gf, gg = gf.tolist(), gg.tolist()
+    gg = fd_gradient(g, x, h).tolist()
+    gf = fd_gradient(f, x, h).tolist()
+    pi = structure._rows_at(np.asarray(x, dtype=float).tolist())
     val = abs(_dot(gf, [_dot(row, gg) for row in pi]))
-    scale = _norm(gf) * structure.spectral_norm(pi) * _norm(gg)
-    return val / (scale + _TINY)
+    return val / (_norm(gf) * structure.spectral_norm(pi) * _norm(gg) + _TINY)
 
 
 def _norm(g: list) -> float:
@@ -732,28 +724,23 @@ def bracket_sweep(structure: PoissonStructure, h_fn: Callable, fns: dict[str, Ca
                   states: Sequence[np.ndarray], h: float = FD_STEP) -> tuple:
     """Largest :func:`fd_bracket_normalized` {H, F} over the states, for each named F.
 
-    At each state every F's gradient is formed in name order, then H's once,
-    as :func:`fd_bracket_normalized` orders them.  An (F, state) bracket is
-    skipped where F, H or the bivector raises :class:`EvaluationError`.
+    Each (F, state) pair is one :func:`fd_bracket_normalized` call, state by
+    state and F in name order, looked up in this module at each call, so a
+    function rebound there (a tracer's counting wrapper) sees every bracket.
+    A pair is skipped where F, H or the bivector raises
+    :class:`EvaluationError`.  H's values at a stencil come from its
+    extension's kept evaluation where H has an ``at_stencil`` method (see
+    :func:`fd_gradient`); a plain callable H is evaluated once per F.
     Returns the worst value (inf if no bracket was checked), the (name,
     state) it came from (None if no bracket is positive), and the counts of
     brackets checked and skipped.
     """
-    def brackets_at(x) -> list:
-        """(value, (name, x)) for each F whose gradient forms at ``x``; where
-        H's gradient or the bivector raises, the error skips them all."""
-        grads, names, _ = _sweep(list(fns), lambda name: fd_gradient(fns[name], x, h))
-        if not names:
-            return []
-        gf = fd_gradient(h_fn, x, h)
-        pi = structure._rows_at(np.asarray(x, dtype=float).tolist())
-        return [(_normalized_bracket(structure, pi, gf, gg), (name, x))
-                for gg, name in zip(grads, names)]
-
-    found = [vp for row in _sweep(states, brackets_at)[0] for vp in row]
-    worst, where = max((vp for vp in found if vp[0] > 0), key=lambda vp: vp[0],
-                       default=(0.0 if found else math.inf, None))
-    return worst, where, len(found), len(states) * len(fns) - len(found)
+    pairs = [(name, x) for x in states for name in fns]
+    vals, kept, skipped = _sweep(
+        pairs, lambda pair: fd_bracket_normalized(structure, h_fn, fns[pair[0]], pair[1], h))
+    worst, where = max(((v, pair) for v, pair in zip(vals, kept) if v > 0),
+                       key=lambda vp: vp[0], default=(0.0 if vals else math.inf, None))
+    return worst, where, len(vals), skipped
 
 
 def state_ranks(fns: Sequence[Callable], states: Sequence[np.ndarray],

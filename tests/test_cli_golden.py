@@ -23,6 +23,7 @@ from extkit import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 Q1_EXT = ["--c", "1", "--c0", "1", "--C", "1", "--m", "1", "--n", "1"]
+VO_EXT = ["--c", "0", "--c0", "0.5", "--C", "1", "--m", "1", "--n", "1"]
 
 STDOUT_CASES = {
     "list.txt": ["list"],
@@ -45,6 +46,10 @@ STDOUT_CASES = {
     "check_kn_default.json": ["check-kn"],
     "bracket_quartic1.json": ["bracket", "--system", "quartic1", "--c", "1.0", "--c0", "1.0",
                               "--C", "1.0", "--m", "1", "--n", "1"],
+    # a complex K: H takes a bracket with each of K_re and K_im
+    "bracket_vortex_opposite.json": ["bracket", "--system", "vortex_opposite", *VO_EXT],
+    "bracket_vortex_opposite_omega.json": ["bracket", "--system", "vortex_opposite", *VO_EXT,
+                                           "--omega", "0.2"],
     "rank_vortex_opposite.json": ["rank", "--system", "vortex_opposite", "--c", "0",
                                   "--c0", "0.5", "--C", "1", "--m", "1", "--n", "1",
                                   "--fields", "H,X1t,Y2t,K_re"],

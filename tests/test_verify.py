@@ -1,6 +1,7 @@
 """Sampling, integrators, drift reports, finite-difference brackets."""
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extkit as ek
+from extkit import verify
 from extkit.verify import RejectionError
 
 
@@ -183,24 +185,26 @@ def left_to_right(a, b):
 
 
 @pytest.mark.parametrize("key", ["quartic1", "vortex_opposite", "euler_top"])
-def test_the_normalized_bracket_is_a_fixed_order_sum(key):
+def test_the_normalized_bracket_is_a_fixed_order_sum(key, monkeypatch):
     # |gf . pi gg| / (|gf| |pi| |gg| + 1e-12) with each sum added left to
     # right from 0.0 and the roots by math.sqrt, bit for bit: a BLAS dot or
-    # norm may round otherwise, and the bracket gates print this number
-    from extkit import verify
-
+    # norm may round otherwise, and the bracket gates print this number.
+    # fd_gradient is stubbed to give the drawn gradients.
     structure = ek.extend_structure(ek.instantiate(key).system.structure)
     rng = np.random.default_rng(8)
     box = ((0.3, 1.2), (-1.0, 1.0)) + ek.get_entry(key).default_box
     for _ in range(40):
         x = np.array([rng.uniform(lo, hi) for lo, hi in box])
         gf, gg = rng.uniform(-2.0, 2.0, (2, len(x)))
+        drawn = {"f": gf, "g": gg}
+        monkeypatch.setattr(verify, "fd_gradient", lambda fn, *args: drawn.pop(fn))
         pi = structure.matrix(x)
         pi_gg = [left_to_right(row, gg.tolist()) for row in pi.tolist()]
         scale = (math.sqrt(left_to_right(gf.tolist(), gf.tolist()))
                  * structure.spectral_norm(pi) * math.sqrt(left_to_right(gg.tolist(), gg.tolist())))
         want = abs(left_to_right(gf.tolist(), pi_gg)) / (scale + 1e-12)
-        assert verify._normalized_bracket(structure, pi, gf, gg) == want
+        assert verify.fd_bracket_normalized(structure, "f", "g", x) == want
+        assert drawn == {}
 
 
 def refusing(where, fn):
@@ -233,6 +237,43 @@ def test_bracket_sweep_gives_what_fd_bracket_normalized_gives_pair_by_pair():
     assert (checked, skipped) == (len(vals), 12 - len(vals)) == (8, 4)
     i = vals.index(max(vals))
     assert worst == vals[i] and where[0] == kept[i][0] and where[1] is kept[i][1]
+
+
+def test_bracket_sweep_takes_each_bracket_through_fd_bracket_normalized(monkeypatch):
+    # one call of the module's fd_bracket_normalized per (K part, state), as
+    # a counting wrapper rebound in the module sees them; the third state is
+    # on the singular set x3 = 0, so both its brackets raise and are skipped.
+    # Control: a sweep that keeps its own reference to the function is not seen
+    built = ek.instantiate("vortex_opposite")
+    ext = ek.build_extension(built.system, built.seed,
+                             ek.ExtensionParams(c=0.0, c0=0.5, C=1.0, m=1, n=1))
+    obs = ext.conserved_quantities()
+    ks = {name: fn for name, fn in obs.items() if name.startswith("K")}
+    states = [np.array(s) for s in ([0.7, 0.3, 0.8, -0.4, 0.5, 0.9],
+                                    [0.6, 0.2, 0.7, -0.3, 0.4, 0.8],
+                                    [0.7, 0.3, 0.8, -0.4, 0.5, 0.0],
+                                    [0.8, 0.1, 0.6, -0.5, 0.3, 0.7])]
+    pinned = types.FunctionType(verify.bracket_sweep.__code__, dict(vars(verify)),
+                                argdefs=verify.bracket_sweep.__defaults__)
+    seen = {"ok": 0, "raised": 0}
+    original = verify.fd_bracket_normalized
+
+    def counted(*args):
+        try:
+            out = original(*args)
+        except ek.EvaluationError:
+            seen["raised"] += 1
+            raise
+        seen["ok"] += 1
+        return out
+
+    monkeypatch.setattr(verify, "fd_bracket_normalized", counted)
+    result = verify.bracket_sweep(ext.structure(), obs["H"], ks, states)
+    assert result[2:] == (seen["ok"], seen["raised"]) == (6, 2)
+    assert seen["ok"] + seen["raised"] == 2 * len(states)
+    seen.update(ok=0, raised=0)
+    assert pinned(ext.structure(), obs["H"], ks, states) == result
+    assert seen == {"ok": 0, "raised": 0}
 
 
 def test_independence_rank_detects_dependence():
